@@ -25,7 +25,7 @@ from . import matrices
 from .core import HemimodulePair, Hemiring
 from .ratexpr import (ActProd, Letter, OmegaPow, OmegaSum, Plus, Prod, Scalar,
                       Sum, letters_of, to_text)
-from .series import OmegaSeries, OmegaWord, Series
+from .series import DEFAULT_BOUND, LazySeries, OmegaSeries, OmegaWord, SeriesCarrier
 
 INF = math.inf
 
@@ -175,18 +175,27 @@ def batch_finitary(aut, max_len: int) -> dict:
     return out
 
 
-def finitary_series(aut) -> Series:
+def finitary_series(aut) -> LazySeries:
+    """The finitary behavior as a series: run queries per word, and the
+    one-sweep table of :func:`batch_finitary` where a table is needed."""
     aut = _as_matrix_form(aut)
-    return Series(aut.instance, aut.alphabet,
-                  lambda w: finitary_coeff(aut, w), proper=True, backing=aut)
+    inst = aut.instance
+
+    def tabulate(L):
+        return {w: v for w, v in batch_finitary(aut, L).items() if not inst.eq(v, inst.zero)}
+
+    return LazySeries(inst, aut.alphabet, DEFAULT_BOUND, lambda w: finitary_coeff(aut, w),
+                      tabulate, proper=True, backing=aut)
 
 
 def finitary_coeff_matrix(aut, word: str):
-    """The same coefficient through alpha · M^+ · beta over the series carrier."""
-    from .series import SeriesCarrier, scale_nat
+    """The same coefficient through alpha · M^+ · beta over the series carrier.
+
+    The carrier's bound is 0, so the query builds every table on the factors
+    of ``word`` only.
+    """
     aut = _as_matrix_form(aut)
-    inst = aut.instance
-    sc = SeriesCarrier(inst, aut.alphabet, bound=len(word))
+    sc = SeriesCarrier(aut.instance, aut.alphabet, bound=0)
     rows = [[sc.poly(aut.entry(i, j)) for j in range(aut.n)] for i in range(aut.n)]
     mp = matrices.mat_plus(sc, matrices.mat(rows))
     total = sc.zero
@@ -194,7 +203,7 @@ def finitary_coeff_matrix(aut, word: str):
         for j in range(aut.n):
             coef = aut.alpha[i] * aut.beta[j]
             if coef:
-                total = sc.add(total, scale_nat(coef, mp[i, j]))
+                total = sc.add(total, sc.nat_act(coef, mp[i, j]))
     return total.coeff(word)
 
 

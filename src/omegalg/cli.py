@@ -3,7 +3,8 @@ group checks and counterexample reproduction.
 
 Machine-readable JSON goes to stdout, human summaries to stderr.  Exit codes:
 0 all checks passed, 1 a law or property failed (expected for the
-counterexample instances), 2 usage or parse errors.
+counterexample instances), 2 bad input: a one-line ``Error:`` message on
+stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -20,6 +21,12 @@ from .instances import make_instance
 from .series import OmegaWord, language_instance, parse_word
 
 DEFAULT_SEED = 42
+
+
+class BadInput(click.ClickException):
+    """Bad input: one ``Error: ...`` line on stderr and exit code 2."""
+
+    exit_code = 2
 
 
 def _default_seed():
@@ -48,12 +55,15 @@ def weight_instance(name, lam=0.5, base=3) -> valuation.OmegaValuation:
     if name in _CARRIER_NAMES:
         return valuation.from_carrier(make_instance(name))
     if name == "disc":
-        return valuation.make_valuation_instance("disc", lam=lam)
+        try:
+            return valuation.make_valuation_instance("disc", lam=lam)
+        except ValueError as exc:
+            raise BadInput(f"--lambda {lam}: {exc}")
     if name == "lattice-inf":
         return valuation.make_valuation_instance("lattice-inf", base=base)
     if name in _VALUATION_NAMES:
         return valuation.make_valuation_instance(name)
-    raise click.UsageError(f"unknown instance {name!r}")
+    raise BadInput(f"unknown instance {name!r}")
 
 
 def _emit(report: core.LawReport) -> int:
@@ -85,7 +95,7 @@ def laws(name, suite, samples, seed, bound, lam):
         elif name in _VALUATION_NAMES:
             inst = weight_instance(name, lam=lam)
         else:
-            raise click.UsageError(f"unknown instance {name!r}")
+            raise BadInput(f"unknown instance {name!r}")
         fn = (valuation.multi_hemiring_laws if suite == "multi-hemiring"
               else valuation.omega_valuation_laws)
         sys.exit(_emit(fn(inst, trials=samples, seed=seed)))
@@ -99,41 +109,58 @@ def laws(name, suite, samples, seed, bound, lam):
             report = core.hemimodule_pair_laws(core.self_pair(make_instance(name)),
                                                trials=samples, seed=seed)
         else:
-            raise click.UsageError(f"no hemimodule pair for instance {name!r}")
+            raise BadInput(f"no hemimodule pair for instance {name!r}")
         sys.exit(_emit(report))
     if name == "lang":
         carrier = language_instance(bound=bound)
         if suite == "conway-semiring":
-            raise click.UsageError("the language instance has no unit; use conway-hemiring")
+            raise BadInput("the language instance has no unit; use conway-hemiring")
         report = core.conway_hemiring_laws(carrier, trials=min(samples, 120), seed=seed)
         sys.exit(_emit(report))
     try:
         carrier = make_instance(name)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise BadInput(str(exc))
     if suite == "conway-semiring":
         if not core.has_star(carrier):
-            raise click.UsageError(f"{name} has no star operation")
+            raise BadInput(f"{name} has no star operation")
         report = core.conway_semiring_laws(carrier, trials=samples, seed=seed)
     else:
         if not core.has_plus(carrier):
-            raise click.UsageError(f"{name} has no plus operation")
+            raise BadInput(f"{name} has no plus operation")
         report = core.conway_hemiring_laws(carrier, trials=samples, seed=seed)
     sys.exit(_emit(report))
 
 
-def _parse_expr(text):
+def _check_letters(what, letters, alphabet):
+    foreign = sorted(set(letters) - set(alphabet))
+    if foreign:
+        raise BadInput(f"{what} uses {', '.join(map(repr, foreign))}, "
+                       f"outside the alphabet {''.join(alphabet)!r}")
+
+
+def _parse_expr(text, alphabet):
     try:
-        return ratexpr.parse(text)
+        e = ratexpr.parse(text)
     except ratexpr.ParseError as exc:
-        raise click.UsageError(f"bad expression: {exc}")
+        raise BadInput(f"bad expression: {exc}")
+    _check_letters("the expression", ratexpr.letters_of(e), alphabet)
+    return e
 
 
-def _parse_cli_word(text):
+def _parse_cli_word(text, alphabet):
     try:
-        return parse_word(text)
+        w = parse_word(text)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise BadInput(str(exc))
+    letters = w.prefix + w.period if isinstance(w, OmegaWord) else w
+    _check_letters("the word", letters, alphabet)
+    return w
+
+
+def _require_strategy(inst):
+    if inst.strategy is None:
+        raise BadInput(f"instance {inst.name!r} has no infinitary coefficients")
 
 
 @main.command()
@@ -145,19 +172,21 @@ def _parse_cli_word(text):
 def coeff(name, text, word, lam, alphabet):
     """Coefficient of an expression's series at a finite or omega word."""
     inst = weight_instance(name, lam=lam)
-    e = _parse_expr(text)
-    w = _parse_cli_word(word)
     letters = tuple(alphabet)
+    e = _parse_expr(text, letters)
+    w = _parse_cli_word(word, letters)
     if ratexpr.is_omega(e):
         if not isinstance(w, OmegaWord):
-            raise click.UsageError("an omega expression needs a word of shape u(v)^w")
+            raise BadInput("an omega expression needs a word of shape u(v)^w")
+        _require_strategy(inst)
         value = ratexpr.eval_omega(e, inst, letters).coeff(w)
     else:
         if isinstance(w, OmegaWord):
-            raise click.UsageError("a finitary expression needs a finite word")
+            raise BadInput("a finitary expression needs a finite word")
         if not w:
-            raise click.UsageError("finitary coefficients live on nonempty words")
-        value = ratexpr.eval_fin(e, inst, letters).coeff(w)
+            raise BadInput("finitary coefficients live on nonempty words")
+        # bound 0 tabulates nothing up front: the query builds on w's factors only
+        value = ratexpr.eval_fin(e, inst, letters, bound=0).coeff(w)
     print(inst.show(value))
 
 
@@ -169,7 +198,8 @@ def coeff(name, text, word, lam, alphabet):
 def compile_cmd(name, text, lam, alphabet):
     """Compile an expression to an automaton (JSON on stdout)."""
     inst = weight_instance(name, lam=lam)
-    aut = automata.compile(_parse_expr(text), inst, tuple(alphabet))
+    letters = tuple(alphabet)
+    aut = automata.compile(_parse_expr(text, letters), inst, letters)
     print(json.dumps(automata.automaton_to_json(aut), indent=2))
     print(f"{aut.n} states, {aut.k} repeated", file=sys.stderr)
 
@@ -184,12 +214,13 @@ def behavior(path, name, word, lam):
     inst = weight_instance(name, lam=lam)
     with open(path) as fh:
         aut = automata.automaton_from_json(fh.read(), inst)
-    w = _parse_cli_word(word)
+    w = _parse_cli_word(word, aut.alphabet)
     if isinstance(w, OmegaWord):
+        _require_strategy(inst)
         value = automata.infinitary_coeff(aut, w)
     else:
         if not w:
-            raise click.UsageError("finitary coefficients live on nonempty words")
+            raise BadInput("finitary coefficients live on nonempty words")
         value = automata.finitary_coeff(aut, w)
     print(inst.show(value))
 
@@ -205,7 +236,7 @@ def group_check(gname, name, samples, seed, bound):
     seed = seed if seed is not None else _default_seed()
     groups = matrices.builtin_groups()
     if gname not in groups:
-        raise click.UsageError(f"unknown group {gname!r}; known: {sorted(groups)}")
+        raise BadInput(f"unknown group {gname!r}; known: {sorted(groups)}")
     g = groups[gname]
     if name == "lang":
         carrier = language_instance(bound=bound)
@@ -216,7 +247,9 @@ def group_check(gname, name, samples, seed, bound):
         try:
             carrier = make_instance(name)
         except ValueError as exc:
-            raise click.UsageError(str(exc))
+            raise BadInput(str(exc))
+        if not core.has_plus(carrier):
+            raise BadInput(f"{name} has no plus operation")
         pair = core.self_pair(carrier) if core.has_omega(carrier) else None
         report = matrices.group_identity_check(g, carrier, trials=samples,
                                                seed=seed, pair=pair)

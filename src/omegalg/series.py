@@ -1,11 +1,23 @@
-"""Power series as coefficient queries, plus the word machinery.
+"""Finitary series as truncated coefficient tables, plus the word machinery.
 
-A :class:`Series` is an intensional object: a coefficient function over
-finite words, memoised, optionally backed by a polynomial table, an
-expression or an automaton.  Products are Cauchy products; when the weight
-domain carries length-indexed products (valuation structures) the splits are
-combined with ``prod(|u|, |v|, ·, ·)``, which collapses to plain
-multiplication for hemiring weights.
+A :class:`Series` holds the non-zero coefficients of a series on every word
+of length at most its ``bound``, in a dict built bottom-up when the series
+is constructed.  Sums merge the two tables; Cauchy products join the two
+supports, combine each split with ``prod(|u|, |v|, ·, ·)`` (which collapses
+to plain multiplication for hemiring weights) and drop pairs longer than
+the bound; the plus runs the prefix recurrence in order of length; the
+natural action maps every coefficient.  Zero sums and zero products are
+dropped, so ``coeff`` is a dict lookup and a miss is a zero coefficient.
+
+Past the bound nothing is guessed: a query for a longer word w rebuilds,
+from what each series was built from (a polynomial's own coefficients, the
+operands of a carrier operation), tables kept to the factors of w, which
+hold every coefficient the operations read.  That is O(|w|^2) entries per
+series, so coefficients are exact at every length at polynomial cost.
+
+Series whose coefficients come from a function, the behavior of an
+automaton or the language of a DFA, are :class:`LazySeries`: memoised
+coefficient queries that tabulate only when a table is needed.
 
 Ultimately periodic infinite words are represented by :class:`OmegaWord`
 lassos in canonical form: primitive period, shortest prefix.
@@ -18,6 +30,8 @@ from dataclasses import dataclass
 
 from . import dfa as dfalib
 from .core import Hemiring, LawFailure, LawReport, words_up_to
+from .instances import BooleanCarrier, NatCarrier
+from .valuation import from_carrier
 
 DEFAULT_BOUND = 8
 
@@ -101,49 +115,104 @@ def parse_word(text: str):
     raise ValueError(f"not an omega word: {text!r}")
 
 
-# --- weight protocol -------------------------------------------------------------
-
-class HemiringWeights:
-    """Weight view of a plain carrier: products ignore the length indices."""
-
-    def __init__(self, carrier):
-        self.carrier = carrier
-        self.name = carrier.name
-        self.add = carrier.add
-        self.zero = carrier.zero
-        self.eq = carrier.eq
-        self.show = carrier.show
-        self.unit = getattr(carrier, "one", None)
-        self.sample = carrier.sample
-
-    def prod(self, m, n, a, b):
-        return self.carrier.mul(a, b)
-
-    def nat_act(self, n, a):
-        return self.carrier.nat_act(n, a)
-
-
 # --- series -----------------------------------------------------------------------
 
+_MISS = object()
+
+
+def _check_letters(word: str, alphabet: tuple):
+    for ch in word:
+        if ch not in alphabet:
+            raise ValueError(f"letter {ch!r} outside alphabet {alphabet}")
+
+
+class _Factors:
+    """The factors of one query word, shortest first, and the tables already
+    rebuilt on them (by ``id`` of the series), so shared operands rebuild once.
+
+    Sums, cuts, the plus recurrence and the natural action of a factor only
+    ever read coefficients of its own factors, so tables kept to these words
+    give the coefficient exactly with O(|w|^2) entries per series.
+    """
+
+    __slots__ = ("length", "words", "done")
+
+    def __init__(self, word: str):
+        n = len(word)
+        self.length = n
+        self.words = sorted({word[i:j] for i in range(n + 1) for j in range(i, n + 1)},
+                            key=len)
+        self.done = {}
+
+
 class Series:
-    """Coefficient query over finite words, memoised."""
+    """Non-zero coefficients on the words of length <= ``bound``.
 
-    __slots__ = ("weights", "alphabet", "fn", "proper", "backing", "_memo")
+    ``build(L, only)`` returns the table at bound L, kept to the words of
+    ``only`` (a :class:`_Factors`) unless that is None.  It runs in full once
+    at construction; a query past the bound rebuilds on the query's factors.
+    """
 
-    def __init__(self, weights, alphabet, fn, proper=True, backing=None):
+    __slots__ = ("weights", "alphabet", "bound", "build", "table", "proper", "backing")
+
+    def __init__(self, weights, alphabet, bound, build, proper=True, backing=None):
         self.weights = weights
         self.alphabet = tuple(alphabet)
+        self.bound = bound
+        self.build = build
+        self.table = build(bound, None)
+        self.proper = proper
+        self.backing = backing
+
+    def coeff(self, word: str):
+        val = self.table.get(word, _MISS)
+        if val is not _MISS:
+            return val
+        _check_letters(word, self.alphabet)
+        if len(word) > self.bound:
+            return self.table_on(_Factors(word)).get(word, self.weights.zero)
+        return self.weights.zero
+
+    def table_at(self, bound: int) -> dict:
+        """The table up to ``bound``, rebuilt in place if it stops short of it."""
+        if bound > self.bound:
+            self.table = self.build(bound, None)
+            self.bound = bound
+        if bound == self.bound:
+            return self.table
+        return {u: x for u, x in self.table.items() if len(u) <= bound}
+
+    def table_on(self, only: _Factors) -> dict:
+        """The non-zero coefficients on the words of ``only``."""
+        if only.length > self.bound:
+            return self.build(only.length, only)
+        t = self.table
+        return {u: t[u] for u in only.words if u in t}
+
+
+class LazySeries:
+    """Coefficients from a function of the word, memoised: the behavior of an
+    automaton or the language of a DFA.  ``tabulate(L)`` lists the non-zero
+    coefficients up to L when a table is needed (sums, products, equality)."""
+
+    __slots__ = ("weights", "alphabet", "bound", "fn", "tabulate", "proper", "backing",
+                 "_memo", "_table")
+
+    def __init__(self, weights, alphabet, bound, fn, tabulate, proper=True, backing=None):
+        self.weights = weights
+        self.alphabet = tuple(alphabet)
+        self.bound = bound
         self.fn = fn
+        self.tabulate = tabulate
         self.proper = proper
         self.backing = backing
         self._memo = {}
+        self._table = None
 
     def coeff(self, word: str):
-        for ch in word:
-            if ch not in self.alphabet:
-                raise ValueError(f"letter {ch!r} outside alphabet {self.alphabet}")
         if word in self._memo:
             return self._memo[word]
+        _check_letters(word, self.alphabet)
         if self.proper and not word:
             val = self.weights.zero
         else:
@@ -151,32 +220,110 @@ class Series:
         self._memo[word] = val
         return val
 
+    def table_at(self, bound: int) -> dict:
+        if self._table is None:
+            self._table = Series(self.weights, self.alphabet, bound,
+                                 lambda L, only: self.tabulate(L), self.proper, self.backing)
+        return self._table.table_at(bound)
 
-def zero_series(weights, alphabet) -> Series:
-    return Series(weights, alphabet, lambda w: weights.zero, backing={})
+    def table_on(self, only: _Factors) -> dict:
+        eq, zero = self.weights.eq, self.weights.zero
+        out = {u: self.coeff(u) for u in only.words}
+        return {u: x for u, x in out.items() if not eq(x, zero)}
 
 
-def polynomial(weights, alphabet, table: dict) -> Series:
+def _table(f, bound: int, only=None) -> dict:
+    """The non-zero coefficients of ``f`` up to ``bound``, or on ``only``'s words."""
+    if only is None:
+        return f.table_at(bound)
+    t = only.done.get(id(f))
+    if t is None:
+        t = only.done[id(f)] = f.table_on(only)
+    return t
+
+
+def _by_length(table: dict) -> dict:
+    out = {}
+    for u, x in table.items():
+        out.setdefault(len(u), []).append((u, x))
+    return out
+
+
+def _drop_zeros(weights, table: dict, words=None) -> dict:
+    """Remove the ``words`` (default: all) whose coefficient in ``table`` is zero."""
+    eq, zero = weights.eq, weights.zero
+    for u in list(table) if words is None else words:
+        if eq(table[u], zero):
+            del table[u]
+    return table
+
+
+def _cuts(w, z: str, left: dict, right: dict, lo: int, acc=_MISS):
+    """``acc`` plus left(u) ·(|u|,|v|) right(v) over the cuts z = uv with
+    lo <= |u| <= |z| - lo; ``_MISS`` if there is nothing to add."""
+    n = len(z)
+    for i in range(lo, n - lo + 1):
+        x = left.get(z[:i], _MISS)
+        if x is _MISS:
+            continue
+        y = right.get(z[i:], _MISS)
+        if y is _MISS:
+            continue
+        p = w.prod(i, n - i, x, y)
+        acc = p if acc is _MISS else w.add(acc, p)
+    return acc
+
+
+def zero_series(weights, alphabet, bound=DEFAULT_BOUND) -> Series:
+    return Series(weights, alphabet, bound, lambda L, only: {}, backing={})
+
+
+def polynomial(weights, alphabet, table: dict, bound=DEFAULT_BOUND) -> Series:
     """Finite-support series; missing words have coefficient zero."""
-    proper = "" not in table
-    return Series(weights, alphabet,
-                  lambda w: table.get(w, weights.zero), proper=proper, backing=dict(table))
+    alphabet = tuple(alphabet)
+    for word in table:
+        _check_letters(word, alphabet)
+    table = dict(table)
+
+    def build(L, only):
+        if only is None:
+            out = {u: x for u, x in table.items() if len(u) <= L}
+        else:
+            out = {u: table[u] for u in only.words if u in table}
+        return _drop_zeros(weights, out)
+
+    return Series(weights, alphabet, bound, build, proper="" not in table, backing=table)
 
 
-def letter_series(weights, alphabet, ch) -> Series:
+def letter_series(weights, alphabet, ch, bound=DEFAULT_BOUND) -> Series:
     if weights.unit is None:
         raise ValueError("letter series need a unit weight")
-    return polynomial(weights, alphabet, {ch: weights.unit})
+    return polynomial(weights, alphabet, {ch: weights.unit}, bound)
 
 
-def series_add(f: Series, g: Series) -> Series:
+def series_add(f, g) -> Series:
     w = f.weights
-    return Series(w, f.alphabet, lambda word: w.add(f.coeff(word), g.coeff(word)),
-                  proper=f.proper and g.proper)
+
+    def build(L, only):
+        out = dict(_table(f, L, only))
+        both = []
+        for u, y in _table(g, L, only).items():
+            if u in out:
+                out[u] = w.add(out[u], y)
+                both.append(u)
+            else:
+                out[u] = y
+        return _drop_zeros(w, out, both)
+
+    return Series(w, f.alphabet, min(f.bound, g.bound), build, proper=f.proper and g.proper)
 
 
-def cauchy_mul(f: Series, g: Series) -> Series:
-    """(fg, w) = sum over splits uv = w of (f,u) ·(|u|,|v|) (g,v)."""
+def cauchy_mul(f, g) -> Series:
+    """(fg, w) = sum over splits uv = w of (f,u) ·(|u|,|v|) (g,v).
+
+    A full table joins the two supports and drops pairs longer than the
+    bound; a table on a query's factors sums the cuts of each factor.
+    """
     if f.weights is not g.weights:
         same_kind = (f.weights.name == g.weights.name and
                      getattr(f.weights, "params", None) == getattr(g.weights, "params", None))
@@ -184,63 +331,110 @@ def cauchy_mul(f: Series, g: Series) -> Series:
             raise ValueError("carrier mismatch in product")
     w = f.weights
 
-    def fn(word):
-        n = len(word)
-        total = w.zero
-        lo = 1 if f.proper else 0
-        hi = n - 1 if g.proper else n
-        for i in range(lo, hi + 1):
-            total = w.add(total, w.prod(i, n - i, f.coeff(word[:i]), g.coeff(word[i:])))
-        return total
+    def build(L, only):
+        out = {}
+        if only is not None:
+            left, right = _table(f, L, only), _table(g, L, only)
+            for z in only.words:
+                acc = _cuts(w, z, left, right, 0)
+                if acc is not _MISS:
+                    out[z] = acc
+            return _drop_zeros(w, out)
+        left = _by_length(_table(f, L))
+        right = _by_length(_table(g, L))
+        for m in sorted(left):
+            for n in range(L - m + 1):
+                for v, y in right.get(n, ()):
+                    for u, x in left[m]:
+                        p = w.prod(m, n, x, y)
+                        uv = u + v
+                        out[uv] = w.add(out[uv], p) if uv in out else p
+        return _drop_zeros(w, out)
 
-    return Series(w, f.alphabet, fn, proper=f.proper or g.proper)
+    return Series(w, f.alphabet, min(f.bound, g.bound), build, proper=f.proper or g.proper)
 
 
-def series_plus(f: Series) -> Series:
+def series_plus(f) -> Series:
     """Sum over all factorizations into nonempty pieces of the piecewise product.
 
-    Dynamic programming over prefixes; the left fold of the indexed products
-    matches the induced valuation by the split law.
+    Prefix recurrence T(w) = f(w) + sum over w = uv, u and v nonempty, of
+    T(u) ·(|u|,|v|) f(v), in order of length; the left fold of the indexed
+    products matches the induced valuation by the split law.
     """
     if not f.proper:
         raise ValueError("plus is defined on proper series only")
     w = f.weights
 
-    def fn(word):
-        n = len(word)
-        if n == 0:
-            return w.zero
-        T = [w.zero] * (n + 1)
-        for j in range(1, n + 1):
-            total = f.coeff(word[:j])
-            for i in range(1, j):
-                total = w.add(total, w.prod(i, j - i, T[i], f.coeff(word[i:j])))
-            T[j] = total
-        return T[n]
+    def build(L, only):
+        out = {}
+        if only is not None:
+            pieces = _table(f, L, only)
+            for z in only.words:
+                acc = _cuts(w, z, out, pieces, 1, pieces.get(z, _MISS)) if z else _MISS
+                if acc is not _MISS and not w.eq(acc, w.zero):
+                    out[z] = acc
+            return out
+        pieces = _by_length(_table(f, L))
+        done = {}       # length -> [(u, T(u))]
+        for n in range(1, L + 1):
+            layer = dict(pieces.get(n, ()))
+            for m in range(1, n):
+                for v, y in pieces.get(n - m, ()):
+                    for u, x in done.get(m, ()):
+                        p = w.prod(m, n - m, x, y)
+                        uv = u + v
+                        layer[uv] = w.add(layer[uv], p) if uv in layer else p
+            _drop_zeros(w, layer)
+            done[n] = list(layer.items())
+            out.update(layer)
+        return out
 
-    return Series(w, f.alphabet, fn, proper=True)
+    return Series(w, f.alphabet, f.bound, build, proper=True)
 
 
-def scale_nat(n: int, f: Series) -> Series:
+def scale_nat(n: int, f) -> Series:
     w = f.weights
-    return Series(w, f.alphabet, lambda word: w.nat_act(n, f.coeff(word)), proper=f.proper)
+
+    def build(L, only):
+        out = {u: w.nat_act(n, x) for u, x in _table(f, L, only).items()}
+        return _drop_zeros(w, out)
+
+    return Series(w, f.alphabet, f.bound, build, proper=f.proper)
 
 
-def bounded_eq(f: Series, g: Series, bound: int = DEFAULT_BOUND) -> LawReport:
-    """Compare coefficients on every word of length <= bound.
+def _differing(f, g, bound):
+    """The words of length <= bound where ``f`` and ``g`` differ, unordered.
 
-    A failure is a definitive inequality witness; success is bounded evidence
-    only.
+    A word in one table only differs: the other side is zero, and every
+    weight domain's ``eq`` is exact at zero.
     """
     if f.alphabet != g.alphabet:
         raise ValueError("alphabet mismatch")
+    eq = f.weights.eq
+    a, b = _table(f, bound), _table(g, bound)
+    for u, x in a.items():
+        y = b.get(u, _MISS)
+        if y is _MISS or not eq(x, y):
+            yield u
+    for u in b:
+        if u not in a:
+            yield u
+
+
+def bounded_eq(f, g, bound: int = DEFAULT_BOUND) -> LawReport:
+    """Compare coefficients on every word of length <= bound.
+
+    A failure is a definitive inequality witness; success is bounded evidence
+    only.  Witnesses come in shortlex order, at most 20.
+    """
+    differing = set(_differing(f, g, bound))
     w = f.weights
     report = LawReport(f"bounded-eq(L={bound})", 0)
     for word in words_up_to(f.alphabet, bound):
         report.trials += 1
-        a, b = f.coeff(word), g.coeff(word)
-        if not w.eq(a, b):
-            report.failures.append(LawFailure("coeff", (word or "<empty>",), w.show(a), w.show(b)))
+        if word in differing:
+            report.failures.append(LawFailure("coeff", (word or "<empty>",),
+                                              w.show(f.coeff(word)), w.show(g.coeff(word))))
             if len(report.failures) >= 20:
                 break
     return report
@@ -256,7 +450,7 @@ class SeriesCarrier(Hemiring):
         self.alphabet = tuple(alphabet)
         self.bound = bound
         self.name = name or f"{weights.name}-series"
-        self.zero = zero_series(weights, self.alphabet)
+        self.zero = zero_series(weights, self.alphabet, bound)
 
     def coeff(self, f, word):
         return f.coeff(word)
@@ -270,8 +464,11 @@ class SeriesCarrier(Hemiring):
     def plus(self, f):
         return series_plus(f)
 
+    def nat_act(self, n, f):
+        return scale_nat(n, f)
+
     def eq(self, f, g):
-        return bounded_eq(f, g, self.bound).ok
+        return next(_differing(f, g, self.bound), None) is None
 
     def show(self, f):
         parts = []
@@ -287,10 +484,10 @@ class SeriesCarrier(Hemiring):
         return "(" + " + ".join(parts) + ")" if parts else "0"
 
     def poly(self, table):
-        return polynomial(self.weights, self.alphabet, table)
+        return polynomial(self.weights, self.alphabet, table, self.bound)
 
     def letter(self, ch):
-        return letter_series(self.weights, self.alphabet, ch)
+        return letter_series(self.weights, self.alphabet, ch, self.bound)
 
     def sample(self, rng):
         support = rng.randrange(1, 3)
@@ -306,8 +503,7 @@ class SeriesCarrier(Hemiring):
 
 
 def nat_series_instance(alphabet=("a", "b"), bound=DEFAULT_BOUND) -> SeriesCarrier:
-    from .instances import NatCarrier
-    c = SeriesCarrier(HemiringWeights(NatCarrier()), alphabet, bound, name="nat-series")
+    c = SeriesCarrier(from_carrier(NatCarrier()), alphabet, bound, name="nat-series")
     c._sample_coeff = lambda rng: rng.randrange(1, 4)
     return c
 
@@ -316,39 +512,43 @@ def nat_series_instance(alphabet=("a", "b"), bound=DEFAULT_BOUND) -> SeriesCarri
 #
 # Elements are proper boolean series backed by minimised DFAs, which keeps
 # coefficient queries at O(|w|) and makes the omega-side (lasso) analysis of
-# the hemimodule pair cheap.  Equality stays the bounded coefficient check.
-
-class _BoolWeights(HemiringWeights):
-    pass
-
+# the hemimodule pair cheap.  Equality stays the bounded coefficient check,
+# on the accepted words the DFA enumerates up to the bound.
 
 class LanguageCarrier(SeriesCarrier):
     """Epsilon-free regular languages as a Conway hemiring (no unit)."""
 
     def __init__(self, alphabet=("a", "b"), bound=DEFAULT_BOUND):
-        from .instances import BooleanCarrier
-        super().__init__(_BoolWeights(BooleanCarrier()), alphabet, bound, name="lang")
+        super().__init__(from_carrier(BooleanCarrier()), alphabet, bound, name="lang")
         self.zero = self._from_dfa(
             dfalib.Dfa(self.alphabet, 1, 0, frozenset(), [dict()]))
 
     # every element carries a minimised DFA in ``backing``
-    def _from_dfa(self, d: dfalib.Dfa) -> Series:
-        return Series(self.weights, self.alphabet, d.run, proper=True, backing=d)
+    def _from_dfa(self, d: dfalib.Dfa) -> LazySeries:
+        return LazySeries(self.weights, self.alphabet, self.bound, d.run,
+                          lambda L: dict.fromkeys(dfalib.enumerate_words(d, L), True),
+                          backing=d)
 
-    def _from_nfa(self, nfa: dfalib.Nfa) -> Series:
+    def _from_nfa(self, nfa: dfalib.Nfa) -> LazySeries:
         return self._from_dfa(dfalib.minimize(dfalib.determinize(nfa)))
 
-    def poly(self, table) -> Series:
+    def poly(self, table) -> LazySeries:
         words = [w for w, v in table.items() if v]
         if not words:
             return self.zero
         return self._from_nfa(dfalib.nfa_from_words(self.alphabet, words))
 
-    def language(self, *words) -> Series:
+    def language(self, *words) -> LazySeries:
         return self.poly({w: True for w in words})
 
-    def letter(self, ch) -> Series:
+    def letter(self, ch) -> LazySeries:
         return self.language(ch)
+
+    def nat_act(self, n, f):
+        # boolean weights are idempotent: n·f = f for every n >= 1
+        if n < 0:
+            raise ValueError("nat_act needs n >= 0")
+        return f if n else self.zero
 
     def add(self, f, g):
         return self._from_nfa(dfalib.nfa_union(dfalib.dfa_to_nfa(f.backing),

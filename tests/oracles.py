@@ -1,9 +1,10 @@
 """Independent oracles the tests check the library against.
 
 Everything here is deliberately brute force and shares no code with the
-implementation: factorization sums by enumeration, shortest paths by
-Floyd-Warshall, transitive closure by Warshall, Buchi acceptance by plain
-reachability over the product, maximum cycle mean by cycle enumeration.
+implementation: Cauchy products and factorization sums by enumeration,
+shortest paths by Floyd-Warshall, transitive closure by Warshall, Buchi
+acceptance by plain reachability over the product, maximum cycle mean by
+cycle enumeration.
 """
 
 import itertools
@@ -40,6 +41,15 @@ def plus_coeff_brute(coeff, word, add, prod, zero):
             acc = prod(length, len(piece), acc, coeff(piece))
             length += len(piece)
         total = add(total, acc)
+    return total
+
+
+def cauchy_coeff_brute(fcoeff, gcoeff, word, add, prod, zero):
+    """(f·g, word) for proper f and g, as an explicit sum over the cuts of
+    ``word`` into a nonempty left and a nonempty right piece."""
+    total = zero
+    for i in range(1, len(word)):
+        total = add(total, prod(i, len(word) - i, fcoeff(word[:i]), gcoeff(word[i:])))
     return total
 
 

@@ -70,6 +70,12 @@ def test_run_matrix_agreement(boolw, natw, disc):
                 assert inst.eq(lhs, rhs), (inst.name, rx.to_text(e), w, lhs, rhs)
 
 
+def test_matrix_coefficient_on_a_long_word(natw):
+    aut = A.compile(rx.parse("((a+b)^+)^+"), natw, AB)
+    word = "ab" * 15
+    assert A.finitary_coeff_matrix(aut, word) == A.finitary_coeff(aut, word) == 2 ** 29
+
+
 def test_batch_matches_pointwise(natw):
     rng = random.Random(78)
     for _ in range(10):

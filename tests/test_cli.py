@@ -142,3 +142,58 @@ def test_manifest_shape(runner):
     res = run(runner, "manifest", "--instance", "lattice-inf")
     data = json.loads(res.stdout)
     assert set(data) == {"name", "params", "bound_length", "depth", "seed"}
+
+
+def assert_bad_input(res):
+    """Exit 2, nothing on stdout, one ``Error:`` line on stderr."""
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), res.stderr
+
+
+def test_coeff_rejects_foreign_letter_in_finite_word(runner):
+    assert_bad_input(run(runner, "coeff", "--instance", "bool", "--expr", "a", "--word", "c"))
+
+
+def test_coeff_rejects_foreign_letter_in_omega_word(runner):
+    assert_bad_input(run(runner, "coeff", "--instance", "bool", "--expr", "(ab)^w",
+                         "--word", "c^w"))
+
+
+def test_expression_letters_outside_alphabet_rejected(runner):
+    assert_bad_input(run(runner, "coeff", "--instance", "nat", "--expr", "a + c",
+                         "--word", "a"))
+    assert_bad_input(run(runner, "compile", "--instance", "bool", "--expr", "c^w"))
+
+
+def test_coeff_rejects_lambda_outside_unit_interval(runner):
+    assert_bad_input(run(runner, "coeff", "--instance", "disc", "--expr", "a^+",
+                         "--word", "a", "--lambda", "1.5"))
+
+
+def test_coeff_omega_needs_infinitary_strategy(runner):
+    assert_bad_input(run(runner, "coeff", "--instance", "liminf", "--expr", "a^w",
+                         "--word", "a^w"))
+
+
+def test_group_check_needs_plus(runner):
+    assert_bad_input(run(runner, "group-check", "--group", "S3", "--instance", "nat"))
+
+
+def test_coeff_exact_on_words_longer_than_the_default_bound(runner):
+    # eval_fin tabulates up to length 8 by default; this word is longer
+    res = run(runner, "coeff", "--instance", "nat", "--expr", "(2a)^+",
+              "--word", "a" * 12)
+    assert res.exit_code == 0 and res.stdout.strip() == "4096"
+
+
+def test_coeff_long_word_on_a_dense_series(runner):
+    # the support of (a+b)^+ is every nonempty word; the query must stay
+    # polynomial in the word's length
+    word = "abbabaabbbaababbbaaabaabbabaababbaabbaba"
+    res = run(runner, "coeff", "--instance", "bool", "--expr", "(a+b)^+", "--word", word)
+    assert res.exit_code == 0 and res.stdout.strip() == "1"
+    res = run(runner, "coeff", "--instance", "nat", "--expr", "(a+b+c+d)^+",
+              "--word", "abcd" * 8, "--alphabet", "abcd")
+    assert res.exit_code == 0 and res.stdout.strip() == "1"

@@ -207,3 +207,119 @@ def test_language_group_identities_small(lang6, lang_pair6):
         g = matrices.builtin_groups()[gname]
         report = matrices.group_identity_check(g, lang6, trials=3, pair=lang_pair6)
         assert report.ok, (gname, report.failures[:1])
+
+
+# --- truncated tables against brute force, and past the bound ---------------------
+
+def reference_coeff(e, inst, word, memo, letters=None):
+    """Coefficient of a finitary expression, with products and plus summed
+    over every cut and factorization by the brute-force oracles.  A letter
+    weighs ``letters[ch]`` (default: the unit)."""
+    from omegalg import ratexpr as rx
+    key = (id(e), word)
+    if key not in memo:
+        def sub(node):
+            return lambda u: reference_coeff(node, inst, u, memo, letters)
+        if isinstance(e, rx.Letter):
+            weight = inst.unit if letters is None else letters[e.ch]
+            out = weight if word == e.ch else inst.zero
+        elif isinstance(e, rx.Scalar):
+            out = inst.nat_act(e.coef, sub(e.arg)(word))
+        elif isinstance(e, rx.Sum):
+            out = inst.add(sub(e.left)(word), sub(e.right)(word))
+        elif isinstance(e, rx.Prod):
+            out = oracles.cauchy_coeff_brute(sub(e.left), sub(e.right), word,
+                                             inst.add, inst.prod, inst.zero)
+        else:
+            out = oracles.plus_coeff_brute(sub(e.arg), word, inst.add, inst.prod, inst.zero)
+        memo[key] = out
+    return memo[key]
+
+
+@pytest.mark.parametrize("name", ["bool", "nat", "disc", "limsup-avg"])
+def test_eval_fin_tables_match_brute_force(name):
+    from omegalg import ratexpr as rx
+    if name in ("bool", "nat"):
+        inst = valuation.from_carrier(make_instance(name))
+    else:
+        inst = valuation.make_valuation_instance(name)
+    rng = random.Random(2024)
+    words = [w for w in core.words_up_to(("a", "b"), 6) if w]
+    for _ in range(25):
+        e = rx.random_expr(rng, 4)
+        s = rx.eval_fin(e, inst, ("a", "b"), bound=6)
+        memo = {}
+        for w in words:
+            want = reference_coeff(e, inst, w, memo)
+            assert inst.eq(s.coeff(w), want), (name, rx.to_text(e), w, s.coeff(w), want)
+
+
+@pytest.mark.parametrize("name", ["disc", "limsup-avg"])
+def test_length_indexed_products_match_brute_force(name):
+    # letters of unequal weight, so that swapping the lengths in
+    # prod(|u|, |v|, x, y) changes the coefficients; bound 6 checks the full
+    # tables, bound 0 the tables rebuilt on each query word's factors
+    from omegalg import ratexpr as rx
+    inst = valuation.make_valuation_instance(name)
+    letters = {"a": 0.0, "b": 3.0}
+    rng = random.Random(2025)
+    words = [w for w in core.words_up_to(("a", "b"), 6) if w]
+    for _ in range(20):
+        e = rx.random_expr(rng, 4)
+        memo = {}
+        for bound in (6, 0):
+            sc = SeriesCarrier(inst, ("a", "b"), bound=bound)
+            s = rx.eval_fin_in_carrier(e, sc, lambda ch: sc.poly({ch: letters[ch]}))
+            for w in words:
+                want = reference_coeff(e, inst, w, memo, letters)
+                assert inst.eq(s.coeff(w), want), (name, bound, rx.to_text(e), w,
+                                                   s.coeff(w), want)
+
+
+def test_tables_hold_no_zero_coefficients():
+    # lattice products of disjoint sets are zero: they must not stay in the table
+    lat = valuation.from_carrier(make_instance("lattice"))
+    sc = SeriesCarrier(lat, ("a", "b"), bound=4)
+    f = sc.poly({"a": frozenset({0}), "b": frozenset({1})})
+    g = sc.mul(sc.plus(f), f)
+    assert g.coeff("aa") == frozenset({0}) and g.coeff("ab") == frozenset()
+    assert all(not lat.eq(v, lat.zero) for v in g.table.values())
+
+
+def test_carrier_series_exact_past_bound():
+    natw = valuation.from_carrier(make_instance("nat"))
+
+    def build(sc):
+        a, b = sc.poly({"a": 2}), sc.poly({"b": 1, "abab": 1})
+        e = sc.poly({"": 1, "ba": 1})   # not proper: the empty cut counts
+        return sc.add(sc.mul(sc.plus(a), sc.mul(e, b)), sc.nat_act(3, sc.plus(b)))
+
+    short = build(SeriesCarrier(natw, ("a", "b"), bound=3))
+    full = build(SeriesCarrier(natw, ("a", "b"), bound=9))
+    assert short.coeff("aaaab") == 16
+    for w in core.words_up_to(("a", "b"), 9):
+        assert short.coeff(w) == full.coeff(w), w
+
+
+def test_eval_fin_exact_past_bound():
+    from omegalg import ratexpr as rx
+    natw = valuation.from_carrier(make_instance("nat"))
+    rng = random.Random(5)
+    words = [w for w in core.words_up_to(("a", "b"), 8) if len(w) > 4]
+    for _ in range(10):
+        e = rx.random_expr(rng, 4)
+        short = rx.eval_fin(e, natw, ("a", "b"), bound=4)
+        full = rx.eval_fin(e, natw, ("a", "b"), bound=8)
+        for w in words:
+            assert short.coeff(w) == full.coeff(w), (rx.to_text(e), w)
+
+
+def test_past_bound_query_on_a_dense_series():
+    # ((a+b)^+)^+ has every word in its support; its coefficient at a word of
+    # length n counts the compositions of n, 2^(n-1)
+    from omegalg import ratexpr as rx
+    natw = valuation.from_carrier(make_instance("nat"))
+    s = rx.eval_fin(rx.parse("((a+b)^+)^+"), natw, ("a", "b"), bound=4)
+    word = "abbabaabbbaababbbaaabaabbabaabab"
+    assert s.coeff(word) == 2 ** (len(word) - 1)
+    assert s.coeff("aab") == 4
