@@ -9,10 +9,13 @@ Finitary coefficients are computed by a run dynamic program whose step uses
 the length-indexed product of the instance (so averaging and discounting
 weigh positions correctly); the matrix route through the plus of the
 transition matrix over the series carrier is kept as an independent
-cross-check.  Infinitary coefficients analyse the finite product of the
-automaton with the lasso of the queried word: reachable strongly connected
-components through repeated states decide acceptance, carry maxima, cycle
-means, or drive a discounted value iteration, depending on the instance.
+cross-check.  Infinitary coefficients come from one lasso kernel: the
+product of the automaton with the period of the queried word is analysed
+once per period (and per threshold, for a lattice), and the analysis is kept
+on the automaton.  Its strongly connected components through repeated states
+decide acceptance and, depending on the instance, give each entry state a
+maximum, a Karp cycle mean or an exact discounted value (policy iteration);
+a query then folds only its stem onto those entry values.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .core import HemimodulePair, Hemiring
 from .ratexpr import (ActProd, Letter, OmegaPow, OmegaSum, Plus, Prod, Scalar,
                       Sum, letters_of, to_text)
 from .series import DEFAULT_BOUND, LazySeries, OmegaSeries, OmegaWord, SeriesCarrier
+from .valuation import _disc_periodic
 
 INF = math.inf
 
@@ -39,6 +43,9 @@ class MatrixAutomaton:
     alpha: tuple
     beta: tuple
     edges: tuple  # (source, letter, target, weight)
+    # the lasso kernel's analyses of this automaton: kept edges, entry values
+    # keyed by (strategy, threshold, period), states reached per stem
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.k <= self.n:
@@ -207,132 +214,128 @@ def finitary_coeff_matrix(aut, word: str):
     return total.coeff(word)
 
 
-# --- the product with a lasso --------------------------------------------------------
-
-@dataclass
-class _LassoProduct:
-    nnodes: int
-    length: int            # positions per state
-    starts: list
-    succ: list             # adjacency: node -> list of (node, weight)
-    repeated: list         # node -> bool
-    reach: set = field(default_factory=set)
-    good_nodes: set = field(default_factory=set)
-    good_sccs: list = field(default_factory=list)
+# --- the lasso kernel ------------------------------------------------------------------
+#
+# An ultimately periodic word u·v^omega is read by the product of the
+# automaton with the cycle graph of v: nodes (state, position in v), entered
+# at position 0 once the stem u has been read.  A run on the word is
+# successful iff it ends in a good component: a strongly connected component
+# of the product with at least one edge and a repeated state.  Each strategy
+# reduces the product to one value per live entry state; that analysis runs
+# once per (strategy, set of kept edges, period) and is kept in the
+# automaton's memo, and a query only folds its stem back onto those values.
 
 
-def _lasso_product(aut: MatrixAutomaton, w: OmegaWord, edge_filter=None) -> _LassoProduct:
-    word = w.prefix + w.period
-    length, stem = len(word), len(w.prefix)
-    nnodes = aut.n * length
-    succ = [[] for _ in range(nnodes)]
-    by_letter = aut.by_letter()
-    for pos in range(length):
-        nxt = pos + 1 if pos + 1 < length else stem
-        for i, j, wgt in by_letter.get(word[pos], ()):
-            if edge_filter is not None and not edge_filter(wgt):
-                continue
-            succ[i * length + pos].append((j * length + nxt, wgt))
-    starts = [q * length for q in range(aut.n) if aut.alpha[q]]
-    repeated = [False] * nnodes
-    for q in range(aut.k):
-        for pos in range(length):
-            repeated[q * length + pos] = True
-    prod = _LassoProduct(nnodes, length, starts, succ, repeated)
-    # forward reachability
-    work = [s for s in starts]
-    prod.reach = set(work)
-    while work:
-        node = work.pop()
-        for nxt, _ in succ[node]:
-            if nxt not in prod.reach:
-                prod.reach.add(nxt)
-                work.append(nxt)
-    # strongly connected components over the reachable part
-    succ_reach = [[nxt for nxt, _ in succ[v] if nxt in prod.reach] if v in prod.reach else []
-                  for v in range(nnodes)]
-    for comp in _sccs(nnodes, succ_reach):
-        compset = set(comp)
-        if not compset <= prod.reach:
+class _Period:
+    """The product of the kept edges with the cycle graph of one period,
+    explored from the entry nodes (state, 0): its strongly connected
+    components (sinks first, as Tarjan emits them), which of them are good,
+    and the live nodes, those that reach a good one."""
+
+    def __init__(self, aut, out, period):
+        m = len(period)
+        nnodes = aut.n * m
+        succ = [[] for _ in range(nnodes)]
+        for pos, ch in enumerate(period):
+            nxt = (pos + 1) % m
+            for i, outs in out.get(ch, {}).items():
+                succ[i * m + pos] = [(j * m + nxt, wgt) for j, wgt in outs]
+        self.m, self.succ = m, succ
+        self.sccs = _sccs(succ, range(0, nnodes, m))
+        self.comp_of = comp_of = [-1] * nnodes
+        for c, comp in enumerate(self.sccs):
+            for v in comp:
+                comp_of[v] = c
+        repeated = aut.k * m  # node q·m + pos has a repeated state iff it is below k·m
+        self.good = [(len(comp) > 1 or any(t == comp[0] for t, _ in succ[comp[0]]))
+                     and any(v < repeated for v in comp) for comp in self.sccs]
+        # successors come first, so one pass settles which components are live
+        live = []
+        for c, comp in enumerate(self.sccs):
+            live.append(self.good[c] or any(live[comp_of[t]] for v in comp
+                                            for t, _ in succ[v] if comp_of[t] != c))
+        self.live = [c >= 0 and live[c] for c in comp_of]
+        self.entries = [q for q in range(aut.n) if self.live[q * m]]
+
+    def reach_max(self, own) -> list:
+        """Per component, the largest ``own`` value (None: none) among the
+        components it reaches, itself included."""
+        best = []
+        for c, comp in enumerate(self.sccs):
+            acc = own[c]
+            for v in comp:
+                for t, _ in self.succ[v]:
+                    d = best[self.comp_of[t]] if self.comp_of[t] != c else None
+                    if d is not None and (acc is None or d > acc):
+                        acc = d
+            best.append(acc)
+        return best
+
+    def at_entries(self, per_comp) -> dict:
+        return {q: per_comp[self.comp_of[q * self.m]] for q in self.entries}
+
+    def sup_edges(self) -> list:
+        """Per component, the largest weight on an edge into a live node
+        (None for the dead components, which have no such edge)."""
+        return [max((wgt for v in comp for t, wgt in self.succ[v] if self.live[t]),
+                    default=None) for comp in self.sccs]
+
+
+def _sccs(succ, roots):
+    """Tarjan's strongly connected components of the part of a weighted
+    graph (node -> [(target, weight)]) reachable from ``roots``, found
+    iteratively; a component is emitted after every component it reaches."""
+    nnodes = len(succ)
+    index = [0] * nnodes
+    low = [0] * nnodes
+    on_stack = [False] * nnodes
+    sccs = []
+    counter = 1
+    stack = []
+    for root in roots:
+        if index[root]:
             continue
-        has_edge = len(comp) > 1 or any(nxt == comp[0] for nxt in succ_reach[comp[0]])
-        if has_edge and any(repeated[v] for v in comp):
-            prod.good_sccs.append(comp)
-            prod.good_nodes.update(comp)
-    return prod
+        work = [(root, iter(succ[root]))]
+        index[root] = low[root] = counter
+        counter += 1
+        on_stack[root] = True
+        stack.append(root)
+        while work:
+            node, it = work[-1]
+            for nxt, _ in it:
+                if not index[nxt]:
+                    index[nxt] = low[nxt] = counter
+                    counter += 1
+                    on_stack[nxt] = True
+                    stack.append(nxt)
+                    work.append((nxt, iter(succ[nxt])))
+                    break
+                if on_stack[nxt] and index[nxt] < low[node]:
+                    low[node] = index[nxt]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == node:
+                            break
+                    sccs.append(comp)
+    return sccs
 
 
-def _sccs(nnodes, succ):
-    from .dfa import _tarjan_sccs
-    return _tarjan_sccs(nnodes, succ)
-
-
-def _can_reach(prod: _LassoProduct, targets: set) -> set:
-    pred = [[] for _ in range(prod.nnodes)]
-    for v in prod.reach:
-        for nxt, _ in prod.succ[v]:
-            if nxt in prod.reach:
-                pred[nxt].append(v)
-    seen = set(targets)
-    work = list(targets)
-    while work:
-        node = work.pop()
-        for p in pred[node]:
-            if p not in seen:
-                seen.add(p)
-                work.append(p)
-    return seen
-
-
-# --- infinitary strategies ------------------------------------------------------------
-
-def _strategy_boolean(aut, w, tol):
-    prod = _lasso_product(aut, w, edge_filter=lambda wt: bool(wt))
-    return (bool(prod.good_sccs), 0.0)
-
-
-def _strategy_sup(aut, w, tol):
-    inst = aut.instance
-    prod = _lasso_product(aut, w)
-    if not prod.good_sccs:
-        return inst.zero, 0.0
-    usable = _can_reach(prod, prod.good_nodes)
-    best = inst.zero
-    for v in prod.reach:
-        for nxt, wgt in prod.succ[v]:
-            if nxt in usable:
-                best = max(best, wgt)
-    return best, 0.0
-
-
-def _strategy_limsup(aut, w, tol):
-    inst = aut.instance
-    prod = _lasso_product(aut, w)
-    best = inst.zero
-    for comp in prod.good_sccs:
-        compset = set(comp)
-        for v in comp:
-            for nxt, wgt in prod.succ[v]:
-                if nxt in compset:
-                    best = max(best, wgt)
-    return best, 0.0
-
-
-def _strategy_cycle_mean(aut, w, tol):
-    inst = aut.instance
-    prod = _lasso_product(aut, w)
-    best = inst.zero
-    for comp in prod.good_sccs:
-        best = max(best, _max_cycle_mean(prod, comp))
-    return best, 0.0
-
-
-def _max_cycle_mean(prod: _LassoProduct, comp: list) -> float:
+def _max_cycle_mean(succ, comp: list) -> float:
     """Karp's maximum cycle mean on the subgraph induced by one component."""
     index = {v: i for i, v in enumerate(comp)}
     n = len(comp)
     edges = [(index[v], index[nxt], wgt) for v in comp
-             for nxt, wgt in prod.succ[v] if nxt in index]
+             for nxt, wgt in succ[v] if nxt in index]
     d = [[-INF] * n for _ in range(n + 1)]
     d[0][0] = 0.0
     for k in range(1, n + 1):
@@ -354,81 +357,302 @@ def _max_cycle_mean(prod: _LassoProduct, comp: list) -> float:
     return best
 
 
-def _strategy_lattice(aut, w, tol):
+def _policy_values(policy, lam) -> dict:
+    """Discounted value of every node under a positional policy (node ->
+    (target, weight)).  Each node's walk is a lasso: the nodes of its cycle
+    are valued by the closed form of the periodic sum, the rest by backing
+    up along the policy."""
+    valw = _disc_periodic(lam)
+    value = {}
+    for start in policy:
+        path, on_path = [], {}
+        v = start
+        while v not in value and v not in on_path:
+            on_path[v] = len(path)
+            path.append(v)
+            v = policy[v][0]
+        if v in on_path:
+            cycle = path[on_path[v]:]
+            block = [(1, policy[u][1]) for u in cycle]
+            for r, u in enumerate(cycle):
+                value[u] = valw((), tuple(block[r:] + block[:r]))
+            del path[on_path[v]:]
+        for u in reversed(path):
+            t, wgt = policy[u]
+            value[u] = wgt + lam * value[t]
+    return value
+
+
+def _optimal_discounted(edges: dict, lam) -> dict:
+    """Optimal discounted values of the infinite walks of a graph in which
+    every node has an out-edge (node -> [(target, weight)]), by policy
+    iteration: value the policy exactly, switch each node to a strictly
+    better edge, stop when none is (Howard; cf. Zwick & Paterson 1996)."""
+    policy = {v: max(outs, key=lambda e: e[1]) for v, outs in edges.items()}
+    while True:
+        value = _policy_values(policy, lam)
+        stable = True
+        for v, outs in edges.items():
+            cur = value[v]
+            for t, wgt in outs:
+                cand = wgt + lam * value[t]
+                if cand > cur + 1e-12 * (1.0 + abs(cur)):  # a gain beyond rounding
+                    policy[v], cur, stable = (t, wgt), cand, False
+        if stable:
+            return value
+
+
+# --- infinitary strategies: entry values on a period, stem steps ------------------------
+
+def _entries_boolean(aut, per):
+    return dict.fromkeys(per.entries, True)
+
+
+def _entries_sup(aut, per):
+    """Largest weight on an edge that some successful run takes."""
+    return per.at_entries(per.reach_max(per.sup_edges()))
+
+
+def _entries_limsup(aut, per):
+    """Largest weight inside a reachable good component."""
+    own = [max(wgt for v in comp for t, wgt in per.succ[v] if per.comp_of[t] == c)
+           if per.good[c] else None for c, comp in enumerate(per.sccs)]
+    return per.at_entries(per.reach_max(own))
+
+
+def _entries_cycle_mean(aut, per):
+    """Largest cycle mean of a reachable good component (Karp, once each)."""
+    own = [_max_cycle_mean(per.succ, comp) if per.good[c] else None
+           for c, comp in enumerate(per.sccs)]
+    return per.at_entries(per.reach_max(own))
+
+
+def _entries_discounted(aut, per):
+    """Exact optimal discounted values, on a product without zero-weight
+    edges.  A node that reaches a live edge of weight INF is worth INF; the
+    other live nodes keep all their live successors among themselves, and
+    policy iteration values them."""
+    top = per.reach_max(per.sup_edges())
+    edges = {v: [(t, wgt) for t, wgt in outs if per.live[t]]
+             for v, outs in enumerate(per.succ)
+             if per.live[v] and top[per.comp_of[v]] != INF}
+    value = _optimal_discounted(edges, aut.instance.params["lam"])
+    return {q: value.get(q * per.m, INF) for q in per.entries}
+
+
+_ENTRY_VALUES = {
+    "boolean": _entries_boolean,
+    "lattice": _entries_boolean,
+    "sup": _entries_sup,
+    "limsup": _entries_limsup,
+    "cycle_mean": _entries_cycle_mean,
+    "discounted": _entries_discounted,
+}
+
+
+def _edge_test(aut, strategy, threshold):
+    """The weights the strategy's product keeps; None keeps every edge."""
+    if strategy == "boolean":
+        return bool
+    if strategy == "lattice":
+        lattice = aut.instance.monoid
+        return lambda wgt: lattice.eq(lattice.mul(wgt, threshold), threshold)
+    if strategy == "discounted":
+        return lambda wgt: wgt != -INF  # a run through the zero weight is worth zero
+    return None
+
+
+class _Kept:
+    """The edges a strategy's product keeps, letter -> source -> [(target,
+    weight)], and what is analysed on them: entry values per (strategy,
+    period), and a trie of stems whose nodes (states, children) hold the
+    states reached from the initial ones after each stem prefix."""
+
+    def __init__(self, aut, kept):
+        self.out = {}
+        for i, ch, j, wgt in kept:
+            self.out.setdefault(ch, {}).setdefault(i, []).append((j, wgt))
+        self.analyses = {}
+        self.stems = ({q for q in range(aut.n) if aut.alpha[q]}, {})
+
+    def reached(self, stem) -> list:
+        """The states reached after each prefix of the stem (len(stem) + 1
+        sets); lassos whose stems share a prefix share its steps."""
+        node = self.stems
+        layers = [node[0]]
+        for ch in stem:
+            child = node[1].get(ch)
+            if child is None:
+                edges = self.out.get(ch, {})
+                child = node[1].setdefault(
+                    ch, ({j for i in node[0] for j, _ in edges.get(i, ())}, {}))
+            node = child
+            layers.append(node[0])
+        return layers
+
+
+def _kept_edges(aut, strategy, threshold=None) -> _Kept:
+    """The edges the strategy's product keeps, each weight tested once per
+    automaton.  Thresholds (and strategies) that keep the same edges get the
+    same ``_Kept``, and so share every analysis made on them."""
+    key = ("edges", strategy, threshold)
+    memo = aut._memo
+    if key not in memo:
+        keep = _edge_test(aut, strategy, threshold)
+        kept = tuple(e for e in aut.edges if keep is None or keep(e[3]))
+        shared = memo.setdefault("kept", {})
+        if kept not in shared:
+            shared.setdefault(kept, _Kept(aut, kept))
+        memo[key] = shared[kept]
+    return memo[key]
+
+
+def _entry_values(aut, strategy, period, threshold=None) -> dict:
+    """Live entry state -> value of the strategy on the product with
+    ``period``, analysed once per automaton and set of kept edges."""
+    kept = _kept_edges(aut, strategy, threshold)
+    key = (strategy, period)
+    if key not in kept.analyses:
+        kept.analyses.setdefault(key, _ENTRY_VALUES[strategy](aut, _Period(aut, kept.out, period)))
+    return kept.analyses[key]
+
+
+def _fold_stem(kept, stem, values, step=None) -> list:
+    """The values of the initial states with a successful run, given the
+    values of the live entry states.  Without ``step`` a run is worth its
+    entry state's value; with it, the values are folded back over the
+    states the stem reaches, a transition of weight wgt into a state worth v
+    giving step(wgt, v), best per state."""
+    if not values:
+        return []
+    layers = kept.reached(stem)
+    if step is None:
+        return [values[q] for q in layers[-1] if q in values]
+    for pos in range(len(stem) - 1, -1, -1):
+        edges = kept.out.get(stem[pos], {})
+        prev = {}
+        for i in layers[pos]:
+            for j, wgt in edges.get(i, ()):
+                if j in values:
+                    cand = step(wgt, values[j])
+                    if i not in prev or cand > prev[i]:
+                        prev[i] = cand
+        values = prev
+    return [values[q] for q in layers[0] if q in values]
+
+
+def _accepts(aut, strategy, w, threshold=None) -> bool:
+    """Does some initial state have a successful run on ``w``?"""
+    entries = _entry_values(aut, strategy, w.period, threshold)
+    return bool(entries) and any(
+        q in entries for q in _kept_edges(aut, strategy, threshold).reached(w.prefix)[-1])
+
+
+def _query_boolean(aut, w):
+    return _accepts(aut, "boolean", w)
+
+
+def _query_lattice(aut, w):
     """Join over thresholds x of: some successful run uses only weights >= x."""
-    inst = aut.instance
-    lattice = inst.monoid
+    lattice = aut.instance.monoid
+    memo = aut._memo
+    if "thresholds" not in memo:
+        memo["thresholds"] = [x for x in lattice.elements()
+                              if not lattice.eq(x, lattice.zero)]
     best = lattice.zero
-    for x in lattice.elements():
-        if lattice.eq(x, lattice.zero):
-            continue  # contributes the join identity
-        prod = _lasso_product(aut, w,
-                              edge_filter=lambda wt: lattice.eq(lattice.mul(wt, x), x))
-        if prod.good_sccs:
+    for x in memo["thresholds"]:
+        if _accepts(aut, "lattice", w, x):
             best = lattice.add(best, x)
-    return best, 0.0
+    return best
 
 
-def _strategy_discounted(aut, w, tol):
-    value, trace = discounted_value_iteration(aut, w, tol)
-    return value, trace[-1][1] if trace else 0.0
+def _discount_step(aut):
+    lam = aut.instance.params["lam"]
+    return lambda wgt, v: wgt + lam * v
+
+
+def _query_best(strategy, step_of=None):
+    """The best value over the initial states; ``step_of(aut)``, if given,
+    is the step that folds the stem (see ``_fold_stem``)."""
+    def query(aut, w):
+        values = _fold_stem(_kept_edges(aut, strategy), w.prefix,
+                            _entry_values(aut, strategy, w.period),
+                            step_of and step_of(aut))
+        return max(values, default=aut.instance.zero)
+    return query
+
+
+_QUERIES = {
+    "boolean": _query_boolean,
+    "sup": _query_best("sup", lambda aut: max),
+    "limsup": _query_best("limsup"),
+    "cycle_mean": _query_best("cycle_mean"),
+    "lattice": _query_lattice,
+    "discounted": _query_best("discounted", _discount_step),
+}
 
 
 def discounted_value_iteration(aut, w: OmegaWord, tol=1e-9):
     """Optimal discounted run value and the (estimate, error bound) trace.
 
-    Iterates the Bellman step on the part of the lasso product from which a
-    successful run exists; the bound after N steps is lambda^N · maxW / (1 - lambda).
+    The slow reference for the exact discounted values: iterates the Bellman
+    step on the live part of the kernel's period product (zero-weight edges
+    dropped, as in the exact analysis), and each estimate folds the stem onto
+    the current entry values.  The bound after N steps is
+    lambda^N · maxW / (1 - lambda), maxW the largest weight a successful run
+    can take.
     """
+    aut = _as_matrix_form(aut)
     inst = aut.instance
     lam = inst.params["lam"]
-    prod = _lasso_product(aut, w)
-    if not prod.good_sccs:
+    kept = _kept_edges(aut, "discounted")
+    per = _Period(aut, kept.out, w.period)
+    weights = _fold_stem(kept, w.prefix,
+                         per.at_entries(per.reach_max(per.sup_edges())), max)
+    if not weights:
         return inst.zero, []
-    live = _can_reach(prod, prod.good_nodes)
-    edges = {v: [(nxt, wgt) for nxt, wgt in prod.succ[v] if nxt in live]
-             for v in live}
-    weights = [wgt for outs in edges.values() for _, wgt in outs]
-    if any(wgt == INF for wgt in weights):
+    top = max(weights)
+    if top == INF:
         return INF, [(INF, 0.0)]
-    top = max(weights) if weights else 0.0
-    starts = [s for s in prod.starts if s in live]
-    if not starts:
-        return inst.zero, []
-    value = {v: 0.0 for v in live}
+    edges = {v: [(t, wgt) for t, wgt in outs if per.live[t]]
+             for v, outs in enumerate(per.succ) if per.live[v]}
+    value = dict.fromkeys(edges, 0.0)
     trace = []
     step = 0
     while True:
         step += 1
-        value = {v: max(wgt + lam * value[nxt] for nxt, wgt in edges[v])
-                 for v in live}
+        value = {v: max(wgt + lam * value[t] for t, wgt in outs) for v, outs in edges.items()}
+        entry = {q: value[q * per.m] for q in per.entries}
+        estimate = max(_fold_stem(kept, w.prefix, entry, _discount_step(aut)))
         bound = lam ** step * top / (1.0 - lam)
-        trace.append((max(value[s] for s in starts), bound))
+        trace.append((estimate, bound))
         if bound <= tol:
             break
     return trace[-1][0], trace
 
 
-_STRATEGIES = {
-    "boolean": _strategy_boolean,
-    "sup": _strategy_sup,
-    "limsup": _strategy_limsup,
-    "cycle_mean": _strategy_cycle_mean,
-    "lattice": _strategy_lattice,
-    "discounted": _strategy_discounted,
-}
-
-
-def infinitary_coeff(aut, w: OmegaWord, tol=1e-9, with_bound=False):
-    """Coefficient of the infinitary behavior at an ultimately periodic word."""
-    aut = _as_matrix_form(aut)
+def _query_of(aut):
     inst = aut.instance
     if inst.strategy is None:
         raise ValueError(f"{inst.name}: no infinitary strategy registered")
     if aut.k == 0:
-        return (inst.zero, 0.0) if with_bound else inst.zero
-    value, bound = _STRATEGIES[inst.strategy](aut, w, tol)
-    return (value, bound) if with_bound else value
+        return lambda aut, w: inst.zero
+    return _QUERIES[inst.strategy]
+
+
+def infinitary_coeff(aut, w: OmegaWord):
+    """Coefficient of the infinitary behavior at an ultimately periodic word
+    (exact for every strategy)."""
+    aut = _as_matrix_form(aut)
+    return _query_of(aut)(aut, w)
+
+
+def batch_infinitary(aut, lassos) -> list:
+    """Coefficients at each of ``lassos``, in order; lassos that share a
+    period or a stem prefix share its analysis."""
+    aut = _as_matrix_form(aut)
+    query = _query_of(aut)
+    return [query(aut, w) for w in lassos]
 
 
 def infinitary_series(aut) -> OmegaSeries:
@@ -617,11 +841,15 @@ def series_act(fin, omega) -> OmegaSeries:
     return infinitary_series(_aut_of(frag, a.instance, a.alphabet))
 
 
+def omega_automaton(fin) -> MatrixAutomaton:
+    """The automaton of the omega power of a finitary behavior."""
+    a = _backing_of(fin)
+    return _aut_of(_frag_omega(a.instance, _frag_of(a)), a.instance, a.alphabet)
+
+
 def series_omega(fin) -> OmegaSeries:
     """The omega power of a finitary behavior."""
-    a = _backing_of(fin)
-    frag = _frag_omega(a.instance, _frag_of(a))
-    return infinitary_series(_aut_of(frag, a.instance, a.alphabet))
+    return infinitary_series(omega_automaton(fin))
 
 
 # --- symbolic elimination -------------------------------------------------------------
@@ -748,14 +976,68 @@ def automaton_to_json(aut: MatrixAutomaton) -> dict:
     }
 
 
+def _is_nat(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def automaton_from_json(data, instance) -> MatrixAutomaton:
+    """The automaton of a JSON document shaped like :func:`automaton_to_json`.
+
+    Malformed input raises ValueError naming the first problem: bad JSON, a
+    missing key, a wrong type, a state outside 0..n-1, k outside 0..n, a
+    letter outside the alphabet or a weight the instance cannot read.
+    """
     if isinstance(data, str):
-        data = json.loads(data)
-    edges = tuple(
-        (t["from"], t["letter"], t["to"], instance.read(t["weight"]))
-        for t in data["transitions"])
-    return MatrixAutomaton(
-        instance, tuple(data["alphabet"]), data["n"], data["k"],
-        tuple(int(x) for x in data["alpha"]),
-        tuple(int(x) for x in data["beta"]),
-        edges)
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object")
+    for key in ("n", "k", "alphabet", "alpha", "beta", "transitions"):
+        if key not in data:
+            raise ValueError(f"missing key {key!r}")
+    n, k = data["n"], data["k"]
+    if not _is_nat(n):
+        raise ValueError("'n' must be a natural number")
+    if not _is_nat(k) or k > n:
+        raise ValueError(f"'k' must be a whole number in 0..{n}")
+    alphabet = data["alphabet"]
+    if not (isinstance(alphabet, list)
+            and all(isinstance(ch, str) and len(ch) == 1 for ch in alphabet)):
+        raise ValueError("'alphabet' must be a list of one-letter strings")
+
+    def coefficients(key):
+        vec = data[key]
+        if isinstance(vec, list) and len(vec) == n:
+            try:
+                out = tuple(int(x) for x in vec)
+            except (TypeError, ValueError):
+                out = None
+            if out is not None and all(x >= 0 for x in out):
+                return out
+        raise ValueError(f"{key!r} must be a list of {n} natural numbers")
+
+    alpha, beta = coefficients("alpha"), coefficients("beta")
+    if not isinstance(data["transitions"], list):
+        raise ValueError("'transitions' must be a list")
+    if instance.read is None:
+        raise ValueError(f"{instance.name} weights cannot be read")
+    edges = []
+    for num, t in enumerate(data["transitions"]):
+        where = f"transition {num}"
+        if not isinstance(t, dict) or not {"from", "to", "letter", "weight"} <= set(t):
+            raise ValueError(f"{where} needs 'from', 'to', 'letter' and 'weight'")
+        for end in ("from", "to"):
+            if not _is_nat(t[end]) or t[end] >= n:
+                raise ValueError(f"{where}: state {t[end]!r} outside 0..{n - 1}")
+        if t["letter"] not in alphabet:
+            raise ValueError(f"{where}: letter {t['letter']!r} outside the alphabet")
+        if not isinstance(t["weight"], (str, int, float)):
+            raise ValueError(f"{where}: weight {t['weight']!r} is not a string or number")
+        try:
+            weight = instance.read(str(t["weight"]))
+        except ValueError as exc:
+            raise ValueError(f"{where}: weight {t['weight']!r}: {exc}") from None
+        edges.append((t["from"], t["letter"], t["to"], weight))
+    return MatrixAutomaton(instance, tuple(alphabet), n, k, alpha, beta, tuple(edges))

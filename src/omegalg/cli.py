@@ -88,6 +88,7 @@ def main():
 @click.option("--lam", "--lambda", "lam", default=0.5, show_default=True)
 def laws(name, suite, samples, seed, bound, lam):
     """Run a law suite against an instance; exit 0 iff no failures."""
+    _check_bound(bound)
     seed = seed if seed is not None else _default_seed()
     if suite in ("multi-hemiring", "omega-valuation"):
         if name in _CARRIER_NAMES:
@@ -158,6 +159,11 @@ def _parse_cli_word(text, alphabet):
     return w
 
 
+def _check_bound(bound):
+    if bound < 1:
+        raise BadInput(f"--bound {bound}: series equality needs a word length of at least 1")
+
+
 def _require_strategy(inst):
     if inst.strategy is None:
         raise BadInput(f"instance {inst.name!r} has no infinitary coefficients")
@@ -212,8 +218,11 @@ def compile_cmd(name, text, lam, alphabet):
 def behavior(path, name, word, lam):
     """Finitary or infinitary coefficient of an automaton loaded from JSON."""
     inst = weight_instance(name, lam=lam)
-    with open(path) as fh:
-        aut = automata.automaton_from_json(fh.read(), inst)
+    try:
+        with open(path) as fh:
+            aut = automata.automaton_from_json(fh.read(), inst)
+    except (OSError, ValueError) as exc:
+        raise BadInput(f"--aut {path}: {exc}")
     w = _parse_cli_word(word, aut.alphabet)
     if isinstance(w, OmegaWord):
         _require_strategy(inst)
@@ -233,6 +242,7 @@ def behavior(path, name, word, lam):
 @click.option("--bound", default=6, show_default=True)
 def group_check(gname, name, samples, seed, bound):
     """Plus-form (and omega-form where available) group identities."""
+    _check_bound(bound)
     seed = seed if seed is not None else _default_seed()
     groups = matrices.builtin_groups()
     if gname not in groups:

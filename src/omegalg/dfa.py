@@ -1,6 +1,7 @@
 """Small boolean-automaton kit.
 
-Backs the regular-language carrier and the omega-word (lasso) analysis.
+Backs the regular-language carrier; the omega-power fingerprints of
+``omegalang`` run on the weighted automata lasso kernel instead.
 States are integers, state sets are int bitmasks, so everything here works
 on arbitrary sizes without extra dependencies.  Languages are always
 epsilon-free: constructions never make a start state accepting.
@@ -235,100 +236,3 @@ def enumerate_words(dfa: Dfa, max_len: int, limit=None):
                 nxt.append((w2, t))
         frontier = nxt
     return out
-
-
-# --- Buchi analysis on lassos --------------------------------------------------
-#
-# The product of an automaton with the cycle graph of a period v has nodes
-# (state, position).  An omega-run on u·v^omega is accepting iff after the
-# stem it can reach a strongly connected component of that product that
-# contains a repeated state and at least one edge.
-
-def _tarjan_sccs(nnodes, succ):
-    index = [0] * nnodes
-    low = [0] * nnodes
-    state = [0] * nnodes  # 0 unvisited, 1 on stack, 2 done
-    sccs = []
-    counter = [1]
-    stack = []
-    for root in range(nnodes):
-        if state[root]:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        state[root] = 1
-        stack.append(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if not state[nxt]:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    state[nxt] = 1
-                    stack.append(nxt)
-                    work.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-                elif state[nxt] == 1:
-                    if index[nxt] < low[node]:
-                        low[node] = index[nxt]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[node] < low[parent]:
-                    low[parent] = low[node]
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    state[w] = 2
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(comp)
-    return sccs
-
-
-def buchi_win_at_entry(steps, n, repeated_mask: int, period: str) -> int:
-    """States s such that some run from (s, position 0) of the period product
-    visits repeated states infinitely often.  Returned as a bitmask."""
-    m = len(period)
-    nnodes = n * m
-    succ = [[] for _ in range(nnodes)]
-    for i, ch in enumerate(period):
-        j = (i + 1) % m
-        for s in range(n):
-            for t in bits(steps[s].get(ch, 0)):
-                succ[s * m + i].append(t * m + j)
-    good = set()
-    for comp in _tarjan_sccs(nnodes, succ):
-        compset = set(comp)
-        has_edge = any(t in compset for node in comp for t in succ[node]) if len(comp) == 1 else True
-        if not has_edge:
-            continue
-        if any(repeated_mask >> (node // m) & 1 for node in comp):
-            good.update(comp)
-    if not good:
-        return 0
-    # backward closure: nodes that can reach a good node
-    pred = [[] for _ in range(nnodes)]
-    for node in range(nnodes):
-        for t in succ[node]:
-            pred[t].append(node)
-    seen = set(good)
-    work = list(good)
-    while work:
-        node = work.pop()
-        for p in pred[node]:
-            if p not in seen:
-                seen.add(p)
-                work.append(p)
-    win0 = 0
-    for node in seen:
-        if node % m == 0:
-            win0 |= 1 << (node // m)
-    return win0

@@ -13,12 +13,17 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from . import automata
 from . import dfa as dfalib
 from .core import CommutativeMonoid, HemimodulePair
+from .instances import BooleanCarrier
 from .series import OmegaWord, language_instance
+from .valuation import from_carrier
 
 DEFAULT_STEM = 4
 DEFAULT_PERIOD = 4
+
+_BOOL = from_carrier(BooleanCarrier())
 
 
 @lru_cache(maxsize=None)
@@ -112,67 +117,28 @@ def act_language(lang, fp, monoid: OmegaLangMonoid) -> frozenset:
     return frozenset(out)
 
 
-def _omega_nfa(lang) -> tuple:
-    """Buchi automaton for the omega power of a DFA-backed language.
-
-    Feedback edges from accepting states are routed through fresh copies of
-    their targets; visiting a copy infinitely often means infinitely many
-    factor boundaries, which is exactly membership in the omega power.
-    Returns (steps, n, start_mask, repeated_mask).
-    """
-    base = dfalib.dfa_to_nfa(lang.backing)
-    start_out = _start_out_map(base)
-    targets = sorted({t for m in start_out.values() for t in dfalib.bits(m)})
-    copy_index = {t: base.n + i for i, t in enumerate(targets)}
-    steps = [dict(d) for d in base.steps] + [dict(base.steps[t]) for t in targets]
-    feedback = {ch: _mask_to_copies(m, copy_index) for ch, m in start_out.items()}
-    boundary_states = list(dfalib.bits(base.accept))
-    boundary_states += [copy_index[t] for t in targets if (base.accept >> t) & 1]
-    for s in boundary_states:
-        for ch, m in feedback.items():
-            steps[s][ch] = steps[s].get(ch, 0) | m
-    repeated = 0
-    for c in copy_index.values():
-        repeated |= 1 << c
-    return steps, base.n + len(targets), base.start, repeated
-
-
-def _start_out_map(nfa):
-    out = {}
-    for s in dfalib.bits(nfa.start):
-        for ch, m in nfa.steps[s].items():
-            out[ch] = out.get(ch, 0) | m
-    return out
-
-
-def _mask_to_copies(mask, copy_index):
-    out = 0
-    for t in dfalib.bits(mask):
-        out |= 1 << copy_index[t]
-    return out
+def _dfa_automaton(d) -> automata.MatrixAutomaton:
+    """A DFA as a boolean weighted automaton: weight True on every transition."""
+    return automata.MatrixAutomaton(
+        _BOOL, d.alphabet, d.n, 0,
+        tuple(1 if s == d.start else 0 for s in range(d.n)),
+        tuple(1 if s in d.accept else 0 for s in range(d.n)),
+        tuple((s, ch, t, True) for s, trans in enumerate(d.delta) for ch, t in trans.items()))
 
 
 def omega_language(lang, monoid: OmegaLangMonoid) -> frozenset:
-    """Fingerprint of the omega power of a DFA-backed language."""
+    """Fingerprint of the omega power of a DFA-backed language.
+
+    The omega power is compiled like an expression's (feedback through fresh
+    copies of the first-step targets, which are the repeated states), and its
+    Buchi acceptance is read off the automata lasso kernel, one product
+    analysis per period of the canonical family.
+    """
     if dfalib.dfa_is_empty(lang.backing):
         return monoid.zero
-    steps, n, start, repeated = _omega_nfa(lang)
-    out = set()
-    for period, group in monoid.by_period.items():
-        win0 = dfalib.buchi_win_at_entry(steps, n, repeated, period)
-        if not win0:
-            continue
-        for w in group:
-            mask = start
-            dead = False
-            for ch in w.prefix:
-                mask = dfalib.step_mask(steps, mask, ch)
-                if not mask:
-                    dead = True
-                    break
-            if not dead and mask & win0:
-                out.add(w)
-    return frozenset(out)
+    aut = automata.omega_automaton(_dfa_automaton(lang.backing))
+    accepted = automata.batch_infinitary(aut, monoid.lassos)
+    return frozenset(w for w, ok in zip(monoid.lassos, accepted) if ok)
 
 
 def language_pair(alphabet=("a", "b"), bound=8, stem_max=DEFAULT_STEM,

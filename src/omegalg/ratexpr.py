@@ -388,10 +388,7 @@ def eval_omega(e, instance, alphabet=("a", "b")):
     """Evaluate an omega expression to an omega series.
 
     Coefficients are served by compiling the expression to an automaton and
-    analysing the product with the queried lasso.
+    querying its lasso kernel (:func:`automata.infinitary_series`).
     """
     from . import automata
-    from .series import OmegaSeries
-    aut = automata.compile(e, instance, alphabet)
-    return OmegaSeries(instance, alphabet,
-                       lambda w: automata.infinitary_coeff(aut, w), backing=aut)
+    return automata.infinitary_series(automata.compile(e, instance, alphabet))

@@ -4,11 +4,18 @@ Everything here is deliberately brute force and shares no code with the
 implementation: Cauchy products and factorization sums by enumeration,
 shortest paths by Floyd-Warshall, transitive closure by Warshall, Buchi
 acceptance by plain reachability over the product, maximum cycle mean by
-cycle enumeration.
+cycle enumeration.  The one exception is the per-lasso product at the end,
+the library's former infinitary route, kept as the cross-check of the
+kernel that replaced it.
 """
+
+from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass, field
+
+INF = math.inf
 
 
 def factorizations(word):
@@ -194,3 +201,233 @@ def plus_language(a, max_len):
                     if len(u) + len(v) <= max_len} - out
         out |= frontier
     return {w for w in out if len(w) <= max_len}
+
+
+# --- infinitary coefficients, one lasso product per query ---------------------------------
+#
+# The library's former route: build the product of the automaton with
+# prefix·period for every query, find its good components with Tarjan, and
+# run each strategy on that product (value iteration for discounting).  The
+# library now analyses one product per period; this is its cross-check.
+
+@dataclass
+class _LassoProduct:
+    nnodes: int
+    length: int            # positions per state
+    starts: list
+    succ: list             # adjacency: node -> list of (node, weight)
+    repeated: list         # node -> bool
+    reach: set = field(default_factory=set)
+    good_nodes: set = field(default_factory=set)
+    good_sccs: list = field(default_factory=list)
+
+
+def _lasso_product(aut: MatrixAutomaton, w: OmegaWord, edge_filter=None) -> _LassoProduct:
+    word = w.prefix + w.period
+    length, stem = len(word), len(w.prefix)
+    nnodes = aut.n * length
+    succ = [[] for _ in range(nnodes)]
+    by_letter = aut.by_letter()
+    for pos in range(length):
+        nxt = pos + 1 if pos + 1 < length else stem
+        for i, j, wgt in by_letter.get(word[pos], ()):
+            if edge_filter is not None and not edge_filter(wgt):
+                continue
+            succ[i * length + pos].append((j * length + nxt, wgt))
+    starts = [q * length for q in range(aut.n) if aut.alpha[q]]
+    repeated = [False] * nnodes
+    for q in range(aut.k):
+        for pos in range(length):
+            repeated[q * length + pos] = True
+    prod = _LassoProduct(nnodes, length, starts, succ, repeated)
+    # forward reachability
+    work = [s for s in starts]
+    prod.reach = set(work)
+    while work:
+        node = work.pop()
+        for nxt, _ in succ[node]:
+            if nxt not in prod.reach:
+                prod.reach.add(nxt)
+                work.append(nxt)
+    # strongly connected components over the reachable part
+    succ_reach = [[nxt for nxt, _ in succ[v] if nxt in prod.reach] if v in prod.reach else []
+                  for v in range(nnodes)]
+    for comp in _sccs(nnodes, succ_reach):
+        compset = set(comp)
+        if not compset <= prod.reach:
+            continue
+        has_edge = len(comp) > 1 or any(nxt == comp[0] for nxt in succ_reach[comp[0]])
+        if has_edge and any(repeated[v] for v in comp):
+            prod.good_sccs.append(comp)
+            prod.good_nodes.update(comp)
+    return prod
+
+
+def _sccs(nnodes, succ):
+    import networkx as nx
+    g = nx.DiGraph()
+    g.add_nodes_from(range(nnodes))
+    g.add_edges_from((v, t) for v in range(nnodes) for t in succ[v])
+    return [sorted(comp) for comp in nx.strongly_connected_components(g)]
+
+
+def _can_reach(prod: _LassoProduct, targets: set) -> set:
+    pred = [[] for _ in range(prod.nnodes)]
+    for v in prod.reach:
+        for nxt, _ in prod.succ[v]:
+            if nxt in prod.reach:
+                pred[nxt].append(v)
+    seen = set(targets)
+    work = list(targets)
+    while work:
+        node = work.pop()
+        for p in pred[node]:
+            if p not in seen:
+                seen.add(p)
+                work.append(p)
+    return seen
+
+
+# --- infinitary strategies ------------------------------------------------------------
+
+def _strategy_boolean(aut, w, tol):
+    prod = _lasso_product(aut, w, edge_filter=lambda wt: bool(wt))
+    return (bool(prod.good_sccs), 0.0)
+
+
+def _strategy_sup(aut, w, tol):
+    inst = aut.instance
+    prod = _lasso_product(aut, w)
+    if not prod.good_sccs:
+        return inst.zero, 0.0
+    usable = _can_reach(prod, prod.good_nodes)
+    best = inst.zero
+    for v in prod.reach:
+        for nxt, wgt in prod.succ[v]:
+            if nxt in usable:
+                best = max(best, wgt)
+    return best, 0.0
+
+
+def _strategy_limsup(aut, w, tol):
+    inst = aut.instance
+    prod = _lasso_product(aut, w)
+    best = inst.zero
+    for comp in prod.good_sccs:
+        compset = set(comp)
+        for v in comp:
+            for nxt, wgt in prod.succ[v]:
+                if nxt in compset:
+                    best = max(best, wgt)
+    return best, 0.0
+
+
+def _strategy_cycle_mean(aut, w, tol):
+    inst = aut.instance
+    prod = _lasso_product(aut, w)
+    best = inst.zero
+    for comp in prod.good_sccs:
+        best = max(best, _max_cycle_mean(prod, comp))
+    return best, 0.0
+
+
+def _max_cycle_mean(prod: _LassoProduct, comp: list) -> float:
+    """Karp's maximum cycle mean on the subgraph induced by one component."""
+    index = {v: i for i, v in enumerate(comp)}
+    n = len(comp)
+    edges = [(index[v], index[nxt], wgt) for v in comp
+             for nxt, wgt in prod.succ[v] if nxt in index]
+    d = [[-INF] * n for _ in range(n + 1)]
+    d[0][0] = 0.0
+    for k in range(1, n + 1):
+        for u, v, wgt in edges:
+            if d[k - 1][u] > -INF:
+                cand = d[k - 1][u] + wgt
+                if cand > d[k][v]:
+                    d[k][v] = cand
+    best = -INF
+    for v in range(n):
+        if d[n][v] == -INF:
+            continue
+        worst = INF
+        for k in range(n):
+            if d[k][v] > -INF:
+                worst = min(worst, (d[n][v] - d[k][v]) / (n - k))
+        if worst < INF:
+            best = max(best, worst)
+    return best
+
+
+def _strategy_lattice(aut, w, tol):
+    """Join over thresholds x of: some successful run uses only weights >= x."""
+    inst = aut.instance
+    lattice = inst.monoid
+    best = lattice.zero
+    for x in lattice.elements():
+        if lattice.eq(x, lattice.zero):
+            continue  # contributes the join identity
+        prod = _lasso_product(aut, w,
+                              edge_filter=lambda wt: lattice.eq(lattice.mul(wt, x), x))
+        if prod.good_sccs:
+            best = lattice.add(best, x)
+    return best, 0.0
+
+
+def _strategy_discounted(aut, w, tol):
+    value, trace = discounted_value_iteration(aut, w, tol)
+    return value, trace[-1][1] if trace else 0.0
+
+
+def discounted_value_iteration(aut, w: OmegaWord, tol=1e-9):
+    """Optimal discounted run value and the (estimate, error bound) trace.
+
+    Iterates the Bellman step on the part of the lasso product from which a
+    successful run exists; the bound after N steps is lambda^N · maxW / (1 - lambda).
+    """
+    inst = aut.instance
+    lam = inst.params["lam"]
+    prod = _lasso_product(aut, w)
+    if not prod.good_sccs:
+        return inst.zero, []
+    live = _can_reach(prod, prod.good_nodes)
+    edges = {v: [(nxt, wgt) for nxt, wgt in prod.succ[v] if nxt in live]
+             for v in live}
+    weights = [wgt for outs in edges.values() for _, wgt in outs]
+    if any(wgt == INF for wgt in weights):
+        return INF, [(INF, 0.0)]
+    top = max(weights) if weights else 0.0
+    starts = [s for s in prod.starts if s in live]
+    if not starts:
+        return inst.zero, []
+    value = {v: 0.0 for v in live}
+    trace = []
+    step = 0
+    while True:
+        step += 1
+        value = {v: max(wgt + lam * value[nxt] for nxt, wgt in edges[v])
+                 for v in live}
+        bound = lam ** step * top / (1.0 - lam)
+        trace.append((max(value[s] for s in starts), bound))
+        if bound <= tol:
+            break
+    return trace[-1][0], trace
+
+
+_STRATEGIES = {
+    "boolean": _strategy_boolean,
+    "sup": _strategy_sup,
+    "limsup": _strategy_limsup,
+    "cycle_mean": _strategy_cycle_mean,
+    "lattice": _strategy_lattice,
+    "discounted": _strategy_discounted,
+}
+
+
+def lasso_coeff(aut, w, tol=1e-9):
+    """Coefficient of the infinitary behavior of a matrix automaton at an
+    ultimately periodic word, one product per query."""
+    inst = aut.instance
+    if aut.k == 0:
+        return inst.zero
+    value, _ = _STRATEGIES[inst.strategy](aut, w, tol)
+    return value

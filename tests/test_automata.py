@@ -247,6 +247,17 @@ def test_limsup_picks_best_component():
     assert A.infinitary_coeff(aut, OmegaWord("b", "b")) == 7.0
 
 
+def test_limsup_ignores_edges_between_components():
+    """An edge from one accepting loop to another is taken once: it counts
+    for sup, not for limsup."""
+    edges = ((0, "a", 0, 1.0), (0, "a", 1, 9.0), (1, "a", 1, 2.0))
+    for name, want in (("limsup", 2.0), ("sup", 9.0)):
+        aut = A.MatrixAutomaton(V.make_valuation_instance(name), ("a",), 2, 2,
+                                (1, 0), (0, 0), edges)
+        assert A.infinitary_coeff(aut, OmegaWord("", "a")) == want
+        assert oracles.lasso_coeff(aut, OmegaWord("", "a")) == want
+
+
 def test_cycle_mean_against_brute_force():
     avg = V.make_valuation_instance("limsup-avg")
     rng = random.Random(82)
@@ -449,3 +460,140 @@ def test_infinitary_theorem_13_9_style_consequences():
         rhs2 = A.series_act(rs, x)
         for w in lassos:
             assert inst.eq(lhs2.coeff(w), rhs2.coeff(w)), (name, str(w))
+
+
+# --- the lasso kernel against the per-lasso product -----------------------------------
+
+def _kernel_instances():
+    return {
+        "bool": V.from_carrier(make_instance("bool")),
+        "sup": V.make_valuation_instance("sup"),
+        "limsup": V.make_valuation_instance("limsup"),
+        "limsup-avg": V.make_valuation_instance("limsup-avg"),
+        "disc-0.5": V.make_valuation_instance("disc", lam=0.5),
+        "lattice-inf": V.make_valuation_instance("lattice-inf"),
+    }
+
+
+_KERNEL_TOL = {"limsup-avg": 1e-9, "disc-0.5": 1e-6}
+
+
+def _agree(name, x, y):
+    tol = _KERNEL_TOL.get(name)
+    if tol is None or x == y:
+        return x == y
+    return abs(x - y) <= tol
+
+
+def _reweighted(aut, rng, edges=None):
+    """The automaton with random weights (compiled letters all weigh the
+    unit, which hides every quantitative difference between runs), on
+    ``edges`` (source, letter, target) if given."""
+    inst = aut.instance
+
+    def draw():
+        if inst.strategy == "boolean":
+            return rng.random() < 0.8
+        if inst.strategy == "lattice":
+            return inst.monoid.sample(rng)
+        return NEG_INF if rng.random() < 0.05 else float(rng.randrange(0, 9))
+
+    if edges is None:
+        edges = [(i, ch, j) for i, ch, j, _ in aut.edges]
+    return A.MatrixAutomaton(inst, aut.alphabet, aut.n, aut.k, aut.alpha, aut.beta,
+                             tuple((i, ch, j, draw()) for i, ch, j in edges))
+
+
+def _random_graph(inst, rng, n=4):
+    """A random automaton over ``inst`` on n states, with random weights."""
+    shape = A.MatrixAutomaton(inst, AB, n, rng.randrange(1, n + 1),
+                              tuple(int(rng.random() < 0.5) for _ in range(n)), (0,) * n, ())
+    edges = [(i, ch, j) for i in range(n) for ch in AB for j in range(n)
+             if rng.random() < 0.3]
+    return _reweighted(shape, rng, edges)
+
+
+def test_kernel_matches_per_lasso_product():
+    """Every strategy, every canonical lasso with stem and period <= 3, on
+    random compiled omega expressions (as compiled and with random weights)
+    and on random graphs: the kernel against the per-query product, and the
+    batch against single queries on a fresh automaton."""
+    from omegalg import omegalang
+    lassos = [w for group in omegalang.canonical_lassos(AB, 3, 3).values() for w in group]
+    rng = random.Random(88)
+    for name, inst in _kernel_instances().items():
+        for _ in range(8):
+            e = rx.random_expr(rng, 3, kind="omega")
+            compiled = A.compile(e, inst, AB)
+            for aut in (compiled, _reweighted(compiled, rng), _random_graph(inst, rng)):
+                got = [A.infinitary_coeff(aut, w) for w in lassos]
+                for w, value in zip(lassos, got):
+                    want = oracles.lasso_coeff(aut, w)
+                    assert _agree(name, value, want), (name, aut.edges, str(w), value, want)
+                fresh = A.MatrixAutomaton(inst, AB, aut.n, aut.k, aut.alpha, aut.beta, aut.edges)
+                batch = A.batch_infinitary(fresh, lassos)
+                assert all(_agree(name, x, y) for x, y in zip(batch, got)), (name, aut.edges)
+
+
+def test_kernel_on_long_stems():
+    """Stems of 2000 letters and more, read without recursion: the kernel
+    against the per-query product on each strategy."""
+    rng = random.Random(90)
+    lassos = [OmegaWord("a" * 2000, "b"),
+              OmegaWord("".join(rng.choice(AB) for _ in range(2400)), "bba")]
+    assert min(len(w.prefix) for w in lassos) >= 2000
+    for name, inst in _kernel_instances().items():
+        compiled = A.compile(rx.parse("(a+b)^+ b^w"), inst, AB)
+        nonzero = 0
+        for aut in (compiled, _reweighted(compiled, rng), _random_graph(inst, rng, n=3)):
+            for w, value in zip(lassos, A.batch_infinitary(aut, lassos)):
+                want = oracles.lasso_coeff(aut, w)
+                assert _agree(name, value, want), (name, aut.edges, len(w.prefix), value, want)
+                nonzero += not inst.eq(value, inst.zero)
+        assert nonzero, name
+
+
+def test_exact_discounting_near_one():
+    """At lambda = 0.9999 value iteration needs ~300k steps; the exact values
+    match the closed form of the optimal lasso."""
+    import time
+    lam = 0.9999
+    disc = V.make_valuation_instance("disc", lam=lam)
+    closed = V._disc_periodic(lam)
+    loop = A.compile(rx.parse("a^w"), disc, ("a",))
+    choice = A.MatrixAutomaton(disc, ("a",), 2, 1, (1, 0), (0, 0),
+                               ((0, "a", 0, 1.0), (0, "a", 1, 3.0), (1, "a", 0, 0.0)))
+    cases = [(loop, closed((), ((1, 1.0),))),
+             (choice, max(closed((), ((1, 1.0),)), closed((), ((1, 3.0), (1, 0.0)))))]
+    for aut, want in cases:
+        start = time.monotonic()
+        got = A.infinitary_coeff(aut, OmegaWord("", "a"))
+        assert time.monotonic() - start < 0.5
+        assert abs(got - want) <= 1e-9, (got, want)
+
+
+def test_exact_discounting_matches_value_iteration():
+    rng = random.Random(89)
+    lassos = [OmegaWord(u, v) for u, v in (("", "a"), ("b", "ab"), ("ab", "b"), ("a", "abb"))]
+    for lam, count in ((0.5, 20), (0.9, 12), (0.99, 6)):
+        inst = V.make_valuation_instance("disc", lam=lam)
+        for _ in range(count):
+            aut = _random_graph(inst, rng, n=3)
+            for w in lassos:
+                got = A.infinitary_coeff(aut, w)
+                want, _ = A.discounted_value_iteration(aut, w, tol=1e-8)
+                assert got == want or abs(got - want) <= 1e-6, (lam, aut.edges, str(w))
+
+
+def test_discounting_with_an_infinite_weight(disc):
+    # from the initial state 1: a^w takes the INF edge into the weight-1 loop
+    # on the repeated state 0; after a b, the INF edge to 2 leads nowhere
+    aut = A.MatrixAutomaton(disc, AB, 3, 1, (0, 1, 0), (0, 0, 0), (
+        (0, "a", 0, 1.0), (1, "a", 0, INF), (1, "b", 2, INF), (1, "b", 0, 2.0)))
+    w = OmegaWord("", "a")
+    assert A.infinitary_coeff(aut, w) == A.discounted_value_iteration(aut, w)[0] == INF
+    w = OmegaWord("b", "a")
+    got = A.infinitary_coeff(aut, w)
+    assert abs(got - 3.0) <= 1e-9
+    assert abs(A.discounted_value_iteration(aut, w)[0] - got) <= 1e-6
+    assert A.infinitary_coeff(aut, OmegaWord("", "b")) == disc.zero

@@ -197,3 +197,57 @@ def test_coeff_long_word_on_a_dense_series(runner):
     res = run(runner, "coeff", "--instance", "nat", "--expr", "(a+b+c+d)^+",
               "--word", "abcd" * 8, "--alphabet", "abcd")
     assert res.exit_code == 0 and res.stdout.strip() == "1"
+
+
+def _aut_file(tmp_path, text):
+    path = tmp_path / "aut.json"
+    path.write_text(text)
+    return str(path)
+
+
+def test_behavior_rejects_non_json_automaton(tmp_path, runner):
+    path = _aut_file(tmp_path, "states: 2\n")
+    assert_bad_input(run(runner, "behavior", "--aut", path, "--instance", "bool",
+                         "--word", "a"))
+
+
+def test_behavior_rejects_automaton_without_transitions(tmp_path, runner):
+    path = _aut_file(tmp_path, json.dumps({"n": 1}))
+    assert_bad_input(run(runner, "behavior", "--aut", path, "--instance", "bool",
+                         "--word", "a"))
+
+
+def test_behavior_rejects_state_out_of_range(tmp_path, runner):
+    aut = {"n": 2, "k": 0, "alphabet": ["a"], "alpha": ["1", "0"], "beta": ["0", "1"],
+           "transitions": [{"from": 0, "to": 2, "letter": "a", "weight": "1"}]}
+    path = _aut_file(tmp_path, json.dumps(aut))
+    assert_bad_input(run(runner, "behavior", "--aut", path, "--instance", "bool",
+                         "--word", "a"))
+    aut["transitions"][0]["to"] = 1
+    res = run(runner, "behavior", "--aut", _aut_file(tmp_path, json.dumps(aut)),
+              "--instance", "bool", "--word", "a")
+    assert res.exit_code == 0 and res.stdout.strip() == "1"
+
+
+def test_behavior_rejects_bad_shapes_and_weights(tmp_path, runner):
+    good = {"n": 1, "k": 1, "alphabet": ["a"], "alpha": ["1"], "beta": ["0"],
+            "transitions": [{"from": 0, "to": 0, "letter": "a", "weight": "2"}]}
+    bad = [dict(good, k=2), dict(good, alphabet="a"), dict(good, alpha=["1", "1"]),
+           dict(good, transitions=[dict(good["transitions"][0], letter="b")]),
+           dict(good, transitions=[dict(good["transitions"][0], weight="x")]),
+           dict(good, transitions=[{"from": 0}]), [good]]
+    for data in bad:
+        path = _aut_file(tmp_path, json.dumps(data))
+        assert_bad_input(run(runner, "behavior", "--aut", path, "--instance", "limsup",
+                             "--word", "a^w"))
+    res = run(runner, "behavior", "--aut", _aut_file(tmp_path, json.dumps(good)),
+              "--instance", "limsup", "--word", "a^w")
+    assert res.exit_code == 0 and float(res.stdout) == 2.0
+
+
+def test_bound_below_one_rejected(runner):
+    for bound in ("0", "-1"):
+        assert_bad_input(run(runner, "laws", "--instance", "lang", "--suite",
+                             "conway-hemiring", "--bound", bound))
+        assert_bad_input(run(runner, "group-check", "--group", "S3", "--instance", "lang",
+                             "--bound", bound))

@@ -5,8 +5,11 @@ import random
 import pytest
 
 import oracles
+from omegalg import automata as A
 from omegalg import dfa as D
+from omegalg import valuation as V
 from omegalg.core import words_up_to
+from omegalg.instances import make_instance
 
 AB = ("a", "b")
 
@@ -73,9 +76,13 @@ def test_enumerate_words_shortlex():
 
 
 def test_buchi_win_at_entry_simple_cycle():
+    # the lasso analysis moved to the automata kernel: its boolean entry
+    # values on one period are the states that win at the period's entry
+    boolw = V.from_carrier(make_instance("bool"))
     # two states looping a, b with the repeated bit on state 0
-    steps = [{"a": 1 << 1}, {"b": 1 << 0}]
-    win = D.buchi_win_at_entry(steps, 2, 0b01, "ab")
-    assert win & 0b01       # from state 0 at position 0, the loop accepts
-    win_bad = D.buchi_win_at_entry(steps, 2, 0b01, "aa")
-    assert win_bad == 0     # the word aa^w has no run at all
+    aut = A.MatrixAutomaton(boolw, AB, 2, 1, (1, 0), (0, 0),
+                            ((0, "a", 1, True), (1, "b", 0, True)))
+    win = A._entry_values(aut, "boolean", "ab")
+    assert 0 in win         # from state 0 at position 0, the loop accepts
+    win_bad = A._entry_values(aut, "boolean", "aa")
+    assert win_bad == {}    # the word aa^w has no run at all
