@@ -7,15 +7,14 @@ k of repeated states, which by convention always occupy the leading indices.
 
 Finitary coefficients are computed by a run dynamic program whose step uses
 the length-indexed product of the instance (so averaging and discounting
-weigh positions correctly); the matrix route through the plus of the
-transition matrix over the series carrier is kept as an independent
-cross-check.  Infinitary coefficients come from one lasso kernel: the
-product of the automaton with the period of the queried word is analysed
-once per period (and per threshold, for a lattice), and the analysis is kept
-on the automaton.  Its strongly connected components through repeated states
-decide acceptance and, depending on the instance, give each entry state a
-maximum, a Karp cycle mean or an exact discounted value (policy iteration);
-a query then folds only its stem onto those entry values.
+weigh positions correctly).  Infinitary coefficients come from one lasso
+kernel: the product of the automaton with the period of the queried word is
+analysed once per period (and per threshold, for a lattice), and the
+analysis is kept on the automaton.  Its strongly connected components
+through repeated states decide acceptance and, depending on the instance,
+give each entry state a maximum, a Karp cycle mean or an exact discounted
+value (policy iteration); a query then folds only its stem onto those entry
+values.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from . import matrices
 from .core import HemimodulePair, Hemiring
 from .ratexpr import (ActProd, Letter, OmegaPow, OmegaSum, Plus, Prod, Scalar,
                       Sum, letters_of, to_text)
-from .series import DEFAULT_BOUND, LazySeries, OmegaSeries, OmegaWord, SeriesCarrier
+from .series import DEFAULT_BOUND, LazySeries, OmegaSeries, OmegaWord
 from .valuation import _disc_periodic
 
 INF = math.inf
@@ -195,25 +194,6 @@ def finitary_series(aut) -> LazySeries:
                       tabulate, proper=True, backing=aut)
 
 
-def finitary_coeff_matrix(aut, word: str):
-    """The same coefficient through alpha · M^+ · beta over the series carrier.
-
-    The carrier's bound is 0, so the query builds every table on the factors
-    of ``word`` only.
-    """
-    aut = _as_matrix_form(aut)
-    sc = SeriesCarrier(aut.instance, aut.alphabet, bound=0)
-    rows = [[sc.poly(aut.entry(i, j)) for j in range(aut.n)] for i in range(aut.n)]
-    mp = matrices.mat_plus(sc, matrices.mat(rows))
-    total = sc.zero
-    for i in range(aut.n):
-        for j in range(aut.n):
-            coef = aut.alpha[i] * aut.beta[j]
-            if coef:
-                total = sc.add(total, sc.nat_act(coef, mp[i, j]))
-    return total.coeff(word)
-
-
 # --- the lasso kernel ------------------------------------------------------------------
 #
 # An ultimately periodic word u·v^omega is read by the product of the
@@ -336,6 +316,8 @@ def _max_cycle_mean(succ, comp: list) -> float:
     n = len(comp)
     edges = [(index[v], index[nxt], wgt) for v in comp
              for nxt, wgt in succ[v] if nxt in index]
+    if any(wgt == INF for _, _, wgt in edges):
+        return INF  # every edge of a component lies on one of its cycles
     d = [[-INF] * n for _ in range(n + 1)]
     d[0][0] = 0.0
     for k in range(1, n + 1):
@@ -451,15 +433,16 @@ _ENTRY_VALUES = {
 
 
 def _edge_test(aut, strategy, threshold):
-    """The weights the strategy's product keeps; None keeps every edge."""
+    """The weights the strategy's product keeps.  A run through the zero
+    weight is worth zero, so no product keeps a zero-weight edge: the
+    quantitative strategies drop -inf, the lattice keeps weights >= the
+    threshold."""
     if strategy == "boolean":
         return bool
     if strategy == "lattice":
         lattice = aut.instance.monoid
         return lambda wgt: lattice.eq(lattice.mul(wgt, threshold), threshold)
-    if strategy == "discounted":
-        return lambda wgt: wgt != -INF  # a run through the zero weight is worth zero
-    return None
+    return lambda wgt: wgt != -INF
 
 
 class _Kept:
@@ -499,7 +482,7 @@ def _kept_edges(aut, strategy, threshold=None) -> _Kept:
     memo = aut._memo
     if key not in memo:
         keep = _edge_test(aut, strategy, threshold)
-        kept = tuple(e for e in aut.edges if keep is None or keep(e[3]))
+        kept = tuple(e for e in aut.edges if keep(e[3]))
         shared = memo.setdefault("kept", {})
         if kept not in shared:
             shared.setdefault(kept, _Kept(aut, kept))
@@ -691,26 +674,24 @@ def _frag_sum(a: _Frag, b: _Frag) -> _Frag:
     return _reorder(out, repeated)
 
 
-def _frag_prod(inst, a: _Frag, b: _Frag) -> _Frag:
-    edges = a.edges + _shift_edges(b.edges, a.n)
-    for p in range(a.n):
-        if not a.beta[p]:
-            continue
-        for q, ch, j, w in b.edges:
-            if b.alpha[q]:
-                edges.append((p, ch, j + a.n, inst.nat_act(a.beta[p] * b.alpha[q], w)))
-    return _Frag(a.n + b.n, 0, a.alpha + [0] * b.n, [0] * a.n + b.beta, edges)
+def _links(inst, a: _Frag, b: _Frag, off) -> list:
+    """Edges by which every final state of ``a`` also takes the first steps
+    of ``b``, whose states are numbered from ``off``."""
+    return [(p, ch, j + off, inst.nat_act(a.beta[p] * b.alpha[q], w))
+            for p in range(a.n) if a.beta[p] for q, ch, j, w in b.edges if b.alpha[q]]
+
+
+def _frag_prod(inst, a: _Frag, b: _Frag, omega=False) -> _Frag:
+    """Concatenation.  An omega tail keeps its repeated states, which lead
+    the new order, and leaves the final column zero."""
+    edges = a.edges + _shift_edges(b.edges, a.n) + _links(inst, a, b, a.n)
+    beta = [0] * (a.n + b.n) if omega else [0] * a.n + b.beta
+    out = _Frag(a.n + b.n, 0, a.alpha + [0] * b.n, beta, edges)
+    return _reorder(out, [a.n + r for r in range(b.k)]) if b.k else out
 
 
 def _frag_plus(inst, a: _Frag) -> _Frag:
-    edges = list(a.edges)
-    for p in range(a.n):
-        if not a.beta[p]:
-            continue
-        for q, ch, j, w in a.edges:
-            if a.alpha[q]:
-                edges.append((p, ch, j, inst.nat_act(a.beta[p] * a.alpha[q], w)))
-    return _Frag(a.n, a.k, list(a.alpha), list(a.beta), edges)
+    return _Frag(a.n, a.k, list(a.alpha), list(a.beta), a.edges + _links(inst, a, a, 0))
 
 
 def _frag_omega(inst, a: _Frag) -> _Frag:
@@ -733,18 +714,6 @@ def _frag_omega(inst, a: _Frag) -> _Frag:
     n = a.n + len(targets)
     out = _Frag(n, 0, a.alpha + [0] * len(targets), [0] * n, edges)
     return _reorder(out, [copy[t] for t in targets])
-
-
-def _frag_act(inst, a: _Frag, b: _Frag) -> _Frag:
-    edges = a.edges + _shift_edges(b.edges, a.n)
-    for p in range(a.n):
-        if not a.beta[p]:
-            continue
-        for q, ch, j, w in b.edges:
-            if b.alpha[q]:
-                edges.append((p, ch, j + a.n, inst.nat_act(a.beta[p] * b.alpha[q], w)))
-    out = _Frag(a.n + b.n, 0, a.alpha + [0] * b.n, [0] * (a.n + b.n), edges)
-    return _reorder(out, [a.n + r for r in range(b.k)])
 
 
 def _reorder(frag: _Frag, repeated: list) -> _Frag:
@@ -781,7 +750,7 @@ def compile(expr, instance, alphabet=None) -> MatrixAutomaton:
         if isinstance(node, OmegaPow):
             return _frag_omega(instance, go(node.arg))
         if isinstance(node, ActProd):
-            return _frag_act(instance, go(node.head), go(node.tail))
+            return _frag_prod(instance, go(node.head), go(node.tail), omega=True)
         raise TypeError(f"not an expression node: {node!r}")
 
     frag = go(expr)
@@ -837,7 +806,7 @@ def series_act(fin, omega) -> OmegaSeries:
     Accepts automata or automaton-backed series on both sides.
     """
     a, b = _backing_of(fin), _backing_of(omega)
-    frag = _frag_act(a.instance, _frag_of(a), _frag_of(b))
+    frag = _frag_prod(a.instance, _frag_of(a), _frag_of(b), omega=True)
     return infinitary_series(_aut_of(frag, a.instance, a.alphabet))
 
 
@@ -945,13 +914,12 @@ def eliminate(aut: MatrixAutomaton):
         return out
 
     m = matrices.mat([[entry_expr(i, j) for j in range(aut.n)] for i in range(aut.n)])
-    mp = matrices.mat_plus(sym, m)
+    mp, col = matrices._eliminate(sym, m, pair, aut.k)
     fin = None
     for i in range(aut.n):
         for j in range(aut.n):
             coef = aut.alpha[i] * aut.beta[j]
             fin = sym.add(fin, sym.nat_act(coef, mp[i, j]))
-    col = matrices.mat_omega_k(pair, m, aut.k)
     om = None
     for i in range(aut.n):
         if aut.alpha[i] and col[i] is not None:

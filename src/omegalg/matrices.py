@@ -1,17 +1,18 @@
 """Matrix calculus over carriers: block star, plus and omega, group identities.
 
-The default star/plus/omega implementations use the one-call recursion that
-peels off the first row and column, which is value-equal to the textbook
-block formulas in any lawful carrier but costs O(n^3) carrier operations
-instead of exponentially many.  The literal block formulas at an arbitrary
-split point remain available (``split=k``) so split independence is a
-testable property, not an assumption.
+The default plus, star and omega come from one elimination pass that
+evaluates the textbook block formulas at split 1 as rows join a solved
+block, yielding M^+ and the omega column (acceptance restricted to the
+first k rows, if asked) in O(n^3) carrier operations.  The literal block
+formulas at any split point remain available (``split=k``), so split
+independence is a testable property, not an assumption.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 from .core import HemimodulePair, LawFailure, LawReport
 
@@ -110,20 +111,83 @@ def _require_square(m: Matrix):
         raise ValueError("square matrix required")
 
 
-# --- plus ---------------------------------------------------------------------
+# --- the elimination pass ------------------------------------------------------
+
+def _eliminate(c, m: Matrix, pair: HemimodulePair = None, k=None):
+    """(M^+, omega column accepting rows < k, or None without a pair).
+
+    Gauss-Jordan (Lehmann 1977): rows join a solved block V one at a time,
+    k..n-1 first, then k-1 down to 0.  With x, y, u the new diagonal entry,
+    row and column and a = x + y V* u, the block formulas at split 1 read
+    (x* y = x^+ y + y as in ``core``, so no unit is needed)
+        M^+     = [[a^+, a* yV*], [V*u a*, V^+ + V*u a* yV*]]
+        M^omega = [top, V*u top + V^omega],  top = a* (y V^omega) + a^omega
+    where the column is zero while no row of the block accepts (i >= k).
+    O(n^3) carrier operations; entries that are the zero object are skipped.
+    """
+    _require_square(m)
+    n = m.rows
+    k = n if k is None else k
+    e = m.entries
+    add, mul, zero = c.add, c.mul, c.zero
+    block, vp, col = [], [], []               # rows of V, V^+ and V^omega
+    for i in list(range(k, n)) + list(range(k - 1, -1, -1)):
+        y, u = [e[i][b] for b in block], [e[b][i] for b in block]
+        yv, vu = list(y), list(u)                 # y V* and V* u
+        for r, w in enumerate(y):
+            if w is not zero:
+                for j, p in enumerate(vp[r]):
+                    if p is not zero:
+                        yv[j] = add(yv[j], mul(w, p))
+        for j, w in enumerate(u):
+            if w is not zero:
+                for r, row in enumerate(vp):
+                    if row[j] is not zero:
+                        vu[r] = add(vu[r], mul(row[j], w))
+        a = e[i][i]
+        for w, g in zip(y, vu):
+            if w is not zero and g is not zero:
+                a = add(a, mul(w, g))
+        ap = c.plus(a)
+        if pair is not None:
+            col = _omega_step(pair, y, vu, col, a, ap) if i < k else [pair.module.zero] + col
+        rows = [[ap] + [add(mul(ap, h), h) if h is not zero else h for h in yv]]  # a* yV*
+        yv_nz = [(j, h) for j, h in enumerate(yv) if h is not zero]
+        for g, row in zip(vu, vp):
+            row = [g] + row
+            if g is not zero:
+                g = row[0] = add(g, mul(g, ap))   # V*u a*
+                for j, h in yv_nz:
+                    row[j + 1] = add(row[j + 1], mul(g, h))
+            rows.append(row)
+        block, vp = [i] + block, rows
+    at = sorted(range(n), key=block.__getitem__)  # position of each row in V
+    plus = Matrix(tuple(tuple(vp[p][q] for q in at) for p in at))
+    return plus, tuple(col[p] for p in at) if pair is not None else None
+
+
+def _omega_step(pair: HemimodulePair, y, vu, col, a, ap) -> list:
+    """The omega column once an accepting row i joins V.  Runs from i return
+    to it forever (a^omega) or, after their last return, stay in V
+    (a* y V^omega); runs from V reach i (V*u top) or stay in V."""
+    V, act = pair.module, pair.act
+    top = pair.omega(a)
+    if col:
+        t = reduce(V.add, map(act, y, col))
+        top = V.add(V.add(act(ap, t), t), top)
+    return [top] + [V.add(act(g, top), v) for g, v in zip(vu, col)]
+
 
 def mat_plus(c, m: Matrix, split=None) -> Matrix:
     """Entrywise-lawful matrix plus.
 
-    With ``split=None`` the first-row/column recursion is used; with an
-    explicit split point the literal block formula is evaluated at that k.
+    With ``split=None`` the elimination pass is used; with an explicit
+    split point the literal block formula is evaluated at that k.
     """
     _require_square(m)
     n = m.rows
-    if n == 1:
-        return mat([[c.plus(m[0, 0])]])
-    if split is None:
-        return _mat_plus_fast(c, m)
+    if split is None or n == 1:
+        return _eliminate(c, m)[0]
     if not 1 <= split < n:
         raise ValueError("split must satisfy 1 <= split < n")
     x, y, u, v = _blocks(m, split)
@@ -140,37 +204,16 @@ def mat_plus(c, m: Matrix, split=None) -> Matrix:
     return _assemble(ap, beta, gamma, bp)
 
 
-def _mat_plus_fast(c, m: Matrix) -> Matrix:
-    x, y, u, v = _blocks(m, 1)
-    xp = c.plus(m[0, 0])
-    xp_mat = mat([[xp]])
-    sl_xy = mat_add(c, mat_mul(c, xp_mat, y), y)       # X* Y   (1 x n-1)
-    sr_ux = mat_add(c, u, mat_mul(c, u, xp_mat))       # U X*   (n-1 x 1)
-    b = mat_add(c, v, mat_mul(c, sr_ux, y))            # V + U X* Y
-    bp = mat_plus(c, b)
-    gamma = mat_add(c, mat_mul(c, bp, sr_ux), sr_ux)   # B* (U X*)
-    beta = mat_add(c, sl_xy, mat_mul(c, sl_xy, bp))    # (X* Y) B*
-    alpha = mat([[c.add(xp, mat_mul(c, sl_xy, gamma)[0, 0])]])
-    return _assemble(alpha, beta, gamma, bp)
-
-
 # --- star ---------------------------------------------------------------------
 
 def mat_star(c, m: Matrix, split=None) -> Matrix:
-    """Matrix star for carriers with a total (or ideal-partial) star."""
+    """Matrix star, I + M^+, for carriers with a unit."""
     _require_square(m)
     n = m.rows
-    if n == 1:
-        return _scalar_star_mat(c, m[0, 0])
-    if split is None:
-        x, y, u, v = _blocks(m, 1)
-        xs = _scalar_star_mat(c, m[0, 0])
-        b = mat_add(c, v, mat_mul(c, mat_mul(c, u, xs), y))
-        bs = mat_star(c, b)
-        beta = mat_mul(c, mat_mul(c, xs, y), bs)           # X* Y B*
-        gamma = mat_mul(c, mat_mul(c, bs, u), xs)          # B* U X*
-        alpha = mat([[c.add(xs[0, 0], mat_mul(c, beta, mat_mul(c, u, xs))[0, 0])]])
-        return _assemble(alpha, beta, gamma, bs)
+    if split is None or n == 1:
+        mp = mat_plus(c, m)
+        return mat([[c.add(c.one, x) if i == j else x for j, x in enumerate(row)]
+                    for i, row in enumerate(mp.entries)])
     if not 1 <= split < n:
         raise ValueError("split must satisfy 1 <= split < n")
     x, y, u, v = _blocks(m, split)
@@ -181,12 +224,6 @@ def mat_star(c, m: Matrix, split=None) -> Matrix:
     beta = mat_mul(c, mat_mul(c, alpha, y), vs)
     gamma = mat_mul(c, mat_mul(c, delta, u), xs)
     return _assemble(alpha, beta, gamma, delta)
-
-
-def _scalar_star_mat(c, x) -> Matrix:
-    if hasattr(c, "partial_star"):
-        return mat([[c.partial_star(x) if c.is_ideal(x) else c.star(x)]])
-    return mat([[c.star(x)]])
 
 
 # --- omega ----------------------------------------------------------------------
@@ -212,21 +249,8 @@ def mat_omega(pair: HemimodulePair, m: Matrix, split=None) -> tuple:
     _require_square(m)
     H, V = pair.hemiring, pair.module
     n = m.rows
-    if n == 1:
-        return (pair.omega(m[0, 0]),)
-    if split is None:
-        x, y, u, v = _blocks(m, 1)
-        vp = mat_plus(H, v)
-        y_vstar = mat_add(H, y, mat_mul(H, y, vp))
-        a = mat_add(H, x, mat_mul(H, y_vstar, u))[0, 0]      # scalar X + Y V* U
-        v_omega = mat_omega(pair, v)
-        y_vomega = _act_vec(pair, y, v_omega)[0]
-        top = V.add(pair.star_act(a, y_vomega), pair.omega(a))
-        # lower block: runs either reach the first row at some point (V* U ·
-        # top) or stay in the lower block forever (V^omega)
-        w = tuple(pair.act(u.entries[j][0], top) for j in range(n - 1))
-        bottom = _vec_add(V, _vec_add(V, _act_vec(pair, vp, w), w), v_omega)
-        return (top,) + bottom
+    if split is None or n == 1:
+        return _eliminate(H, m, pair)[1]
     if not 1 <= split < n:
         raise ValueError("split must satisfy 1 <= split < n")
     x, y, u, v = _blocks(m, split)
@@ -251,23 +275,11 @@ def mat_omega_k(pair: HemimodulePair, m: Matrix, k: int) -> tuple:
     k = n is the plain matrix omega; k = 0 accepts nothing and yields the
     all-zero column.
     """
-    _require_square(m)
-    H, V = pair.hemiring, pair.module
-    n = m.rows
-    if not 0 <= k <= n:
+    if not 0 <= k <= m.rows:
         raise ValueError("need 0 <= k <= n")
     if k == 0:
-        return (V.zero,) * n
-    if k == n:
-        return mat_omega(pair, m)
-    x, y, u, v = _blocks(m, k)
-    vp = mat_plus(H, v)
-    y_vstar = mat_add(H, y, mat_mul(H, y, vp))
-    a = mat_add(H, x, mat_mul(H, y_vstar, u))            # X + Y V* U
-    a_omega = mat_omega(pair, a)
-    vstar_u = mat_add(H, u, mat_mul(H, vp, u))           # V* U
-    bottom = _act_vec(pair, vstar_u, a_omega)
-    return tuple(a_omega) + bottom
+        return (pair.module.zero,) * m.rows
+    return _eliminate(pair.hemiring, m, pair, k)[1]
 
 
 # --- permutations ------------------------------------------------------------------
@@ -395,7 +407,7 @@ def group_identity_check(g: GroupTable, c, sampler=None, trials=30, seed=42,
         xs = [sampler(rng) for _ in range(g.order)]
         total = c.sum(xs)
         m = group_matrix(g, xs)
-        mp = mat_plus(c, m)
+        mp, col_o = _eliminate(c, m, pair)
         want = c.plus(total)
         report.trials += 1
         for i in range(g.order):
@@ -410,7 +422,6 @@ def group_identity_check(g: GroupTable, c, sampler=None, trials=30, seed=42,
         if pair is not None:
             V = pair.module
             want_o = pair.omega(total)
-            col_o = mat_omega(pair, m)
             for entry in col_o:
                 if not V.eq(entry, want_o):
                     report.failures.append(LawFailure(

@@ -4,9 +4,11 @@ Everything here is deliberately brute force and shares no code with the
 implementation: Cauchy products and factorization sums by enumeration,
 shortest paths by Floyd-Warshall, transitive closure by Warshall, Buchi
 acceptance by plain reachability over the product, maximum cycle mean by
-cycle enumeration.  The one exception is the per-lasso product at the end,
-the library's former infinitary route, kept as the cross-check of the
-kernel that replaced it.
+cycle enumeration.  The exceptions are routes the library no longer takes,
+kept as cross-checks of the code that replaced them: the matrix route to
+finitary coefficients (alpha · M^+ · beta over the series carrier), the
+block form of the omega column with acceptance restricted to the first k
+rows, and the per-lasso product at the end.
 """
 
 from __future__ import annotations
@@ -58,6 +60,59 @@ def cauchy_coeff_brute(fcoeff, gcoeff, word, add, prod, zero):
     for i in range(1, len(word)):
         total = add(total, prod(i, len(word) - i, fcoeff(word[:i]), gcoeff(word[i:])))
     return total
+
+
+# --- matrix routes --------------------------------------------------------------------
+
+def finitary_coeff_matrix(aut, word: str):
+    """The finitary coefficient of an automaton through alpha · M^+ · beta
+    over the series carrier, which checks the run dynamic program of
+    ``automata.finitary_coeff``.
+
+    The carrier's bound is 0, so the query builds every table on the factors
+    of ``word`` only.
+    """
+    from omegalg import matrices
+    from omegalg.series import SeriesCarrier
+
+    sc = SeriesCarrier(aut.instance, aut.alphabet, bound=0)
+    rows = [[sc.poly(aut.entry(i, j)) for j in range(aut.n)] for i in range(aut.n)]
+    mp = matrices.mat_plus(sc, matrices.mat(rows))
+    total = sc.zero
+    for i in range(aut.n):
+        for j in range(aut.n):
+            coef = aut.alpha[i] * aut.beta[j]
+            if coef:
+                total = sc.add(total, sc.nat_act(coef, mp[i, j]))
+    return total.coeff(word)
+
+
+def omega_k_block(pair, m, k):
+    """The omega column with acceptance restricted to the first k rows, by
+    the block formula at split k: with X the accepting block and
+    a = X + Y V* U, the column is (a^omega, V*U a^omega).  Plus and omega of
+    the blocks use the literal split forms at their first split point."""
+    from omegalg import matrices as M
+
+    def plus(c, x):
+        return M.mat_plus(c, x, split=1 if x.rows > 1 else None)
+
+    def omega(x):
+        return M.mat_omega(pair, x, split=1 if x.rows > 1 else None)
+
+    H, V = pair.hemiring, pair.module
+    n = m.rows
+    if k == 0:
+        return (V.zero,) * n
+    if k == n:
+        return omega(m)
+    x, y, u, v = M._blocks(m, k)
+    vp = plus(H, v)
+    y_vstar = M.mat_add(H, y, M.mat_mul(H, y, vp))            # Y V*
+    a = M.mat_add(H, x, M.mat_mul(H, y_vstar, u))             # X + Y V* U
+    a_omega = omega(a)
+    vstar_u = M.mat_add(H, u, M.mat_mul(H, vp, u))            # V* U
+    return tuple(a_omega) + M._act_vec(pair, vstar_u, a_omega)
 
 
 def floyd_warshall(weights):
@@ -289,6 +344,13 @@ def _can_reach(prod: _LassoProduct, targets: set) -> set:
 
 
 # --- infinitary strategies ------------------------------------------------------------
+#
+# A run through the zero weight (-inf) is worth zero, so the quantitative
+# strategies build their products without zero-weight edges.
+
+def _nonzero(wgt):
+    return wgt != -INF
+
 
 def _strategy_boolean(aut, w, tol):
     prod = _lasso_product(aut, w, edge_filter=lambda wt: bool(wt))
@@ -297,7 +359,7 @@ def _strategy_boolean(aut, w, tol):
 
 def _strategy_sup(aut, w, tol):
     inst = aut.instance
-    prod = _lasso_product(aut, w)
+    prod = _lasso_product(aut, w, edge_filter=_nonzero)
     if not prod.good_sccs:
         return inst.zero, 0.0
     usable = _can_reach(prod, prod.good_nodes)
@@ -311,7 +373,7 @@ def _strategy_sup(aut, w, tol):
 
 def _strategy_limsup(aut, w, tol):
     inst = aut.instance
-    prod = _lasso_product(aut, w)
+    prod = _lasso_product(aut, w, edge_filter=_nonzero)
     best = inst.zero
     for comp in prod.good_sccs:
         compset = set(comp)
@@ -324,7 +386,7 @@ def _strategy_limsup(aut, w, tol):
 
 def _strategy_cycle_mean(aut, w, tol):
     inst = aut.instance
-    prod = _lasso_product(aut, w)
+    prod = _lasso_product(aut, w, edge_filter=_nonzero)
     best = inst.zero
     for comp in prod.good_sccs:
         best = max(best, _max_cycle_mean(prod, comp))
@@ -337,6 +399,8 @@ def _max_cycle_mean(prod: _LassoProduct, comp: list) -> float:
     n = len(comp)
     edges = [(index[v], index[nxt], wgt) for v in comp
              for nxt, wgt in prod.succ[v] if nxt in index]
+    if any(wgt == INF for _, _, wgt in edges):
+        return INF  # every edge of a component lies on one of its cycles
     d = [[-INF] * n for _ in range(n + 1)]
     d[0][0] = 0.0
     for k in range(1, n + 1):
@@ -386,7 +450,7 @@ def discounted_value_iteration(aut, w: OmegaWord, tol=1e-9):
     """
     inst = aut.instance
     lam = inst.params["lam"]
-    prod = _lasso_product(aut, w)
+    prod = _lasso_product(aut, w, edge_filter=_nonzero)
     if not prod.good_sccs:
         return inst.zero, []
     live = _can_reach(prod, prod.good_nodes)

@@ -66,14 +66,14 @@ def test_run_matrix_agreement(boolw, natw, disc):
             aut = A.compile(e, inst, AB)
             for w in ("a", "ab", "ba", "aab", "abab", "babab", "aabbaa"):
                 lhs = A.finitary_coeff(aut, w)
-                rhs = A.finitary_coeff_matrix(aut, w)
+                rhs = oracles.finitary_coeff_matrix(aut, w)
                 assert inst.eq(lhs, rhs), (inst.name, rx.to_text(e), w, lhs, rhs)
 
 
 def test_matrix_coefficient_on_a_long_word(natw):
     aut = A.compile(rx.parse("((a+b)^+)^+"), natw, AB)
     word = "ab" * 15
-    assert A.finitary_coeff_matrix(aut, word) == A.finitary_coeff(aut, word) == 2 ** 29
+    assert oracles.finitary_coeff_matrix(aut, word) == A.finitary_coeff(aut, word) == 2 ** 29
 
 
 def test_batch_matches_pointwise(natw):
@@ -597,3 +597,32 @@ def test_discounting_with_an_infinite_weight(disc):
     assert abs(got - 3.0) <= 1e-9
     assert abs(A.discounted_value_iteration(aut, w)[0] - got) <= 1e-6
     assert A.infinitary_coeff(aut, OmegaWord("", "b")) == disc.zero
+
+
+def test_zero_weight_edges_annihilate_runs():
+    """From the initial state 1, the only run on a^w takes the zero weight
+    (-inf) into a loop weighing 5.0: every quantitative strategy, and the
+    per-lasso oracle, value it as val_omega does, at zero."""
+    w = OmegaWord("", "a")
+    seq = V.WeightedSeq(((1, NEG_INF),), ((1, 5.0),))
+    for name, inst in _kernel_instances().items():
+        if inst.strategy in ("boolean", "lattice"):
+            continue
+        aut = A.MatrixAutomaton(inst, ("a",), 2, 1, (0, 1), (0, 0),
+                                ((1, "a", 0, NEG_INF), (0, "a", 0, 5.0)))
+        want = inst.val_omega(seq).value
+        assert want == inst.zero
+        assert A.infinitary_coeff(aut, w) == want, name
+        assert oracles.lasso_coeff(aut, w) == want, name
+
+
+def test_cycle_mean_of_an_infinite_weight_loop():
+    """One state looping on a with weight inf: Karp's differences are
+    inf - inf, and the cycle mean is still inf, as val_omega gives."""
+    inst = V.make_valuation_instance("limsup-avg")
+    aut = A.MatrixAutomaton(inst, ("a",), 1, 1, (1,), (0,), ((0, "a", 0, INF),))
+    w = OmegaWord("", "a")
+    want = inst.val_omega(V.WeightedSeq((), ((1, INF),))).value
+    assert want == INF
+    assert A.infinitary_coeff(aut, w) == want
+    assert oracles.lasso_coeff(aut, w) == want

@@ -252,3 +252,83 @@ def test_buchi_two_state_omega_k(lang6, lang_pair6):
     assert OmegaWord("", "a") not in col[0]
     assert M.mat_omega_k(lang_pair6, m, 0) == (lang_pair6.module.zero,) * 2
     assert M.mat_omega_k(lang_pair6, m, 2) == M.mat_omega(lang_pair6, m)
+
+
+def test_omega_k_matches_block_form(boolean, minplus, lang6, lang_pair6):
+    """The pass's omega column, accepting the first k rows, against the
+    literal block formula at split k, for every k: bool and min-plus up to
+    n = 5, languages up to n = 3 (their DFA operations make n = 4 take
+    seconds)."""
+    rng = random.Random(15)
+    cases = [(self_pair(carrier), carrier, n, 6)
+             for carrier in (boolean, minplus) for n in range(1, 6)]
+    cases += [(lang_pair6, lang6, n, 2) for n in range(1, 4)]
+    for pair, carrier, n, count in cases:
+        V = pair.module
+        for _ in range(count):
+            m = rand_mat(carrier, n, rng)
+            for k in range(n + 1):
+                got = M.mat_omega_k(pair, m, k)
+                want = oracles.omega_k_block(pair, m, k)
+                assert len(got) == n and all(V.eq(a, b) for a, b in zip(got, want)), \
+                    (carrier.name, M.mat_show(carrier, m), k)
+
+
+
+def test_omega_k_against_path_oracles(boolean, minplus):
+    """Entry i of the omega column accepting the first k rows: over bool,
+    whether a path leads from i to a row j < k on a cycle; over min-plus,
+    the shortest path from i to such a row j on a zero-weight cycle."""
+    rng = random.Random(16)
+    for n in range(1, 6):
+        for _ in range(8):
+            adj = [[boolean.sample(rng) for _ in range(n)] for _ in range(n)]
+            closure = oracles.transitive_closure(adj)
+            cyclic = oracles.nonempty_path_closure(adj)
+            weights = [[minplus.sample(rng) for _ in range(n)] for _ in range(n)]
+            dist = oracles.floyd_warshall(weights)
+            zero_cyclic = oracles.nonempty_path_closure(
+                [[w == 0 for w in row] for row in weights])
+            for k in range(n + 1):
+                got = M.mat_omega_k(self_pair(boolean), M.mat(adj), k)
+                assert list(got) == [any(closure[i][j] and cyclic[j][j] for j in range(k))
+                                     for i in range(n)], (adj, k)
+                got = M.mat_omega_k(self_pair(minplus), M.mat(weights), k)
+                assert list(got) == [min([dist[i][j] for j in range(k) if zero_cyclic[j][j]],
+                                         default=INF) for i in range(n)], (weights, k)
+
+class _CountingCarrier:
+    """A carrier view that counts its add, mul, plus and omega calls."""
+
+    def __init__(self, base):
+        self._base, self.ops = base, 0
+        for op in ("add", "mul", "plus", "omega"):
+            setattr(self, op, self._counted(getattr(base, op)))
+
+    def _counted(self, fn):
+        def call(*args):
+            self.ops += 1
+            return fn(*args)
+        return call
+
+    def __getattr__(self, item):
+        return getattr(self._base, item)
+
+
+def test_elimination_op_counts_grow_cubically(minplus):
+    """On dense matrices (no zero entry to skip), omega costs O(n^3) carrier
+    operations like plus: at most 8.5 times as many at n = 32 as at 16, and
+    at most 1.25 times the ops of plus at n = 32."""
+    def ops(op, n):
+        rng = random.Random(n)
+        m = M.mat([[rng.randrange(0, 7) for _ in range(n)] for _ in range(n)])
+        c = _CountingCarrier(minplus)
+        if op == "plus":
+            M.mat_plus(c, m)
+        else:
+            M.mat_omega(self_pair(c), m)
+        return c.ops
+
+    omega16, omega32, plus32 = ops("omega", 16), ops("omega", 32), ops("plus", 32)
+    assert omega32 <= 8.5 * omega16, (omega16, omega32)
+    assert omega32 <= 1.25 * plus32, (omega32, plus32)
