@@ -1,4 +1,4 @@
-"""Weighted automata: matrix and run forms, behaviors, compilation, elimination.
+"""Weighted automata: behaviors, compilation, elimination.
 
 An automaton over a weight instance is a tuple (alpha, M, beta, k): a row of
 natural-number coefficients, a transition matrix whose entries are linear
@@ -65,58 +65,21 @@ class MatrixAutomaton:
         return out
 
 
-@dataclass(frozen=True)
-class RunAutomaton:
-    instance: object
-    alphabet: tuple
-    n: int
-    k: int
-    initial: frozenset
-    final: frozenset
-    gamma: tuple  # ((source, letter, target, weight), ...), zero weights omitted
-
-    def weight(self, i, ch, j):
-        for s, c, t, w in self.gamma:
-            if (s, c, t) == (i, ch, j):
-                return w
-        return self.instance.zero
-
-
-def to_matrix_automaton(run: RunAutomaton) -> MatrixAutomaton:
-    return MatrixAutomaton(
-        run.instance, run.alphabet, run.n, run.k,
-        tuple(1 if i in run.initial else 0 for i in range(run.n)),
-        tuple(1 if i in run.final else 0 for i in range(run.n)),
-        tuple(run.gamma))
-
-
 def to_run_automata(aut: MatrixAutomaton) -> list:
     """Split an automaton with natural initial/final coefficients into a
-    family of run automata with 0/1 vectors whose behaviors sum to the
-    original behavior."""
+    family of automata with 0/1 vectors whose behaviors sum to the original
+    behavior."""
     def layers(vec):
-        top = max(vec) if vec else 0
-        if top == 0:
-            return [frozenset()]
-        return [frozenset(i for i, v in enumerate(vec) if v > t) for t in range(top)]
+        return [tuple(int(v > t) for v in vec) for t in range(max(max(vec, default=0), 1))]
 
-    out = []
-    for ini in layers(aut.alpha):
-        for fin in layers(aut.beta):
-            out.append(RunAutomaton(aut.instance, aut.alphabet, aut.n, aut.k,
-                                    ini, fin, tuple(aut.edges)))
-    return out
+    return [MatrixAutomaton(aut.instance, aut.alphabet, aut.n, aut.k, ini, fin, aut.edges)
+            for ini in layers(aut.alpha) for fin in layers(aut.beta)]
 
 
 # --- finitary behavior -------------------------------------------------------------
 
-def _as_matrix_form(aut):
-    return to_matrix_automaton(aut) if isinstance(aut, RunAutomaton) else aut
-
-
 def finitary_coeff(aut, word: str):
     """Sum over successful runs on ``word`` of the valuation of their weights."""
-    aut = _as_matrix_form(aut)
     if not word:
         raise ValueError("the finitary behavior is a proper series: no empty word")
     inst = aut.instance
@@ -144,7 +107,6 @@ def finitary_coeff(aut, word: str):
 
 def batch_finitary(aut, max_len: int) -> dict:
     """Coefficients of every nonempty word of length <= max_len, one sweep."""
-    aut = _as_matrix_form(aut)
     inst = aut.instance
     by_letter = aut.by_letter()
 
@@ -184,7 +146,6 @@ def batch_finitary(aut, max_len: int) -> dict:
 def finitary_series(aut) -> LazySeries:
     """The finitary behavior as a series: run queries per word, and the
     one-sweep table of :func:`batch_finitary` where a table is needed."""
-    aut = _as_matrix_form(aut)
     inst = aut.instance
 
     def tabulate(L):
@@ -585,7 +546,6 @@ def discounted_value_iteration(aut, w: OmegaWord, tol=1e-9):
     lambda^N · maxW / (1 - lambda), maxW the largest weight a successful run
     can take.
     """
-    aut = _as_matrix_form(aut)
     inst = aut.instance
     lam = inst.params["lam"]
     kept = _kept_edges(aut, "discounted")
@@ -626,20 +586,17 @@ def _query_of(aut):
 def infinitary_coeff(aut, w: OmegaWord):
     """Coefficient of the infinitary behavior at an ultimately periodic word
     (exact for every strategy)."""
-    aut = _as_matrix_form(aut)
     return _query_of(aut)(aut, w)
 
 
 def batch_infinitary(aut, lassos) -> list:
     """Coefficients at each of ``lassos``, in order; lassos that share a
     period or a stem prefix share its analysis."""
-    aut = _as_matrix_form(aut)
     query = _query_of(aut)
     return [query(aut, w) for w in lassos]
 
 
 def infinitary_series(aut) -> OmegaSeries:
-    aut = _as_matrix_form(aut)
     return OmegaSeries(aut.instance, aut.alphabet,
                        lambda w: infinitary_coeff(aut, w), backing=aut)
 
@@ -898,7 +855,6 @@ def eliminate(aut: MatrixAutomaton):
     series on either side.  The results are semantically equal to the
     behaviors, not syntactically canonical.
     """
-    aut = _as_matrix_form(aut)
     inst = aut.instance
     sym = _SymbolicExprCarrier()
     pair = _symbolic_pair()

@@ -12,13 +12,11 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 
 import click
 
-from . import automata, core, matrices, omegalang, ratexpr, valuation
-from .instances import make_instance
-from .series import OmegaWord, language_instance, parse_word
+from . import automata, core, matrices, ratexpr, valuation
+from .series import OmegaWord, parse_word
 
 DEFAULT_SEED = 42
 
@@ -34,36 +32,14 @@ def _default_seed():
     return int(env) if env else DEFAULT_SEED
 
 
-@dataclass
-class InstanceManifest:
-    name: str
-    params: dict
-    bound_length: int
-    depth: int
-    seed: int
-
-    def to_json(self):
-        return asdict(self)
-
-
-_CARRIER_NAMES = ("bool", "nat", "minplus", "lattice")
-_VALUATION_NAMES = ("sup", "limsup", "liminf", "disc", "limsup-avg", "lattice-inf")
-
-
-def weight_instance(name, lam=0.5, base=3) -> valuation.OmegaValuation:
-    """Resolve an instance name to a weight structure for series/automata work."""
-    if name in _CARRIER_NAMES:
-        return valuation.from_carrier(make_instance(name))
-    if name == "disc":
-        try:
-            return valuation.make_valuation_instance("disc", lam=lam)
-        except ValueError as exc:
-            raise BadInput(f"--lambda {lam}: {exc}")
-    if name == "lattice-inf":
-        return valuation.make_valuation_instance("lattice-inf", base=base)
-    if name in _VALUATION_NAMES:
-        return valuation.make_valuation_instance(name)
-    raise BadInput(f"unknown instance {name!r}")
+def _instance(name, role, **options):
+    """The registry entry of ``name`` and its ``role``, built with those of
+    the command's ``options`` that the entry takes."""
+    try:
+        entry = valuation.lookup(name)
+        return entry, entry.make(role, **entry.bind(options))
+    except ValueError as exc:
+        raise BadInput(str(exc))
 
 
 def _emit(report: core.LawReport) -> int:
@@ -77,11 +53,19 @@ def main():
     """Algebraic law suites, series evaluation and automaton behaviors."""
 
 
+# suite -> the role of the instance it checks, the operation it needs, its laws
+_SUITES = {
+    "conway-semiring": ("carrier", "star", core.conway_semiring_laws),
+    "conway-hemiring": ("carrier", "plus", core.conway_hemiring_laws),
+    "hemimodule": ("pair", None, core.hemimodule_pair_laws),
+    "multi-hemiring": ("weights", None, valuation.multi_hemiring_laws),
+    "omega-valuation": ("weights", None, valuation.omega_valuation_laws),
+}
+
+
 @main.command()
 @click.option("--instance", "name", required=True)
-@click.option("--suite", required=True,
-              type=click.Choice(["conway-semiring", "conway-hemiring", "hemimodule",
-                                 "multi-hemiring", "omega-valuation"]))
+@click.option("--suite", required=True, type=click.Choice(list(_SUITES)))
 @click.option("--samples", default=core.DEFAULT_TRIALS, show_default=True)
 @click.option("--seed", default=None, type=int)
 @click.option("--bound", default=8, show_default=True, help="word length bound for series equality")
@@ -89,47 +73,15 @@ def main():
 def laws(name, suite, samples, seed, bound, lam):
     """Run a law suite against an instance; exit 0 iff no failures."""
     _check_bound(bound)
+    _check_samples(samples)
     seed = seed if seed is not None else _default_seed()
-    if suite in ("multi-hemiring", "omega-valuation"):
-        if name in _CARRIER_NAMES:
-            inst = valuation.from_carrier(make_instance(name))
-        elif name in _VALUATION_NAMES:
-            inst = weight_instance(name, lam=lam)
-        else:
-            raise BadInput(f"unknown instance {name!r}")
-        fn = (valuation.multi_hemiring_laws if suite == "multi-hemiring"
-              else valuation.omega_valuation_laws)
-        sys.exit(_emit(fn(inst, trials=samples, seed=seed)))
-    if suite == "hemimodule":
-        if name == "lang":
-            pair = omegalang.language_pair(bound=bound)
-            report = core.hemimodule_pair_laws(pair, trials=min(samples, 60), seed=seed)
-        elif name == "limsup-avg":
-            report = valuation.product_omega_witness_report()
-        elif name in ("bool", "minplus", "lattice"):
-            report = core.hemimodule_pair_laws(core.self_pair(make_instance(name)),
-                                               trials=samples, seed=seed)
-        else:
-            raise BadInput(f"no hemimodule pair for instance {name!r}")
-        sys.exit(_emit(report))
-    if name == "lang":
-        carrier = language_instance(bound=bound)
-        if suite == "conway-semiring":
-            raise BadInput("the language instance has no unit; use conway-hemiring")
-        report = core.conway_hemiring_laws(carrier, trials=min(samples, 120), seed=seed)
-        sys.exit(_emit(report))
-    try:
-        carrier = make_instance(name)
-    except ValueError as exc:
-        raise BadInput(str(exc))
-    if suite == "conway-semiring":
-        if not core.has_star(carrier):
-            raise BadInput(f"{name} has no star operation")
-        report = core.conway_semiring_laws(carrier, trials=samples, seed=seed)
-    else:
-        if not core.has_plus(carrier):
-            raise BadInput(f"{name} has no plus operation")
-        report = core.conway_hemiring_laws(carrier, trials=samples, seed=seed)
+    role, op, suite_laws = _SUITES[suite]
+    entry, subject = _instance(name, role, lam=lam, bound=bound)
+    if op and not callable(getattr(subject, op, None)):
+        raise BadInput(f"{name} has no {op} operation")
+    # a pair whose identity fails only on an explicit witness comes as its report
+    report = subject if isinstance(subject, core.LawReport) else suite_laws(
+        subject, trials=entry.trials(suite, samples), seed=seed)
     sys.exit(_emit(report))
 
 
@@ -164,6 +116,11 @@ def _check_bound(bound):
         raise BadInput(f"--bound {bound}: series equality needs a word length of at least 1")
 
 
+def _check_samples(samples):
+    if samples < 1:
+        raise BadInput(f"--samples {samples}: a law check needs at least 1 trial")
+
+
 def _require_strategy(inst):
     if inst.strategy is None:
         raise BadInput(f"instance {inst.name!r} has no infinitary coefficients")
@@ -177,7 +134,7 @@ def _require_strategy(inst):
 @click.option("--alphabet", default="ab", show_default=True)
 def coeff(name, text, word, lam, alphabet):
     """Coefficient of an expression's series at a finite or omega word."""
-    inst = weight_instance(name, lam=lam)
+    _, inst = _instance(name, "weights", lam=lam)
     letters = tuple(alphabet)
     e = _parse_expr(text, letters)
     w = _parse_cli_word(word, letters)
@@ -203,7 +160,7 @@ def coeff(name, text, word, lam, alphabet):
 @click.option("--alphabet", default="ab", show_default=True)
 def compile_cmd(name, text, lam, alphabet):
     """Compile an expression to an automaton (JSON on stdout)."""
-    inst = weight_instance(name, lam=lam)
+    _, inst = _instance(name, "weights", lam=lam)
     letters = tuple(alphabet)
     aut = automata.compile(_parse_expr(text, letters), inst, letters)
     print(json.dumps(automata.automaton_to_json(aut), indent=2))
@@ -217,7 +174,7 @@ def compile_cmd(name, text, lam, alphabet):
 @click.option("--lam", "--lambda", "lam", default=0.5, show_default=True)
 def behavior(path, name, word, lam):
     """Finitary or infinitary coefficient of an automaton loaded from JSON."""
-    inst = weight_instance(name, lam=lam)
+    _, inst = _instance(name, "weights", lam=lam)
     try:
         with open(path) as fh:
             aut = automata.automaton_from_json(fh.read(), inst)
@@ -243,27 +200,26 @@ def behavior(path, name, word, lam):
 def group_check(gname, name, samples, seed, bound):
     """Plus-form (and omega-form where available) group identities."""
     _check_bound(bound)
+    _check_samples(samples)
     seed = seed if seed is not None else _default_seed()
     groups = matrices.builtin_groups()
     if gname not in groups:
         raise BadInput(f"unknown group {gname!r}; known: {sorted(groups)}")
-    g = groups[gname]
-    if name == "lang":
-        carrier = language_instance(bound=bound)
-        pair = omegalang.language_pair(bound=bound)
-        report = matrices.group_identity_check(g, carrier, trials=min(samples, 5),
-                                               seed=seed, pair=pair)
-    else:
-        try:
-            carrier = make_instance(name)
-        except ValueError as exc:
-            raise BadInput(str(exc))
-        if not core.has_plus(carrier):
-            raise BadInput(f"{name} has no plus operation")
-        pair = core.self_pair(carrier) if core.has_omega(carrier) else None
-        report = matrices.group_identity_check(g, carrier, trials=samples,
-                                               seed=seed, pair=pair)
-    sys.exit(_emit(report))
+    entry, carrier = _instance(name, "carrier", bound=bound)
+    if not core.has_plus(carrier):
+        raise BadInput(f"{name} has no plus operation")
+    pair = _instance(name, "pair", bound=bound)[1] if "pair" in entry.roles else None
+    sys.exit(_emit(matrices.group_identity_check(
+        groups[gname], carrier, trials=entry.trials("group-check", samples), seed=seed,
+        pair=pair)))
+
+
+def _trace(counterexample, depth):
+    """The counterexample's trace at ``depth``, or at its default depth."""
+    try:
+        return counterexample() if depth is None else counterexample(depth)
+    except ValueError as exc:
+        raise BadInput(f"--depth {depth}: {exc}")
 
 
 _COUNTEREXAMPLES = ("liminf-regroup", "avg-regroup", "avg-product-omega")
@@ -283,12 +239,14 @@ def counterexample(name, depth):
         print(f"liminf: direct {direct} vs regrouped {regrouped}", file=sys.stderr)
         sys.exit(1 if direct != regrouped else 0)
     if name == "avg-regroup":
-        trace = valuation.counterexample_regroup_avg(depth or 24)
+        trace = _trace(valuation.counterexample_regroup_avg, depth)
+        if trace.regrouped_estimate is None:
+            raise BadInput(f"--depth {depth}: the first regrouped group ends at block 3")
         print(json.dumps(trace.to_json(), indent=2))
         print(f"limsup-avg: direct ≈ {trace.direct_estimate:.4f}, "
               f"regrouped ≈ {trace.regrouped_estimate:.4f}", file=sys.stderr)
         sys.exit(1 if abs(trace.direct_estimate - trace.regrouped_estimate) > 1e-6 else 0)
-    trace = valuation.counterexample_product_omega(depth or 8)
+    trace = _trace(valuation.counterexample_product_omega, depth)
     print(json.dumps(trace.to_json(), indent=2))
     lhs, rhs = float(trace.lhs_estimates[-1]), float(trace.rhs_estimates[-1])
     print(f"product omega: lhs {lhs} vs rhs {rhs:.4f} (climbing to 1)", file=sys.stderr)
@@ -304,9 +262,9 @@ def counterexample(name, depth):
 def manifest(name, lam, bound, depth, seed):
     """Print the manifest (name, params, bounds, seed) of an instance."""
     seed = seed if seed is not None else _default_seed()
-    inst = weight_instance(name, lam=lam)
-    m = InstanceManifest(inst.name, dict(inst.params), bound, depth, seed)
-    print(json.dumps(m.to_json(), indent=2))
+    entry, _ = _instance(name, "weights", lam=lam)
+    print(json.dumps({"name": name, "params": entry.bind({"lam": lam}), "bound_length": bound,
+                      "depth": depth, "seed": seed}, indent=2))
 
 
 if __name__ == "__main__":

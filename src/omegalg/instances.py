@@ -240,22 +240,9 @@ def _subsets(letters):
 
 
 def make_instance(name: str, **params):
-    """Build one of the registered carriers by name.
-
-    Known names: bool, nat, minplus, extreal, lattice (param ``base``).
+    """The carrier registered as ``name`` in :data:`omegalg.valuation.INSTANCES`:
+    bool, nat, minplus (param ``cap``), extreal, lattice (param ``base``) or
+    lang (param ``bound``).
     """
-    if name == "bool":
-        return BooleanCarrier()
-    if name == "nat":
-        return NatCarrier()
-    if name == "minplus":
-        return MinPlusCarrier(**params)
-    if name == "extreal":
-        return ExtRealCarrier()
-    if name == "lattice":
-        return LatticeCarrier(**params)
-    raise ValueError(f"unknown instance {name!r}")
-
-
-def carrier_names():
-    return ("bool", "nat", "minplus", "extreal", "lattice")
+    from .valuation import lookup
+    return lookup(name).make("carrier", **params)

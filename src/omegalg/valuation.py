@@ -8,9 +8,10 @@ periodic (length, value) sequences, where every registered instance has an
 exact closed form, plus the two explicit counterexample families.
 
 The five extended-real weight structures (sup, limsup, liminf, discounted
-sum, limsup-average), the lattice infimum structure, and the wrapper that
-turns any complete carrier into one of these are all built by
-:func:`make_valuation_instance`.
+sum, limsup-average) and the lattice infimum structure are registered in
+:data:`INSTANCES`, the one table that resolves every instance name to the
+roles it provides (carrier, weights, hemimodule pair); :func:`from_carrier`
+turns any carrier into a weight structure.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import DEFAULT_SEED, LawFailure, LawReport, has_omega
-from .instances import INF, NEG_INF, ExtRealCarrier, LatticeCarrier, make_instance
+from .core import DEFAULT_SEED, LawFailure, LawReport, has_omega, self_pair
+from .instances import (INF, NEG_INF, BooleanCarrier, ExtRealCarrier, LatticeCarrier,
+                        MinPlusCarrier, NatCarrier)
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,7 @@ class OmegaValuation:
     """An omega-valuation multi-hemiring; doubles as a series weight domain."""
 
     def __init__(self, name, monoid, prod, prod_omega, valw_periodic, unit,
-                 truncate_estimate=None, strategy=None, infinitary_associative=None,
-                 scalar_of=None, params=None):
+                 truncate_estimate=None, strategy=None, scalar_of=None, params=None):
         self.name = name
         self.monoid = monoid
         self._prod = prod
@@ -101,7 +102,6 @@ class OmegaValuation:
         self._truncate = truncate_estimate
         self.unit = unit
         self.strategy = strategy
-        self.infinitary_associative = infinitary_associative
         self._scalar_of = scalar_of
         self.params = params or {}
         # weight-protocol delegation
@@ -228,80 +228,6 @@ def _tail_window(pairs):
     return [d for _, d in pairs[len(pairs) // 2:]]
 
 
-def make_valuation_instance(name: str, **params) -> OmegaValuation:
-    """Build a registered omega-valuation multi-hemiring.
-
-    Names: sup, limsup, liminf, disc (param ``lam`` in (0,1)), limsup-avg,
-    lattice-inf (param ``base``), from-complete (param ``carrier``).
-    """
-    ext = ExtRealCarrier()
-    int_scalar = lambda v: (0 if v == NEG_INF else
-                            int(v) if v != INF and v == int(v) and v >= 0 else None)
-    if name == "sup":
-        return OmegaValuation(
-            "sup", ext,
-            prod=lambda m, n, a, b: max(a, b),
-            prod_omega=lambda m, a, b: max(a, b),
-            valw_periodic=lambda prefix, block: max(d for _, d in prefix + block),
-            truncate_estimate=lambda seq, count: ValOmega(
-                max(d for _, d in seq.take(count)), None),
-            unit=1.0, strategy="sup", infinitary_associative=True,
-            scalar_of=int_scalar)
-    if name == "limsup":
-        return OmegaValuation(
-            "limsup", ext,
-            prod=lambda m, n, a, b: max(a, b),
-            prod_omega=lambda m, a, b: b,
-            valw_periodic=lambda prefix, block: max(d for _, d in block),
-            truncate_estimate=lambda seq, count: ValOmega(
-                max(_tail_window(seq.take(count))), None),
-            unit=1.0, strategy="limsup", infinitary_associative=True,
-            scalar_of=int_scalar)
-    if name == "liminf":
-        return OmegaValuation(
-            "liminf", ext,
-            prod=lambda m, n, a, b: max(a, b),
-            prod_omega=lambda m, a, b: b,
-            valw_periodic=lambda prefix, block: min(d for _, d in block),
-            truncate_estimate=lambda seq, count: ValOmega(
-                min(_tail_window(seq.take(count))), None),
-            unit=1.0, strategy=None, infinitary_associative=False,
-            scalar_of=int_scalar)
-    if name == "disc":
-        lam = params.get("lam", 0.5)
-        if not 0.0 < lam < 1.0:
-            raise ValueError("disc needs 0 < lam < 1")
-        return OmegaValuation(
-            "disc", ext,
-            prod=lambda m, n, a, b: a + lam ** m * b,
-            prod_omega=lambda m, a, b: a + lam ** m * b,
-            valw_periodic=_disc_periodic(lam),
-            truncate_estimate=_disc_truncate(lam),
-            unit=1.0, strategy="discounted", infinitary_associative=True,
-            scalar_of=int_scalar, params={"lam": lam})
-    if name == "limsup-avg":
-        return OmegaValuation(
-            "limsup-avg", ext,
-            prod=lambda m, n, a, b: (m * a + n * b) / (m + n),
-            prod_omega=lambda m, a, b: b,
-            valw_periodic=_avg_periodic,
-            truncate_estimate=_avg_truncate,
-            unit=1.0, strategy="cycle_mean", infinitary_associative=False,
-            scalar_of=int_scalar)
-    if name == "lattice-inf":
-        lattice = params.get("carrier") or LatticeCarrier(params.get("base", 3))
-        return from_carrier(lattice, strategy="lattice", name="lattice-inf")
-    if name == "from-complete":
-        carrier = params["carrier"]
-        if isinstance(carrier, str):
-            carrier = make_instance(carrier)
-        return from_carrier(carrier)
-    raise ValueError(f"unknown valuation instance {name!r}")
-
-
-_CARRIER_STRATEGIES = {"bool": "boolean", "lattice": "lattice"}
-
-
 def from_carrier(carrier, strategy=None, name=None) -> OmegaValuation:
     """The multi-hemiring of a hemiring: every indexed product is the product.
 
@@ -334,12 +260,136 @@ def from_carrier(carrier, strategy=None, name=None) -> OmegaValuation:
         valw_periodic=valw,
         unit=carrier.one,
         strategy=strategy if strategy is not None else _CARRIER_STRATEGIES.get(carrier.name),
-        infinitary_associative=True if valw else None,
         scalar_of=scalar_of)
 
 
-def valuation_names():
-    return ("sup", "limsup", "liminf", "disc", "limsup-avg", "lattice-inf")
+_CARRIER_STRATEGIES = {"bool": "boolean", "lattice": "lattice"}
+
+
+def _int_scalar(v):
+    if v == NEG_INF:
+        return 0
+    return int(v) if v != INF and v == int(v) and v >= 0 else None
+
+
+def _extreal(name, prod, prod_omega, valw_periodic, truncate_estimate, strategy, params=None):
+    return OmegaValuation(name, ExtRealCarrier(), prod, prod_omega, valw_periodic, unit=1.0,
+                          truncate_estimate=truncate_estimate, strategy=strategy,
+                          scalar_of=_int_scalar, params=params)
+
+
+def _sup():
+    return _extreal("sup", lambda m, n, a, b: max(a, b), lambda m, a, b: max(a, b),
+                    lambda prefix, block: max(d for _, d in prefix + block),
+                    lambda seq, count: ValOmega(max(d for _, d in seq.take(count)), None),
+                    "sup")
+
+
+def _lim(name, pick, strategy):
+    """limsup (``pick`` = max) or liminf (``pick`` = min) of the values."""
+    return _extreal(name, lambda m, n, a, b: max(a, b), lambda m, a, b: b,
+                    lambda prefix, block: pick(d for _, d in block),
+                    lambda seq, count: ValOmega(pick(_tail_window(seq.take(count))), None),
+                    strategy)
+
+
+def _disc(lam):
+    if not 0.0 < lam < 1.0:
+        raise ValueError(f"disc needs 0 < lam < 1, not {lam}")
+    return _extreal("disc", lambda m, n, a, b: a + lam ** m * b,
+                    lambda m, a, b: a + lam ** m * b,
+                    _disc_periodic(lam), _disc_truncate(lam), "discounted", {"lam": lam})
+
+
+def _limsup_avg():
+    return _extreal("limsup-avg", lambda m, n, a, b: (m * a + n * b) / (m + n),
+                    lambda m, a, b: b, _avg_periodic, _avg_truncate, "cycle_mean")
+
+
+def _lattice_inf(base, carrier=None):
+    return from_carrier(carrier or LatticeCarrier(base), strategy="lattice", name="lattice-inf")
+
+
+def _lang_carrier(bound):
+    from .series import language_instance
+    return language_instance(bound=bound)
+
+
+def _lang_pair(bound):
+    from .omegalang import language_pair
+    return language_pair(bound=bound)
+
+
+# --- the instance registry -------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Instance:
+    """One registered instance name.
+
+    ``roles`` maps each role the name provides to the factory that builds it:
+    ``carrier`` (a Conway (hemi)semiring, for the Conway suites and the group
+    identities), ``weights`` (an :class:`OmegaValuation`, for series and
+    automata) and ``pair`` (a hemimodule pair carrying omega; for limsup-avg,
+    whose product omega identity fails only on a word no sampler draws, the
+    report of the explicit witness).  ``params`` are the keyword parameters
+    every factory of the entry takes, with their defaults; ``caps`` bound the
+    trials per law suite.
+    """
+
+    name: str
+    roles: dict
+    params: dict = field(default_factory=dict)
+    caps: dict = field(default_factory=dict)
+
+    def bind(self, options) -> dict:
+        """The entry's params, each replaced by ``options``' value if it has one."""
+        return {k: options.get(k, v) for k, v in self.params.items()}
+
+    def make(self, role, **params):
+        if role not in self.roles:
+            raise ValueError(f"instance {self.name!r} has no {role}")
+        return self.roles[role](**{**self.params, **params})
+
+    def trials(self, suite, trials):
+        return min(trials, self.caps.get(suite, trials))
+
+
+def _carrier_entry(cls):
+    """A carrier, its weight structure and, if it has omega, its self pair."""
+    roles = {"carrier": cls, "weights": lambda **p: from_carrier(cls(**p))}
+    if has_omega(cls):
+        roles["pair"] = lambda **p: self_pair(cls(**p))
+    return Instance(cls.name, roles)
+
+
+INSTANCES = {entry.name: entry for entry in (
+    *map(_carrier_entry, (BooleanCarrier, NatCarrier, MinPlusCarrier, LatticeCarrier)),
+    Instance("extreal", {"carrier": ExtRealCarrier}),
+    Instance("sup", {"weights": _sup}),
+    Instance("limsup", {"weights": lambda: _lim("limsup", max, "limsup")}),
+    Instance("liminf", {"weights": lambda: _lim("liminf", min, None)}),
+    Instance("disc", {"weights": _disc}, {"lam": 0.5}),
+    Instance("limsup-avg", {"weights": _limsup_avg,
+                            "pair": lambda: product_omega_witness_report()}),
+    Instance("lattice-inf", {"weights": _lattice_inf}, {"base": 3}),
+    Instance("lang", {"carrier": _lang_carrier, "pair": _lang_pair}, {"bound": 8},
+             {"hemimodule": 60, "conway-hemiring": 120, "group-check": 5}),
+)}
+
+
+def lookup(name: str) -> Instance:
+    """The registry entry of ``name``."""
+    try:
+        return INSTANCES[name]
+    except KeyError:
+        raise ValueError(f"unknown instance {name!r}") from None
+
+
+def make_valuation_instance(name: str, **params) -> OmegaValuation:
+    """The weight structure registered as ``name``: sup, limsup, liminf, disc
+    (param ``lam`` in (0,1)), limsup-avg, lattice-inf (param ``base``, or a
+    ``carrier``), or any carrier's (bool, nat, minplus, lattice)."""
+    return lookup(name).make("weights", **params)
 
 
 # --- law suites ----------------------------------------------------------------------
@@ -468,7 +518,7 @@ class RegroupAvgTrace:
     block_end_averages: list
     group_end_averages: list
     direct_estimate: float
-    regrouped_estimate: float
+    regrouped_estimate: float | None  # None below 3 blocks: no group ends
 
     def to_json(self):
         return {
@@ -486,6 +536,8 @@ def counterexample_regroup_avg(blocks: int = 24) -> RegroupAvgTrace:
     limsup-average is 2/3; grouping each 1-block with the following 0-block
     produces constant value 1/3, so the regrouped valuation is 1/3.
     """
+    if blocks < 1:
+        raise ValueError("blocks must be at least 1")
     ones = 0
     total = 0
     block_ends = []
@@ -505,8 +557,8 @@ def counterexample_regroup_avg(blocks: int = 24) -> RegroupAvgTrace:
         group_ends.append(Fraction(g_ones, g_total))
         j += 2
     direct = max(block_ends[len(block_ends) // 2:])
-    regrouped = max(group_ends[len(group_ends) // 2:]) if group_ends else Fraction(0)
-    return RegroupAvgTrace(block_ends, group_ends, float(direct), float(regrouped))
+    regrouped = float(max(group_ends[len(group_ends) // 2:])) if group_ends else None
+    return RegroupAvgTrace(block_ends, group_ends, float(direct), regrouped)
 
 
 @dataclass
@@ -589,14 +641,3 @@ def series_carrier(inst: OmegaValuation, alphabet=("a", "b"), bound=8):
     from .series import SeriesCarrier
     return SeriesCarrier(inst, alphabet, bound, name=f"{inst.name}-series")
 
-
-def mixed_product(r, s):
-    """r · s' for a finitary series and an omega series, via their automata."""
-    from . import automata
-    return automata.series_act(r, s)
-
-
-def omega_power(r):
-    """r^omega for an automaton-backed finitary series."""
-    from . import automata
-    return automata.series_omega(r)

@@ -251,3 +251,56 @@ def test_bound_below_one_rejected(runner):
                              "conway-hemiring", "--bound", bound))
         assert_bad_input(run(runner, "group-check", "--group", "S3", "--instance", "lang",
                              "--bound", bound))
+
+
+@pytest.mark.parametrize("name,depth", [
+    ("avg-product-omega", "2"), ("avg-product-omega", "0"), ("avg-regroup", "-3"),
+    ("avg-regroup", "0"), ("avg-regroup", "1"), ("avg-regroup", "2")])
+def test_counterexample_depth_too_small_rejected(runner, name, depth):
+    assert_bad_input(run(runner, "counterexample", "--name", name, "--depth", depth))
+
+
+def test_counterexample_smallest_depths(runner):
+    res = run(runner, "counterexample", "--name", "avg-regroup", "--depth", "3")
+    assert res.exit_code == 1
+    assert len(json.loads(res.stdout)["regrouped"]) == 1
+    res = run(runner, "counterexample", "--name", "avg-product-omega", "--depth", "4")
+    assert res.exit_code == 1 and len(json.loads(res.stdout)["lhs"]) == 4
+
+
+def test_laws_rejects_samples_below_one(runner):
+    for samples in ("0", "-4"):
+        assert_bad_input(run(runner, "laws", "--instance", "minplus", "--suite",
+                             "conway-hemiring", "--samples", samples))
+
+
+def test_group_check_rejects_samples_below_one(runner):
+    for samples in ("0", "-4"):
+        assert_bad_input(run(runner, "group-check", "--group", "S3", "--instance", "minplus",
+                             "--samples", samples))
+
+
+@pytest.mark.parametrize("args,message", [
+    (("coeff", "--instance", "extreal", "--expr", "a", "--word", "a"),
+     "instance 'extreal' has no weights"),
+    (("laws", "--instance", "sup", "--suite", "conway-hemiring"), "instance 'sup' has no carrier"),
+    (("laws", "--instance", "lattice-inf", "--suite", "conway-semiring"),
+     "instance 'lattice-inf' has no carrier"),
+    (("laws", "--instance", "lang", "--suite", "multi-hemiring"), "instance 'lang' has no weights"),
+    (("laws", "--instance", "nat", "--suite", "hemimodule"), "instance 'nat' has no pair"),
+    (("group-check", "--group", "S3", "--instance", "sup"), "instance 'sup' has no carrier"),
+    (("manifest", "--instance", "lang"), "instance 'lang' has no weights"),
+    (("compile", "--instance", "nosuch", "--expr", "a"), "unknown instance 'nosuch'")])
+def test_instance_without_the_role_rejected(runner, args, message):
+    res = run(runner, *args)
+    assert_bad_input(res)
+    assert res.stderr == f"Error: {message}\n"
+
+
+def test_manifest_params_come_from_the_registry(runner):
+    def params(*args):
+        return json.loads(run(runner, "manifest", "--instance", *args).stdout)["params"]
+
+    assert params("lattice-inf") == {"base": 3}
+    assert params("disc", "--lambda", "0.7") == {"lam": 0.7}
+    assert params("bool") == {}

@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from omegalg import valuation as V
+from omegalg.core import LawReport
 from omegalg.instances import INF, NEG_INF, make_instance
 
 
@@ -16,6 +18,46 @@ def test_make_instance_names():
 def test_unknown_instance_rejected():
     with pytest.raises(ValueError):
         make_instance("nosuch")
+
+
+def test_registry_roles():
+    roles = {name: set(entry.roles) for name, entry in V.INSTANCES.items()}
+    full = {"carrier", "weights", "pair"}
+    assert roles == {
+        "bool": full, "nat": {"carrier", "weights"}, "minplus": full, "lattice": full,
+        "extreal": {"carrier"}, "sup": {"weights"}, "limsup": {"weights"},
+        "liminf": {"weights"}, "disc": {"weights"}, "limsup-avg": {"weights", "pair"},
+        "lattice-inf": {"weights"}, "lang": {"carrier", "pair"}}
+
+
+def test_every_registered_role_builds():
+    for name, entry in V.INSTANCES.items():
+        if "carrier" in entry.roles:
+            assert make_instance(name).name == name
+        if "weights" in entry.roles:
+            assert V.make_valuation_instance(name).name == name
+        if "pair" in entry.roles:
+            pair = entry.make("pair")
+            assert isinstance(pair, LawReport) or pair.hemiring.name == name
+
+
+def test_roles_a_name_lacks_are_rejected():
+    with pytest.raises(ValueError, match="instance 'sup' has no carrier"):
+        make_instance("sup")
+    with pytest.raises(ValueError, match="instance 'extreal' has no weights"):
+        V.make_valuation_instance("extreal")
+
+
+def test_registry_params_and_trial_caps():
+    assert V.lookup("disc").bind({"lam": 0.7, "bound": 3}) == {"lam": 0.7}
+    assert V.lookup("lattice-inf").bind({"lam": 0.7}) == {"base": 3}
+    assert V.lookup("bool").bind({"lam": 0.7}) == {}
+    lang = V.lookup("lang")
+    assert lang.bind({"bound": 4}) == {"bound": 4}
+    assert [lang.trials(s, 1000) for s in ("hemimodule", "conway-hemiring", "group-check")] == [
+        60, 120, 5]
+    assert lang.trials("hemimodule", 7) == 7
+    assert V.lookup("minplus").trials("group-check", 1000) == 1000
 
 
 def test_lattice_params_validated():

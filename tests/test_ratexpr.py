@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegalg import ratexpr as rx, valuation as V
 from omegalg.instances import make_instance
@@ -110,3 +111,10 @@ def test_eval_omega_compile_backed():
 
 def test_letters_of():
     assert rx.letters_of(rx.parse("a(bc)^w")) == {"a", "b", "c"}
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 5), st.sampled_from(["fin", "omega"]))
+def test_parse_inverts_to_text(seed, depth, kind):
+    e = rx.random_expr(random.Random(seed), depth, kind=kind)
+    assert rx.expr_equal(rx.parse(rx.to_text(e)), e)

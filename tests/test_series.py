@@ -1,9 +1,11 @@
 """Series coefficients: Cauchy products, the plus DP against brute force,
 bounded equality, omega words, and the language instance."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from omegalg import core, valuation
@@ -29,9 +31,9 @@ def test_omega_word_requires_period():
 
 
 def test_omega_word_letters_and_suffix():
-    w = OmegaWord("ab", "ba")   # canonical: a(bb... no; keep as constructed
+    w = OmegaWord("ab", "ba")   # last letters of prefix and period differ: kept as built
     assert w.letters(6) == (w.prefix + w.period * 6)[:6]
-    assert w.suffix(1) == OmegaWord(w.letters(6)[1:1], w.period) or True
+    assert w.suffix(1) == OmegaWord("b", "ba")
     # dropping the whole prefix lands in a rotation of the period
     drop = len(w.prefix)
     assert w.suffix(drop) == OmegaWord("", w.period)
@@ -46,6 +48,51 @@ def test_parse_word_forms():
     assert parse_word("b(ab)^w") == OmegaWord("b", "ab")
     with pytest.raises(ValueError):
         parse_word("a(")
+
+
+# Properties of the canonical form, on random lassos over {a, b}; derandomised
+# so that every run draws the same examples.
+PROPERTY = settings(max_examples=400, derandomize=True, database=None, deadline=None)
+stems = st.text("ab", max_size=5)
+periods = st.text("ab", min_size=1, max_size=4)
+
+
+@PROPERTY
+@given(stems, periods, st.integers(0, 30))
+def test_omega_word_letters_are_stem_then_period(u, v, n):
+    assert OmegaWord(u, v).letters(n) == (u + v * (n + 1))[:n]
+
+
+@PROPERTY
+@given(stems, periods, st.integers(0, 4), st.integers(0, 3), st.integers(1, 3))
+def test_equal_infinite_words_have_equal_forms(u, v, reps, j, power):
+    # u v^w read with more of v in the stem, the period rotated and repeated
+    j %= len(v)
+    assert OmegaWord(u + v * reps + v[:j], (v[j:] + v[:j]) * power) == OmegaWord(u, v)
+
+
+@PROPERTY
+@given(stems, periods, stems, periods)
+def test_forms_are_equal_iff_the_infinite_words_are(u1, v1, u2, v2):
+    # two lassos agree everywhere iff they agree on their longer stem plus
+    # one common multiple of their periods
+    n = max(len(u1), len(u2)) + math.lcm(len(v1), len(v2))
+    w1, w2 = OmegaWord(u1, v1), OmegaWord(u2, v2)
+    assert (w1 == w2) == (w1.letters(n) == w2.letters(n))
+
+
+@PROPERTY
+@given(stems, periods, st.integers(0, 12), st.integers(0, 12))
+def test_omega_word_suffix_drops_letters(u, v, d, n):
+    w = OmegaWord(u, v)
+    assert w.suffix(d).letters(n) == w.letters(d + n)[d:]
+
+
+@PROPERTY
+@given(stems, periods)
+def test_parse_word_inverts_str(u, v):
+    w = OmegaWord(u, v)
+    assert parse_word(str(w)) == w
 
 
 # --- coefficients ------------------------------------------------------------
