@@ -27,7 +27,7 @@ from . import matrices
 from .core import HemimodulePair, Hemiring
 from .ratexpr import (ActProd, Letter, OmegaPow, OmegaSum, Plus, Prod, Scalar,
                       Sum, letters_of, to_text)
-from .series import DEFAULT_BOUND, LazySeries, OmegaSeries, OmegaWord
+from .series import DEFAULT_BOUND, OmegaSeries, OmegaWord, Series
 from .valuation import _disc_periodic
 
 INF = math.inf
@@ -78,81 +78,87 @@ def to_run_automata(aut: MatrixAutomaton) -> list:
 
 # --- finitary behavior -------------------------------------------------------------
 
+class _Run:
+    """The run dynamic program of an automaton.  ``step(vec, pos, ch)`` reads
+    the letter ``ch`` at position ``pos`` into the run values per state, at
+    position 0 from ``start``, the initial coefficients; ``finish`` sums the
+    values in final states."""
+
+    def __init__(self, aut):
+        self.inst, self.beta, self.by_letter = aut.instance, aut.beta, aut.by_letter()
+        self.start = {i: a for i, a in enumerate(aut.alpha) if a}
+
+    def step(self, vec, pos, ch) -> dict:
+        inst, nxt = self.inst, {}
+        for i, j, w in self.by_letter.get(ch, ()):
+            if i in vec:
+                val = inst.prod(pos, 1, vec[i], w) if pos else inst.nat_act(vec[i], w)
+                nxt[j] = inst.add(nxt[j], val) if j in nxt else val
+        return nxt
+
+    def finish(self, vec):
+        inst, beta, total = self.inst, self.beta, self.inst.zero
+        for j, v in vec.items():
+            if beta[j]:
+                total = inst.add(total, inst.nat_act(beta[j], v))
+        return total
+
+
 def finitary_coeff(aut, word: str):
     """Sum over successful runs on ``word`` of the valuation of their weights."""
     if not word:
         raise ValueError("the finitary behavior is a proper series: no empty word")
-    inst = aut.instance
-    by_letter = aut.by_letter()
-    vec = {}
-    for i, j, w in by_letter.get(word[0], ()):
-        if aut.alpha[i]:
-            val = inst.nat_act(aut.alpha[i], w)
-            vec[j] = inst.add(vec[j], val) if j in vec else val
-    for pos in range(1, len(word)):
-        nxt = {}
-        for i, j, w in by_letter.get(word[pos], ()):
-            if i in vec:
-                val = inst.prod(pos, 1, vec[i], w)
-                nxt[j] = inst.add(nxt[j], val) if j in nxt else val
-        vec = nxt
+    run = _Run(aut)
+    vec = run.start
+    for pos, ch in enumerate(word):
+        vec = run.step(vec, pos, ch)
         if not vec:
             break
-    total = inst.zero
-    for j, v in vec.items():
-        if aut.beta[j]:
-            total = inst.add(total, inst.nat_act(aut.beta[j], v))
-    return total
+    return run.finish(vec)
 
 
 def batch_finitary(aut, max_len: int) -> dict:
-    """Coefficients of every nonempty word of length <= max_len, one sweep."""
-    inst = aut.instance
-    by_letter = aut.by_letter()
-
-    def finish(vec):
-        total = inst.zero
-        for j, v in vec.items():
-            if aut.beta[j]:
-                total = inst.add(total, inst.nat_act(aut.beta[j], v))
-        return total
-
+    """Coefficients of the nonempty words of length <= max_len, one sweep; a
+    word missing from the table (no run reads it) has coefficient zero."""
+    run = _Run(aut)
     out = {}
-    frontier = []
-    for ch in aut.alphabet:
-        vec = {}
-        for i, j, w in by_letter.get(ch, ()):
-            if aut.alpha[i]:
-                val = inst.nat_act(aut.alpha[i], w)
-                vec[j] = inst.add(vec[j], val) if j in vec else val
-        out[ch] = finish(vec)
-        frontier.append((ch, vec))
-    for pos in range(1, max_len):
+    frontier = [("", run.start)]
+    for pos in range(max_len):
         nxt_frontier = []
         for word, vec in frontier:
             for ch in aut.alphabet:
-                nvec = {}
-                for i, j, w in by_letter.get(ch, ()):
-                    if i in vec:
-                        val = inst.prod(pos, 1, vec[i], w)
-                        nvec[j] = inst.add(nvec[j], val) if j in nvec else val
-                out[word + ch] = finish(nvec)
+                nvec = run.step(vec, pos, ch)
+                out[word + ch] = run.finish(nvec)
                 if nvec:
                     nxt_frontier.append((word + ch, nvec))
         frontier = nxt_frontier
     return out
 
 
-def finitary_series(aut) -> LazySeries:
-    """The finitary behavior as a series: run queries per word, and the
-    one-sweep table of :func:`batch_finitary` where a table is needed."""
+def _factor_finitary(aut, word: str) -> dict:
+    """Coefficients of the nonempty factors of ``word``: a run sweep per start."""
+    run = _Run(aut)
+    out = {}
+    for i in range(len(word)):
+        vec = run.start
+        for j in range(i, len(word)):
+            vec = run.step(vec, j - i, word[j])
+            out[word[i:j + 1]] = run.finish(vec)
+            if not vec:
+                break
+    return out
+
+
+def finitary_series(aut) -> Series:
+    """The finitary behavior as a series: the table of :func:`batch_finitary`,
+    or past its bound the run sweeps over the factors of the query."""
     inst = aut.instance
 
-    def tabulate(L):
-        return {w: v for w, v in batch_finitary(aut, L).items() if not inst.eq(v, inst.zero)}
+    def build(L, only):
+        table = batch_finitary(aut, L) if only is None else _factor_finitary(aut, only.word)
+        return {w: v for w, v in table.items() if not inst.eq(v, inst.zero)}
 
-    return LazySeries(inst, aut.alphabet, DEFAULT_BOUND, lambda w: finitary_coeff(aut, w),
-                      tabulate, proper=True, backing=aut)
+    return Series(inst, aut.alphabet, DEFAULT_BOUND, build, backing=aut)
 
 
 # --- the lasso kernel ------------------------------------------------------------------
@@ -534,44 +540,6 @@ _QUERIES = {
     "lattice": _query_lattice,
     "discounted": _query_best("discounted", _discount_step),
 }
-
-
-def discounted_value_iteration(aut, w: OmegaWord, tol=1e-9):
-    """Optimal discounted run value and the (estimate, error bound) trace.
-
-    The slow reference for the exact discounted values: iterates the Bellman
-    step on the live part of the kernel's period product (zero-weight edges
-    dropped, as in the exact analysis), and each estimate folds the stem onto
-    the current entry values.  The bound after N steps is
-    lambda^N · maxW / (1 - lambda), maxW the largest weight a successful run
-    can take.
-    """
-    inst = aut.instance
-    lam = inst.params["lam"]
-    kept = _kept_edges(aut, "discounted")
-    per = _Period(aut, kept.out, w.period)
-    weights = _fold_stem(kept, w.prefix,
-                         per.at_entries(per.reach_max(per.sup_edges())), max)
-    if not weights:
-        return inst.zero, []
-    top = max(weights)
-    if top == INF:
-        return INF, [(INF, 0.0)]
-    edges = {v: [(t, wgt) for t, wgt in outs if per.live[t]]
-             for v, outs in enumerate(per.succ) if per.live[v]}
-    value = dict.fromkeys(edges, 0.0)
-    trace = []
-    step = 0
-    while True:
-        step += 1
-        value = {v: max(wgt + lam * value[t] for t, wgt in outs) for v, outs in edges.items()}
-        entry = {q: value[q * per.m] for q in per.entries}
-        estimate = max(_fold_stem(kept, w.prefix, entry, _discount_step(aut)))
-        bound = lam ** step * top / (1.0 - lam)
-        trace.append((estimate, bound))
-        if bound <= tol:
-            break
-    return trace[-1][0], trace
 
 
 def _query_of(aut):

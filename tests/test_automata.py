@@ -9,7 +9,7 @@ import pytest
 import oracles
 from omegalg import automata as A, core, ratexpr as rx, valuation as V
 from omegalg.instances import INF, NEG_INF, make_instance
-from omegalg.series import OmegaWord
+from omegalg.series import OmegaWord, _Factors
 
 AB = ("a", "b")
 
@@ -85,6 +85,38 @@ def test_batch_matches_pointwise(natw):
         for w in core.words_up_to(AB, 5):
             if w:
                 assert table.get(w, 0) == A.finitary_coeff(aut, w)
+
+
+def _factors(word):
+    return {word[i:j] for i in range(len(word)) for j in range(i + 1, len(word) + 1)}
+
+
+@pytest.mark.parametrize("name", ["nat", "disc", "limsup-avg"])
+def test_finitary_series_matches_runs(name):
+    """The behavior as a series (bound 8) agrees with the per-word run on
+    every word up to length 10, on every factor of words past the bound
+    (the tables a query past the bound is built on), and on a 200-letter
+    word."""
+    inst = V.make_valuation_instance(name)
+    rng = random.Random(97)
+    exprs = [rx.parse("((a + 2b)(a + b)^+)^+")] + [rx.random_expr(rng, 4) for _ in range(3)]
+    long_word = "".join(rng.choice(AB) for _ in range(200))
+    words = [w for w in core.words_up_to(AB, 10) if w]
+    nonzero = 0
+    for e in exprs:
+        aut = A.compile(e, inst, AB)
+        s = A.finitary_series(aut)
+        for w in words:
+            assert inst.eq(s.coeff(w), A.finitary_coeff(aut, w)), (rx.to_text(e), w)
+        for w in ("abbabaabbab", long_word[:13]):
+            table = s.table_on(_Factors(w))
+            for u in _factors(w):
+                assert inst.eq(table.get(u, inst.zero), A.finitary_coeff(aut, u)), \
+                    (rx.to_text(e), w, u)
+        want = A.finitary_coeff(aut, long_word)
+        assert inst.eq(s.coeff(long_word), want), rx.to_text(e)
+        nonzero += not inst.eq(want, inst.zero)
+    assert nonzero
 
 
 def test_matrix_run_conversion_round_trip(natw):
@@ -301,7 +333,7 @@ def test_cycle_mean_sparse_repeated_visits():
 
 def test_discounted_bound_dominates(disc):
     aut = A.compile(rx.parse("a^w"), disc, ("a",))
-    value, trace = A.discounted_value_iteration(aut, OmegaWord("", "a"))
+    value, trace = oracles.discounted_value_iteration(aut, OmegaWord("", "a"))
     assert abs(value - 2.0) <= 1e-6
     for est, bound in trace:
         assert abs(est - 2.0) <= bound + 1e-12
@@ -581,7 +613,7 @@ def test_exact_discounting_matches_value_iteration():
             aut = _random_graph(inst, rng, n=3)
             for w in lassos:
                 got = A.infinitary_coeff(aut, w)
-                want, _ = A.discounted_value_iteration(aut, w, tol=1e-8)
+                want, _ = oracles.discounted_value_iteration(aut, w, tol=1e-8)
                 assert got == want or abs(got - want) <= 1e-6, (lam, aut.edges, str(w))
 
 
@@ -591,11 +623,11 @@ def test_discounting_with_an_infinite_weight(disc):
     aut = A.MatrixAutomaton(disc, AB, 3, 1, (0, 1, 0), (0, 0, 0), (
         (0, "a", 0, 1.0), (1, "a", 0, INF), (1, "b", 2, INF), (1, "b", 0, 2.0)))
     w = OmegaWord("", "a")
-    assert A.infinitary_coeff(aut, w) == A.discounted_value_iteration(aut, w)[0] == INF
+    assert A.infinitary_coeff(aut, w) == oracles.discounted_value_iteration(aut, w)[0] == INF
     w = OmegaWord("b", "a")
     got = A.infinitary_coeff(aut, w)
     assert abs(got - 3.0) <= 1e-9
-    assert abs(A.discounted_value_iteration(aut, w)[0] - got) <= 1e-6
+    assert abs(oracles.discounted_value_iteration(aut, w)[0] - got) <= 1e-6
     assert A.infinitary_coeff(aut, OmegaWord("", "b")) == disc.zero
 
 

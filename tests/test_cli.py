@@ -1,10 +1,12 @@
 """The command-line surface: exit codes, JSON shapes, determinism."""
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
 
+from omegalg import valuation as V
 from omegalg.cli import main
 
 
@@ -266,6 +268,32 @@ def test_counterexample_smallest_depths(runner):
     assert len(json.loads(res.stdout)["regrouped"]) == 1
     res = run(runner, "counterexample", "--name", "avg-product-omega", "--depth", "4")
     assert res.exit_code == 1 and len(json.loads(res.stdout)["lhs"]) == 4
+
+
+@pytest.mark.parametrize("name,cap", [("avg-regroup", V.MAX_REGROUP_BLOCKS),
+                                      ("avg-product-omega", V.MAX_PRODUCT_OMEGA_DEPTH)])
+def test_counterexample_depth_capped(runner, name, cap):
+    start = time.monotonic()
+    res = run(runner, "counterexample", "--name", name, "--depth", str(cap))
+    assert time.monotonic() - start < 3.0
+    assert res.exit_code == 1
+    assert_bad_input(run(runner, "counterexample", "--name", name, "--depth", str(cap + 1)))
+
+
+def test_laws_report_skipped_omega_laws(runner):
+    res = run(runner, "laws", "--instance", "nat", "--suite", "omega-valuation",
+              "--samples", "3", "--seed", "1")
+    assert res.exit_code == 0
+    data = json.loads(res.stdout)
+    assert data["trials"] == 30 and data["failures"] == []
+    assert set(data["skipped"]) == {"valuation_peel", "infinitary_distributivity",
+                                    "regrouping_invariance"}
+    assert set(data["skipped"].values()) == {"nat: no exact infinitary valuation"}
+    assert res.stderr.startswith("[omega-valuation:nat] 30 trials: ok; skipped valuation_peel")
+    # an instance with an exact infinitary valuation checks them all
+    res = run(runner, "laws", "--instance", "sup", "--suite", "omega-valuation",
+              "--samples", "3", "--seed", "1")
+    assert res.exit_code == 0 and "skipped" not in res.stdout + res.stderr
 
 
 def test_laws_rejects_samples_below_one(runner):

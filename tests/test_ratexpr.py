@@ -1,6 +1,8 @@
 """Expression syntax: parsing, printing, random generation, evaluation."""
 
 import random
+import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,3 +120,54 @@ def test_letters_of():
 def test_parse_inverts_to_text(seed, depth, kind):
     e = rx.random_expr(random.Random(seed), depth, kind=kind)
     assert rx.expr_equal(rx.parse(rx.to_text(e)), e)
+
+
+# The parser reads scalars on letters only, so the printer's ``k(x)`` for a
+# scaled compound x is checked by reading it as the k-fold sum of x.
+
+def _children(e):
+    return [getattr(e, f.name) for f in fields(e)]
+
+
+def _scale_compounds(e, rng):
+    """``e`` with some of its compound finitary sub-expressions scaled by 2 or 3."""
+    if isinstance(e, rx.Letter):
+        return e
+    out = type(e)(*(v if isinstance(v, int) else _scale_compounds(v, rng)
+                    for v in _children(e)))
+    if not rx.is_omega(out) and rng.random() < 0.3:
+        return rx.Scalar(rng.randrange(2, 4), out)
+    return out
+
+
+def _unfold(e):
+    """``e`` with each scaled compound k·x replaced by the sum x + … + x."""
+    if isinstance(e, rx.Letter):
+        return e
+    if isinstance(e, rx.Scalar) and not isinstance(e.arg, rx.Letter):
+        x = out = _unfold(e.arg)
+        for _ in range(e.coef - 1):
+            out = rx.Sum(out, x)
+        return out
+    return type(e)(*(v if isinstance(v, int) else _unfold(v) for v in _children(e)))
+
+
+def _unfold_text(text):
+    """Printed text with each ``k(x)`` spelt as the sum ``((x) + … + (x))``."""
+    m = re.search(r"(\d+)\(", text)
+    if m is None:
+        return text
+    depth, end = 1, m.end()
+    while depth:
+        depth += {"(": 1, ")": -1}.get(text[end], 0)
+        end += 1
+    summed = " + ".join([f"({_unfold_text(text[m.end():end - 1])})"] * int(m.group(1)))
+    return f"{text[:m.start()]}({summed}){_unfold_text(text[end:])}"
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32), st.integers(2, 5), st.sampled_from(["fin", "omega"]))
+def test_parse_inverts_to_text_with_scaled_compounds(seed, depth, kind):
+    rng = random.Random(seed)
+    e = _scale_compounds(rx.random_expr(rng, depth, kind=kind), rng)
+    assert rx.expr_equal(rx.parse(_unfold_text(rx.to_text(e))), _unfold(e)), rx.to_text(e)

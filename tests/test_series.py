@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from omegalg import core, valuation
 from omegalg.instances import make_instance
-from omegalg.series import (OmegaWord, SeriesCarrier, bounded_eq, cauchy_mul,
-                            parse_word, series_plus)
+from omegalg.series import (OmegaWord, Series, SeriesCarrier, _Factors, bounded_eq,
+                            cauchy_mul, parse_word, series_plus)
 
 
 # --- omega words -------------------------------------------------------------
@@ -246,6 +246,47 @@ def test_boolean_closure_series_match_dfa_language_ops(lang6):
             for w in core.words_up_to(("a", "b"), 6):
                 if w:
                     assert bool(op1.coeff(w)) == bool(op2.coeff(w)), (words_f, words_g, w)
+
+
+def test_language_coeff_matches_dfa_past_the_bound(lang6):
+    """Past the bound (6 here) a language element's coefficients come from
+    walks of its DFA over the query's factors; each must be the DFA's run."""
+    rng = random.Random(43)
+    long_word = "".join(rng.choice("ab") for _ in range(200))
+    words = [w for w in core.words_up_to(("a", "b"), 9) if len(w) > 6] + [long_word]
+    a, b = lang6.language("a"), lang6.language("b")
+    elements = [lang6.plus(lang6.add(a, b)), lang6.plus(lang6.language("ab", "b"))]
+    elements += [lang6.sample(rng) for _ in range(8)]
+    seen = set()
+    for f in elements:
+        d = f.backing
+        for w in words:
+            assert f.coeff(w) == d.run(w), (lang6.show(f), w)
+            seen.add(f.coeff(w))
+        w = long_word[:14]
+        table = f.table_on(_Factors(w))
+        for u in {w[i:j] for i in range(len(w)) for j in range(i + 1, len(w) + 1)}:
+            assert table.get(u, False) == d.run(u), (lang6.show(f), u)
+    assert seen == {True, False}
+
+
+def test_series_builds_its_table_on_first_query_only():
+    natw = valuation.from_carrier(make_instance("nat"))
+    sc = SeriesCarrier(natw, ("a", "b"), bound=4)
+    calls = []
+
+    def build(L, only):
+        calls.append(L)
+        return {"a": 1}
+
+    f = Series(natw, ("a", "b"), 4, build)
+    g = sc.plus(sc.add(sc.mul(f, f), sc.nat_act(2, f)))
+    sc.mul(Series(natw, ("a", "b"), 4, build), f)   # never queried: never built
+    assert calls == []
+    assert g.coeff("aa") == 5 and calls == [4]     # 1·aa + (2a)(2a), f built once
+    assert f.table == {"a": 1} and calls == [4]
+    # the table read from outside is built, never the empty placeholder
+    assert Series(natw, ("a", "b"), 4, build).table == {"a": 1} and calls == [4, 4]
 
 
 def test_language_group_identities_small(lang6, lang_pair6):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from omegalg import valuation as V
 from omegalg.instances import INF, make_instance
 from omegalg.valuation import WeightedSeq
@@ -105,17 +106,17 @@ def test_val_omega_matches_truncation(insts):
     disc = V.make_valuation_instance("disc", lam=0.5)
     seq = WeightedSeq(((2, 3.0),), ((1, 1.0), (2, 0.5)))
     exact = disc.val_omega(seq).value
-    result = disc.val_omega(seq, ("truncate", 40))
+    result = oracles.truncated_discounted_sum(disc, seq, 40)
     assert abs(result.value - exact) <= result.error_bound + 1e-12
 
 
 def test_disc_truncation_bounds_decrease():
     disc = V.make_valuation_instance("disc", lam=0.5)
     seq = WeightedSeq((), ((1, 1.0),))
-    bounds = [disc.val_omega(seq, ("truncate", n)).error_bound for n in (2, 4, 8, 16)]
+    bounds = [oracles.truncated_discounted_sum(disc, seq, n).error_bound for n in (2, 4, 8, 16)]
     assert all(b1 > b2 for b1, b2 in zip(bounds, bounds[1:]))
     for n in (2, 4, 8, 16):
-        r = disc.val_omega(seq, ("truncate", n))
+        r = oracles.truncated_discounted_sum(disc, seq, n)
         assert abs(r.value - 2.0) <= r.error_bound + 1e-12
 
 
@@ -150,7 +151,7 @@ def test_regroup_shapes(insts):
     g = seq.regroup(2, sup)
     assert sum(n for n, _ in g.prefix) == 2       # rounded up to a group boundary
     assert sum(n for n, _ in g.block) == 8        # whole groups of length 2
-    assert sup.val_omega(seq).value == sup.val_omega(g, "exact").value == 4.0
+    assert sup.val_omega(seq).value == sup.val_omega(g).value == 4.0
 
 
 def test_weighted_seq_validation():
