@@ -1,107 +1,22 @@
-"""Small boolean-automaton kit.
+"""Minimal DFAs for epsilon-free regular languages.
 
 Backs the regular-language carrier; the omega-power fingerprints of
-``omegalang`` run on the weighted automata lasso kernel instead.
-States are integers, state sets are int bitmasks, so everything here works
-on arbitrary sizes without extra dependencies.  Languages are always
-epsilon-free: constructions never make a start state accepting.
+``omegalang`` run on the weighted automata lasso kernel instead.  A nonempty
+language is a trimmed minimal DFA: every state reaches acceptance, a missing
+transition goes to the implicit dead state, and the start state never
+accepts; the empty language is one state that accepts nothing.  Union,
+concatenation and plus are each built in one exploration over the fixed
+letter order, on pairs of states, on a left state with a set of right
+states, and on sets of states (int bitmasks), and the result is minimised by
+Hopcroft's refinement.  A finite set of words is its trie.  Minimal DFAs are
+numbered breadth-first from the start in letter order, so equal languages
+give equal DFAs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-def bits(mask: int):
-    """Indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def step_mask(steps, mask: int, letter: str) -> int:
-    out = 0
-    for s in bits(mask):
-        out |= steps[s].get(letter, 0)
-    return out
-
-
-@dataclass
-class Nfa:
-    alphabet: tuple
-    n: int
-    start: int       # bitmask
-    accept: int      # bitmask
-    steps: list      # per state: dict letter -> bitmask
-
-    def run(self, word: str) -> bool:
-        mask = self.start
-        for ch in word:
-            mask = step_mask(self.steps, mask, ch)
-            if not mask:
-                return False
-        return bool(mask & self.accept)
-
-
-def nfa_from_words(alphabet, words) -> Nfa:
-    """Trie-shaped automaton for a finite set of nonempty words."""
-    steps = [dict()]
-    accept = 0
-    trie = {(): 0}
-    for w in words:
-        if not w:
-            raise ValueError("languages here are proper: no empty word")
-        node = ()
-        for ch in w:
-            nxt = node + (ch,)
-            if nxt not in trie:
-                trie[nxt] = len(steps)
-                steps.append(dict())
-            steps[trie[node]][ch] = steps[trie[node]].get(ch, 0) | (1 << trie[nxt])
-            node = nxt
-        accept |= 1 << trie[node]
-    return Nfa(tuple(alphabet), len(steps), 1, accept, steps)
-
-
-def _shift_steps(steps, offset):
-    return [{ch: m << offset for ch, m in d.items()} for d in steps]
-
-
-def nfa_union(a: Nfa, b: Nfa) -> Nfa:
-    steps = [dict(d) for d in a.steps] + _shift_steps(b.steps, a.n)
-    return Nfa(a.alphabet, a.n + b.n, a.start | (b.start << a.n),
-               a.accept | (b.accept << a.n), steps)
-
-
-def _start_out(nfa: Nfa):
-    out = {}
-    for s in bits(nfa.start):
-        for ch, m in nfa.steps[s].items():
-            out[ch] = out.get(ch, 0) | m
-    return out
-
-
-def nfa_concat(a: Nfa, b: Nfa) -> Nfa:
-    """Concatenation with both parts nonempty (epsilon-free bridging)."""
-    steps = [dict(d) for d in a.steps] + _shift_steps(b.steps, a.n)
-    b_out = {ch: m << a.n for ch, m in _start_out(b).items()}
-    for s in bits(a.accept):
-        for ch, m in b_out.items():
-            steps[s][ch] = steps[s].get(ch, 0) | m
-    return Nfa(a.alphabet, a.n + b.n, a.start, b.accept << a.n, steps)
-
-
-def nfa_plus(a: Nfa) -> Nfa:
-    steps = [dict(d) for d in a.steps]
-    out = _start_out(a)
-    for s in bits(a.accept):
-        for ch, m in out.items():
-            steps[s][ch] = steps[s].get(ch, 0) | m
-    return Nfa(a.alphabet, a.n, a.start, a.accept, steps)
-
-
-# --- determinisation / minimisation ------------------------------------------
 
 @dataclass
 class Dfa:
@@ -119,98 +34,194 @@ class Dfa:
                 return False
         return s in self.accept
 
-    def step(self, state, ch):
-        if state is None:
-            return None
-        return self.delta[state].get(ch)
+
+def empty(alphabet) -> Dfa:
+    return Dfa(tuple(alphabet), 1, 0, frozenset(), [dict()])
 
 
-def determinize(nfa: Nfa) -> Dfa:
-    index = {nfa.start: 0}
-    delta = [dict()]
-    accept = set()
-    if nfa.start & nfa.accept:
-        accept.add(0)
-    work = [nfa.start]
-    while work:
-        mask = work.pop()
-        i = index[mask]
-        letters = set()
-        for s in bits(mask):
-            letters.update(nfa.steps[s].keys())
-        for ch in letters:
-            nxt = step_mask(nfa.steps, mask, ch)
-            if not nxt:
-                continue
-            if nxt not in index:
-                index[nxt] = len(delta)
+def from_words(alphabet, words) -> Dfa:
+    """The minimal DFA of a finite set of nonempty words, from their trie."""
+    delta, accept, letters = [dict()], set(), set(alphabet)
+    for w in words:
+        if not w:
+            raise ValueError("languages here are proper: no empty word")
+        if not letters.issuperset(w):
+            raise ValueError(f"{w!r} has a letter outside the alphabet")
+        s = 0
+        for ch in w:
+            t = delta[s].get(ch)
+            if t is None:
+                t = delta[s][ch] = len(delta)
                 delta.append(dict())
-                if nxt & nfa.accept:
-                    accept.add(index[nxt])
-                work.append(nxt)
-            delta[i][ch] = index[nxt]
-    return Dfa(nfa.alphabet, len(delta), 0, frozenset(accept), delta)
+            s = t
+        accept.add(s)
+    return minimize(Dfa(tuple(alphabet), len(delta), 0, frozenset(accept), delta))
+
+
+def _explore(alphabet, start, step, accepting) -> Dfa:
+    """Minimal DFA of the states reachable from ``start``; ``step`` gives the
+    successor of a state on a letter, None for the dead state."""
+    index, states, delta = {start: 0}, [start], []
+    for key in states:                   # grows as new states are found
+        row = {}
+        for ch in alphabet:
+            nxt = step(key, ch)
+            if nxt is not None:
+                t = index.get(nxt)
+                if t is None:
+                    t = index[nxt] = len(states)
+                    states.append(nxt)
+                row[ch] = t
+        delta.append(row)
+    accept = frozenset(i for i, key in enumerate(states) if accepting(key))
+    return minimize(Dfa(alphabet, len(states), 0, accept, delta))
+
+
+def _subset_step(d: Dfa):
+    """step(mask, ch, again): the set of states ``d`` reaches from ``mask``
+    on ch, with the first step out of the start as well when ``again``."""
+    bit = {ch: [1 << row[ch] if ch in row else 0 for row in d.delta] for ch in d.alphabet}
+
+    def step(mask, ch, again):
+        succ = bit[ch]
+        out = succ[d.start] if again else 0
+        while mask:
+            low = mask & -mask
+            out |= succ[low.bit_length() - 1]
+            mask ^= low
+        return out
+    return step
+
+
+def union(a: Dfa, b: Dfa) -> Dfa:
+    """Product on pairs of states; None is the dead state of either side."""
+    if a == b or not b.accept:           # minimal DFAs of equal languages are equal
+        return a
+    if not a.accept:
+        return b
+    da, db = a.delta, b.delta
+
+    def step(key, ch):
+        p, q = key
+        p = None if p is None else da[p].get(ch)
+        q = None if q is None else db[q].get(ch)
+        return None if p is None and q is None else (p, q)
+    return _explore(a.alphabet, (a.start, b.start), step,
+                    lambda key: key[0] in a.accept or key[1] in b.accept)
+
+
+def concat(a: Dfa, b: Dfa) -> Dfa:
+    """States (p, S): p a state of ``a`` (or None), S the states of ``b``
+    reached so far; b's first step joins S whenever p accepts."""
+    da, sub, b_acc = a.delta, _subset_step(b), sum(1 << s for s in b.accept)
+
+    def step(key, ch):
+        p, mask = key
+        mask = sub(mask, ch, p in a.accept)
+        p = None if p is None else da[p].get(ch)
+        return None if p is None and not mask else (p, mask)
+    return _explore(a.alphabet, (a.start, 0), step, lambda key: key[1] & b_acc)
+
+
+def plus(a: Dfa) -> Dfa:
+    """Subsets of a's states; from an accepting subset a's first step is
+    taken again."""
+    sub, acc = _subset_step(a), sum(1 << s for s in a.accept)
+    return _explore(a.alphabet, 1 << a.start, lambda mask, ch: sub(mask, ch, mask & acc) or None,
+                    lambda mask: mask & acc)
 
 
 def minimize(dfa: Dfa) -> Dfa:
-    """Moore partition refinement; the dead state stays implicit."""
-    n = dfa.n
-    # class -1 is the implicit dead state; never merged with live states
-    cls = [1 if s in dfa.accept else 0 for s in range(n)]
-    while True:
-        sig = {}
-        new = [0] * n
-        for s in range(n):
-            key = (cls[s], tuple(sorted(
-                (ch, cls[t] if t is not None else -1)
-                for ch, t in dfa.delta[s].items())))
-            if key not in sig:
-                sig[key] = len(sig)
-            new[s] = sig[key]
-        if new == cls:
+    """Hopcroft's refinement (Hopcroft 1971), O(n k log n) for k letters, on
+    the DFA completed by a dead sink.  States that cannot reach acceptance
+    end in the sink's class and are dropped; the result is numbered
+    breadth-first from the start."""
+    n, alphabet, delta = dfa.n, dfa.alphabet, dfa.delta
+    dead = n
+    inv = [[[] for _ in range(n + 1)] for _ in alphabet]   # per letter: target -> sources
+    for s, row in enumerate(delta):
+        for pre, ch in zip(inv, alphabet):
+            pre[row.get(ch, dead)].append(s)
+    for pre in inv:
+        pre[dead].append(dead)
+    acc = set(dfa.accept)
+    rest = set(range(n + 1)) - acc
+    blocks, block = [acc, rest], [1] * (n + 1)
+    for s in acc:
+        block[s] = 0
+    # the smaller part of each split is queued under every letter, which
+    # covers both of Hopcroft's cases (splitter queued or not)
+    work = [0 if len(acc) <= len(rest) else 1]
+    while work:
+        b = work.pop()
+        for pre in inv:
+            touched = {}
+            for t in blocks[b]:
+                for s in pre[t]:
+                    touched.setdefault(block[s], []).append(s)
+            for y, xs in touched.items():
+                whole = blocks[y]
+                if len(xs) == len(whole):
+                    continue
+                if 2 * len(xs) <= len(whole):
+                    part = set(xs)
+                    whole -= part
+                else:
+                    part = whole.difference(xs)
+                    whole.intersection_update(xs)
+                new = len(blocks)
+                blocks.append(part)
+                for s in part:
+                    block[s] = new
+                work.append(new)
+    sink, start = block[dead], block[dfa.start]
+    if start == sink:
+        return empty(alphabet)
+    order, queue, out, accept = {start: 0}, [start], [], set()
+    for c in queue:                      # grows as new classes are found
+        rep = next(iter(blocks[c]))
+        row = {}
+        for ch in alphabet:
+            t = delta[rep].get(ch)
+            if t is not None and block[t] != sink:
+                t = block[t]
+                if t not in order:
+                    order[t] = len(queue)
+                    queue.append(t)
+                row[ch] = order[t]
+        out.append(row)
+        if rep in dfa.accept:
+            accept.add(len(out) - 1)
+    return Dfa(alphabet, len(queue), 0, frozenset(accept), out)
+
+
+def agree_up_to(a: Dfa, b: Dfa, bound: int) -> bool:
+    """Whether ``a`` and ``b`` accept the same words of length <= bound.
+
+    Breadth-first over the pairs of states both reach (None is the dead
+    state): the languages differ within the bound exactly when a pair first
+    reached at length 1..bound disagrees on acceptance.  Each pair is
+    expanded once, so the walk costs O(|a| |b| k) whatever the bound.
+    """
+    da, db = a.delta, b.delta
+    pair = (a.start, b.start)
+    seen, frontier = {pair}, [pair]
+    for _ in range(bound):
+        nxt = []
+        for p, q in frontier:
+            for ch in a.alphabet:
+                pair = (None if p is None else da[p].get(ch),
+                        None if q is None else db[q].get(ch))
+                if pair in seen or pair == (None, None):
+                    continue
+                if (pair[0] in a.accept) != (pair[1] in b.accept):
+                    return False
+                seen.add(pair)
+                nxt.append(pair)
+        if not nxt:
             break
-        cls = new
-    nclasses = max(cls) + 1 if n else 0
-    delta = [dict() for _ in range(nclasses)]
-    accept = set()
-    for s in range(n):
-        c = cls[s]
-        if s in dfa.accept:
-            accept.add(c)
-        for ch, t in dfa.delta[s].items():
-            delta[c][ch] = cls[t]
-    # drop states that cannot reach an accepting state
-    live = set(accept)
-    changed = True
-    while changed:
-        changed = False
-        for s in range(nclasses):
-            if s in live:
-                continue
-            if any(t in live for t in delta[s].values()):
-                live.add(s)
-                changed = True
-    if cls and cls[dfa.start] not in live:
-        return Dfa(dfa.alphabet, 1, 0, frozenset(), [dict()])
-    remap = {}
-    for s in range(nclasses):
-        if s in live:
-            remap[s] = len(remap)
-    delta2 = [dict() for _ in remap]
-    for s, i in remap.items():
-        for ch, t in delta[s].items():
-            if t in live:
-                delta2[i][ch] = remap[t]
-    accept2 = frozenset(remap[s] for s in accept)
-    return Dfa(dfa.alphabet, len(remap), remap[cls[dfa.start]], accept2, delta2)
-
-
-def dfa_to_nfa(dfa: Dfa) -> Nfa:
-    steps = [{ch: 1 << t for ch, t in d.items()} for d in dfa.delta]
-    accept = 0
-    for s in dfa.accept:
-        accept |= 1 << s
-    return Nfa(dfa.alphabet, dfa.n, 1 << dfa.start, accept, steps)
+        frontier = nxt
+    return True
 
 
 def dfa_is_empty(dfa: Dfa) -> bool:

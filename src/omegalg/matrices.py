@@ -113,7 +113,7 @@ def _require_square(m: Matrix):
 
 # --- the elimination pass ------------------------------------------------------
 
-def _eliminate(c, m: Matrix, pair: HemimodulePair = None, k=None):
+def _eliminate(c, m: Matrix, pair: HemimodulePair = None, k=None, with_plus=True):
     """(M^+, omega column accepting rows < k, or None without a pair).
 
     Gauss-Jordan (Lehmann 1977): rows join a solved block V one at a time,
@@ -124,6 +124,7 @@ def _eliminate(c, m: Matrix, pair: HemimodulePair = None, k=None):
         M^omega = [top, V*u top + V^omega],  top = a* (y V^omega) + a^omega
     where the column is zero while no row of the block accepts (i >= k).
     O(n^3) carrier operations; entries that are the zero object are skipped.
+    Without ``with_plus`` the last step builds no M^+ rows and M^+ is None.
     """
     _require_square(m)
     n = m.rows
@@ -133,12 +134,7 @@ def _eliminate(c, m: Matrix, pair: HemimodulePair = None, k=None):
     block, vp, col = [], [], []               # rows of V, V^+ and V^omega
     for i in list(range(k, n)) + list(range(k - 1, -1, -1)):
         y, u = [e[i][b] for b in block], [e[b][i] for b in block]
-        yv, vu = list(y), list(u)                 # y V* and V* u
-        for r, w in enumerate(y):
-            if w is not zero:
-                for j, p in enumerate(vp[r]):
-                    if p is not zero:
-                        yv[j] = add(yv[j], mul(w, p))
+        vu = list(u)                              # V* u
         for j, w in enumerate(u):
             if w is not zero:
                 for r, row in enumerate(vp):
@@ -151,6 +147,15 @@ def _eliminate(c, m: Matrix, pair: HemimodulePair = None, k=None):
         ap = c.plus(a)
         if pair is not None:
             col = _omega_step(pair, y, vu, col, a, ap) if i < k else [pair.module.zero] + col
+        if not with_plus and len(block) == n - 1:
+            block = [i] + block
+            break
+        yv = list(y)                              # y V*
+        for r, w in enumerate(y):
+            if w is not zero:
+                for j, p in enumerate(vp[r]):
+                    if p is not zero:
+                        yv[j] = add(yv[j], mul(w, p))
         rows = [[ap] + [add(mul(ap, h), h) if h is not zero else h for h in yv]]  # a* yV*
         yv_nz = [(j, h) for j, h in enumerate(yv) if h is not zero]
         for g, row in zip(vu, vp):
@@ -162,7 +167,7 @@ def _eliminate(c, m: Matrix, pair: HemimodulePair = None, k=None):
             rows.append(row)
         block, vp = [i] + block, rows
     at = sorted(range(n), key=block.__getitem__)  # position of each row in V
-    plus = Matrix(tuple(tuple(vp[p][q] for q in at) for p in at))
+    plus = Matrix(tuple(tuple(vp[p][q] for q in at) for p in at)) if with_plus else None
     return plus, tuple(col[p] for p in at) if pair is not None else None
 
 
@@ -250,7 +255,7 @@ def mat_omega(pair: HemimodulePair, m: Matrix, split=None) -> tuple:
     H, V = pair.hemiring, pair.module
     n = m.rows
     if split is None or n == 1:
-        return _eliminate(H, m, pair)[1]
+        return _eliminate(H, m, pair, with_plus=False)[1]
     if not 1 <= split < n:
         raise ValueError("split must satisfy 1 <= split < n")
     x, y, u, v = _blocks(m, split)
@@ -279,7 +284,7 @@ def mat_omega_k(pair: HemimodulePair, m: Matrix, k: int) -> tuple:
         raise ValueError("need 0 <= k <= n")
     if k == 0:
         return (pair.module.zero,) * m.rows
-    return _eliminate(pair.hemiring, m, pair, k)[1]
+    return _eliminate(pair.hemiring, m, pair, k, with_plus=False)[1]
 
 
 # --- permutations ------------------------------------------------------------------

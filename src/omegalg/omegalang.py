@@ -87,6 +87,29 @@ class OmegaLangMonoid(CommutativeMonoid):
         return w in a
 
 
+@lru_cache(maxsize=None)
+def _act_table(alphabet: tuple, stem_max, period_max):
+    """Per canonical lasso w: (w, letters, nxt, rest, restart).
+
+    ``letters`` is prefix + period; after reading letter i the scan goes on
+    at ``nxt[i]`` (the loop restarts at ``restart``, the prefix length), and
+    ``rest[i]`` is the member of the family that remains.  Every suffix of a
+    canonical lasso is canonical, so it is looked up, never normalised.
+    """
+    lassos = [w for group in canonical_lassos(alphabet, stem_max, period_max).values()
+              for w in group]
+    family = {(w.prefix, w.period): w for w in lassos}
+    table = []
+    for w in lassos:
+        u, v = w.prefix, w.period
+        letters, restart = u + v, len(u)
+        nxt = tuple(range(1, len(letters))) + (restart,)
+        rest = tuple(family[(u[j:], v) if j < restart else ("", v[j - restart:] + v[:j - restart])]
+                     for j in nxt)
+        table.append((w, letters, nxt, rest, restart))
+    return tuple(table)
+
+
 def act_language(lang, fp, monoid: OmegaLangMonoid) -> frozenset:
     """Left action: { p·w : p in lang, w in fp }, evaluated on the canonical lassos.
 
@@ -95,25 +118,23 @@ def act_language(lang, fp, monoid: OmegaLangMonoid) -> frozenset:
     pair repeats, which makes the unbounded split search finite and exact.
     """
     d = lang.backing
-    out = set()
-    for w in monoid.lassos:
-        state = d.start
-        seen = set()
-        m = len(w.period)
-        pos = 0
+    delta, accept = d.delta, d.accept
+    out = []
+    for w, letters, nxt, rest, restart in _act_table(monoid.alphabet, monoid.stem_max,
+                                                     monoid.period_max):
+        state, i, seen = d.start, 0, set()
         while True:
-            state = d.step(state, w.letter_at(pos))
-            pos += 1
+            state = delta[state].get(letters[i])
             if state is None:
                 break
-            if state in d.accept and w.suffix(pos) in fp:
-                out.add(w)
+            if state in accept and rest[i] in fp:
+                out.append(w)
                 break
-            if pos >= len(w.prefix):
-                key = ((pos - len(w.prefix)) % m, state)
-                if key in seen:
+            i = nxt[i]
+            if i >= restart:
+                if (i, state) in seen:
                     break
-                seen.add(key)
+                seen.add((i, state))
     return frozenset(out)
 
 

@@ -469,20 +469,20 @@ def nat_series_instance(alphabet=("a", "b"), bound=DEFAULT_BOUND) -> SeriesCarri
 
 # --- the regular-language instance ----------------------------------------------------
 #
-# Elements are proper boolean series backed by minimised DFAs, which keeps
+# Elements are proper boolean series backed by minimal DFAs, which keeps
 # coefficient queries at O(|w|) and makes the omega-side (lasso) analysis of
-# the hemimodule pair cheap.  Equality stays the bounded coefficient check,
-# on the accepted words the DFA enumerates up to the bound.
+# the hemimodule pair cheap.  Sum, product and plus build the minimal DFA of
+# the result from the operands' DFAs.  Equality is bounded like every series
+# carrier's, decided by one walk over the pairs of states the two DFAs reach.
 
 class LanguageCarrier(SeriesCarrier):
     """Epsilon-free regular languages as a Conway hemiring (no unit)."""
 
     def __init__(self, alphabet=("a", "b"), bound=DEFAULT_BOUND):
         super().__init__(from_carrier(BooleanCarrier()), alphabet, bound, name="lang")
-        self.zero = self._from_dfa(
-            dfalib.Dfa(self.alphabet, 1, 0, frozenset(), [dict()]))
+        self.zero = self._from_dfa(dfalib.empty(self.alphabet))
 
-    # every element carries a minimised DFA in ``backing``
+    # every element carries a minimal DFA in ``backing``
     def _from_dfa(self, d: dfalib.Dfa) -> Series:
         def build(L, only):
             if only is None:
@@ -500,14 +500,11 @@ class LanguageCarrier(SeriesCarrier):
 
         return Series(self.weights, self.alphabet, self.bound, build, backing=d)
 
-    def _from_nfa(self, nfa: dfalib.Nfa) -> Series:
-        return self._from_dfa(dfalib.minimize(dfalib.determinize(nfa)))
-
     def poly(self, table) -> Series:
         words = [w for w, v in table.items() if v]
         if not words:
             return self.zero
-        return self._from_nfa(dfalib.nfa_from_words(self.alphabet, words))
+        return self._from_dfa(dfalib.from_words(self.alphabet, words))
 
     def language(self, *words) -> Series:
         return self.poly({w: True for w in words})
@@ -522,19 +519,22 @@ class LanguageCarrier(SeriesCarrier):
         return f if n else self.zero
 
     def add(self, f, g):
-        return self._from_nfa(dfalib.nfa_union(dfalib.dfa_to_nfa(f.backing),
-                                               dfalib.dfa_to_nfa(g.backing)))
+        return self._from_dfa(dfalib.union(f.backing, g.backing))
 
     def mul(self, f, g):
         if dfalib.dfa_is_empty(f.backing) or dfalib.dfa_is_empty(g.backing):
             return self.zero
-        return self._from_nfa(dfalib.nfa_concat(dfalib.dfa_to_nfa(f.backing),
-                                                dfalib.dfa_to_nfa(g.backing)))
+        return self._from_dfa(dfalib.concat(f.backing, g.backing))
 
     def plus(self, f):
         if dfalib.dfa_is_empty(f.backing):
             return self.zero
-        return self._from_nfa(dfalib.nfa_plus(dfalib.dfa_to_nfa(f.backing)))
+        return self._from_dfa(dfalib.plus(f.backing))
+
+    def eq(self, f, g):
+        if f.alphabet != g.alphabet:
+            raise ValueError("alphabet mismatch")
+        return dfalib.agree_up_to(f.backing, g.backing, self.bound)
 
     def show(self, f):
         words = dfalib.enumerate_words(f.backing, 4, limit=7)

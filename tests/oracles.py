@@ -8,7 +8,9 @@ cycle enumeration.  The exceptions are routes the library no longer takes,
 kept as cross-checks of the code that replaced them: the matrix route to
 finitary coefficients (alpha · M^+ · beta over the series carrier), the
 block form of the omega column with acceptance restricted to the first k
-rows, and the per-lasso product at the end, with its Bellman value
+rows, the NFA route to language operations (subset construction and
+Moore minimisation) with the letter-by-letter left action of a language on
+lassos, and the per-lasso product at the end, with its Bellman value
 iteration and a truncated discounted sum: the textbook approximations,
 with error bounds, of the exact discounted values the library computes.
 """
@@ -258,6 +260,249 @@ def plus_language(a, max_len):
                     if len(u) + len(v) <= max_len} - out
         out |= frontier
     return {w for w in out if len(w) <= max_len}
+
+
+# --- languages through NFAs ---------------------------------------------------------------
+#
+# The language carrier's former route: each operation turned its operands
+# into NFAs, joined them (union, epsilon-free concatenation and plus bridge
+# accepting states to the first step), determinised the result by subsets and
+# minimised it with Moore's refinement.  The left action walked each lasso
+# letter by letter, normalising every suffix.  The library now builds minimal
+# DFAs directly, minimises with Hopcroft and scans a precomputed lasso table;
+# these are their cross-checks.
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _step_mask(steps, mask: int, letter: str) -> int:
+    out = 0
+    for s in _bits(mask):
+        out |= steps[s].get(letter, 0)
+    return out
+
+
+@dataclass
+class Nfa:
+    alphabet: tuple
+    n: int
+    start: int       # bitmask
+    accept: int      # bitmask
+    steps: list      # per state: dict letter -> bitmask
+
+    def run(self, word: str) -> bool:
+        mask = self.start
+        for ch in word:
+            mask = _step_mask(self.steps, mask, ch)
+            if not mask:
+                return False
+        return bool(mask & self.accept)
+
+
+def nfa_from_words(alphabet, words) -> Nfa:
+    """Trie-shaped automaton for a finite set of nonempty words."""
+    steps = [dict()]
+    accept = 0
+    trie = {(): 0}
+    for w in words:
+        node = ()
+        for ch in w:
+            nxt = node + (ch,)
+            if nxt not in trie:
+                trie[nxt] = len(steps)
+                steps.append(dict())
+            steps[trie[node]][ch] = steps[trie[node]].get(ch, 0) | (1 << trie[nxt])
+            node = nxt
+        accept |= 1 << trie[node]
+    return Nfa(tuple(alphabet), len(steps), 1, accept, steps)
+
+
+def _shift_steps(steps, offset):
+    return [{ch: m << offset for ch, m in d.items()} for d in steps]
+
+
+def _start_out(nfa: Nfa):
+    out = {}
+    for s in _bits(nfa.start):
+        for ch, m in nfa.steps[s].items():
+            out[ch] = out.get(ch, 0) | m
+    return out
+
+
+def nfa_union(a: Nfa, b: Nfa) -> Nfa:
+    steps = [dict(d) for d in a.steps] + _shift_steps(b.steps, a.n)
+    return Nfa(a.alphabet, a.n + b.n, a.start | (b.start << a.n),
+               a.accept | (b.accept << a.n), steps)
+
+
+def nfa_concat(a: Nfa, b: Nfa) -> Nfa:
+    """Concatenation with both parts nonempty (epsilon-free bridging)."""
+    steps = [dict(d) for d in a.steps] + _shift_steps(b.steps, a.n)
+    b_out = {ch: m << a.n for ch, m in _start_out(b).items()}
+    for s in _bits(a.accept):
+        for ch, m in b_out.items():
+            steps[s][ch] = steps[s].get(ch, 0) | m
+    return Nfa(a.alphabet, a.n + b.n, a.start, b.accept << a.n, steps)
+
+
+def nfa_plus(a: Nfa) -> Nfa:
+    steps = [dict(d) for d in a.steps]
+    out = _start_out(a)
+    for s in _bits(a.accept):
+        for ch, m in out.items():
+            steps[s][ch] = steps[s].get(ch, 0) | m
+    return Nfa(a.alphabet, a.n, a.start, a.accept, steps)
+
+
+def dfa_to_nfa(dfa) -> Nfa:
+    steps = [{ch: 1 << t for ch, t in d.items()} for d in dfa.delta]
+    accept = 0
+    for s in dfa.accept:
+        accept |= 1 << s
+    return Nfa(dfa.alphabet, dfa.n, 1 << dfa.start, accept, steps)
+
+
+def determinize(nfa: Nfa):
+    from omegalg.dfa import Dfa
+
+    index = {nfa.start: 0}
+    delta = [dict()]
+    accept = set()
+    if nfa.start & nfa.accept:
+        accept.add(0)
+    work = [nfa.start]
+    while work:
+        mask = work.pop()
+        i = index[mask]
+        letters = set()
+        for s in _bits(mask):
+            letters.update(nfa.steps[s].keys())
+        for ch in letters:
+            nxt = _step_mask(nfa.steps, mask, ch)
+            if not nxt:
+                continue
+            if nxt not in index:
+                index[nxt] = len(delta)
+                delta.append(dict())
+                if nxt & nfa.accept:
+                    accept.add(index[nxt])
+                work.append(nxt)
+            delta[i][ch] = index[nxt]
+    return Dfa(nfa.alphabet, len(delta), 0, frozenset(accept), delta)
+
+
+def moore_minimize(dfa):
+    """Moore partition refinement; the dead state stays implicit.  Minimal
+    when every state reaches acceptance (so no live state is dead), which
+    holds for every DFA the NFA route determinises."""
+    from omegalg.dfa import Dfa
+
+    n = dfa.n
+    # class -1 is the implicit dead state; never merged with live states
+    cls = [1 if s in dfa.accept else 0 for s in range(n)]
+    while True:
+        sig = {}
+        new = [0] * n
+        for s in range(n):
+            key = (cls[s], tuple(sorted(
+                (ch, cls[t] if t is not None else -1)
+                for ch, t in dfa.delta[s].items())))
+            if key not in sig:
+                sig[key] = len(sig)
+            new[s] = sig[key]
+        if new == cls:
+            break
+        cls = new
+    nclasses = max(cls) + 1 if n else 0
+    delta = [dict() for _ in range(nclasses)]
+    accept = set()
+    for s in range(n):
+        c = cls[s]
+        if s in dfa.accept:
+            accept.add(c)
+        for ch, t in dfa.delta[s].items():
+            delta[c][ch] = cls[t]
+    # drop states that cannot reach an accepting state
+    live = set(accept)
+    changed = True
+    while changed:
+        changed = False
+        for s in range(nclasses):
+            if s in live:
+                continue
+            if any(t in live for t in delta[s].values()):
+                live.add(s)
+                changed = True
+    if cls and cls[dfa.start] not in live:
+        return Dfa(dfa.alphabet, 1, 0, frozenset(), [dict()])
+    remap = {}
+    for s in range(nclasses):
+        if s in live:
+            remap[s] = len(remap)
+    delta2 = [dict() for _ in remap]
+    for s, i in remap.items():
+        for ch, t in delta[s].items():
+            if t in live:
+                delta2[i][ch] = remap[t]
+    accept2 = frozenset(remap[s] for s in accept)
+    return Dfa(dfa.alphabet, len(remap), remap[cls[dfa.start]], accept2, delta2)
+
+
+NFA_OPS = {"add": nfa_union, "mul": nfa_concat, "plus": nfa_plus}
+
+
+def language_op(op, *dfas):
+    """The minimal DFA of a language operation by the NFA route."""
+    return moore_minimize(determinize(NFA_OPS[op](*map(dfa_to_nfa, dfas))))
+
+
+def canonical_dfa(dfa):
+    """(accepting flags, transitions) of a DFA's reachable part, numbered
+    breadth-first from the start in letter order: equal exactly when the
+    two DFAs are isomorphic."""
+    order, queue, rows = {dfa.start: 0}, [dfa.start], []
+    while len(rows) < len(queue):
+        s = queue[len(rows)]
+        row = []
+        for ch in dfa.alphabet:
+            t = dfa.delta[s].get(ch)
+            if t is not None and t not in order:
+                order[t] = len(queue)
+                queue.append(t)
+            row.append(None if t is None else order[t])
+        rows.append(tuple(row))
+    return tuple(s in dfa.accept for s in queue), tuple(rows)
+
+
+def act_language_walk(lang, fp, monoid) -> frozenset:
+    """The left action of a language on a fingerprint, walking each lasso
+    with ``letter_at`` and normalising the suffix at each accepting state;
+    the scan stops when a (period position, DFA state) pair repeats."""
+    d = lang.backing
+    out = set()
+    for w in monoid.lassos:
+        state = d.start
+        seen = set()
+        m = len(w.period)
+        pos = 0
+        while True:
+            state = d.delta[state].get(w.letter_at(pos))
+            pos += 1
+            if state is None:
+                break
+            if state in d.accept and w.suffix(pos) in fp:
+                out.add(w)
+                break
+            if pos >= len(w.prefix):
+                key = ((pos - len(w.prefix)) % m, state)
+                if key in seen:
+                    break
+                seen.add(key)
+    return frozenset(out)
 
 
 # --- infinitary coefficients, one lasso product per query ---------------------------------

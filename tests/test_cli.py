@@ -255,6 +255,18 @@ def test_bound_below_one_rejected(runner):
                              "--bound", bound))
 
 
+@pytest.mark.parametrize("bound", ["15", "200"])
+def test_lang_laws_at_long_bounds_finish(runner, bound):
+    """Language equality walks pairs of DFA states once, so its cost does not
+    grow with the word-length bound."""
+    t0 = time.perf_counter()
+    res = run(runner, "laws", "--instance", "lang", "--suite", "conway-hemiring",
+              "--bound", bound)
+    elapsed = time.perf_counter() - t0
+    assert res.exit_code == 0 and json.loads(res.stdout)["failures"] == []
+    assert elapsed < 3.0, elapsed
+
+
 @pytest.mark.parametrize("name,depth", [
     ("avg-product-omega", "2"), ("avg-product-omega", "0"), ("avg-regroup", "-3"),
     ("avg-regroup", "0"), ("avg-regroup", "1"), ("avg-regroup", "2")])

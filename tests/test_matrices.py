@@ -332,3 +332,16 @@ def test_elimination_op_counts_grow_cubically(minplus):
     omega16, omega32, plus32 = ops("omega", 16), ops("omega", 32), ops("plus", 32)
     assert omega32 <= 8.5 * omega16, (omega16, omega32)
     assert omega32 <= 1.25 * plus32, (omega32, plus32)
+
+
+def test_omega_skips_the_last_plus_rows(minplus):
+    """Omega discards M^+, so its last elimination step builds no M^+ rows:
+    on a dense n = 16 matrix it takes fewer carrier operations than the full
+    pass and gives the same column."""
+    rng = random.Random(16)
+    m = M.mat([[rng.randrange(0, 7) for _ in range(16)] for _ in range(16)])
+    full, omega = _CountingCarrier(minplus), _CountingCarrier(minplus)
+    want = M._eliminate(full, m, self_pair(full))[1]
+    got = M.mat_omega(self_pair(omega), m)
+    assert got == want
+    assert omega.ops < full.ops, (omega.ops, full.ops)

@@ -122,6 +122,20 @@ def test_action_against_split_enumeration(lang_pair6):
             assert (w in acted) == expected, (str(w), cut)
 
 
+def test_action_matches_the_lasso_walk(lang_pair6):
+    """The table-driven action equals the letter-by-letter walk on all 352
+    lassos, for random languages and random fingerprints."""
+    pair = lang_pair6
+    H, Vm = pair.hemiring, pair.module
+    rng = random.Random(29)
+    for _ in range(40):
+        lang = H.sample(rng)
+        if rng.random() < 0.5:
+            lang = H.mul(lang, H.plus(H.sample(rng)))
+        fp = frozenset(rng.sample(Vm.lassos, rng.randrange(0, 120)))
+        assert pair.act(lang, fp) == oracles.act_language_walk(lang, fp, Vm), H.show(lang)
+
+
 def test_pair_laws_hold(lang_pair6):
     report = core.hemimodule_pair_laws(lang_pair6, trials=30)
     assert report.ok, report.failures[:3]

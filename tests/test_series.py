@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from omegalg import core, valuation
+from omegalg import core, series, valuation
 from omegalg.instances import make_instance
-from omegalg.series import (OmegaWord, Series, SeriesCarrier, _Factors, bounded_eq,
-                            cauchy_mul, parse_word, series_plus)
+from omegalg.series import (OmegaWord, Series, SeriesCarrier, _differing, _Factors,
+                            bounded_eq, cauchy_mul, parse_word, series_plus)
 
 
 # --- omega words -------------------------------------------------------------
@@ -268,6 +268,29 @@ def test_language_coeff_matches_dfa_past_the_bound(lang6):
         for u in {w[i:j] for i in range(len(w)) for j in range(i + 1, len(w) + 1)}:
             assert table.get(u, False) == d.run(u), (lang6.show(f), u)
     assert seen == {True, False}
+
+
+def test_language_eq_is_the_bounded_table_comparison():
+    """Language equality walks the pairs of DFA states; it gives the boolean
+    of comparing the two tables up to the bound, here on random pairs that
+    include near misses (one added word, up to the bound long)."""
+    rng = random.Random(44)
+    for bound in (1, 3, 6, 9):
+        lang = series.language_instance(("a", "b"), bound)
+        for _ in range(40):
+            f = lang.sample(rng)
+            r = rng.random()
+            if r < 0.4:
+                word = "".join(rng.choice("ab") for _ in range(rng.randrange(1, bound + 2)))
+                g = lang.add(f, lang.language(word))
+            elif r < 0.7:
+                g = lang.plus(f)
+            else:
+                g = lang.sample(rng)
+            assert lang.eq(f, g) == (next(_differing(f, g, bound), None) is None), \
+                (bound, lang.show(f), lang.show(g))
+    with pytest.raises(ValueError):
+        lang.eq(lang.zero, series.language_instance(("a", "b", "c")).zero)
 
 
 def test_series_builds_its_table_on_first_query_only():
