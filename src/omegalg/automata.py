@@ -308,9 +308,9 @@ def _max_cycle_mean(succ, comp: list) -> float:
 
 def _policy_values(policy, lam) -> dict:
     """Discounted value of every node under a positional policy (node ->
-    (target, weight)).  Each node's walk is a lasso: the nodes of its cycle
-    are valued by the closed form of the periodic sum, the rest by backing
-    up along the policy."""
+    (target, weight)).  Each node's walk is a lasso: the first node of its
+    cycle reached is valued by the closed form of the periodic sum, every
+    other node by backing up along the policy, in linear time."""
     valw = _disc_periodic(lam)
     value = {}
     for start in policy:
@@ -321,11 +321,8 @@ def _policy_values(policy, lam) -> dict:
             path.append(v)
             v = policy[v][0]
         if v in on_path:
-            cycle = path[on_path[v]:]
-            block = [(1, policy[u][1]) for u in cycle]
-            for r, u in enumerate(cycle):
-                value[u] = valw((), tuple(block[r:] + block[:r]))
-            del path[on_path[v]:]
+            value[v] = valw((), tuple((1, policy[u][1]) for u in path[on_path[v]:]))
+            del path[on_path[v]]
         for u in reversed(path):
             t, wgt = policy[u]
             value[u] = wgt + lam * value[t]

@@ -121,9 +121,17 @@ def _check_samples(samples):
         raise BadInput(f"--samples {samples}: a law check needs at least 1 trial")
 
 
-def _require_strategy(inst):
-    if inst.strategy is None:
-        raise BadInput(f"instance {inst.name!r} has no infinitary coefficients")
+def _print_coeff(inst, aut, w):
+    """Print the coefficient of ``aut``'s behavior at the finite or omega word ``w``."""
+    if isinstance(w, OmegaWord):
+        if inst.strategy is None:
+            raise BadInput(f"instance {inst.name!r} has no infinitary coefficients")
+        value = automata.infinitary_coeff(aut, w)
+    else:
+        if not w:
+            raise BadInput("finitary coefficients live on nonempty words")
+        value = automata.finitary_coeff(aut, w)
+    print(inst.show(value))
 
 
 @main.command()
@@ -138,19 +146,11 @@ def coeff(name, text, word, lam, alphabet):
     letters = tuple(alphabet)
     e = _parse_expr(text, letters)
     w = _parse_cli_word(word, letters)
-    if ratexpr.is_omega(e):
-        if not isinstance(w, OmegaWord):
-            raise BadInput("an omega expression needs a word of shape u(v)^w")
-        _require_strategy(inst)
-        value = ratexpr.eval_omega(e, inst, letters).coeff(w)
-    else:
-        if isinstance(w, OmegaWord):
-            raise BadInput("a finitary expression needs a finite word")
-        if not w:
-            raise BadInput("finitary coefficients live on nonempty words")
-        # bound 0 tabulates nothing up front: the query builds on w's factors only
-        value = ratexpr.eval_fin(e, inst, letters, bound=0).coeff(w)
-    print(inst.show(value))
+    if ratexpr.is_omega(e) and not isinstance(w, OmegaWord):
+        raise BadInput("an omega expression needs a word of shape u(v)^w")
+    if not ratexpr.is_omega(e) and isinstance(w, OmegaWord):
+        raise BadInput("a finitary expression needs a finite word")
+    _print_coeff(inst, automata.compile(e, inst, letters), w)
 
 
 @main.command(name="compile")
@@ -180,15 +180,7 @@ def behavior(path, name, word, lam):
             aut = automata.automaton_from_json(fh.read(), inst)
     except (OSError, ValueError) as exc:
         raise BadInput(f"--aut {path}: {exc}")
-    w = _parse_cli_word(word, aut.alphabet)
-    if isinstance(w, OmegaWord):
-        _require_strategy(inst)
-        value = automata.infinitary_coeff(aut, w)
-    else:
-        if not w:
-            raise BadInput("finitary coefficients live on nonempty words")
-        value = automata.finitary_coeff(aut, w)
-    print(inst.show(value))
+    _print_coeff(inst, aut, _parse_cli_word(word, aut.alphabet))
 
 
 @main.command(name="group-check")

@@ -11,12 +11,15 @@ Identities are never assumed, they are checked: every suite in this module
 samples tuples of elements (seeded, deterministic) and reports violations as
 data in a :class:`LawReport` rather than raising.  Counterexample
 reproduction is a feature, so a failing law is a report entry, not an
-exception.
+exception.  :func:`check_laws` is the one loop that fills law reports, here
+and in the valuation, extension, matrix and series checks: it counts the
+trials, records the failures and applies the failure cap.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -157,45 +160,51 @@ class LawReport:
         return f"[{self.suite}] {self.trials} trials: {status}{skipped}"
 
 
-# --- generic law runner -----------------------------------------------------
+# --- the law runner -----------------------------------------------------------
 #
-# A law is (name, kinds, fn) where ``kinds`` is a string of argument kinds
-# ('h' = hemiring element, 'v' = module element) and fn(ctx, *args) returns
-# the (lhs, rhs) pair to compare.
+# A law is (name, fn, inputs): fn(*args) returns the (lhs, rhs) pair to
+# compare and inputs(*args) the strings that name a failing argument tuple.
+
+def check_laws(report, laws, draws, eq, show, max_failures=None) -> LawReport:
+    """Check every law on every argument tuple of ``draws``, into ``report``.
+
+    The one loop that fills law reports: each (law, tuple) is one trial and
+    each violation one :class:`LawFailure`, whose inputs are formatted only
+    then.  Drawing stops after the tuple at which ``report`` holds
+    ``max_failures`` failures, counting those it held before.
+    """
+    for args in draws:
+        for name, fn, inputs in laws:
+            report.trials += 1
+            lhs, rhs = fn(*args)
+            if not eq(lhs, rhs):
+                report.failures.append(LawFailure(name, inputs(*args), show(lhs), show(rhs)))
+        if max_failures is not None and len(report.failures) >= max_failures:
+            break
+    return report
+
+
+# A suite law is (name, kinds, fn, shows) where ``kinds`` is a string of
+# argument kinds ('h' = hemiring element, 'v' = module element), fn(*args)
+# returns the (lhs, rhs) pair and ``shows`` formats each argument.
 
 def run_law_suite(suite, laws, samplers, eq, show, *, trials=DEFAULT_TRIALS,
                   seed=DEFAULT_SEED, enumerations=None, max_failures=50) -> LawReport:
+    """Check each law on every tuple of its kinds' enumerations when there
+    are at most ``_EXHAUSTIVE_LIMIT`` of them, else on ``trials`` sampled
+    tuples (one for a law without arguments), drawn afresh for each law."""
     rng = random.Random(seed)
     report = LawReport(suite, 0)
     for name, kinds, fn, shows in laws:
-        if enumerations is not None and all(enumerations.get(k) is not None for k in kinds):
-            pools = [enumerations[k] for k in kinds]
-            total = 1
-            for p in pools:
-                total *= len(p)
-            if total <= _EXHAUSTIVE_LIMIT:
-                combos = itertools.product(*pools)
-            else:
-                combos = (tuple(samplers[k](rng) for k in kinds) for _ in range(trials))
-                total = trials
+        pools = [(enumerations or {}).get(k) for k in kinds]
+        if None not in pools and math.prod(map(len, pools)) <= _EXHAUSTIVE_LIMIT:
+            draws = itertools.product(*pools)
         else:
-            combos = (tuple(samplers[k](rng) for k in kinds) for _ in range(trials if kinds else 1))
-            total = trials if kinds else 1
-        ran = 0
-        for args in combos:
-            ran += 1
-            lhs, rhs = fn(*args)
-            if not eq(lhs, rhs):
-                report.failures.append(LawFailure(
-                    law=name,
-                    inputs=tuple(s(a) for s, a in zip(shows, args)),
-                    lhs=show(lhs),
-                    rhs=show(rhs),
-                ))
-                if len(report.failures) >= max_failures:
-                    report.trials += ran
-                    return report
-        report.trials += ran
+            draws = (tuple(samplers[k](rng) for k in kinds) for _ in range(trials))
+        check_laws(report, [(name, fn, lambda *args: tuple(s(a) for s, a in zip(shows, args)))],
+                   draws, eq, show, max_failures)
+        if len(report.failures) >= max_failures:
+            break
     return report
 
 
@@ -420,11 +429,8 @@ def iterative_fixed_point_check(c, a, b, bound_length=None) -> LawReport:
     """
     report = LawReport("iterative-fixed-point", 0)
     sol = c.add(c.mul(c.plus(a), b), b)
-    report.trials += 1
-    if not c.eq(c.add(c.mul(a, sol), b), sol):
-        report.failures.append(LawFailure(
-            "solves_fixed_point", (c.show(a), c.show(b)),
-            c.show(c.add(c.mul(a, sol), b)), c.show(sol)))
+    check_laws(report, [("solves_fixed_point", lambda: (c.add(c.mul(a, sol), b), sol),
+                         lambda: (c.show(a), c.show(b)))], [()], c.eq, c.show)
     alphabet = getattr(c, "alphabet", None)
     weights = getattr(c, "weights", None)
     if alphabet is None or weights is None or bound_length is None:
@@ -447,13 +453,10 @@ def iterative_fixed_point_check(c, a, b, bound_length=None) -> LawReport:
         memo[w] = total
         return total
 
-    for w in words_up_to(alphabet, bound_length):
-        report.trials += 1
-        if not weights.eq(xcoeff(w), sol.coeff(w)):
-            report.failures.append(LawFailure(
-                "unique_solution", (c.show(a), c.show(b), w or "<empty>"),
-                weights.show(xcoeff(w)), weights.show(sol.coeff(w))))
-    return report
+    return check_laws(report, [("unique_solution", lambda w: (xcoeff(w), sol.coeff(w)),
+                                lambda w: (c.show(a), c.show(b), w or "<empty>"))],
+                      ((w,) for w in words_up_to(alphabet, bound_length)),
+                      weights.eq, weights.show)
 
 
 def words_up_to(alphabet, max_len):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import DEFAULT_SEED, LawFailure, LawReport, Semiring, has_star
+from .core import DEFAULT_SEED, LawReport, Semiring, check_laws, has_star
 
 
 class ExtensionError(ValueError):
@@ -151,15 +151,20 @@ class ExtensionAlgebra(Semiring):
             ("plus_compat_right", lambda x, y, a, b:
                 (h.mul(h.plus(bi.right(a, x)), a), h.mul(a, h.plus(bi.left(x, a))))),
         ]
-        for _ in range(samples):
-            x, y = s0.sample(rng), s0.sample(rng)
-            a, b = h.sample(rng), h.sample(rng)
-            for name, fn in checks:
-                lhs, rhs = fn(x, y, a, b)
-                if not h.eq(lhs, rhs):
-                    raise ExtensionError(
-                        f"bi-action law {name} fails at x={s0.show(x)} a={h.show(a)}: "
-                        f"{h.show(lhs)} != {h.show(rhs)}")
+        draws = ((s0.sample(rng), s0.sample(rng), h.sample(rng), h.sample(rng))
+                 for _ in range(samples))
+        _reject("bi-action law ", checks, draws, h, lambda x, y, a, b: (s0.show(x), h.show(a)))
+
+
+def _reject(what, checks, draws, V, shown):
+    """Raise :class:`ExtensionError` from the first (name, fn) check that
+    fails on ``draws``; ``shown`` gives a tuple's x and a as shown."""
+    report = check_laws(LawReport("validation", 0), [(name, fn, shown) for name, fn in checks],
+                        draws, V.eq, V.show, max_failures=1)
+    if report.failures:
+        f = report.failures[0]
+        raise ExtensionError(f"{what}{f.law} fails at x={f.inputs[0]} a={f.inputs[1]}: "
+                             f"{f.lhs} != {f.rhs}")
 
 
 def extension(s0, h, biaction=None, **kw) -> ExtensionAlgebra:
@@ -173,37 +178,32 @@ def extension(s0, h, biaction=None, **kw) -> ExtensionAlgebra:
 def partial_conway_laws(ext: ExtensionAlgebra, trials=200, seed=DEFAULT_SEED) -> LawReport:
     """Star identities restricted to the ideal, product forms for mixed arguments."""
     rng = random.Random(seed)
-    report = LawReport(f"partial-conway:{ext.name}", 0)
+    add, mul, star, one = ext.add, ext.mul, ext.partial_star, ext.one
 
-    def check(name, args, lhs, rhs):
-        report.trials += 1
-        if not ext.eq(lhs, rhs):
-            report.failures.append(LawFailure(
-                name, tuple(ext.show(v) for v in args), ext.show(lhs), ext.show(rhs)))
+    def shown(*args):
+        return tuple(map(ext.show, args))
 
-    for _ in range(trials):
-        a, b = ext.sample_ideal(rng), ext.sample_ideal(rng)
-        s = ext.sample(rng)
+    laws = [
         # sum star on ideal arguments
-        check("sum_star_ideal", (a, b),
-              ext.partial_star(ext.add(a, b)),
-              ext.mul(ext.partial_star(ext.mul(ext.partial_star(a), b)), ext.partial_star(a)))
+        ("sum_star_ideal", lambda a, b, s:
+            (star(add(a, b)), mul(star(mul(star(a), b)), star(a))), lambda a, b, s: shown(a, b)),
         # product star with the mixed argument in either slot
-        check("product_star_mixed", (s, a),
-              ext.partial_star(ext.mul(s, a)),
-              ext.add(ext.one, ext.mul(s, ext.mul(ext.partial_star(ext.mul(a, s)), a))))
-        check("product_star_mixed_flip", (a, s),
-              ext.partial_star(ext.mul(a, s)),
-              ext.add(ext.one, ext.mul(a, ext.mul(ext.partial_star(ext.mul(s, a)), s))))
+        ("product_star_mixed", lambda a, b, s:
+            (star(mul(s, a)), add(one, mul(s, mul(star(mul(a, s)), a)))),
+         lambda a, b, s: shown(s, a)),
+        ("product_star_mixed_flip", lambda a, b, s:
+            (star(mul(a, s)), add(one, mul(a, mul(star(mul(s, a)), s)))),
+         lambda a, b, s: shown(a, s)),
         # simplified product plus for mixed arguments
-        check("product_plus_mixed", (s, a),
-              ext.mul(ext.plus(ext.mul(s, a)), s), ext.mul(s, ext.plus(ext.mul(a, s))))
+        ("product_plus_mixed", lambda a, b, s:
+            (mul(ext.plus(mul(s, a)), s), mul(s, ext.plus(mul(a, s)))), lambda a, b, s: shown(s, a)),
         # star fixed point on the ideal
-        st = ext.partial_star(a)
-        check("star_fixed_point_ideal", (a,), ext.add(ext.mul(a, st), ext.one), st)
-        if len(report.failures) >= 20:
-            break
-    return report
+        ("star_fixed_point_ideal", lambda a, b, s:
+            (add(mul(a, star(a)), one), star(a)), lambda a, b, s: shown(a)),
+    ]
+    draws = ((ext.sample_ideal(rng), ext.sample_ideal(rng), ext.sample(rng)) for _ in range(trials))
+    return check_laws(LawReport(f"partial-conway:{ext.name}", 0), laws, draws,
+                      ext.eq, ext.show, max_failures=20)
 
 
 # --- omega on the extension ---------------------------------------------------------
@@ -250,25 +250,17 @@ class ExtensionPair:
 
     def _validate(self, samples, seed):
         rng = random.Random(seed)
-        ext, V = self.ext, self.module
-        s0, h, bi = ext.s0, ext.h, ext.bi
-        for _ in range(samples):
-            x = s0.sample(rng)
-            a = h.sample(rng)
-            v = self.module.sample(rng)
-            checks = [
-                ("omega_compat", self.h_omega(bi.left(x, a)),
-                 self.s0_act(x, self.h_omega(bi.right(a, x)))),
-                ("act_compat_left", self.h_act(bi.left(x, a), v),
-                 self.s0_act(x, self.h_act(a, v))),
-                ("act_compat_right", self.h_act(bi.right(a, x), v),
-                 self.h_act(a, self.s0_act(x, v))),
-            ]
-            for name, lhs, rhs in checks:
-                if not V.eq(lhs, rhs):
-                    raise ExtensionError(
-                        f"{name} fails at x={s0.show(x)} a={h.show(a)}: "
-                        f"{V.show(lhs)} != {V.show(rhs)}")
+        s0, h, bi = self.ext.s0, self.ext.h, self.ext.bi
+        checks = [
+            ("omega_compat", lambda x, a, v:
+                (self.h_omega(bi.left(x, a)), self.s0_act(x, self.h_omega(bi.right(a, x))))),
+            ("act_compat_left", lambda x, a, v:
+                (self.h_act(bi.left(x, a), v), self.s0_act(x, self.h_act(a, v)))),
+            ("act_compat_right", lambda x, a, v:
+                (self.h_act(bi.right(a, x), v), self.h_act(a, self.s0_act(x, v)))),
+        ]
+        draws = ((s0.sample(rng), h.sample(rng), self.module.sample(rng)) for _ in range(samples))
+        _reject("", checks, draws, self.module, lambda x, a, v: (s0.show(x), h.show(a)))
 
 
 # --- morphisms -------------------------------------------------------------------------
@@ -290,53 +282,40 @@ class ExtensionMorphism:
 
     def _validate(self, samples, seed):
         rng = random.Random(seed)
-        src, tgt = self.source, self.target
-        for _ in range(samples):
-            x = src.s0.sample(rng)
-            a = src.h.sample(rng)
-            lhs = tgt.bi.left(self.phi(x), self.psi(a))
-            rhs = self.psi(src.bi.left(x, a))
-            if not tgt.h.eq(lhs, rhs):
-                raise ExtensionError(
-                    f"morphism compatibility (scalar·ideal) fails at "
-                    f"x={src.s0.show(x)} a={src.h.show(a)}: "
-                    f"{tgt.h.show(lhs)} != {tgt.h.show(rhs)}")
-            lhs = tgt.bi.right(self.psi(a), self.phi(x))
-            rhs = self.psi(src.bi.right(a, x))
-            if not tgt.h.eq(lhs, rhs):
-                raise ExtensionError(
-                    f"morphism compatibility (ideal·scalar) fails at "
-                    f"x={src.s0.show(x)} a={src.h.show(a)}: "
-                    f"{tgt.h.show(lhs)} != {tgt.h.show(rhs)}")
+        src, tgt, phi, psi = self.source, self.target, self.phi, self.psi
+        checks = [
+            ("compatibility (scalar·ideal)", lambda x, a:
+                (tgt.bi.left(phi(x), psi(a)), psi(src.bi.left(x, a)))),
+            ("compatibility (ideal·scalar)", lambda x, a:
+                (tgt.bi.right(psi(a), phi(x)), psi(src.bi.right(a, x)))),
+        ]
+        draws = ((src.s0.sample(rng), src.h.sample(rng)) for _ in range(samples))
+        _reject("morphism ", checks, draws, tgt.h, lambda x, a: (src.s0.show(x), src.h.show(a)))
 
     def homomorphism_report(self, trials=200, seed=DEFAULT_SEED) -> LawReport:
         rng = random.Random(seed)
         src, tgt = self.source, self.target
         report = LawReport("extension-morphism", 0)
 
-        def check(name, args, lhs, rhs):
-            report.trials += 1
-            if not tgt.eq(lhs, rhs):
-                report.failures.append(LawFailure(
-                    name, tuple(src.show(v) for v in args), tgt.show(lhs), tgt.show(rhs)))
+        def shown(*args):
+            return tuple(map(src.show, args))
 
-        check("preserves_zero", (), self(src.zero), tgt.zero)
-        check("preserves_one", (), self(src.one), tgt.one)
-        for _ in range(trials):
-            s, t = src.sample(rng), src.sample(rng)
-            check("preserves_add", (s, t), self(src.add(s, t)), tgt.add(self(s), self(t)))
-            check("preserves_mul", (s, t), self(src.mul(s, t)), tgt.mul(self(s), self(t)))
-            a = src.sample_ideal(rng)
-            img = self(a)
-            report.trials += 1
-            if not tgt.is_ideal(img):
-                report.failures.append(LawFailure(
-                    "preserves_ideal", (src.show(a),), tgt.show(img), "an ideal element"))
-            check("preserves_ideal_star", (a,),
-                  self(src.partial_star(a)), tgt.partial_star(img))
-            if len(report.failures) >= 20:
-                break
-        return report
+        check_laws(report, [("preserves_zero", lambda: (self(src.zero), tgt.zero), shown),
+                            ("preserves_one", lambda: (self(src.one), tgt.one), shown)],
+                   [()], tgt.eq, tgt.show)
+        laws = [
+            ("preserves_add", lambda s, t, a: (self(src.add(s, t)), tgt.add(self(s), self(t))),
+             lambda s, t, a: shown(s, t)),
+            ("preserves_mul", lambda s, t, a: (self(src.mul(s, t)), tgt.mul(self(s), self(t))),
+             lambda s, t, a: shown(s, t)),
+            # the image of an ideal element is its own ideal part
+            ("preserves_ideal", lambda s, t, a: (self(a), tgt.embed(self(a).ideal)),
+             lambda s, t, a: shown(a)),
+            ("preserves_ideal_star", lambda s, t, a:
+                (self(src.partial_star(a)), tgt.partial_star(self(a))), lambda s, t, a: shown(a)),
+        ]
+        draws = ((src.sample(rng), src.sample(rng), src.sample_ideal(rng)) for _ in range(trials))
+        return check_laws(report, laws, draws, tgt.eq, tgt.show, max_failures=20)
 
 
 # --- natural-action consequences ------------------------------------------------------
@@ -350,15 +329,12 @@ def nat_omega_commutation_report(pair, n_max=5, trials=60, seed=DEFAULT_SEED) ->
     """
     rng = random.Random(seed)
     H, V = pair.hemiring, pair.module
-    report = LawReport("nat-omega-commutation", 0)
-    for _ in range(trials):
-        a = H.sample(rng)
-        n = rng.randrange(0, n_max + 1)
+
+    def nat_omega(a, n):
         na = H.nat_act(n, a)
-        lhs = pair.omega(na)
-        rhs = pair.act(a, pair.omega(na)) if n > 0 else V.zero
-        report.trials += 1
-        if not V.eq(lhs, rhs):
-            report.failures.append(LawFailure(
-                "nat_omega", (H.show(a), str(n)), V.show(lhs), V.show(rhs)))
-    return report
+        return pair.omega(na), (pair.act(a, pair.omega(na)) if n > 0 else V.zero)
+
+    draws = ((H.sample(rng), rng.randrange(0, n_max + 1)) for _ in range(trials))
+    return check_laws(LawReport("nat-omega-commutation", 0),
+                      [("nat_omega", nat_omega, lambda a, n: (H.show(a), str(n)))],
+                      draws, V.eq, V.show)

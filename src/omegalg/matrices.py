@@ -11,10 +11,11 @@ independence is a testable property, not an assumption.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from functools import reduce
 
-from .core import HemimodulePair, LawFailure, LawReport
+from .core import HemimodulePair, LawFailure, LawReport, check_laws
 
 
 @dataclass(frozen=True)
@@ -404,8 +405,7 @@ def group_identity_check(g: GroupTable, c, sampler=None, trials=30, seed=42,
     plus(x_1 + ... + x_n); the omega form requires every entry of M_G^omega
     to equal omega(x_1 + ... + x_n).
     """
-    import random as _random
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     sampler = sampler or c.sample
     report = LawReport(f"group:{g.name}:{c.name}", 0)
     for _ in range(trials):
@@ -443,22 +443,20 @@ def simulation_check(c, pairs, trials=20, seed=42) -> LawReport:
     ``pairs`` is an iterable of callables rng -> (M, N, Q) producing matrices
     with M Q = Q N; the premise is verified and the conclusion checked.
     """
-    import random as _random
-    rng = _random.Random(seed)
-    report = LawReport(f"simulation:{c.name}", 0)
-    for build in pairs:
-        for _ in range(trials):
-            m, n, q = build(rng)
-            if not mat_eq(c, mat_mul(c, m, q), mat_mul(c, q, n)):
-                continue  # premise not met; builder is advisory only
-            report.trials += 1
-            lhs = mat_mul(c, mat_plus(c, m), q)
-            rhs = mat_mul(c, q, mat_plus(c, n))
-            if not mat_eq(c, lhs, rhs):
-                report.failures.append(LawFailure(
-                    "simulation", (mat_show(c, m), mat_show(c, q)),
-                    mat_show(c, lhs), mat_show(c, rhs)))
-    return report
+    rng = random.Random(seed)
+
+    def draws():
+        for build in pairs:
+            for _ in range(trials):
+                m, n, q = build(rng)
+                if mat_eq(c, mat_mul(c, m, q), mat_mul(c, q, n)):  # else the builder missed
+                    yield m, n, q
+
+    simulation = ("simulation",
+                  lambda m, n, q: (mat_mul(c, mat_plus(c, m), q), mat_mul(c, q, mat_plus(c, n))),
+                  lambda m, n, q: (mat_show(c, m), mat_show(c, q)))
+    return check_laws(LawReport(f"simulation:{c.name}", 0), [simulation], draws(),
+                      lambda a, b: mat_eq(c, a, b), lambda a: mat_show(c, a))
 
 
 def all_permutations(n: int):

@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 
 from . import dfa as dfalib
-from .core import Hemiring, LawFailure, LawReport, words_up_to
+from .core import Hemiring, LawReport, check_laws, words_up_to
 from .instances import BooleanCarrier, NatCarrier
 from .valuation import from_carrier
 
@@ -387,17 +387,13 @@ def bounded_eq(f, g, bound: int = DEFAULT_BOUND) -> LawReport:
     A failure is a definitive inequality witness; success is bounded evidence
     only.  Witnesses come in shortlex order, at most 20.
     """
-    differing = set(_differing(f, g, bound))
+    if f.alphabet != g.alphabet:
+        raise ValueError("alphabet mismatch")
     w = f.weights
-    report = LawReport(f"bounded-eq(L={bound})", 0)
-    for word in words_up_to(f.alphabet, bound):
-        report.trials += 1
-        if word in differing:
-            report.failures.append(LawFailure("coeff", (word or "<empty>",),
-                                              w.show(f.coeff(word)), w.show(g.coeff(word))))
-            if len(report.failures) >= 20:
-                break
-    return report
+    a, b = _table(f, bound), _table(g, bound)
+    coeff = ("coeff", lambda u: (a.get(u, w.zero), b.get(u, w.zero)), lambda u: (u or "<empty>",))
+    return check_laws(LawReport(f"bounded-eq(L={bound})", 0), [coeff],
+                      ((u,) for u in words_up_to(f.alphabet, bound)), w.eq, w.show, max_failures=20)
 
 
 # --- series carriers ----------------------------------------------------------------

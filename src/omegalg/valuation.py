@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import DEFAULT_SEED, LawFailure, LawReport, has_omega, self_pair
+from .core import DEFAULT_SEED, LawFailure, LawReport, check_laws, has_omega, self_pair
 from .instances import (INF, NEG_INF, BooleanCarrier, ExtRealCarrier, LatticeCarrier,
                         MinPlusCarrier, NatCarrier)
 
@@ -359,36 +359,35 @@ def _sample_seq(inst, rng, max_pairs=3) -> WeightedSeq:
     return WeightedSeq(prefix, block)
 
 
+def _laws(inst, params, laws):
+    """:func:`~omegalg.core.check_laws` laws over tuples drawn in the order
+    of the one-letter names in ``params`` (k, m, n are lengths, the others
+    values); each law lists, as a string of names, the arguments its
+    failures show."""
+    def inputs(shown):
+        at = [params.index(ch) for ch in shown]
+        return lambda *d: tuple(str(d[i]) if params[i] in "kmn" else inst.show(d[i]) for i in at)
+    return [(name, fn, inputs(shown)) for name, fn, shown in laws]
+
+
 def multi_hemiring_laws(inst: OmegaValuation, trials=400, seed=DEFAULT_SEED) -> LawReport:
     """Zero annihilation, indexed associativity and distributivity of the products."""
     rng = random.Random(seed)
-    report = LawReport(f"multi-hemiring:{inst.name}", 0)
-
-    def check(name, inputs, lhs, rhs):
-        report.trials += 1
-        if not inst.eq(lhs, rhs):
-            report.failures.append(LawFailure(
-                name, tuple(map(str, inputs)), inst.show(lhs), inst.show(rhs)))
-
-    for _ in range(trials):
-        a, b, c = (inst.monoid.sample(rng) for _ in range(3))
-        k, m, n = (rng.randrange(1, 5) for _ in range(3))
-        check("zero_annihilation", (m, n, inst.show(a)),
-              inst.prod(m, n, inst.zero, a), inst.zero)
-        check("zero_annihilation_right", (m, n, inst.show(a)),
-              inst.prod(m, n, a, inst.zero), inst.zero)
-        check("indexed_associativity", (k, m, n, inst.show(a), inst.show(b), inst.show(c)),
-              inst.prod(k + m, n, inst.prod(k, m, a, b), c),
-              inst.prod(k, m + n, a, inst.prod(m, n, b, c)))
-        check("left_distributivity", (m, n, inst.show(a), inst.show(b), inst.show(c)),
-              inst.prod(m, n, a, inst.add(b, c)),
-              inst.add(inst.prod(m, n, a, b), inst.prod(m, n, a, c)))
-        check("right_distributivity", (m, n, inst.show(a), inst.show(b), inst.show(c)),
-              inst.prod(m, n, inst.add(a, b), c),
-              inst.add(inst.prod(m, n, a, c), inst.prod(m, n, b, c)))
-        if len(report.failures) >= 20:
-            break
-    return report
+    P, add, zero = inst.prod, inst.add, inst.zero
+    laws = _laws(inst, "abckmn", [
+        ("zero_annihilation", lambda a, b, c, k, m, n: (P(m, n, zero, a), zero), "mna"),
+        ("zero_annihilation_right", lambda a, b, c, k, m, n: (P(m, n, a, zero), zero), "mna"),
+        ("indexed_associativity", lambda a, b, c, k, m, n:
+            (P(k + m, n, P(k, m, a, b), c), P(k, m + n, a, P(m, n, b, c))), "kmnabc"),
+        ("left_distributivity", lambda a, b, c, k, m, n:
+            (P(m, n, a, add(b, c)), add(P(m, n, a, b), P(m, n, a, c))), "mnabc"),
+        ("right_distributivity", lambda a, b, c, k, m, n:
+            (P(m, n, add(a, b), c), add(P(m, n, a, c), P(m, n, b, c))), "mnabc"),
+    ])
+    draws = (tuple(inst.monoid.sample(rng) for _ in range(3))
+             + tuple(rng.randrange(1, 5) for _ in range(3)) for _ in range(trials))
+    return check_laws(LawReport(f"multi-hemiring:{inst.name}", 0), laws, draws,
+                      inst.eq, inst.show, max_failures=20)
 
 
 def omega_valuation_laws(inst: OmegaValuation, trials=200, seed=DEFAULT_SEED,
@@ -404,31 +403,22 @@ def omega_valuation_laws(inst: OmegaValuation, trials=200, seed=DEFAULT_SEED,
     report = multi_hemiring_laws(inst, trials=trials, seed=seed)
     report.suite = f"omega-valuation:{inst.name}"
     rng = random.Random(seed + 1)
-
-    def check(name, inputs, lhs, rhs):
-        report.trials += 1
-        if not inst.eq(lhs, rhs):
-            report.failures.append(LawFailure(
-                name, tuple(map(str, inputs)), inst.show(lhs), inst.show(rhs)))
-
-    for _ in range(trials):
-        a, b, c = (inst.monoid.sample(rng) for _ in range(3))
-        m, n = rng.randrange(1, 5), rng.randrange(1, 5)
-        check("omega_zero_annihilation", (m, inst.show(a)),
-              inst.prod_omega(m, inst.zero, a), inst.zero)
-        check("omega_zero_annihilation_right", (m, inst.show(a)),
-              inst.prod_omega(m, a, inst.zero), inst.zero)
-        check("mixed_associativity", (m, n, inst.show(a), inst.show(b), inst.show(c)),
-              inst.prod_omega(m, a, inst.prod_omega(n, b, c)),
-              inst.prod_omega(m + n, inst.prod(m, n, a, b), c))
-        check("omega_left_distributivity", (m, inst.show(a), inst.show(b), inst.show(c)),
-              inst.prod_omega(m, a, inst.add(b, c)),
-              inst.add(inst.prod_omega(m, a, b), inst.prod_omega(m, a, c)))
-        check("omega_right_distributivity", (m, inst.show(a), inst.show(b), inst.show(c)),
-              inst.prod_omega(m, inst.add(a, b), c),
-              inst.add(inst.prod_omega(m, a, c), inst.prod_omega(m, b, c)))
-        if len(report.failures) >= 20:
-            return report
+    P, PW, add, zero = inst.prod, inst.prod_omega, inst.add, inst.zero
+    mixed = _laws(inst, "abcmn", [
+        ("omega_zero_annihilation", lambda a, b, c, m, n: (PW(m, zero, a), zero), "ma"),
+        ("omega_zero_annihilation_right", lambda a, b, c, m, n: (PW(m, a, zero), zero), "ma"),
+        ("mixed_associativity", lambda a, b, c, m, n:
+            (PW(m, a, PW(n, b, c)), PW(m + n, P(m, n, a, b), c)), "mnabc"),
+        ("omega_left_distributivity", lambda a, b, c, m, n:
+            (PW(m, a, add(b, c)), add(PW(m, a, b), PW(m, a, c))), "mabc"),
+        ("omega_right_distributivity", lambda a, b, c, m, n:
+            (PW(m, add(a, b), c), add(PW(m, a, c), PW(m, b, c))), "mabc"),
+    ])
+    draws = (tuple(inst.monoid.sample(rng) for _ in range(3))
+             + (rng.randrange(1, 5), rng.randrange(1, 5)) for _ in range(trials))
+    check_laws(report, mixed, draws, inst.eq, inst.show, max_failures=20)
+    if len(report.failures) >= 20:
+        return report
 
     if inst._valw_periodic is None:
         report.skipped = dict.fromkeys(
@@ -436,38 +426,40 @@ def omega_valuation_laws(inst: OmegaValuation, trials=200, seed=DEFAULT_SEED,
             f"{inst.name}: no exact infinitary valuation")
         return report
 
-    # (peel) val^omega(seq) = d1 ·_{n1,omega} val^omega(tail)
-    for _ in range(trials // 2):
-        seq = _sample_seq(inst, rng)
-        (n1, d1), tail = seq.head_tail()
-        check("valuation_peel", (str(seq),),
-              inst.val_omega(seq).value,
-              inst.prod_omega(n1, d1, inst.val_omega(tail).value))
+    def val(seq):
+        return inst.val_omega(seq).value
 
-    # finite-choice infinitary distributivity
-    for _ in range(trials // 4):
+    def peel(seq):
+        # val^omega(seq) = d1 ·_{n1,omega} val^omega(tail)
+        (n1, d1), tail = seq.head_tail()
+        return val(seq), PW(n1, d1, val(tail))
+
+    def choices():
         m = rng.randrange(1, 3)
         choice_sets = [tuple(inst.monoid.sample(rng)
                              for _ in range(rng.randrange(1, 4))) for _ in range(m)]
         lens = [rng.randrange(1, 4) for _ in range(m)]
         block = tuple((rng.randrange(1, 4), inst.monoid.sample(rng))
                       for _ in range(rng.randrange(1, 3)))
-        summed = tuple((lens[i], inst.sum(choice_sets[i])) for i in range(m))
-        lhs = inst.val_omega(WeightedSeq(summed, block)).value
-        rhs = inst.sum(
-            inst.val_omega(WeightedSeq(tuple(zip(lens, combo)), block)).value
-            for combo in itertools.product(*choice_sets))
-        check("infinitary_distributivity", (str(summed), str(block)), lhs, rhs)
+        return tuple(zip(lens, map(inst.sum, choice_sets))), block, lens, choice_sets
 
+    def distributivity(summed, block, lens, choice_sets):
+        return val(WeightedSeq(summed, block)), inst.sum(
+            val(WeightedSeq(tuple(zip(lens, combo)), block))
+            for combo in itertools.product(*choice_sets))
+
+    check_laws(report, [("valuation_peel", peel, lambda seq: (str(seq),))],
+               ((_sample_seq(inst, rng),) for _ in range(trials // 2)), inst.eq, inst.show)
+    check_laws(report, [("infinitary_distributivity", distributivity,
+                         lambda summed, block, *_: (str(summed), str(block)))],
+               (choices() for _ in range(trials // 4)), inst.eq, inst.show)
     # regrouping invariance, always including the alternating 0/1 witness
     witnesses = [(WeightedSeq((), ((1, 0.0), (1, 1.0))), 2)] if inst.monoid.name == "extreal" else []
-    for _ in range(trials // 4):
-        witnesses.append((_sample_seq(inst, rng), rng.randrange(2, 4)))
-    for seq, size in witnesses:
-        direct = inst.val_omega(seq).value
-        regrouped = inst.val_omega(seq.regroup(size, inst)).value
-        check("regrouping_invariance", (str(seq), f"groups of {size}"), direct, regrouped)
-    return report
+    witnesses += [(_sample_seq(inst, rng), rng.randrange(2, 4)) for _ in range(trials // 4)]
+    regrouping = ("regrouping_invariance",
+                  lambda seq, size: (val(seq), val(seq.regroup(size, inst))),
+                  lambda seq, size: (str(seq), f"groups of {size}"))
+    return check_laws(report, [regrouping], witnesses, inst.eq, inst.show)
 
 
 # --- the two counterexample harnesses --------------------------------------------------

@@ -1,11 +1,15 @@
 """The command-line surface: exit codes, JSON shapes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 from click.testing import CliRunner
 
+import omegalg
 from omegalg import valuation as V
 from omegalg.cli import main
 
@@ -184,7 +188,7 @@ def test_group_check_needs_plus(runner):
 
 
 def test_coeff_exact_on_words_longer_than_the_default_bound(runner):
-    # eval_fin tabulates up to length 8 by default; this word is longer
+    # series tabulate words up to length 8 by default; this word is longer
     res = run(runner, "coeff", "--instance", "nat", "--expr", "(2a)^+",
               "--word", "a" * 12)
     assert res.exit_code == 0 and res.stdout.strip() == "4096"
@@ -344,3 +348,63 @@ def test_manifest_params_come_from_the_registry(runner):
     assert params("lattice-inf") == {"base": 3}
     assert params("disc", "--lambda", "0.7") == {"lam": 0.7}
     assert params("bool") == {}
+
+
+def _ring_automaton(n):
+    """An n-state automaton over {a, b}: two out-edges per state and letter."""
+    edges = [{"from": i, "to": t, "letter": ch, "weight": str((7 * i + t) % 5)}
+             for i in range(n) for ch in "ab" for t in ((i + 1) % n, (3 * i + 7) % n)]
+    return {"n": n, "k": n // 2, "alphabet": ["a", "b"], "alpha": ["1"] + ["0"] * (n - 1),
+            "beta": ["1"] * n, "transitions": edges}
+
+
+_LASSO_8000 = "a" * 4000 + "(" + "ab" * 1999 + "b)^w"
+
+
+# Each user-controlled parameter at a large value, with a time budget of
+# about five times the time measured in-process on a shared 2-core machine
+# (at least 1 s); (args, budget in s, exit code).
+_SWEEP = {
+    "depth-avg-regroup": (("counterexample", "--name", "avg-regroup",
+                           "--depth", str(V.MAX_REGROUP_BLOCKS)), 1.0, 1),
+    "depth-avg-product-omega": (("counterexample", "--name", "avg-product-omega",
+                                 "--depth", str(V.MAX_PRODUCT_OMEGA_DEPTH)), 1.0, 1),
+    "bound-1000": (("laws", "--instance", "lang", "--suite", "conway-hemiring",
+                    "--bound", "1000"), 1.0, 0),
+    "samples-20000": (("laws", "--instance", "minplus", "--suite", "conway-semiring",
+                       "--samples", "20000"), 3.0, 0),
+    "lambda-to-1": (("coeff", "--instance", "disc", "--expr", "(a+b)^+ (ab+b)^w",
+                     "--word", "ab(abb)^w", "--lambda", "0.999999999"), 1.0, 0),
+    "word-20000": (("coeff", "--instance", "nat", "--expr", "(a+b)^+ (ab+b)^+",
+                    "--word", "ab" * 10000), 3.0, 0),
+    "lasso-8000": (("coeff", "--instance", "disc", "--expr", "(a+b)^+ (ab+b)^w",
+                    "--word", _LASSO_8000), 1.0, 0),
+    "aut-2000-word": (("behavior", "--aut", "{aut}", "--instance", "limsup",
+                       "--word", "ab" * 50), 1.5, 0),
+    "aut-2000-lasso": (("behavior", "--aut", "{aut}", "--instance", "disc",
+                        "--word", "a(ab)^w"), 1.0, 0),
+    **{f"group-{g}-{inst}": (("group-check", "--group", g, "--instance", inst), 1.0, 0)
+       for g in ("S3", "Z6") for inst in ("bool", "minplus", "lattice")},
+}
+
+
+@pytest.mark.parametrize("case", list(_SWEEP))
+def test_parameter_sweep_within_budget(runner, tmp_path, case):
+    args, budget, code = _SWEEP[case]
+    aut = _aut_file(tmp_path, json.dumps(_ring_automaton(2000)))
+    args = [aut if a == "{aut}" else a for a in args]
+    t0 = time.perf_counter()
+    res = run(runner, *args)
+    elapsed = time.perf_counter() - t0
+    assert res.exit_code == code, res.stderr
+    assert elapsed < budget, elapsed
+
+
+@pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
+                   reason="ROADMAP item 2: the language carrier's products blow up "
+                   "on the entries of the Z6 group matrix")
+def test_lang_group_check_z6_within_budget():
+    src = os.path.dirname(os.path.dirname(omegalg.__file__))
+    subprocess.run([sys.executable, "-m", "omegalg.cli", "group-check", "--group", "Z6",
+                    "--instance", "lang", "--seed", "2"], capture_output=True, timeout=3,
+                   check=True, env={**os.environ, "PYTHONPATH": src})

@@ -216,3 +216,64 @@ def test_exhaustive_mode_counts(boolean):
 def test_words_up_to():
     words = list(core.words_up_to(("a", "b"), 2))
     assert words == ["", "a", "b", "aa", "ab", "ba", "bb"]
+
+
+# --- the law runner ----------------------------------------------------------------
+
+def _counting_laws(shown):
+    """Two laws that fail on every tuple and one that holds; formatting an
+    input appends to ``shown``."""
+    def inputs(x):
+        shown.append(x)
+        return (str(x),)
+    return [("fails", lambda x: (x, x + 1), inputs), ("fails_too", lambda x: (0, x + 1), inputs),
+            ("holds", lambda x: (x, x), inputs)]
+
+
+def test_check_laws_counts_one_trial_per_law_and_tuple():
+    shown = []
+    report = core.check_laws(core.LawReport("t", 0), _counting_laws(shown), [(1,), (2,)],
+                             lambda a, b: a == b, str)
+    assert report.trials == 6
+    assert [(f.law, f.inputs, f.lhs, f.rhs) for f in report.failures] == [
+        ("fails", ("1",), "1", "2"), ("fails_too", ("1",), "0", "2"),
+        ("fails", ("2",), "2", "3"), ("fails_too", ("2",), "0", "3")]
+
+
+def test_check_laws_formats_inputs_only_on_failures():
+    shown = []
+    core.check_laws(core.LawReport("t", 0), _counting_laws(shown)[2:], [(1,), (2,)],
+                    lambda a, b: a == b, str)
+    assert shown == []
+    core.check_laws(core.LawReport("t", 0), _counting_laws(shown), [(5,)],
+                    lambda a, b: a == b, str)
+    assert shown == [5, 5]
+
+
+def test_check_laws_cap_stops_after_the_tuple():
+    draws = iter([(1,), (2,), (3,)])
+    report = core.check_laws(core.LawReport("t", 0), _counting_laws([]), draws,
+                             lambda a, b: a == b, str, max_failures=4)
+    # the second tuple reaches 4 failures; its last law still runs, no third tuple is drawn
+    assert (report.trials, len(report.failures)) == (6, 4)
+    assert list(draws) == [(3,)]
+    report = core.check_laws(core.LawReport("t", 0), _counting_laws([]), [(1,), (2,)],
+                             lambda a, b: a == b, str, max_failures=3)
+    assert (report.trials, len(report.failures)) == (6, 4)
+
+
+def test_check_laws_cap_counts_earlier_failures():
+    report = core.LawReport("t", 0)
+    report.failures.append(core.LawFailure("earlier", (), "", ""))
+    core.check_laws(report, _counting_laws([]), [(1,), (2,)], lambda a, b: a == b, str,
+                    max_failures=3)
+    assert (report.trials, len(report.failures)) == (3, 3)
+
+
+def test_run_law_suite_draws_afresh_for_each_law():
+    seen = []
+    laws = [(name, "h", lambda x: (seen.append(x), None), (str,)) for name in ("p", "q")]
+    counter = iter(range(100))
+    report = core.run_law_suite("s", laws, {"h": lambda rng: next(counter)},
+                                lambda a, b: True, str, trials=3)
+    assert report.trials == 6 and seen == [0, 1, 2, 3, 4, 5]
