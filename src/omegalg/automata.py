@@ -8,13 +8,13 @@ k of repeated states, which by convention always occupy the leading indices.
 Finitary coefficients are computed by a run dynamic program whose step uses
 the length-indexed product of the instance (so averaging and discounting
 weigh positions correctly).  Infinitary coefficients come from one lasso
-kernel: the product of the automaton with the period of the queried word is
-analysed once per period (and per threshold, for a lattice), and the
-analysis is kept on the automaton.  Its strongly connected components
-through repeated states decide acceptance and, depending on the instance,
-give each entry state a maximum, a Karp cycle mean or an exact discounted
-value (policy iteration); a query then folds only its stem onto those entry
-values.
+kernel: the product of the automaton with the period of the queried word,
+the same for every rotation of the period, is analysed once per rotation
+class and set of kept edges, and the analysis is kept on the automaton.  Its
+strongly connected components through repeated states decide acceptance
+and, depending on the instance, give each live node a maximum, a Howard
+cycle mean or an exact discounted value (policy iteration); a query reads
+its entry values at its rotation's offset and folds its stem onto them.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class MatrixAutomaton:
     alpha: tuple
     beta: tuple
     edges: tuple  # (source, letter, target, weight)
-    # the lasso kernel's analyses of this automaton: kept edges, entry values
-    # keyed by (strategy, threshold, period), states reached per stem
+    # the lasso kernel's analyses of this automaton: kept edges per (strategy,
+    # threshold), node values per rotation class, states reached per stem
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -167,15 +167,33 @@ def finitary_series(aut) -> Series:
 # automaton with the cycle graph of v: nodes (state, position in v), entered
 # at position 0 once the stem u has been read.  A run on the word is
 # successful iff it ends in a good component: a strongly connected component
-# of the product with at least one edge and a repeated state.  Each strategy
-# reduces the product to one value per live entry state; that analysis runs
-# once per (strategy, set of kept edges, period) and is kept in the
-# automaton's memo, and a query only folds its stem back onto those values.
+# of the product with at least one edge and a repeated state.  Every rotation
+# of v has the same product, entered at another position, so the product is
+# built on the least rotation of v and explored from every node that has a
+# predecessor; a query enters it one letter into v, at such a node.  Each
+# strategy reduces it to one value per live node, once per (strategy, set of
+# kept edges, rotation class), kept in the automaton's memo; a query reads
+# its entry values at its rotation's offset and folds its stem onto them.
+
+
+def _least_rotation(word: str) -> int:
+    """The start of the least rotation of ``word``, in O(len(word)), by
+    Duval's Lyndon factorisation of word·word."""
+    n, doubled = len(word), word + word
+    i = start = 0
+    while i < n:
+        start, j, k = i, i + 1, i
+        while j < 2 * n and doubled[k] <= doubled[j]:
+            k = i if doubled[k] < doubled[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return start
 
 
 class _Period:
     """The product of the kept edges with the cycle graph of one period,
-    explored from the entry nodes (state, 0): its strongly connected
+    explored from the nodes with a predecessor: its strongly connected
     components (sinks first, as Tarjan emits them), which of them are good,
     and the live nodes, those that reach a good one."""
 
@@ -187,8 +205,8 @@ class _Period:
             nxt = (pos + 1) % m
             for i, outs in out.get(ch, {}).items():
                 succ[i * m + pos] = [(j * m + nxt, wgt) for j, wgt in outs]
-        self.m, self.succ = m, succ
-        self.sccs = _sccs(succ, range(0, nnodes, m))
+        self.succ = succ
+        self.sccs = _sccs(succ, {t for outs in succ for t, _ in outs})
         self.comp_of = comp_of = [-1] * nnodes
         for c, comp in enumerate(self.sccs):
             for v in comp:
@@ -202,7 +220,6 @@ class _Period:
             live.append(self.good[c] or any(live[comp_of[t]] for v in comp
                                             for t, _ in succ[v] if comp_of[t] != c))
         self.live = [c >= 0 and live[c] for c in comp_of]
-        self.entries = [q for q in range(aut.n) if self.live[q * m]]
 
     def reach_max(self, own) -> list:
         """Per component, the largest ``own`` value (None: none) among the
@@ -218,8 +235,9 @@ class _Period:
             best.append(acc)
         return best
 
-    def at_entries(self, per_comp) -> dict:
-        return {q: per_comp[self.comp_of[q * self.m]] for q in self.entries}
+    def at_nodes(self, per_comp) -> list:
+        """Per node, its component's value if the node is live, else None."""
+        return [per_comp[c] if alive else None for c, alive in zip(self.comp_of, self.live)]
 
     def sup_edges(self) -> list:
         """Per component, the largest weight on an edge into a live node
@@ -278,40 +296,46 @@ def _sccs(succ, roots):
 
 
 def _max_cycle_mean(succ, comp: list) -> float:
-    """Karp's maximum cycle mean on the subgraph induced by one component."""
-    index = {v: i for i, v in enumerate(comp)}
-    n = len(comp)
-    edges = [(index[v], index[nxt], wgt) for v in comp
-             for nxt, wgt in succ[v] if nxt in index]
-    if any(wgt == INF for _, _, wgt in edges):
+    """Maximum cycle mean of one strongly connected component, by Howard's
+    policy iteration (Cochet-Terrasson et al. 1998): every node follows one
+    out-edge, the cycles of that policy give each node a mean and a bias,
+    and a node switches to an edge that leads to a larger mean or, failing
+    that, to a larger bias; when none does, the largest mean is the maximum."""
+    inside = set(comp)
+    edges = {v: [(t, wgt) for t, wgt in succ[v] if t in inside] for v in comp}
+    if any(wgt == INF for outs in edges.values() for _, wgt in outs):
         return INF  # every edge of a component lies on one of its cycles
-    d = [[-INF] * n for _ in range(n + 1)]
-    d[0][0] = 0.0
-    for k in range(1, n + 1):
-        for u, v, wgt in edges:
-            if d[k - 1][u] > -INF:
-                cand = d[k - 1][u] + wgt
-                if cand > d[k][v]:
-                    d[k][v] = cand
-    best = -INF
-    for v in range(n):
-        if d[n][v] == -INF:
-            continue
-        worst = INF
-        for k in range(n):
-            if d[k][v] > -INF:
-                worst = min(worst, (d[n][v] - d[k][v]) / (n - k))
-        if worst < INF:
-            best = max(best, worst)
-    return best
+    policy = {v: max(outs, key=lambda e: e[1]) for v, outs in edges.items()}
+    while True:
+        # (mean, bias) per node; the least node of each cycle has bias 0
+        value = _walk_values(policy, lambda ws: (sum(ws) / len(ws), 0.0),
+                             lambda wgt, t: (t[0], wgt - t[0] + t[1]))
+        # a larger mean first; once no edge leads to one, every node of the
+        # (strongly connected) component has the same mean, so a larger bias
+        if not (_switch(policy, edges, lambda v: value[v][0], lambda v, t, wgt: value[t][0])
+                or _switch(policy, edges, lambda v: value[v][1],
+                           lambda v, t, wgt: wgt - value[v][0] + value[t][1])):
+            return max(mean for mean, _ in value.values())
 
 
-def _policy_values(policy, lam) -> dict:
-    """Discounted value of every node under a positional policy (node ->
-    (target, weight)).  Each node's walk is a lasso: the first node of its
-    cycle reached is valued by the closed form of the periodic sum, every
-    other node by backing up along the policy, in linear time."""
-    valw = _disc_periodic(lam)
+def _switch(policy, edges, current, gain) -> bool:
+    """Point each node at its out-edge (t, wgt) of largest ``gain(v, t, wgt)``
+    where that beats ``current(v)`` beyond rounding; did any node switch?"""
+    switched = False
+    for v, outs in edges.items():
+        cur = current(v)
+        for t, wgt in outs:
+            cand = gain(v, t, wgt)
+            if cand > cur + 1e-12 * (1.0 + abs(cur)):  # a gain beyond rounding
+                policy[v], cur, switched = (t, wgt), cand, True
+    return switched
+
+
+def _walk_values(policy, cycle_value, step) -> dict:
+    """A value for every node under a positional policy (node -> (target,
+    weight)), in linear time.  Each node's walk is a lasso: the least node of
+    its cycle is valued by ``cycle_value`` of the cycle's weights from there,
+    every other node by ``step(weight, value of its target)``."""
     value = {}
     for start in policy:
         path, on_path = [], {}
@@ -321,59 +345,54 @@ def _policy_values(policy, lam) -> dict:
             path.append(v)
             v = policy[v][0]
         if v in on_path:
-            value[v] = valw((), tuple((1, policy[u][1]) for u in path[on_path[v]:]))
-            del path[on_path[v]]
+            cycle = path[on_path[v]:]
+            del path[on_path[v]:]
+            head = cycle.index(min(cycle))
+            path += cycle[head + 1:] + cycle[:head]
+            value[cycle[head]] = cycle_value([policy[u][1] for u in cycle[head:] + cycle[:head]])
         for u in reversed(path):
             t, wgt = policy[u]
-            value[u] = wgt + lam * value[t]
+            value[u] = step(wgt, value[t])
     return value
 
 
 def _optimal_discounted(edges: dict, lam) -> dict:
     """Optimal discounted values of the infinite walks of a graph in which
     every node has an out-edge (node -> [(target, weight)]), by policy
-    iteration: value the policy exactly, switch each node to a strictly
-    better edge, stop when none is (Howard; cf. Zwick & Paterson 1996)."""
+    iteration: value the policy exactly (a cycle by the closed form of its
+    periodic sum), switch each node to a strictly better edge, stop when
+    none is (Howard; cf. Zwick & Paterson 1996)."""
+    valw = _disc_periodic(lam)
     policy = {v: max(outs, key=lambda e: e[1]) for v, outs in edges.items()}
     while True:
-        value = _policy_values(policy, lam)
-        stable = True
-        for v, outs in edges.items():
-            cur = value[v]
-            for t, wgt in outs:
-                cand = wgt + lam * value[t]
-                if cand > cur + 1e-12 * (1.0 + abs(cur)):  # a gain beyond rounding
-                    policy[v], cur, stable = (t, wgt), cand, False
-        if stable:
+        value = _walk_values(policy, lambda ws: valw((), tuple((1, w) for w in ws)),
+                             lambda wgt, v: wgt + lam * v)
+        if not _switch(policy, edges, value.get, lambda v, t, wgt: wgt + lam * value[t]):
             return value
 
 
-# --- infinitary strategies: entry values on a period, stem steps ------------------------
+# --- infinitary strategies: node values on a rotation class, stem steps -----------------
 
-def _entries_boolean(aut, per):
-    return dict.fromkeys(per.entries, True)
-
-
-def _entries_sup(aut, per):
+def _nodes_sup(aut, per):
     """Largest weight on an edge that some successful run takes."""
-    return per.at_entries(per.reach_max(per.sup_edges()))
+    return per.at_nodes(per.reach_max(per.sup_edges()))
 
 
-def _entries_limsup(aut, per):
+def _nodes_limsup(aut, per):
     """Largest weight inside a reachable good component."""
     own = [max(wgt for v in comp for t, wgt in per.succ[v] if per.comp_of[t] == c)
            if per.good[c] else None for c, comp in enumerate(per.sccs)]
-    return per.at_entries(per.reach_max(own))
+    return per.at_nodes(per.reach_max(own))
 
 
-def _entries_cycle_mean(aut, per):
-    """Largest cycle mean of a reachable good component (Karp, once each)."""
+def _nodes_cycle_mean(aut, per):
+    """Largest cycle mean of a reachable good component (Howard, once each)."""
     own = [_max_cycle_mean(per.succ, comp) if per.good[c] else None
            for c, comp in enumerate(per.sccs)]
-    return per.at_entries(per.reach_max(own))
+    return per.at_nodes(per.reach_max(own))
 
 
-def _entries_discounted(aut, per):
+def _nodes_discounted(aut, per):
     """Exact optimal discounted values, on a product without zero-weight
     edges.  A node that reaches a live edge of weight INF is worth INF; the
     other live nodes keep all their live successors among themselves, and
@@ -383,16 +402,15 @@ def _entries_discounted(aut, per):
              for v, outs in enumerate(per.succ)
              if per.live[v] and top[per.comp_of[v]] != INF}
     value = _optimal_discounted(edges, aut.instance.params["lam"])
-    return {q: value.get(q * per.m, INF) for q in per.entries}
+    return [value.get(v, INF) if alive else None for v, alive in enumerate(per.live)]
 
 
-_ENTRY_VALUES = {
-    "boolean": _entries_boolean,
-    "lattice": _entries_boolean,
-    "sup": _entries_sup,
-    "limsup": _entries_limsup,
-    "cycle_mean": _entries_cycle_mean,
-    "discounted": _entries_discounted,
+_NODE_VALUES = {
+    "boolean": lambda aut, per: [True if alive else None for alive in per.live],
+    "sup": _nodes_sup,
+    "limsup": _nodes_limsup,
+    "cycle_mean": _nodes_cycle_mean,
+    "discounted": _nodes_discounted,
 }
 
 
@@ -411,15 +429,16 @@ def _edge_test(aut, strategy, threshold):
 
 class _Kept:
     """The edges a strategy's product keeps, letter -> source -> [(target,
-    weight)], and what is analysed on them: entry values per (strategy,
-    period), and a trie of stems whose nodes (states, children) hold the
-    states reached from the initial ones after each stem prefix."""
+    weight)], and what is analysed on them: node values per (strategy, least
+    rotation), entry values per (strategy, period), and a trie of stems whose
+    nodes (states, children) hold the states reached after each prefix."""
 
     def __init__(self, aut, kept):
         self.out = {}
         for i, ch, j, wgt in kept:
             self.out.setdefault(ch, {}).setdefault(i, []).append((j, wgt))
         self.analyses = {}
+        self.entries = {}
         self.stems = ({q for q in range(aut.n) if aut.alpha[q]}, {})
 
     def reached(self, stem) -> list:
@@ -454,14 +473,21 @@ def _kept_edges(aut, strategy, threshold=None) -> _Kept:
     return memo[key]
 
 
-def _entry_values(aut, strategy, period, threshold=None) -> dict:
-    """Live entry state -> value of the strategy on the product with
-    ``period``, analysed once per automaton and set of kept edges."""
-    kept = _kept_edges(aut, strategy, threshold)
+def _entry_values(aut, kept, strategy, period) -> dict:
+    """Live entry state (its node having a predecessor) -> value of the
+    strategy on the product of ``kept`` with ``period``: the node values of
+    its least rotation, read at the position where the period starts."""
     key = (strategy, period)
-    if key not in kept.analyses:
-        kept.analyses.setdefault(key, _ENTRY_VALUES[strategy](aut, _Period(aut, kept.out, period)))
-    return kept.analyses[key]
+    if key not in kept.entries:
+        m, start = len(period), _least_rotation(period)
+        least = period[start:] + period[:start]
+        if (strategy, least) not in kept.analyses:
+            kept.analyses[strategy, least] = _NODE_VALUES[strategy](
+                aut, _Period(aut, kept.out, least))
+        nodes, entry = kept.analyses[strategy, least], -start % m
+        kept.entries[key] = {q: nodes[q * m + entry] for q in range(aut.n)
+                             if nodes[q * m + entry] is not None}
+    return kept.entries[key]
 
 
 def _fold_stem(kept, stem, values, step=None) -> list:
@@ -488,27 +514,39 @@ def _fold_stem(kept, stem, values, step=None) -> list:
     return [values[q] for q in layers[0] if q in values]
 
 
-def _accepts(aut, strategy, w, threshold=None) -> bool:
-    """Does some initial state have a successful run on ``w``?"""
-    entries = _entry_values(aut, strategy, w.period, threshold)
-    return bool(entries) and any(
-        q in entries for q in _kept_edges(aut, strategy, threshold).reached(w.prefix)[-1])
+def _entered(w) -> tuple:
+    """The lasso u·v^omega as (u·v[0], v[1:]·v[0]): read one letter into its
+    period, every run is at a product node with a predecessor."""
+    return w.prefix + w.period[0], w.period[1:] + w.period[0]
+
+
+def _accepts(aut, kept, stem, period) -> bool:
+    """Does some initial state have a successful run on stem·period^omega
+    over the kept edges?"""
+    entries = _entry_values(aut, kept, "boolean", period)
+    return bool(entries) and any(q in entries for q in kept.reached(stem)[-1])
 
 
 def _query_boolean(aut, w):
-    return _accepts(aut, "boolean", w)
+    return _accepts(aut, _kept_edges(aut, "boolean"), *_entered(w))
 
 
 def _query_lattice(aut, w):
-    """Join over thresholds x of: some successful run uses only weights >= x."""
+    """Join over thresholds x of: some successful run uses only weights >= x.
+    Thresholds that keep the same edges accept the same lassos, so each such
+    group is joined once per automaton and tested once per query."""
     lattice = aut.instance.monoid
     memo = aut._memo
-    if "thresholds" not in memo:
-        memo["thresholds"] = [x for x in lattice.elements()
-                              if not lattice.eq(x, lattice.zero)]
-    best = lattice.zero
-    for x in memo["thresholds"]:
-        if _accepts(aut, "lattice", w, x):
+    if "lattice groups" not in memo:
+        groups = {}
+        for x in lattice.elements():
+            if not lattice.eq(x, lattice.zero):
+                kept = _kept_edges(aut, "lattice", x)
+                groups[kept] = lattice.add(groups[kept], x) if kept in groups else x
+        memo["lattice groups"] = list(groups.items())
+    best, entered = lattice.zero, _entered(w)
+    for kept, x in memo["lattice groups"]:
+        if _accepts(aut, kept, *entered):
             best = lattice.add(best, x)
     return best
 
@@ -522,8 +560,8 @@ def _query_best(strategy, step_of=None):
     """The best value over the initial states; ``step_of(aut)``, if given,
     is the step that folds the stem (see ``_fold_stem``)."""
     def query(aut, w):
-        values = _fold_stem(_kept_edges(aut, strategy), w.prefix,
-                            _entry_values(aut, strategy, w.period),
+        kept, (stem, period) = _kept_edges(aut, strategy), _entered(w)
+        values = _fold_stem(kept, stem, _entry_values(aut, kept, strategy, period),
                             step_of and step_of(aut))
         return max(values, default=aut.instance.zero)
     return query

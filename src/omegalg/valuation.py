@@ -390,8 +390,7 @@ def multi_hemiring_laws(inst: OmegaValuation, trials=400, seed=DEFAULT_SEED) -> 
                       inst.eq, inst.show, max_failures=20)
 
 
-def omega_valuation_laws(inst: OmegaValuation, trials=200, seed=DEFAULT_SEED,
-                         depth=6) -> LawReport:
+def omega_valuation_laws(inst: OmegaValuation, trials=200, seed=DEFAULT_SEED) -> LawReport:
     """The finite laws plus the mixed-product and infinitary identities.
 
     The infinitary checks run on eventually periodic sequences through the

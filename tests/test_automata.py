@@ -658,3 +658,109 @@ def test_cycle_mean_of_an_infinite_weight_loop():
     assert want == INF
     assert A.infinitary_coeff(aut, w) == want
     assert oracles.lasso_coeff(aut, w) == want
+
+
+# --- what the kernel shares: rotation classes, lattice groups, Howard ---------------------
+
+def _canonical_lassos():
+    from omegalg import omegalang
+    return [w for group in omegalang.canonical_lassos(AB).values() for w in group]
+
+
+def test_least_rotation_against_every_rotation():
+    rng = random.Random(91)
+    words = ["".join(rng.choice("abc"[:rng.randrange(1, 4)]) for _ in range(rng.randrange(1, 30)))
+             for _ in range(400)]
+    for word in words + ["a", "ab", "ba", "abab", "baba", "aab", "aba", "baa"]:
+        start = A._least_rotation(word)
+        assert word[start:] + word[:start] == min(word[i:] + word[:i] for i in range(len(word)))
+
+
+def test_one_product_per_rotation_class(monkeypatch):
+    """The 352 canonical lassos have 22 periods in 8 rotation classes: every
+    strategy builds 8 products per set of kept edges, one per class."""
+    built = []
+
+    class Counted(A._Period):
+        def __init__(self, aut, out, period):
+            built.append(period)
+            super().__init__(aut, out, period)
+
+    monkeypatch.setattr(A, "_Period", Counted)
+    lassos = _canonical_lassos()
+    assert len(lassos) == 352 and len({w.period for w in lassos}) == 22
+    rng = random.Random(92)
+    for name, inst in _kernel_instances().items():
+        for _ in range(4):
+            compiled = A.compile(rx.random_expr(rng, 3, kind="omega"), inst, AB)
+            for aut in (compiled, _reweighted(compiled, rng)):
+                built.clear()
+                A.batch_infinitary(aut, lassos)
+                kept_sets = len(aut._memo.get("kept", ()))
+                assert len(built) == 8 * kept_sets, (name, aut.edges)
+                assert len(set(built)) == (8 if kept_sets else 0)
+
+
+def test_one_acceptance_test_per_lattice_group(monkeypatch):
+    """Lattice thresholds that keep the same edges are tested together: a
+    compiled automaton (every weight the top) runs one acceptance test per
+    query for its 7 thresholds, a reweighted one one per kept edge set."""
+    tested = []
+    accepts = A._accepts
+    monkeypatch.setattr(A, "_accepts", lambda *args: tested.append(args) or accepts(*args))
+    inst = V.make_valuation_instance("lattice-inf")
+    lassos = _canonical_lassos()
+    compiled = A.compile(rx.parse("(a + b)^+ (ab + b)^w"), inst, AB)
+    A.batch_infinitary(compiled, lassos)
+    assert len(tested) == len(lassos)
+    rng = random.Random(93)
+    for _ in range(10):
+        aut = _reweighted(compiled, rng)
+        tested.clear()
+        A.batch_infinitary(aut, lassos)
+        assert len(tested) == len(lassos) * len(aut._memo["kept"])
+
+
+def test_values_do_not_depend_on_query_order():
+    """Batch queries in canonical and in shuffled order, and single queries
+    on fresh automata, give ==-identical values on every strategy."""
+    lassos = _canonical_lassos()
+    rng = random.Random(94)
+    insts = {**_kernel_instances(), "disc-0.99": V.make_valuation_instance("disc", lam=0.99)}
+    for name, inst in insts.items():
+        for _ in range(3):
+            compiled = A.compile(rx.random_expr(rng, 3, kind="omega"), inst, AB)
+            for aut in (compiled, _reweighted(compiled, rng), _random_graph(inst, rng)):
+                def fresh():
+                    return A.MatrixAutomaton(inst, AB, aut.n, aut.k, aut.alpha, aut.beta,
+                                             aut.edges)
+                want = A.batch_infinitary(fresh(), lassos)
+                order = rng.sample(range(len(lassos)), len(lassos))
+                got = A.batch_infinitary(fresh(), [lassos[i] for i in order])
+                assert [want[i] for i in order] == got, (name, aut.edges)
+                for i in rng.sample(range(len(lassos)), 12):
+                    assert A.infinitary_coeff(fresh(), lassos[i]) == want[i], (name, str(lassos[i]))
+
+
+def test_howard_cycle_mean_matches_karp():
+    """Howard's policy iteration against Karp's algorithm on random strongly
+    connected components inside larger graphs, with negative, fractional
+    and infinite weights."""
+    from types import SimpleNamespace
+    rng = random.Random(95)
+
+    def weight():
+        roll = rng.random()
+        return INF if roll < 0.01 else rng.uniform(-3, 3) if roll < 0.5 else float(rng.randrange(-4, 9))
+
+    for _ in range(1000):
+        n = rng.randrange(1, 13)
+        nodes = rng.sample(range(3 * n), n)
+        succ = [[] for _ in range(3 * n)]
+        for v, t in zip(nodes, nodes[1:] + nodes[:1]):  # a cycle through every node
+            succ[v].append((t, weight()))
+        for _ in range(rng.randrange(3 * n)):  # more edges, inside and out
+            succ[rng.choice(nodes)].append((rng.randrange(3 * n), weight()))
+        got = A._max_cycle_mean(succ, nodes)
+        want = oracles._max_cycle_mean(SimpleNamespace(succ=succ), nodes)
+        assert got == want or abs(got - want) <= 1e-9, (succ, nodes, got, want)

@@ -383,6 +383,8 @@ _SWEEP = {
                        "--word", "ab" * 50), 1.5, 0),
     "aut-2000-lasso": (("behavior", "--aut", "{aut}", "--instance", "disc",
                         "--word", "a(ab)^w"), 1.0, 0),
+    "aut-2000-limsup-avg": (("behavior", "--aut", "{aut}", "--instance", "limsup-avg",
+                             "--word", "a(ab)^w"), 1.0, 0),
     **{f"group-{g}-{inst}": (("group-check", "--group", g, "--instance", inst), 1.0, 0)
        for g in ("S3", "Z6") for inst in ("bool", "minplus", "lattice")},
 }

@@ -199,6 +199,16 @@ def test_morphism_nat_to_bool_extension(nat, nat_series6, boolean, lang6,
     assert report.ok, report.failures[:2]
 
 
+def test_morphism_report_names_a_non_ideal_image(nat_series_ext):
+    # phi(x) = x + 1 sends every ideal element a to 1 + a, outside the ideal;
+    # the report says so instead of failing on the partial star of 1 + a
+    shifted = E.ExtensionMorphism(nat_series_ext, nat_series_ext, lambda x: x + 1,
+                                  lambda a: a, validate_samples=0)
+    report = shifted.homomorphism_report(trials=5, seed=3)
+    assert not report.ok
+    assert "preserves_ideal" in {f.law for f in report.failures}
+
+
 def test_incompatible_morphism_rejected(bool_lang_ext, lang6):
     # psi that swaps letters only on one side of the action cannot commute
     def bad_psi(a):
