@@ -305,6 +305,12 @@ def _max_cycle_mean(succ, comp: list) -> float:
     edges = {v: [(t, wgt) for t, wgt in succ[v] if t in inside] for v in comp}
     if any(wgt == INF for outs in edges.values() for _, wgt in outs):
         return INF  # every edge of a component lies on one of its cycles
+    if all(len(outs) == 1 for outs in edges.values()):  # one cycle, summed from its least node
+        ws, v = [], min(comp)
+        for _ in comp:
+            v, wgt = edges[v][0]
+            ws.append(wgt)
+        return sum(ws) / len(ws)
     policy = {v: max(outs, key=lambda e: e[1]) for v, outs in edges.items()}
     while True:
         # (mean, bias) per node; the least node of each cycle has bias 0
@@ -527,10 +533,6 @@ def _accepts(aut, kept, stem, period) -> bool:
     return bool(entries) and any(q in entries for q in kept.reached(stem)[-1])
 
 
-def _query_boolean(aut, w):
-    return _accepts(aut, _kept_edges(aut, "boolean"), *_entered(w))
-
-
 def _query_lattice(aut, w):
     """Join over thresholds x of: some successful run uses only weights >= x.
     Thresholds that keep the same edges accept the same lassos, so each such
@@ -568,7 +570,7 @@ def _query_best(strategy, step_of=None):
 
 
 _QUERIES = {
-    "boolean": _query_boolean,
+    "boolean": lambda aut, w: _accepts(aut, _kept_edges(aut, "boolean"), *_entered(w)),
     "sup": _query_best("sup", lambda aut: max),
     "limsup": _query_best("limsup"),
     "cycle_mean": _query_best("cycle_mean"),
@@ -713,9 +715,7 @@ def compile(expr, instance, alphabet=None) -> MatrixAutomaton:
             return _frag_prod(instance, go(node.head), go(node.tail), omega=True)
         raise TypeError(f"not an expression node: {node!r}")
 
-    frag = go(expr)
-    return MatrixAutomaton(instance, alphabet, frag.n, frag.k,
-                           tuple(frag.alpha), tuple(frag.beta), tuple(frag.edges))
+    return _aut_of(go(expr), instance, alphabet)
 
 
 def trim(aut: MatrixAutomaton) -> MatrixAutomaton:

@@ -4,12 +4,12 @@
 
 PARENT_DIR holds the files of the parent commit (for example
 ``git archive <parent> | tar -x -C PARENT_DIR``).  For each workload,
-``perfbench/run.py --trace 0`` runs ``--pairs`` times in PARENT_DIR and in
-this checkout (``--lasso-pairs`` times for ``lasso``), alternating which of
-the two goes first, and every run's end-to-end metrics and speed factor are
-kept.  Then, in both trees: the traced ``lasso`` run at seed 7 (per-layer
-spans and carrier op counts), and the lasso kernel's products per kept edge
-set on the canonical lassos of 20 compiled expressions per instance.
+``perfbench/run.py --seconds 20 --trace 0`` runs PAIRS times in PARENT_DIR
+and in this checkout, alternating which of the two goes first, and every
+run's end-to-end metrics and speed factor are kept.  Then, in both trees:
+the traced ``lasso`` run at seed 7 (per-layer spans and carrier op counts),
+and the lasso kernel's products per kept edge set on the canonical lassos of
+20 compiled expressions per instance.
 Run it on an otherwise idle machine; it takes about half an hour.
 """
 
@@ -27,6 +27,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = {"kleene": 4242, "lasso": 2718, "algebra": 4242, "cli": 3}
+PAIRS = {"kleene": 3, "lasso": 10, "algebra": 3, "cli": 3}
+SECONDS = "20"
 
 # Counts the products the lasso kernel builds: `_Period` is the product of
 # the kept edges with one period's cycle graph in both trees.
@@ -97,9 +99,6 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--pairs", type=int, default=3)
-    p.add_argument("--lasso-pairs", type=int, default=10)
-    p.add_argument("--seconds", default="20")
     args = p.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     out = {"env": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
@@ -107,14 +106,13 @@ def main(argv=None):
            "command": "python3 tools/bench_pairs.py PARENT_DIR --out " + args.out.name,
            "pairs": {}, "summary": {}, "speed_factors": [], "traced_lasso_seed_7": {}, "products_per_kept_set": {}}
     for workload, seed in SEEDS.items():
-        count = args.lasso_pairs if workload == "lasso" else args.pairs
         rows = []
-        for i in range(count):
+        for i in range(PAIRS[workload]):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             row = {"seed": seed, "first": order[0]}
             for side in order:
                 result, factor = run(trees[side], "--workload", workload, "--seed", str(seed),
-                                     "--seconds", args.seconds, "--trace", "0")
+                                     "--seconds", SECONDS, "--trace", "0")
                 row[side] = metrics(result)
                 out["speed_factors"].append(factor)
             rows.append(row)
