@@ -23,7 +23,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from . import matrices
 from .core import HemimodulePair, Hemiring
 from .ratexpr import (ActProd, Letter, OmegaPow, OmegaSum, Plus, Prod, Scalar,
                       Sum, letters_of, to_text)
@@ -858,6 +857,7 @@ def eliminate(aut: MatrixAutomaton):
     series on either side.  The results are semantically equal to the
     behaviors, not syntactically canonical.
     """
+    from . import matrices
     inst = aut.instance
     sym = _SymbolicExprCarrier()
     pair = _symbolic_pair()

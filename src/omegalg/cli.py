@@ -15,8 +15,9 @@ import sys
 
 import click
 
-from . import automata, core, matrices, ratexpr, valuation
-from .series import OmegaWord, parse_word
+# the rest of the library loads in the commands that run it, so a cold call
+# pays only for its own modules
+from . import core, valuation
 
 DEFAULT_SEED = 42
 
@@ -92,7 +93,16 @@ def _check_letters(what, letters, alphabet):
                        f"outside the alphabet {''.join(alphabet)!r}")
 
 
+def _parse_alphabet(alphabet):
+    """The letters of ``--alphabet``, each once."""
+    repeated = sorted({ch for ch in alphabet if alphabet.count(ch) > 1})
+    if repeated:
+        raise BadInput(f"--alphabet {alphabet!r} repeats {', '.join(map(repr, repeated))}")
+    return tuple(alphabet)
+
+
 def _parse_expr(text, alphabet):
+    from . import ratexpr
     try:
         e = ratexpr.parse(text)
     except ratexpr.ParseError as exc:
@@ -102,6 +112,7 @@ def _parse_expr(text, alphabet):
 
 
 def _parse_cli_word(text, alphabet):
+    from .series import OmegaWord, parse_word
     try:
         w = parse_word(text)
     except ValueError as exc:
@@ -123,6 +134,8 @@ def _check_samples(samples):
 
 def _print_coeff(inst, aut, w):
     """Print the coefficient of ``aut``'s behavior at the finite or omega word ``w``."""
+    from . import automata
+    from .series import OmegaWord
     if isinstance(w, OmegaWord):
         if inst.strategy is None:
             raise BadInput(f"instance {inst.name!r} has no infinitary coefficients")
@@ -142,8 +155,10 @@ def _print_coeff(inst, aut, w):
 @click.option("--alphabet", default="ab", show_default=True)
 def coeff(name, text, word, lam, alphabet):
     """Coefficient of an expression's series at a finite or omega word."""
+    from . import automata, ratexpr
+    from .series import OmegaWord
     _, inst = _instance(name, "weights", lam=lam)
-    letters = tuple(alphabet)
+    letters = _parse_alphabet(alphabet)
     e = _parse_expr(text, letters)
     w = _parse_cli_word(word, letters)
     if ratexpr.is_omega(e) and not isinstance(w, OmegaWord):
@@ -160,8 +175,9 @@ def coeff(name, text, word, lam, alphabet):
 @click.option("--alphabet", default="ab", show_default=True)
 def compile_cmd(name, text, lam, alphabet):
     """Compile an expression to an automaton (JSON on stdout)."""
+    from . import automata
     _, inst = _instance(name, "weights", lam=lam)
-    letters = tuple(alphabet)
+    letters = _parse_alphabet(alphabet)
     aut = automata.compile(_parse_expr(text, letters), inst, letters)
     print(json.dumps(automata.automaton_to_json(aut), indent=2))
     print(f"{aut.n} states, {aut.k} repeated", file=sys.stderr)
@@ -174,6 +190,7 @@ def compile_cmd(name, text, lam, alphabet):
 @click.option("--lam", "--lambda", "lam", default=0.5, show_default=True)
 def behavior(path, name, word, lam):
     """Finitary or infinitary coefficient of an automaton loaded from JSON."""
+    from . import automata
     _, inst = _instance(name, "weights", lam=lam)
     try:
         with open(path) as fh:
@@ -191,6 +208,7 @@ def behavior(path, name, word, lam):
 @click.option("--bound", default=6, show_default=True)
 def group_check(gname, name, samples, seed, bound):
     """Plus-form (and omega-form where available) group identities."""
+    from . import matrices
     _check_bound(bound)
     _check_samples(samples)
     seed = seed if seed is not None else _default_seed()
@@ -253,6 +271,9 @@ def counterexample(name, depth):
 @click.option("--seed", default=None, type=int)
 def manifest(name, lam, bound, depth, seed):
     """Print the manifest (name, params, bounds, seed) of an instance."""
+    _check_bound(bound)
+    if depth < 1:
+        raise BadInput(f"--depth {depth}: a manifest depth must be at least 1")
     seed = seed if seed is not None else _default_seed()
     entry, _ = _instance(name, "weights", lam=lam)
     print(json.dumps({"name": name, "params": entry.bind({"lam": lam}), "bound_length": bound,

@@ -27,7 +27,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from . import dfa as dfalib
 from .core import Hemiring, LawReport, check_laws, words_up_to
 from .instances import BooleanCarrier, NatCarrier
 from .valuation import from_carrier
@@ -475,11 +474,13 @@ class LanguageCarrier(SeriesCarrier):
     """Epsilon-free regular languages as a Conway hemiring (no unit)."""
 
     def __init__(self, alphabet=("a", "b"), bound=DEFAULT_BOUND):
+        from . import dfa as dfalib
         super().__init__(from_carrier(BooleanCarrier()), alphabet, bound, name="lang")
         self.zero = self._from_dfa(dfalib.empty(self.alphabet))
 
     # every element carries a minimal DFA in ``backing``
     def _from_dfa(self, d: dfalib.Dfa) -> Series:
+        from . import dfa as dfalib
         def build(L, only):
             if only is None:
                 return dict.fromkeys(dfalib.enumerate_words(d, L), True)
@@ -497,6 +498,7 @@ class LanguageCarrier(SeriesCarrier):
         return Series(self.weights, self.alphabet, self.bound, build, backing=d)
 
     def poly(self, table) -> Series:
+        from . import dfa as dfalib
         words = [w for w, v in table.items() if v]
         if not words:
             return self.zero
@@ -515,24 +517,29 @@ class LanguageCarrier(SeriesCarrier):
         return f if n else self.zero
 
     def add(self, f, g):
+        from . import dfa as dfalib
         return self._from_dfa(dfalib.union(f.backing, g.backing))
 
     def mul(self, f, g):
+        from . import dfa as dfalib
         if dfalib.dfa_is_empty(f.backing) or dfalib.dfa_is_empty(g.backing):
             return self.zero
         return self._from_dfa(dfalib.concat(f.backing, g.backing))
 
     def plus(self, f):
+        from . import dfa as dfalib
         if dfalib.dfa_is_empty(f.backing):
             return self.zero
         return self._from_dfa(dfalib.plus(f.backing))
 
     def eq(self, f, g):
+        from . import dfa as dfalib
         if f.alphabet != g.alphabet:
             raise ValueError("alphabet mismatch")
         return dfalib.agree_up_to(f.backing, g.backing, self.bound)
 
     def show(self, f):
+        from . import dfa as dfalib
         words = dfalib.enumerate_words(f.backing, 4, limit=7)
         if not words:
             return "{}" if dfalib.dfa_is_empty(f.backing) else "{…}"

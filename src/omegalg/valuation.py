@@ -20,7 +20,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .core import DEFAULT_SEED, LawFailure, LawReport, check_laws, has_omega, self_pair
 from .instances import (INF, NEG_INF, BooleanCarrier, ExtRealCarrier, LatticeCarrier,
@@ -493,6 +492,7 @@ def counterexample_regroup_avg(blocks: int = 24) -> RegroupAvgTrace:
     produces constant value 1/3, so the regrouped valuation is 1/3.  The
     exact averages have 2^blocks-sized terms, so ``blocks`` is capped.
     """
+    from fractions import Fraction
     if blocks < 1:
         raise ValueError("blocks must be at least 1")
     if blocks > MAX_REGROUP_BLOCKS:
@@ -549,6 +549,7 @@ def counterexample_product_omega(depth: int = 8) -> ProductOmegaTrace:
     a-block and climbs toward 1.  The lengths have 4^(depth^2)-sized terms,
     so ``depth`` is capped.
     """
+    from fractions import Fraction
     if depth < 4:
         raise ValueError("depth must be at least 4")
     if depth > MAX_PRODUCT_OMEGA_DEPTH:

@@ -13,6 +13,8 @@ import omegalg
 from omegalg import valuation as V
 from omegalg.cli import main
 
+SRC = os.path.dirname(os.path.dirname(omegalg.__file__))
+
 
 @pytest.fixture
 def runner():
@@ -350,6 +352,22 @@ def test_manifest_params_come_from_the_registry(runner):
     assert params("bool") == {}
 
 
+@pytest.mark.parametrize("args", [("--bound", "0"), ("--bound", "-1"), ("--depth", "0"),
+                                  ("--depth", "-3")])
+def test_manifest_rejects_what_the_commands_reject(runner, args):
+    assert_bad_input(run(runner, "manifest", "--instance", "disc", *args))
+
+
+@pytest.mark.parametrize("args", [
+    ("compile", "--instance", "nat", "--expr", "a+a", "--alphabet", "aa"),
+    ("coeff", "--instance", "nat", "--expr", "a", "--word", "a", "--alphabet", "abb"),
+])
+def test_alphabet_with_a_repeated_letter_rejected(runner, args):
+    res = run(runner, *args)
+    assert_bad_input(res)
+    assert "repeats" in res.stderr
+
+
 def _ring_automaton(n):
     """An n-state automaton over {a, b}: two out-edges per state and letter."""
     edges = [{"from": i, "to": t, "letter": ch, "weight": str((7 * i + t) % 5)}
@@ -406,7 +424,79 @@ def test_parameter_sweep_within_budget(runner, tmp_path, case):
                    reason="ROADMAP item 2: the language carrier's products blow up "
                    "on the entries of the Z6 group matrix")
 def test_lang_group_check_z6_within_budget():
-    src = os.path.dirname(os.path.dirname(omegalg.__file__))
     subprocess.run([sys.executable, "-m", "omegalg.cli", "group-check", "--group", "Z6",
                     "--instance", "lang", "--seed", "2"], capture_output=True, timeout=3,
-                   check=True, env={**os.environ, "PYTHONPATH": src})
+                   check=True, env={**os.environ, "PYTHONPATH": SRC})
+
+
+# Runs ``python -m omegalg.cli ARGS`` through runpy and prints, as the last
+# stdout line, the omegalg modules loaded by then.
+_LOADED_BY = """
+import runpy, sys
+sys.argv = ["omegalg.cli", *sys.argv[1:]]
+try:
+    runpy.run_module("omegalg.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(" ".join(sorted(m for m in sys.modules if m.startswith("omegalg."))))
+"""
+
+_LIBRARY = {"automata", "matrices", "ratexpr", "series", "dfa", "omegalang", "extension"}
+
+
+def _loaded(cwd, *args):
+    proc = subprocess.run([sys.executable, "-c", _LOADED_BY, *args], cwd=cwd, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": SRC})
+    # 0: checks passed, 1: a law failed or a counterexample holds
+    assert proc.returncode in (0, 1) and "Error" not in proc.stderr, proc.stderr
+    return {m.removeprefix("omegalg.") for m in proc.stdout.splitlines()[-1].split()}
+
+
+def test_import_omegalg_loads_no_submodule():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, omegalg; "
+         "print([m for m in sys.modules if m.startswith('omegalg.')])"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("args", [
+    ("manifest", "--instance", "disc"),
+    ("counterexample", "--name", "liminf-regroup"),
+    ("counterexample", "--name", "avg-regroup"),
+    ("counterexample", "--name", "avg-product-omega"),
+    ("laws", "--instance", "minplus", "--suite", "conway-semiring", "--samples", "5"),
+])
+def test_commands_without_series_load_no_library_module(tmp_path, args):
+    assert not _loaded(tmp_path, *args) & _LIBRARY
+
+
+def test_series_commands_load_no_matrices_or_languages(tmp_path):
+    (tmp_path / "aut.json").write_text(json.dumps(_ring_automaton(3)))
+    for args in [("coeff", "--instance", "nat", "--expr", "(2a)^+", "--word", "aa"),
+                 ("coeff", "--instance", "bool", "--expr", "(ab)^w", "--word", "(ab)^w"),
+                 ("compile", "--instance", "disc", "--expr", "a^w"),
+                 ("behavior", "--aut", "aut.json", "--instance", "disc", "--word", "a(ab)^w")]:
+        loaded = _loaded(tmp_path, *args)
+        assert {"automata", "ratexpr", "series"} <= loaded, args
+        assert not loaded & {"matrices", "dfa", "omegalang", "extension"}, args
+
+
+def test_group_check_loads_matrices(tmp_path):
+    assert "matrices" in _loaded(tmp_path, "group-check", "--group", "S3", "--instance",
+                                 "minplus", "--samples", "2")
+
+
+def test_package_names_resolve_to_their_submodules():
+    assert omegalg.__all__ == [
+        "HemimodulePair", "LawReport", "OmegaWord", "Series", "WeightedSeq",
+        "bounded_eq", "conway_hemiring_laws", "conway_semiring_laws",
+        "hemimodule_pair_laws", "iterative_fixed_point_check", "language_instance",
+        "make_instance", "make_valuation_instance", "parse_word", "plus_from_star",
+        "self_pair", "star_from_plus"]
+    for name in omegalg.__all__:
+        value = getattr(omegalg, name)
+        home = sys.modules[value.__module__]
+        assert home.__name__.startswith("omegalg.") and getattr(home, name) is value, name
+        assert name in dir(omegalg)
+    with pytest.raises(AttributeError):
+        omegalg.no_such_name

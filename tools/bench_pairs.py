@@ -1,6 +1,6 @@
 """Alternating parent/change benchmark pairs, written to one JSON file.
 
-    python3 tools/bench_pairs.py PARENT_DIR --out BENCH_9.json
+    python3 tools/bench_pairs.py PARENT_DIR --out BENCH_10.json
 
 PARENT_DIR holds the files of the parent commit (for example
 ``git archive <parent> | tar -x -C PARENT_DIR``).  For each workload,
@@ -8,9 +8,14 @@ PARENT_DIR holds the files of the parent commit (for example
 and in this checkout, alternating which of the two goes first, and every
 run's end-to-end metrics and speed factor are kept.  Then, in both trees:
 the traced ``lasso`` run at seed 7 (per-layer spans and carrier op counts),
-and the lasso kernel's products per kept edge set on the canonical lassos of
-20 compiled expressions per instance.
-Run it on an otherwise idle machine; it takes about half an hour.
+the lasso kernel's products per kept edge set on the canonical lassos of
+20 compiled expressions per instance, and the traced ``cli`` run at seed 7
+(its ``cli.*`` figures).  Last, the cold start: the median wall time of
+``python -c pass``, of ``python -c "import omegalg.cli"`` and of one call of
+each command, in both trees by turns, without a bytecode cache
+(``PYTHONDONTWRITEBYTECODE=1``) and with one (a temporary
+``PYTHONPYCACHEPREFIX``, filled by one run of every call first).
+Run it on an otherwise idle machine; it takes about 40 minutes.
 """
 
 from __future__ import annotations
@@ -23,12 +28,33 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = {"kleene": 4242, "lasso": 2718, "algebra": 4242, "cli": 3}
 PAIRS = {"kleene": 3, "lasso": 10, "algebra": 3, "cli": 3}
 SECONDS = "20"
+COLD_REPEATS = 9
+
+# The cold-start calls: interpreter start, the CLI's import, and one call of
+# each command (``behavior`` reads the automaton ``compile`` writes).
+COLD_CALLS = {
+    "python": ("-c", "pass"),
+    "import": ("-c", "import omegalg.cli"),
+    **{argv[0]: ("-m", "omegalg.cli", *argv) for argv in [
+        ("laws", "--instance", "minplus", "--suite", "conway-semiring", "--samples", "200",
+         "--seed", "7"),
+        ("coeff", "--instance", "nat", "--expr", "(2a)^+", "--word", "aa"),
+        ("compile", "--instance", "disc", "--expr", "a^w", "--alphabet", "a"),
+        ("behavior", "--aut", "aut.json", "--instance", "disc", "--word", "a^w"),
+        ("group-check", "--group", "S3", "--instance", "minplus", "--samples", "10",
+         "--seed", "7"),
+        ("counterexample", "--name", "avg-regroup", "--depth", "24"),
+        ("manifest", "--instance", "disc"),
+    ]},
+}
 
 # Counts the products the lasso kernel builds: `_Period` is the product of
 # the kept edges with one period's cycle graph in both trees.
@@ -95,6 +121,42 @@ def products(tree: Path) -> dict:
     return json.loads(proc.stdout)
 
 
+def cold_start(trees: dict) -> dict:
+    """Per tree and cache setting, the median wall time in seconds of each
+    of COLD_CALLS, run in a fresh process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        envs = {}
+        for side, tree in trees.items():
+            env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+            env.pop("OMEGA_WEIGHTS_SEED", None)
+            env.pop("PYTHONPYCACHEPREFIX", None)
+            envs[side, "no_cache"] = {**env, "PYTHONDONTWRITEBYTECODE": "1"}
+            env.pop("PYTHONDONTWRITEBYTECODE", None)
+            envs[side, "cache"] = {**env, "PYTHONPYCACHEPREFIX": f"{tmp}/pycache-{side}"}
+
+        def call(env, name):
+            start = time.perf_counter()
+            proc = subprocess.run([sys.executable, *COLD_CALLS[name]], cwd=tmp, env=env,
+                                  capture_output=True, text=True)
+            wall = time.perf_counter() - start
+            if proc.returncode not in (0, 1):   # 1: the counterexample holds
+                raise RuntimeError(f"{name}: exit {proc.returncode}: {proc.stderr}")
+            if name == "compile":
+                Path(tmp, "aut.json").write_text(proc.stdout)
+            return wall
+
+        for key, env in envs.items():   # writes aut.json and fills the caches
+            for name in COLD_CALLS:
+                call(env, name)
+        walls = {key: {name: [] for name in COLD_CALLS} for key in envs}
+        for i in range(COLD_REPEATS):
+            for key in envs if i % 2 == 0 else reversed(envs):
+                for name in COLD_CALLS:
+                    walls[key][name].append(call(envs[key], name))
+    return {side: {cache: {name: statistics.median(w) for name, w in walls[side, cache].items()}
+                   for cache in ("no_cache", "cache")} for side in trees}
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path)
@@ -104,7 +166,8 @@ def main(argv=None):
     out = {"env": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
                    "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
            "command": "python3 tools/bench_pairs.py PARENT_DIR --out " + args.out.name,
-           "pairs": {}, "summary": {}, "speed_factors": [], "traced_lasso_seed_7": {}, "products_per_kept_set": {}}
+           "pairs": {}, "summary": {}, "speed_factors": [], "traced_lasso_seed_7": {}, "products_per_kept_set": {},
+           "traced_cli_seed_7": {}, "cold_start_s": {}}
     for workload, seed in SEEDS.items():
         rows = []
         for i in range(PAIRS[workload]):
@@ -124,6 +187,11 @@ def main(argv=None):
         result, _ = run(tree, "--workload", "lasso", "--seed", "7", "--trace", "1")
         out["traced_lasso_seed_7"][side] = metrics(result)
         out["products_per_kept_set"][side] = products(tree)
+    for side, tree in trees.items():
+        result, _ = run(tree, "--workload", "cli", "--seed", "7", "--trace", "1")
+        out["traced_cli_seed_7"][side] = {name: value for name, value in metrics(result).items()
+                                          if name.startswith("cli.")}
+    out["cold_start_s"] = cold_start(trees)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
 
 
