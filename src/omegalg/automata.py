@@ -64,17 +64,6 @@ class MatrixAutomaton:
         return out
 
 
-def to_run_automata(aut: MatrixAutomaton) -> list:
-    """Split an automaton with natural initial/final coefficients into a
-    family of automata with 0/1 vectors whose behaviors sum to the original
-    behavior."""
-    def layers(vec):
-        return [tuple(int(v > t) for v in vec) for t in range(max(max(vec, default=0), 1))]
-
-    return [MatrixAutomaton(aut.instance, aut.alphabet, aut.n, aut.k, ini, fin, aut.edges)
-            for ini in layers(aut.alpha) for fin in layers(aut.beta)]
-
-
 # --- finitary behavior -------------------------------------------------------------
 
 class _Run:
@@ -715,30 +704,6 @@ def compile(expr, instance, alphabet=None) -> MatrixAutomaton:
         raise TypeError(f"not an expression node: {node!r}")
 
     return _aut_of(go(expr), instance, alphabet)
-
-
-def trim(aut: MatrixAutomaton) -> MatrixAutomaton:
-    """Drop states unreachable from the initial vector (behavior-preserving)."""
-    adj = {}
-    for i, ch, j, w in aut.edges:
-        adj.setdefault(i, []).append(j)
-    seen = {i for i in range(aut.n) if aut.alpha[i]}
-    work = list(seen)
-    while work:
-        node = work.pop()
-        for j in adj.get(node, ()):
-            if j not in seen:
-                seen.add(j)
-                work.append(j)
-    keep = sorted(seen)
-    newpos = {old: new for new, old in enumerate(keep)}
-    return MatrixAutomaton(
-        aut.instance, aut.alphabet, len(keep),
-        sum(1 for s in keep if s < aut.k),
-        tuple(aut.alpha[s] for s in keep),
-        tuple(aut.beta[s] for s in keep),
-        tuple((newpos[i], ch, newpos[j], w) for i, ch, j, w in aut.edges
-              if i in seen and j in seen))
 
 
 def _frag_of(aut: MatrixAutomaton) -> _Frag:

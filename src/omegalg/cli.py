@@ -9,11 +9,10 @@ stderr, never a traceback.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
-
-import click
 
 # the rest of the library loads in the commands that run it, so a cold call
 # pays only for its own modules
@@ -22,15 +21,39 @@ from . import core, valuation
 DEFAULT_SEED = 42
 
 
-class BadInput(click.ClickException):
+class BadInput(Exception):
     """Bad input: one ``Error: ...`` line on stderr and exit code 2."""
 
-    exit_code = 2
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are bad input; options take no
+    abbreviations, and ``--help`` is the only help option."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="show this message and exit")
+
+    def error(self, message):
+        raise BadInput(message)
 
 
 def _default_seed():
     env = os.environ.get("OMEGA_WEIGHTS_SEED")
-    return int(env) if env else DEFAULT_SEED
+    try:
+        return int(env) if env else DEFAULT_SEED
+    except ValueError:
+        raise BadInput(f"OMEGA_WEIGHTS_SEED={env!r} is not an integer") from None
+
+
+def _count(text):
+    """``--bound``, ``--samples`` and the manifest's ``--depth``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
 
 
 def _instance(name, role, **options):
@@ -49,11 +72,6 @@ def _emit(report: core.LawReport) -> int:
     return 0 if report.ok else 1
 
 
-@click.group()
-def main():
-    """Algebraic law suites, series evaluation and automaton behaviors."""
-
-
 # suite -> the role of the instance it checks, the operation it needs, its laws
 _SUITES = {
     "conway-semiring": ("carrier", "star", core.conway_semiring_laws),
@@ -64,18 +82,8 @@ _SUITES = {
 }
 
 
-@main.command()
-@click.option("--instance", "name", required=True)
-@click.option("--suite", required=True, type=click.Choice(list(_SUITES)))
-@click.option("--samples", default=core.DEFAULT_TRIALS, show_default=True)
-@click.option("--seed", default=None, type=int)
-@click.option("--bound", default=8, show_default=True, help="word length bound for series equality")
-@click.option("--lam", "--lambda", "lam", default=0.5, show_default=True)
 def laws(name, suite, samples, seed, bound, lam):
     """Run a law suite against an instance; exit 0 iff no failures."""
-    _check_bound(bound)
-    _check_samples(samples)
-    seed = seed if seed is not None else _default_seed()
     role, op, suite_laws = _SUITES[suite]
     entry, subject = _instance(name, role, lam=lam, bound=bound)
     if op and not callable(getattr(subject, op, None)):
@@ -83,7 +91,7 @@ def laws(name, suite, samples, seed, bound, lam):
     # a pair whose identity fails only on an explicit witness comes as its report
     report = subject if isinstance(subject, core.LawReport) else suite_laws(
         subject, trials=entry.trials(suite, samples), seed=seed)
-    sys.exit(_emit(report))
+    return _emit(report)
 
 
 def _check_letters(what, letters, alphabet):
@@ -94,7 +102,12 @@ def _check_letters(what, letters, alphabet):
 
 
 def _parse_alphabet(alphabet):
-    """The letters of ``--alphabet``, each once."""
+    """The letters of ``--alphabet``, each once and each one the grammar spells."""
+    from .ratexpr import LETTERS
+    foreign = sorted(set(alphabet) - set(LETTERS))
+    if foreign:
+        raise BadInput(f"--alphabet {alphabet!r} has {', '.join(map(repr, foreign))}, "
+                       "not letters a-z")
     repeated = sorted({ch for ch in alphabet if alphabet.count(ch) > 1})
     if repeated:
         raise BadInput(f"--alphabet {alphabet!r} repeats {', '.join(map(repr, repeated))}")
@@ -122,16 +135,6 @@ def _parse_cli_word(text, alphabet):
     return w
 
 
-def _check_bound(bound):
-    if bound < 1:
-        raise BadInput(f"--bound {bound}: series equality needs a word length of at least 1")
-
-
-def _check_samples(samples):
-    if samples < 1:
-        raise BadInput(f"--samples {samples}: a law check needs at least 1 trial")
-
-
 def _print_coeff(inst, aut, w):
     """Print the coefficient of ``aut``'s behavior at the finite or omega word ``w``."""
     from . import automata
@@ -147,12 +150,6 @@ def _print_coeff(inst, aut, w):
     print(inst.show(value))
 
 
-@main.command()
-@click.option("--instance", "name", required=True)
-@click.option("--expr", "text", required=True)
-@click.option("--word", required=True)
-@click.option("--lam", "--lambda", "lam", default=0.5, show_default=True)
-@click.option("--alphabet", default="ab", show_default=True)
 def coeff(name, text, word, lam, alphabet):
     """Coefficient of an expression's series at a finite or omega word."""
     from . import automata, ratexpr
@@ -168,11 +165,6 @@ def coeff(name, text, word, lam, alphabet):
     _print_coeff(inst, automata.compile(e, inst, letters), w)
 
 
-@main.command(name="compile")
-@click.option("--instance", "name", required=True)
-@click.option("--expr", "text", required=True)
-@click.option("--lam", "--lambda", "lam", default=0.5, show_default=True)
-@click.option("--alphabet", default="ab", show_default=True)
 def compile_cmd(name, text, lam, alphabet):
     """Compile an expression to an automaton (JSON on stdout)."""
     from . import automata
@@ -183,11 +175,6 @@ def compile_cmd(name, text, lam, alphabet):
     print(f"{aut.n} states, {aut.k} repeated", file=sys.stderr)
 
 
-@main.command()
-@click.option("--aut", "path", required=True, type=click.Path(exists=True))
-@click.option("--instance", "name", required=True)
-@click.option("--word", required=True)
-@click.option("--lam", "--lambda", "lam", default=0.5, show_default=True)
 def behavior(path, name, word, lam):
     """Finitary or infinitary coefficient of an automaton loaded from JSON."""
     from . import automata
@@ -200,18 +187,9 @@ def behavior(path, name, word, lam):
     _print_coeff(inst, aut, _parse_cli_word(word, aut.alphabet))
 
 
-@main.command(name="group-check")
-@click.option("--group", "gname", required=True)
-@click.option("--instance", "name", required=True)
-@click.option("--samples", default=30, show_default=True)
-@click.option("--seed", default=None, type=int)
-@click.option("--bound", default=6, show_default=True)
 def group_check(gname, name, samples, seed, bound):
     """Plus-form (and omega-form where available) group identities."""
     from . import matrices
-    _check_bound(bound)
-    _check_samples(samples)
-    seed = seed if seed is not None else _default_seed()
     groups = matrices.builtin_groups()
     if gname not in groups:
         raise BadInput(f"unknown group {gname!r}; known: {sorted(groups)}")
@@ -219,9 +197,9 @@ def group_check(gname, name, samples, seed, bound):
     if not core.has_plus(carrier):
         raise BadInput(f"{name} has no plus operation")
     pair = _instance(name, "pair", bound=bound)[1] if "pair" in entry.roles else None
-    sys.exit(_emit(matrices.group_identity_check(
+    return _emit(matrices.group_identity_check(
         groups[gname], carrier, trials=entry.trials("group-check", samples), seed=seed,
-        pair=pair)))
+        pair=pair))
 
 
 def _trace(counterexample, depth):
@@ -235,9 +213,6 @@ def _trace(counterexample, depth):
 _COUNTEREXAMPLES = ("liminf-regroup", "avg-regroup", "avg-product-omega")
 
 
-@main.command()
-@click.option("--name", required=True, type=click.Choice(_COUNTEREXAMPLES))
-@click.option("--depth", default=None, type=int)
 def counterexample(name, depth):
     """Reproduce one of the quantitative counterexamples (exit 1: it holds)."""
     if name == "liminf-regroup":
@@ -247,7 +222,7 @@ def counterexample(name, depth):
         regrouped = inst.val_omega(seq.regroup(2, inst)).value
         print(json.dumps({"direct": direct, "regrouped": regrouped}))
         print(f"liminf: direct {direct} vs regrouped {regrouped}", file=sys.stderr)
-        sys.exit(1 if direct != regrouped else 0)
+        return 1 if direct != regrouped else 0
     if name == "avg-regroup":
         trace = _trace(valuation.counterexample_regroup_avg, depth)
         if trace.regrouped_estimate is None:
@@ -255,30 +230,78 @@ def counterexample(name, depth):
         print(json.dumps(trace.to_json(), indent=2))
         print(f"limsup-avg: direct ≈ {trace.direct_estimate:.4f}, "
               f"regrouped ≈ {trace.regrouped_estimate:.4f}", file=sys.stderr)
-        sys.exit(1 if abs(trace.direct_estimate - trace.regrouped_estimate) > 1e-6 else 0)
+        return 1 if abs(trace.direct_estimate - trace.regrouped_estimate) > 1e-6 else 0
     trace = _trace(valuation.counterexample_product_omega, depth)
     print(json.dumps(trace.to_json(), indent=2))
     lhs, rhs = float(trace.lhs_estimates[-1]), float(trace.rhs_estimates[-1])
     print(f"product omega: lhs {lhs} vs rhs {rhs:.4f} (climbing to 1)", file=sys.stderr)
-    sys.exit(1 if abs(lhs - rhs) > 1e-6 else 0)
+    return 1 if abs(lhs - rhs) > 1e-6 else 0
 
 
-@main.command()
-@click.option("--instance", "name", required=True)
-@click.option("--lam", "--lambda", "lam", default=0.5, show_default=True)
-@click.option("--bound", default=8, show_default=True)
-@click.option("--depth", default=24, show_default=True)
-@click.option("--seed", default=None, type=int)
 def manifest(name, lam, bound, depth, seed):
     """Print the manifest (name, params, bounds, seed) of an instance."""
-    _check_bound(bound)
-    if depth < 1:
-        raise BadInput(f"--depth {depth}: a manifest depth must be at least 1")
-    seed = seed if seed is not None else _default_seed()
     entry, _ = _instance(name, "weights", lam=lam)
     print(json.dumps({"name": name, "params": entry.bind({"lam": lam}), "bound_length": bound,
                       "depth": depth, "seed": seed}, indent=2))
 
 
+def _parser():
+    """One subcommand per command function; the options several commands
+    share are declared once, each in its own parent parser."""
+    instance, lam, seed, alphabet = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    instance.add_argument("--instance", dest="name", required=True)
+    lam.add_argument("--lam", "--lambda", type=float, default=0.5)
+    seed.add_argument("--seed", type=int)
+    alphabet.add_argument("--alphabet", default="ab")
+    parser = _Parser(prog="omegalg",
+                     description="Algebraic law suites, series evaluation and automaton behaviors.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(name, run, *parents):
+        sub = commands.add_parser(name, parents=parents, help=run.__doc__,
+                                  description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub
+
+    sub = command("laws", laws, instance, seed, lam)
+    sub.add_argument("--suite", required=True, choices=list(_SUITES))
+    sub.add_argument("--samples", type=_count, default=core.DEFAULT_TRIALS)
+    sub.add_argument("--bound", type=_count, default=8,
+                     help="word length bound for series equality")
+    sub = command("coeff", coeff, instance, lam, alphabet)
+    sub.add_argument("--expr", dest="text", required=True)
+    sub.add_argument("--word", required=True)
+    sub = command("compile", compile_cmd, instance, lam, alphabet)
+    sub.add_argument("--expr", dest="text", required=True)
+    sub = command("behavior", behavior, instance, lam)
+    sub.add_argument("--aut", dest="path", required=True)
+    sub.add_argument("--word", required=True)
+    sub = command("group-check", group_check, instance, seed)
+    sub.add_argument("--group", dest="gname", required=True)
+    sub.add_argument("--samples", type=_count, default=30)
+    sub.add_argument("--bound", type=_count, default=6)
+    sub = command("counterexample", counterexample)
+    sub.add_argument("--name", required=True, choices=_COUNTEREXAMPLES)
+    sub.add_argument("--depth", type=int)
+    sub = command("manifest", manifest, instance, lam, seed)
+    sub.add_argument("--bound", type=_count, default=8)
+    sub.add_argument("--depth", type=_count, default=24)
+    return parser
+
+
+def main(argv=None) -> int:
+    """Run the command ``argv`` names (by default the process's arguments)
+    and return its exit code; every bad input ends here as exit code 2."""
+    try:
+        args = vars(_parser().parse_args(argv))
+        run = args.pop("run")
+        if "seed" in args and args["seed"] is None:
+            args["seed"] = _default_seed()
+        return run(**args) or 0
+    except BadInput as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -80,19 +80,6 @@ def mat_show(c, a: Matrix) -> str:
     return "[" + "; ".join(" ".join(c.show(x) for x in row) for row in a.entries) + "]"
 
 
-def mat_to_json(c, a: Matrix) -> dict:
-    return {"rows": a.rows, "cols": a.cols,
-            "entries": [c.show(x) for row in a.entries for x in row]}
-
-
-def mat_from_json(c, data) -> Matrix:
-    rows, cols = data["rows"], data["cols"]
-    flat = [c.read(s) for s in data["entries"]]
-    if len(flat) != rows * cols:
-        raise ValueError("entry count does not match the dimensions")
-    return mat([flat[i * cols:(i + 1) * cols] for i in range(rows)])
-
-
 def _blocks(m: Matrix, k: int):
     x = mat([row[:k] for row in m.entries[:k]])
     y = mat([row[k:] for row in m.entries[:k]])

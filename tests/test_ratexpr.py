@@ -7,7 +7,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omegalg import ratexpr as rx, valuation as V
+from omegalg import automata as A, ratexpr as rx, valuation as V
 from omegalg.instances import make_instance
 from omegalg.series import OmegaWord
 
@@ -26,7 +26,8 @@ def test_parse_examples():
 
 
 def test_parse_errors_with_position():
-    for text in ("a +", "((a)", "a^w^+", "a^w b", "a + b^w", "2(ab)", "3", "a^"):
+    for text in ("a +", "((a)", "a^w^+", "a^w b", "a + b^w", "2(ab)", "3", "a^",
+                 "\u00e9", "a\u00df"):
         with pytest.raises(rx.ParseError):
             rx.parse(text)
     try:
@@ -103,10 +104,10 @@ def test_eval_homomorphic_shapes():
 
 def test_eval_omega_compile_backed():
     boolw = V.from_carrier(make_instance("bool"))
-    s = rx.eval_omega(rx.parse("(ab)^w"), boolw)
+    s = A.infinitary_series(A.compile(rx.parse("(ab)^w"), boolw, ("a", "b")))
     assert s.coeff(OmegaWord("", "ab")) is True
     assert s.coeff(OmegaWord("b", "ab")) is False   # = (ba)^w
-    s2 = rx.eval_omega(rx.parse("b(ab)^w"), boolw)
+    s2 = A.infinitary_series(A.compile(rx.parse("b(ab)^w"), boolw, ("a", "b")))
     assert s2.coeff(OmegaWord("b", "ab")) is True
     assert s2.coeff(OmegaWord("", "ab")) is False
 
