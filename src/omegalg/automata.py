@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 from .core import HemimodulePair, Hemiring
 from .ratexpr import (ActProd, Letter, OmegaPow, OmegaSum, Plus, Prod, Scalar,
-                      Sum, letters_of, to_text)
-from .series import DEFAULT_BOUND, OmegaSeries, OmegaWord, Series
+                      Sum, check_alphabet, letters_of, to_text)
+from .series import DEFAULT_BOUND, OmegaSeries, OmegaWord, Series, _least_rotation
 from .valuation import _disc_periodic
 
 INF = math.inf
@@ -162,21 +162,6 @@ def finitary_series(aut) -> Series:
 # strategy reduces it to one value per live node, once per (strategy, set of
 # kept edges, rotation class), kept in the automaton's memo; a query reads
 # its entry values at its rotation's offset and folds its stem onto them.
-
-
-def _least_rotation(word: str) -> int:
-    """The start of the least rotation of ``word``, in O(len(word)), by
-    Duval's Lyndon factorisation of word·word."""
-    n, doubled = len(word), word + word
-    i = start = 0
-    while i < n:
-        start, j, k = i, i + 1, i
-        while j < 2 * n and doubled[k] <= doubled[j]:
-            k = i if doubled[k] < doubled[j] else k + 1
-            j += 1
-        while i <= k:
-            i += j - k
-    return start
 
 
 class _Period:
@@ -876,8 +861,9 @@ def automaton_from_json(data, instance) -> MatrixAutomaton:
     """The automaton of a JSON document shaped like :func:`automaton_to_json`.
 
     Malformed input raises ValueError naming the first problem: bad JSON, a
-    missing key, a wrong type, a state outside 0..n-1, k outside 0..n, a
-    letter outside the alphabet or a weight the instance cannot read.
+    missing key, a wrong type, an alphabet entry outside a-z or repeated, a
+    state outside 0..n-1, k outside 0..n, a letter outside the alphabet or a
+    weight the instance cannot read.
     """
     if isinstance(data, str):
         try:
@@ -894,10 +880,13 @@ def automaton_from_json(data, instance) -> MatrixAutomaton:
         raise ValueError("'n' must be a natural number")
     if not _is_nat(k) or k > n:
         raise ValueError(f"'k' must be a whole number in 0..{n}")
-    alphabet = data["alphabet"]
-    if not (isinstance(alphabet, list)
-            and all(isinstance(ch, str) and len(ch) == 1 for ch in alphabet)):
-        raise ValueError("'alphabet' must be a list of one-letter strings")
+    if not (isinstance(data["alphabet"], list)
+            and all(isinstance(ch, str) for ch in data["alphabet"])):
+        raise ValueError("'alphabet' must be a list of strings")
+    try:
+        alphabet = check_alphabet(data["alphabet"])
+    except ValueError as exc:
+        raise ValueError(f"'alphabet' {exc}") from None
 
     def coefficients(key):
         vec = data[key]
@@ -932,4 +921,4 @@ def automaton_from_json(data, instance) -> MatrixAutomaton:
         except ValueError as exc:
             raise ValueError(f"{where}: weight {t['weight']!r}: {exc}") from None
         edges.append((t["from"], t["letter"], t["to"], weight))
-    return MatrixAutomaton(instance, tuple(alphabet), n, k, alpha, beta, tuple(edges))
+    return MatrixAutomaton(instance, alphabet, n, k, alpha, beta, tuple(edges))

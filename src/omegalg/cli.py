@@ -103,15 +103,11 @@ def _check_letters(what, letters, alphabet):
 
 def _parse_alphabet(alphabet):
     """The letters of ``--alphabet``, each once and each one the grammar spells."""
-    from .ratexpr import LETTERS
-    foreign = sorted(set(alphabet) - set(LETTERS))
-    if foreign:
-        raise BadInput(f"--alphabet {alphabet!r} has {', '.join(map(repr, foreign))}, "
-                       "not letters a-z")
-    repeated = sorted({ch for ch in alphabet if alphabet.count(ch) > 1})
-    if repeated:
-        raise BadInput(f"--alphabet {alphabet!r} repeats {', '.join(map(repr, repeated))}")
-    return tuple(alphabet)
+    from .ratexpr import check_alphabet
+    try:
+        return check_alphabet(alphabet)
+    except ValueError as exc:
+        raise BadInput(f"--alphabet {alphabet!r} {exc}")
 
 
 def _parse_expr(text, alphabet):

@@ -1,7 +1,7 @@
 """Minimal DFAs for epsilon-free regular languages.
 
-Backs the regular-language carrier; the omega-power fingerprints of
-``omegalang`` run on the weighted automata lasso kernel instead.  A nonempty
+Backs the regular-language carrier and the omega-power fingerprints of
+``omegalang``, which walk these DFAs once per rotation class.  A nonempty
 language is a trimmed minimal DFA: every state reaches acceptance, a missing
 transition goes to the implicit dead state, and the start state never
 accepts; the empty language is one state that accepts nothing.  Union,

@@ -6,24 +6,21 @@ canonical family with bounded stem and period.  Fingerprints are closed
 under union, under the left action of a DFA-backed language, and under the
 omega power of such a language, and on the canonical family these three
 operations compute the true omega-language pointwise, so the pair identities
-can be checked exactly within the bound.
+can be checked exactly within the bound.  Both language operations run on
+the language's minimal DFA; the omega power reads it as the Buchi automaton
+of L^omega, which may restart at the start state after an accepting letter
+(Perrin & Pin, Infinite Words, 2004, ch. I), and needs no weighted automaton.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from . import automata
-from . import dfa as dfalib
 from .core import CommutativeMonoid, HemimodulePair
-from .instances import BooleanCarrier
-from .series import OmegaWord, language_instance
-from .valuation import from_carrier
+from .series import OmegaWord, _least_rotation, language_instance
 
 DEFAULT_STEM = 4
 DEFAULT_PERIOD = 4
-
-_BOOL = from_carrier(BooleanCarrier())
 
 
 @lru_cache(maxsize=None)
@@ -138,28 +135,100 @@ def act_language(lang, fp, monoid: OmegaLangMonoid) -> frozenset:
     return frozenset(out)
 
 
-def _dfa_automaton(d) -> automata.MatrixAutomaton:
-    """A DFA as a boolean weighted automaton: weight True on every transition."""
-    return automata.MatrixAutomaton(
-        _BOOL, d.alphabet, d.n, 0,
-        tuple(1 if s == d.start else 0 for s in range(d.n)),
-        tuple(1 if s in d.accept else 0 for s in range(d.n)),
-        tuple((s, ch, t, True) for s, trans in enumerate(d.delta) for ch, t in trans.items()))
+@lru_cache(maxsize=None)
+def _omega_plan(alphabet: tuple, stem_max, period_max):
+    """(stems, classes): what the omega power walks for the canonical lassos.
+
+    The canonical stems and their prefixes are numbered in prefix order, the
+    empty stem 0; ``stems`` gives each other one as (number of the stem
+    without its last letter, that letter).  ``classes`` groups the lassos by
+    the least rotation r of their period: per class, r and its lassos, each
+    with its stem's number and the position in r where its period starts.
+    """
+    lassos = [w for group in canonical_lassos(alphabet, stem_max, period_max).values()
+              for w in group]
+    prefixes = sorted({w.prefix[:i] for w in lassos for i in range(len(w.prefix) + 1)},
+                      key=lambda u: (len(u), u))
+    number = {u: i for i, u in enumerate(prefixes)}
+    stems = tuple((number[u[:-1]], u[-1]) for u in prefixes[1:])
+    classes = {}
+    for w in lassos:
+        start = _least_rotation(w.period)
+        least = w.period[start:] + w.period[:start]
+        classes.setdefault(least, []).append((w, number[w.prefix], -start % len(least)))
+    return stems, tuple((r, tuple(ws)) for r, ws in classes.items())
+
+
+def _cut_walk(d, r):
+    """The plain runs of the DFA on r^omega, from node q·m + i (state q, next
+    letter r[i]): a function giving a node's bitmask of the positions its run
+    cuts into.  The run cuts into position i + 1 mod m when it reads r[i]
+    into an accepting state, for it may restart there at the start state.  A
+    plain run is deterministic, so it dies or ends in a cycle; a node is
+    walked once, when a query first reaches it."""
+    m, delta, accept = len(r), d.delta, d.accept
+    memo = {None: 0}                      # None: the dead state, which cuts nowhere
+
+    def cuts(v):
+        walk = []
+        while v not in memo:
+            memo[v] = ~len(walk)          # on this walk, at that index
+            q, i = divmod(v, m)
+            t = delta[q].get(r[i])
+            j = (i + 1) % m
+            walk.append((v, 1 << j if t in accept else 0))
+            v = None if t is None else t * m + j
+        acc = memo[v]
+        if acc < 0:                       # the walk closed a cycle: it shares one mask
+            cycle = walk[~acc:]
+            del walk[~acc:]
+            acc = 0
+            for _, bit in cycle:
+                acc |= bit
+            for u, _ in cycle:
+                memo[u] = acc
+        for u, bit in reversed(walk):
+            acc |= bit
+            memo[u] = acc
+        return acc
+    return cuts
 
 
 def omega_language(lang, monoid: OmegaLangMonoid) -> frozenset:
     """Fingerprint of the omega power of a DFA-backed language.
 
-    The omega power is compiled like an expression's (feedback through fresh
-    copies of the first-step targets, which are the repeated states), and its
-    Buchi acceptance is read off the automata lasso kernel, one product
-    analysis per period of the canonical family.
+    A word is in L^omega iff some run of the minimal DFA on it cuts
+    infinitely often, a cut being a restart at the start state s0 after a
+    letter read into an accepting state (the Buchi automaton of L^omega).
+    Per rotation class of periods the plain runs are walked once
+    (``_cut_walk``), and a position of the period is live iff the cuts from
+    s0 can go on from it forever.  The states reached after each stem, s0
+    included after an accepting letter, are found once per stem prefix; a
+    lasso is accepted iff one of them, at the position where its period
+    starts, cuts into a live position.
     """
-    if dfalib.dfa_is_empty(lang.backing):
-        return monoid.zero
-    aut = automata.omega_automaton(_dfa_automaton(lang.backing))
-    accepted = automata.batch_infinitary(aut, monoid.lassos)
-    return frozenset(w for w, ok in zip(monoid.lassos, accepted) if ok)
+    d = lang.backing
+    stems, classes = _omega_plan(monoid.alphabet, monoid.stem_max, monoid.period_max)
+    delta, accept, s0 = d.delta, d.accept, d.start
+    reached = [{s0}]
+    for parent, ch in stems:
+        states = {t for t in (delta[q].get(ch) for q in reached[parent]) if t is not None}
+        if not accept.isdisjoint(states):
+            states.add(s0)
+        reached.append(states)
+    out = []
+    for r, lassos in classes:
+        m, cuts = len(r), _cut_walk(d, r)
+        live = (1 << m) - 1               # shrinks to the positions with endless cuts
+        while True:
+            keep = sum(1 << j for j in range(m) if live >> j & 1 and cuts(s0 * m + j) & live)
+            if keep == live:
+                break
+            live = keep
+        if live:
+            out.extend(w for w, stem, pos in lassos
+                       if any(cuts(q * m + pos) & live for q in reached[stem]))
+    return frozenset(out)
 
 
 def language_pair(alphabet=("a", "b"), bound=8, stem_max=DEFAULT_STEM,

@@ -20,9 +20,23 @@ comparison goes through :func:`expr_equal`.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+def check_alphabet(letters) -> tuple:
+    """The letters of an alphabet as a tuple; ValueError if one is not in
+    ``LETTERS`` or one comes twice."""
+    letters = tuple(letters)
+    foreign = sorted(set(letters) - set(LETTERS))
+    if foreign:
+        raise ValueError(f"has {', '.join(map(repr, foreign))}, not letters a-z")
+    repeated = sorted(ch for ch, count in Counter(letters).items() if count > 1)
+    if repeated:
+        raise ValueError(f"repeats {', '.join(map(repr, repeated))}")
+    return letters
 
 
 @dataclass(frozen=True, eq=False)

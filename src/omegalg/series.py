@@ -45,6 +45,21 @@ def _primitive_root(v: str) -> str:
     return v
 
 
+def _least_rotation(word: str) -> int:
+    """The start of the least rotation of ``word``, in O(len(word)), by
+    Duval's Lyndon factorisation of word·word."""
+    n, doubled = len(word), word + word
+    i = start = 0
+    while i < n:
+        start, j, k = i, i + 1, i
+        while j < 2 * n and doubled[k] <= doubled[j]:
+            k = i if doubled[k] < doubled[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return start
+
+
 @dataclass(frozen=True)
 class OmegaWord:
     """Ultimately periodic word prefix · period^omega, canonicalised.

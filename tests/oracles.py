@@ -11,10 +11,11 @@ the code that replaced them: the matrix route to finitary coefficients
 (alpha · M^+ · beta over the series carrier), the block form of the omega
 column with acceptance restricted to the first k rows, the NFA route to
 language operations (subset construction and Moore minimisation) with the
-letter-by-letter left action of a language on lassos, and the per-lasso
-product at the end, with its Bellman value iteration and a truncated
-discounted sum: the textbook approximations, with error bounds, of the exact
-discounted values the library computes.
+letter-by-letter left action of a language on lassos and the omega power of
+a language through the weighted lasso kernel, and the per-lasso product at
+the end, with its Bellman value iteration and a truncated discounted sum:
+the textbook approximations, with error bounds, of the exact discounted
+values the library computes.
 """
 
 from __future__ import annotations
@@ -281,9 +282,11 @@ def plus_language(a, max_len):
 # into NFAs, joined them (union, epsilon-free concatenation and plus bridge
 # accepting states to the first step), determinised the result by subsets and
 # minimised it with Moore's refinement.  The left action walked each lasso
-# letter by letter, normalising every suffix.  The library now builds minimal
-# DFAs directly, minimises with Hopcroft and scans a precomputed lasso table;
-# these are their cross-checks.
+# letter by letter, normalising every suffix, and the omega power compiled the
+# DFA's omega automaton for the weighted lasso kernel.  The library now builds
+# minimal DFAs directly, minimises with Hopcroft, scans a precomputed lasso
+# table and walks the DFA once per rotation class; these are their
+# cross-checks.
 
 def _bits(mask: int):
     while mask:
@@ -516,6 +519,26 @@ def act_language_walk(lang, fp, monoid) -> frozenset:
                     break
                 seen.add(key)
     return frozenset(out)
+
+
+def omega_language_kernel(lang, monoid) -> frozenset:
+    """The omega power of a language by the lasso kernel: the DFA as a
+    boolean weighted automaton (weight true on every transition), the
+    automaton of its omega power, and the kernel's Buchi acceptance of every
+    canonical lasso."""
+    from omegalg import automata
+    from omegalg.instances import BooleanCarrier
+    from omegalg.valuation import from_carrier
+    d = lang.backing
+    if not d.accept:
+        return monoid.zero
+    fin = automata.MatrixAutomaton(
+        from_carrier(BooleanCarrier()), d.alphabet, d.n, 0,
+        tuple(1 if s == d.start else 0 for s in range(d.n)),
+        tuple(1 if s in d.accept else 0 for s in range(d.n)),
+        tuple((s, ch, t, True) for s, trans in enumerate(d.delta) for ch, t in trans.items()))
+    accepted = automata.batch_infinitary(automata.omega_automaton(fin), monoid.lassos)
+    return frozenset(w for w, ok in zip(monoid.lassos, accepted) if ok)
 
 
 # --- infinitary coefficients, one lasso product per query ---------------------------------

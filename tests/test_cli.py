@@ -266,6 +266,22 @@ def test_behavior_rejects_bad_shapes_and_weights(tmp_path, runner):
     assert res.exit_code == 0 and float(res.stdout) == 2.0
 
 
+@pytest.mark.parametrize("alphabet, problem", [
+    (["a", "a"], "repeats 'a'"),
+    (["a", "\u00e9"], "not letters a-z"),
+    (["a", " "], "not letters a-z"),
+    (["a", "ab"], "not letters a-z"),
+    (["a", "a", "\u00e9", " "], "not letters a-z"),
+])
+def test_behavior_rejects_alphabets_the_grammar_cannot_spell(tmp_path, runner, alphabet, problem):
+    aut = {"n": 1, "k": 0, "alphabet": alphabet, "alpha": ["1"], "beta": ["1"],
+           "transitions": [{"from": 0, "to": 0, "letter": "a", "weight": "1"}]}
+    res = run(runner, "behavior", "--aut", _aut_file(tmp_path, json.dumps(aut)),
+              "--instance", "nat", "--word", "a")
+    assert_bad_input(res)
+    assert problem in res.stderr
+
+
 def test_bound_below_one_rejected(runner):
     for bound in ("0", "-1"):
         assert_bad_input(run(runner, "laws", "--instance", "lang", "--suite",
@@ -525,6 +541,13 @@ def test_series_commands_load_no_matrices_or_languages(tmp_path):
         loaded = _loaded(tmp_path, *args)
         assert {"automata", "ratexpr", "series"} <= loaded, args
         assert not loaded & {"matrices", "dfa", "omegalang", "extension"}, args
+
+
+def test_language_pair_laws_load_no_automata(tmp_path):
+    loaded = _loaded(tmp_path, "laws", "--instance", "lang", "--suite", "hemimodule",
+                     "--samples", "2")
+    assert {"dfa", "omegalang"} <= loaded
+    assert not loaded & {"automata", "matrices", "extension"}
 
 
 def test_group_check_loads_matrices(tmp_path):

@@ -1,12 +1,13 @@
 """Omega-languages over lassos: fingerprints, action, omega power, pair laws."""
 
 import random
+import time
 
 import pytest
 
 import oracles
-from omegalg import core, omegalang
-from omegalg.series import OmegaWord
+from omegalg import core, dfa, omegalang
+from omegalg.series import OmegaWord, language_instance
 
 
 def _edges_of(lang):
@@ -86,6 +87,77 @@ def test_omega_power_matches_brute_oracle(lang_pair6):
         fp = pair.omega(lang)
         for w in pair.module.lassos[::7]:
             assert (w in fp) == omega_membership_oracle(lang, w), (pair.hemiring.show(lang), str(w))
+
+
+def _assert_kernel_route_agrees(monoid, langs):
+    for lang in langs:
+        assert omegalang.omega_language(lang, monoid) == \
+            oracles.omega_language_kernel(lang, monoid), lang.backing
+
+
+def _random_languages(H, rng, count):
+    """Sampled languages, every other one a composite of samples."""
+    out = []
+    for k in range(count):
+        lang = H.sample(rng)
+        if k % 2:
+            lang = H.mul(lang, H.plus(H.add(H.sample(rng), H.mul(H.sample(rng), lang))))
+        out.append(lang)
+    return out
+
+
+def _random_dfa_language(H, rng, min_states):
+    """A language whose minimal DFA has at least ``min_states`` states: random
+    partial DFAs on 1.5 times as many, drawn until one minimises big enough."""
+    n = min_states * 3 // 2
+    while True:
+        delta = [{ch: rng.randrange(n) for ch in H.alphabet if rng.random() < 0.85}
+                 for _ in range(n)]
+        accept = frozenset(s for s in range(1, n) if rng.random() < 0.3)
+        d = dfa.minimize(dfa.Dfa(H.alphabet, n, 0, accept, delta))
+        if d.n >= min_states:
+            return H._from_dfa(d)
+
+
+def test_omega_power_matches_the_kernel_route_on_random_languages(lang_pair6):
+    """The rotation-class walk against the DFA's omega automaton on the
+    lasso kernel, on all 352 lassos of 500 sampled and composite languages
+    and of the empty language."""
+    H, V = lang_pair6.hemiring, lang_pair6.module
+    langs = _random_languages(H, random.Random(31), 500)
+    assert sum(lang.backing.n >= 8 for lang in langs) >= 50
+    _assert_kernel_route_agrees(V, langs + [H.zero])
+
+
+def test_omega_power_matches_the_kernel_route_on_large_dfas(lang_pair6):
+    H, V = lang_pair6.hemiring, lang_pair6.module
+    rng = random.Random(37)
+    _assert_kernel_route_agrees(V, [_random_dfa_language(H, rng, 20) for _ in range(50)])
+
+
+@pytest.mark.parametrize("alphabet, stem_max, period_max", [
+    ("abc", 3, 3), ("abc", 0, 3), ("ab", 0, 4), ("ab", 2, 5), ("a", 3, 1)])
+def test_omega_power_matches_the_kernel_route_on_other_bounds(alphabet, stem_max, period_max):
+    H = language_instance(tuple(alphabet), 6)
+    V = omegalang.OmegaLangMonoid(tuple(alphabet), stem_max, period_max)
+    rng = random.Random(41)
+    langs = _random_languages(H, rng, 60)
+    if len(alphabet) > 1:       # a random unary DFA is a short rho: it rarely minimises big
+        langs += [_random_dfa_language(H, rng, 20) for _ in range(10)]
+    _assert_kernel_route_agrees(V, langs + [H.zero])
+
+
+def test_omega_power_of_a_long_chain_is_fast(lang_pair6):
+    """A 3,997-state DFA: the walk is bounded by its n·|period| nodes per
+    rotation class, not by a product per class and lasso."""
+    H, V = lang_pair6.hemiring, lang_pair6.module
+    lang = H.plus(H.add(H.language("ab" * 1000), H.language("a" * 1999 + "b")))
+    assert lang.backing.n == 3997
+    t0 = time.perf_counter()
+    fp = omegalang.omega_language(lang, V)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0, elapsed
+    assert fp == oracles.omega_language_kernel(lang, V)
 
 
 def test_action_suffix_split(lang_pair6):

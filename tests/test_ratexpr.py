@@ -112,6 +112,16 @@ def test_eval_omega_compile_backed():
     assert s2.coeff(OmegaWord("", "ab")) is False
 
 
+def test_check_alphabet():
+    assert rx.check_alphabet("ab") == ("a", "b")
+    assert rx.check_alphabet(["z"]) == ("z",)
+    for bad, problem in [("aba", "repeats 'a'"), ("a b", "not letters a-z"),
+                         ("\u00e9", "not letters a-z"), (["ab"], "not letters a-z"),
+                         ("A", "not letters a-z")]:
+        with pytest.raises(ValueError, match=problem):
+            rx.check_alphabet(bad)
+
+
 def test_letters_of():
     assert rx.letters_of(rx.parse("a(bc)^w")) == {"a", "b", "c"}
 

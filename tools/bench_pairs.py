@@ -1,21 +1,21 @@
 """Alternating parent/change benchmark pairs, written to one JSON file.
 
-    python3 tools/bench_pairs.py PARENT_DIR --out BENCH_10.json
+    python3 tools/bench_pairs.py PARENT_DIR --out BENCH_12.json
 
 PARENT_DIR holds the files of the parent commit (for example
 ``git archive <parent> | tar -x -C PARENT_DIR``).  For each workload,
 ``perfbench/run.py --seconds 20 --trace 0`` runs PAIRS times in PARENT_DIR
 and in this checkout, alternating which of the two goes first, and every
 run's end-to-end metrics and speed factor are kept.  Then, in both trees:
-the traced ``lasso`` run at seed 7 (per-layer spans and carrier op counts),
-the lasso kernel's products per kept edge set on the canonical lassos of
-20 compiled expressions per instance, and the traced ``cli`` run at seed 7
-(its ``cli.*`` figures).  Last, the cold start: the median wall time of
-``python -c pass``, of ``python -c "import omegalg.cli"`` and of one call of
-each command, in both trees by turns, without a bytecode cache
-(``PYTHONDONTWRITEBYTECODE=1``) and with one (a temporary
+the traced ``lasso`` and ``algebra`` runs at seed 7 (per-layer spans and
+carrier op counts), the lasso kernel's products per kept edge set on the
+canonical lassos of 20 compiled expressions per instance, and the traced
+``cli`` run at seed 7 (its ``cli.*`` figures).  Last, the cold start: the
+median wall time of ``python -c pass``, of ``python -c "import omegalg.cli"``
+and of one call of each command, in both trees by turns, without a bytecode
+cache (``PYTHONDONTWRITEBYTECODE=1``) and with one (a temporary
 ``PYTHONPYCACHEPREFIX``, filled by one run of every call first).
-Run it on an otherwise idle machine; it takes about 40 minutes.
+Run it on an otherwise idle machine; it takes about an hour.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = {"kleene": 4242, "lasso": 2718, "algebra": 4242, "cli": 3}
-PAIRS = {"kleene": 3, "lasso": 10, "algebra": 3, "cli": 3}
+PAIRS = {"kleene": 3, "lasso": 10, "algebra": 10, "cli": 3}
 SECONDS = "20"
 COLD_REPEATS = 9
 
@@ -166,8 +166,9 @@ def main(argv=None):
     out = {"env": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
                    "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
            "command": "python3 tools/bench_pairs.py PARENT_DIR --out " + args.out.name,
-           "pairs": {}, "summary": {}, "speed_factors": [], "traced_lasso_seed_7": {}, "products_per_kept_set": {},
-           "traced_cli_seed_7": {}, "cold_start_s": {}}
+           "pairs": {}, "summary": {}, "speed_factors": [], "traced_lasso_seed_7": {},
+           "traced_algebra_seed_7": {}, "products_per_kept_set": {}, "traced_cli_seed_7": {},
+           "cold_start_s": {}}
     for workload, seed in SEEDS.items():
         rows = []
         for i in range(PAIRS[workload]):
@@ -184,8 +185,9 @@ def main(argv=None):
         out["pairs"][workload] = rows
         out["summary"][workload] = summary(rows)
     for side, tree in trees.items():
-        result, _ = run(tree, "--workload", "lasso", "--seed", "7", "--trace", "1")
-        out["traced_lasso_seed_7"][side] = metrics(result)
+        for workload in ("lasso", "algebra"):
+            result, _ = run(tree, "--workload", workload, "--seed", "7", "--trace", "1")
+            out[f"traced_{workload}_seed_7"][side] = metrics(result)
         out["products_per_kept_set"][side] = products(tree)
     for side, tree in trees.items():
         result, _ = run(tree, "--workload", "cli", "--seed", "7", "--trace", "1")
