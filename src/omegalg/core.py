@@ -56,12 +56,18 @@ class CommutativeMonoid:
         return None
 
     def nat_act(self, n: int, a):
-        """n-fold sum of ``a`` (the natural action of the naturals)."""
+        """n-fold sum of ``a`` (the natural action of the naturals), by
+        doubling in O(log n) additions.  That regroups the sum, which every
+        carrier's ``add`` allows: each is exact or idempotent."""
         if n < 0:
             raise ValueError("nat_act needs n >= 0")
         out = self.zero
-        for _ in range(n):
-            out = self.add(out, a)
+        while n:
+            if n & 1:
+                out = self.add(out, a)
+            n >>= 1
+            if n:
+                a = self.add(a, a)
         return out
 
     def sum(self, values):

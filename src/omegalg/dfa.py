@@ -1,10 +1,10 @@
 """Minimal DFAs for epsilon-free regular languages.
 
-Backs the regular-language carrier and the omega-power fingerprints of
-``omegalang``, which walk these DFAs once per rotation class.  A nonempty
-language is a trimmed minimal DFA: every state reaches acceptance, a missing
-transition goes to the implicit dead state, and the start state never
-accepts; the empty language is one state that accepts nothing.  Union,
+Backs the regular-language carrier and the fingerprints of ``omegalang``,
+whose action and omega power walk these DFAs once per rotation class.  A
+nonempty language is a trimmed minimal DFA: every state reaches acceptance,
+a missing transition goes to the implicit dead state, and the start state
+never accepts; the empty language is one state that accepts nothing.  Union,
 concatenation and plus are each built in one exploration over the fixed
 letter order, on pairs of states, on a left state with a set of right
 states, and on sets of states (int bitmasks), and the result is minimised by

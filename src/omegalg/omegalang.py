@@ -6,10 +6,12 @@ canonical family with bounded stem and period.  Fingerprints are closed
 under union, under the left action of a DFA-backed language, and under the
 omega power of such a language, and on the canonical family these three
 operations compute the true omega-language pointwise, so the pair identities
-can be checked exactly within the bound.  Both language operations run on
-the language's minimal DFA; the omega power reads it as the Buchi automaton
-of L^omega, which may restart at the start state after an accepting letter
-(Perrin & Pin, Infinite Words, 2004, ch. I), and needs no weighted automaton.
+can be checked exactly within the bound.  Both language operations are one
+walk of the language's minimal DFA, ``_cut_into``: the lassos whose plain
+run cuts, after a letter read into an accepting state, into a given set.
+That set is the action's fingerprint, and by L^omega = L·L^omega the omega
+power itself: the Buchi automaton of L^omega (Perrin & Pin, Infinite Words,
+2004, ch. I), with no weighted automaton.
 """
 
 from __future__ import annotations
@@ -85,87 +87,43 @@ class OmegaLangMonoid(CommutativeMonoid):
 
 
 @lru_cache(maxsize=None)
-def _act_table(alphabet: tuple, stem_max, period_max):
-    """Per canonical lasso w: (w, letters, nxt, rest, restart).
+def _plan(alphabet: tuple, stem_max, period_max):
+    """(stems, heads, classes): what ``_cut_into`` walks for the canonical lassos.
 
-    ``letters`` is prefix + period; after reading letter i the scan goes on
-    at ``nxt[i]`` (the loop restarts at ``restart``, the prefix length), and
-    ``rest[i]`` is the member of the family that remains.  Every suffix of a
-    canonical lasso is canonical, so it is looked up, never normalised.
-    """
-    lassos = [w for group in canonical_lassos(alphabet, stem_max, period_max).values()
-              for w in group]
-    family = {(w.prefix, w.period): w for w in lassos}
-    table = []
-    for w in lassos:
-        u, v = w.prefix, w.period
-        letters, restart = u + v, len(u)
-        nxt = tuple(range(1, len(letters))) + (restart,)
-        rest = tuple(family[(u[j:], v) if j < restart else ("", v[j - restart:] + v[:j - restart])]
-                     for j in nxt)
-        table.append((w, letters, nxt, rest, restart))
-    return tuple(table)
-
-
-def act_language(lang, fp, monoid: OmegaLangMonoid) -> frozenset:
-    """Left action: { p·w : p in lang, w in fp }, evaluated on the canonical lassos.
-
-    For each lasso, split points are scanned with the backing DFA of the
-    language; the scan stops as soon as the (period position, DFA state)
-    pair repeats, which makes the unbounded split search finite and exact.
-    """
-    d = lang.backing
-    delta, accept = d.delta, d.accept
-    out = []
-    for w, letters, nxt, rest, restart in _act_table(monoid.alphabet, monoid.stem_max,
-                                                     monoid.period_max):
-        state, i, seen = d.start, 0, set()
-        while True:
-            state = delta[state].get(letters[i])
-            if state is None:
-                break
-            if state in accept and rest[i] in fp:
-                out.append(w)
-                break
-            i = nxt[i]
-            if i >= restart:
-                if (i, state) in seen:
-                    break
-                seen.add((i, state))
-    return frozenset(out)
-
-
-@lru_cache(maxsize=None)
-def _omega_plan(alphabet: tuple, stem_max, period_max):
-    """(stems, classes): what the omega power walks for the canonical lassos.
-
-    The canonical stems and their prefixes are numbered in prefix order, the
-    empty stem 0; ``stems`` gives each other one as (number of the stem
-    without its last letter, that letter).  ``classes`` groups the lassos by
-    the least rotation r of their period: per class, r and its lassos, each
+    The stems' prefixes are numbered in prefix order, the empty stem 0;
+    ``stems`` gives each other one as (number of it without its last letter,
+    that letter).  ``heads`` maps a lasso y to the pairs (number of a nonempty
+    stem prefix p, lasso p·y), one per lasso whose stem, cut after p, leaves y
+    (a suffix of a canonical lasso is canonical).  ``classes`` groups the
+    lassos by the least rotation r of their period: per class, r, the lassos
+    of its rotations (empty stem, period r[j:] + r[:j]), and its lassos, each
     with its stem's number and the position in r where its period starts.
     """
     lassos = [w for group in canonical_lassos(alphabet, stem_max, period_max).values()
               for w in group]
+    family = {(w.prefix, w.period): w for w in lassos}
     prefixes = sorted({w.prefix[:i] for w in lassos for i in range(len(w.prefix) + 1)},
                       key=lambda u: (len(u), u))
     number = {u: i for i, u in enumerate(prefixes)}
     stems = tuple((number[u[:-1]], u[-1]) for u in prefixes[1:])
-    classes = {}
+    heads, classes = {}, {}
     for w in lassos:
-        start = _least_rotation(w.period)
-        least = w.period[start:] + w.period[:start]
-        classes.setdefault(least, []).append((w, number[w.prefix], -start % len(least)))
-    return stems, tuple((r, tuple(ws)) for r, ws in classes.items())
+        u, v = w.prefix, w.period
+        for k in range(1, len(u) + 1):
+            heads.setdefault(family[u[k:], v], []).append((number[u[:k]], w))
+        start = _least_rotation(v)
+        least = v[start:] + v[:start]
+        classes.setdefault(least, []).append((w, number[u], -start % len(least)))
+    return stems, heads, tuple((r, tuple(family["", r[j:] + r[:j]] for j in range(len(r))), ws)
+                               for r, ws in classes.items())
 
 
 def _cut_walk(d, r):
     """The plain runs of the DFA on r^omega, from node q·m + i (state q, next
     letter r[i]): a function giving a node's bitmask of the positions its run
-    cuts into.  The run cuts into position i + 1 mod m when it reads r[i]
-    into an accepting state, for it may restart there at the start state.  A
-    plain run is deterministic, so it dies or ends in a cycle; a node is
-    walked once, when a query first reaches it."""
+    cuts into, position i + 1 mod m when it reads r[i] into an accepting
+    state.  A plain run is deterministic, so it dies or ends in a cycle; a
+    node is walked once, when a query first reaches it."""
     m, delta, accept = len(r), d.delta, d.accept
     memo = {None: 0}                      # None: the dead state, which cuts nowhere
 
@@ -194,41 +152,68 @@ def _cut_walk(d, r):
     return cuts
 
 
+def _cut_into(lang, monoid: OmegaLangMonoid, inside, given) -> frozenset:
+    """The canonical lassos whose run on the language's minimal DFA cuts into
+    a set of lassos: the DFA's one plain run from the start reads a letter
+    into an accepting state, and the lasso after that letter is in the set.
+
+    Per rotation class, ``inside(rotations, cuts)`` is the bitmask of the
+    positions of r whose rotation is in the set; a lasso is accepted when its
+    run, from where its stem ends, cuts into that mask.  Then the cuts in
+    stems: each lasso y of ``given`` accepts its heads p·y whose p the DFA
+    accepts.  With ``given`` None the set is the result itself, closed under
+    those cuts.
+    """
+    d = lang.backing
+    stems, heads, classes = _plan(monoid.alphabet, monoid.stem_max, monoid.period_max)
+    state = [d.start]                     # per stem prefix; None: the dead state
+    for parent, ch in stems:
+        q = state[parent]
+        state.append(None if q is None else d.delta[q].get(ch))
+    cut = [q in d.accept for q in state]
+    out = set()
+    for r, rotations, lassos in classes:
+        m, cuts = len(r), _cut_walk(d, r)
+        mask = inside(rotations, cuts)
+        if mask:
+            out.update(w for w, stem, pos in lassos
+                       if state[stem] is not None and cuts(state[stem] * m + pos) & mask)
+    todo = list(out) if given is None else given
+    for y in todo:
+        for p, x in heads.get(y, ()):
+            if cut[p] and x not in out:
+                out.add(x)
+                if given is None:
+                    todo.append(x)
+    return frozenset(out)
+
+
+def act_language(lang, fp, monoid: OmegaLangMonoid) -> frozenset:
+    """Left action { p·w : p in lang, w in fp } on the canonical lassos: the
+    lassos whose DFA run cuts into ``fp``."""
+    return _cut_into(lang, monoid, lambda rotations, cuts: sum(
+        1 << j for j, y in enumerate(rotations) if y in fp), fp)
+
+
 def omega_language(lang, monoid: OmegaLangMonoid) -> frozenset:
     """Fingerprint of the omega power of a DFA-backed language.
 
-    A word is in L^omega iff some run of the minimal DFA on it cuts
-    infinitely often, a cut being a restart at the start state s0 after a
-    letter read into an accepting state (the Buchi automaton of L^omega).
-    Per rotation class of periods the plain runs are walked once
-    (``_cut_walk``), and a position of the period is live iff the cuts from
-    s0 can go on from it forever.  The states reached after each stem, s0
-    included after an accepting letter, are found once per stem prefix; a
-    lasso is accepted iff one of them, at the position where its period
-    starts, cuts into a live position.
+    L^omega is the greatest set X with X = L·X, so it is the set of lassos
+    whose DFA run cuts into the result itself.  Per rotation class a
+    position of r is live iff the cuts from the start state s0 can go on
+    from it forever, a greatest fixpoint on at most |r| positions.
     """
-    d = lang.backing
-    stems, classes = _omega_plan(monoid.alphabet, monoid.stem_max, monoid.period_max)
-    delta, accept, s0 = d.delta, d.accept, d.start
-    reached = [{s0}]
-    for parent, ch in stems:
-        states = {t for t in (delta[q].get(ch) for q in reached[parent]) if t is not None}
-        if not accept.isdisjoint(states):
-            states.add(s0)
-        reached.append(states)
-    out = []
-    for r, lassos in classes:
-        m, cuts = len(r), _cut_walk(d, r)
+    s0 = lang.backing.start
+
+    def endless(rotations, cuts):
+        m = len(rotations)
         live = (1 << m) - 1               # shrinks to the positions with endless cuts
         while True:
             keep = sum(1 << j for j in range(m) if live >> j & 1 and cuts(s0 * m + j) & live)
             if keep == live:
-                break
+                return live
             live = keep
-        if live:
-            out.extend(w for w, stem, pos in lassos
-                       if any(cuts(q * m + pos) & live for q in reached[stem]))
-    return frozenset(out)
+    return _cut_into(lang, monoid, endless, None)
 
 
 def language_pair(alphabet=("a", "b"), bound=8, stem_max=DEFAULT_STEM,

@@ -465,19 +465,48 @@ _SWEEP = {
                              "--word", "a(ab)^w"), 1.0, 0),
     **{f"group-{g}-{inst}": (("group-check", "--group", g, "--instance", inst), 1.0, 0)
        for g in ("S3", "Z6") for inst in ("bool", "minplus", "lattice")},
+    "scalar-nat": (("coeff", "--instance", "nat", "--expr", "10000000a", "--word", "a"),
+                   1.0, 0),
+    "scalar-disc": (("coeff", "--instance", "disc", "--expr", "10000000a", "--word", "a"),
+                    1.0, 0),
+    "scalar-bool-omega": (("coeff", "--instance", "bool", "--expr", "(10000000a)^w",
+                           "--word", "a^w"), 1.0, 0),
+    "aut-alpha-1e20": (("behavior", "--aut", "{alpha}", "--instance", "nat", "--word", "a"),
+                       1.0, 0),
 }
+
+
+def _scaled_automaton(alpha):
+    """One state over {a}, initial coefficient ``alpha``, a loop of weight 1."""
+    return {"n": 1, "k": 1, "alphabet": ["a"], "alpha": [str(alpha)], "beta": ["1"],
+            "transitions": [{"from": 0, "to": 0, "letter": "a", "weight": "1"}]}
 
 
 @pytest.mark.parametrize("case", list(_SWEEP))
 def test_parameter_sweep_within_budget(runner, tmp_path, case):
     args, budget, code = _SWEEP[case]
-    aut = _aut_file(tmp_path, json.dumps(_ring_automaton(2000)))
-    args = [aut if a == "{aut}" else a for a in args]
+    files = {"{aut}": _ring_automaton(2000), "{alpha}": _scaled_automaton(10 ** 20)}
+    for name, data in files.items():
+        path = tmp_path / f"{name[1:-1]}.json"
+        path.write_text(json.dumps(data))
+        files[name] = str(path)
+    args = [files.get(a, a) for a in args]
     t0 = time.perf_counter()
     res = run(runner, *args)
     elapsed = time.perf_counter() - t0
     assert res.exit_code == code, res.stderr
     assert elapsed < budget, elapsed
+
+
+def test_large_scalars_are_exact(runner, tmp_path):
+    """A scalar's value does not set the run time, and it is printed exactly."""
+    res = run(runner, "coeff", "--instance", "nat", "--expr", "99999999999999999999a",
+              "--word", "a")
+    assert res.exit_code == 0 and res.stdout.strip() == "99999999999999999999"
+    aut = tmp_path / "alpha.json"
+    aut.write_text(json.dumps(_scaled_automaton(10 ** 20)))
+    res = run(runner, "behavior", "--aut", str(aut), "--instance", "nat", "--word", "aaa")
+    assert res.exit_code == 0 and res.stdout.strip() == str(10 ** 20)
 
 
 @pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from omegalg import core, matrices, series
+from omegalg import core, extension, matrices, series, valuation
 from omegalg.core import (conway_hemiring_laws, conway_semiring_laws,
                           iterative_fixed_point_check, plus_from_star,
                           star_from_plus)
@@ -198,6 +198,22 @@ def test_nat_action_star_commutation(lang6, nat_series6):
             lhs = core.star_mul(carrier, na, a)   # (na)+ a + a
             rhs = core.mul_star(carrier, a, na)   # a + a (na)+
             assert carrier.eq(lhs, rhs), (carrier.name, n)
+
+
+def test_nat_act_is_the_n_fold_sum(nat, nat_series6):
+    """n·a by doubling equals a added n times, on every registered carrier
+    and on an extension algebra."""
+    carriers = [entry.make("carrier") for entry in valuation.INSTANCES.values()
+                if "carrier" in entry.roles]
+    carriers.append(extension.extension(nat, nat_series6, extension.biaction_nat(nat_series6),
+                                        validate_samples=0))
+    rng = random.Random(43)
+    for carrier in carriers:
+        for _ in range(3):
+            a, total = carrier.sample(rng), carrier.zero
+            for n in range(41):
+                assert carrier.eq(carrier.nat_act(n, a), total), (carrier.name, n)
+                total = carrier.add(total, a)
 
 
 def test_law_report_json_shape(boolean):

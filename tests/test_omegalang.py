@@ -147,17 +147,34 @@ def test_omega_power_matches_the_kernel_route_on_other_bounds(alphabet, stem_max
     _assert_kernel_route_agrees(V, langs + [H.zero])
 
 
+def _long_chain(H):
+    """(ab)^1000 + a^1999 b, plus-closed: a minimal DFA of 3,997 states."""
+    lang = H.plus(H.add(H.language("ab" * 1000), H.language("a" * 1999 + "b")))
+    assert lang.backing.n == 3997
+    return lang
+
+
 def test_omega_power_of_a_long_chain_is_fast(lang_pair6):
     """A 3,997-state DFA: the walk is bounded by its n·|period| nodes per
     rotation class, not by a product per class and lasso."""
     H, V = lang_pair6.hemiring, lang_pair6.module
-    lang = H.plus(H.add(H.language("ab" * 1000), H.language("a" * 1999 + "b")))
-    assert lang.backing.n == 3997
+    lang = _long_chain(H)
     t0 = time.perf_counter()
     fp = omegalang.omega_language(lang, V)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, elapsed
     assert fp == oracles.omega_language_kernel(lang, V)
+
+
+def test_action_of_a_long_chain_is_fast(lang_pair6):
+    H, V = lang_pair6.hemiring, lang_pair6.module
+    lang = _long_chain(H)
+    for fp in (frozenset(V.lassos), omegalang.omega_language(lang, V)):
+        t0 = time.perf_counter()
+        acted = omegalang.act_language(lang, fp, V)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 1.0, elapsed
+        assert acted == oracles.act_language_walk(lang, fp, V)
 
 
 def test_action_suffix_split(lang_pair6):
@@ -194,18 +211,28 @@ def test_action_against_split_enumeration(lang_pair6):
             assert (w in acted) == expected, (str(w), cut)
 
 
-def test_action_matches_the_lasso_walk(lang_pair6):
-    """The table-driven action equals the letter-by-letter walk on all 352
-    lassos, for random languages and random fingerprints."""
-    pair = lang_pair6
-    H, Vm = pair.hemiring, pair.module
+@pytest.mark.parametrize("alphabet, stem_max, period_max", [
+    ("ab", 4, 4), ("abc", 3, 3), ("ab", 0, 4), ("ab", 2, 5), ("a", 3, 1)])
+def test_action_matches_the_lasso_walk(alphabet, stem_max, period_max):
+    """The cut walk's action equals the letter-by-letter walk on every lasso:
+    sampled and composite languages and DFAs of 20 states or more, each on a
+    random fingerprint, on an omega power and on every lasso, and the worst
+    cases of the stem cuts (every prefix cuts, every lasso is given)."""
+    H = language_instance(tuple(alphabet), 6)
+    V = omegalang.OmegaLangMonoid(tuple(alphabet), stem_max, period_max)
     rng = random.Random(29)
-    for _ in range(40):
-        lang = H.sample(rng)
-        if rng.random() < 0.5:
-            lang = H.mul(lang, H.plus(H.sample(rng)))
-        fp = frozenset(rng.sample(Vm.lassos, rng.randrange(0, 120)))
-        assert pair.act(lang, fp) == oracles.act_language_walk(lang, fp, Vm), H.show(lang)
+    langs = _random_languages(H, rng, 90)
+    if len(alphabet) > 1:
+        langs += [_random_dfa_language(H, rng, 20) for _ in range(10)]
+    every = frozenset(V.lassos)
+    calls = [(lang, fp) for lang in langs + [H.zero] for fp in (
+        frozenset(rng.sample(V.lassos, rng.randrange(0, len(V.lassos) + 1))),
+        omegalang.omega_language(H.sample(rng), V), every)]
+    calls += [(H.plus(H.language(*alphabet)), omegalang.omega_language(H.language(alphabet[-1]), V))]
+    calls += [(lang, every) for lang in (H.language("a"), H.plus(H.language(alphabet[:2])))]
+    for lang, fp in calls:
+        assert omegalang.act_language(lang, fp, V) == oracles.act_language_walk(lang, fp, V), \
+            (H.show(lang), sorted(map(str, fp)))
 
 
 def test_pair_laws_hold(lang_pair6):

@@ -1,20 +1,22 @@
 """Alternating parent/change benchmark pairs, written to one JSON file.
 
-    python3 tools/bench_pairs.py PARENT_DIR --out BENCH_12.json
+    python3 tools/bench_pairs.py PARENT_DIR --out BENCH_13.json
 
 PARENT_DIR holds the files of the parent commit (for example
 ``git archive <parent> | tar -x -C PARENT_DIR``).  For each workload,
 ``perfbench/run.py --seconds 20 --trace 0`` runs PAIRS times in PARENT_DIR
 and in this checkout, alternating which of the two goes first, and every
-run's end-to-end metrics and speed factor are kept.  Then, in both trees:
-the traced ``lasso`` and ``algebra`` runs at seed 7 (per-layer spans and
-carrier op counts), the lasso kernel's products per kept edge set on the
-canonical lassos of 20 compiled expressions per instance, and the traced
-``cli`` run at seed 7 (its ``cli.*`` figures).  Last, the cold start: the
-median wall time of ``python -c pass``, of ``python -c "import omegalg.cli"``
-and of one call of each command, in both trees by turns, without a bytecode
-cache (``PYTHONDONTWRITEBYTECODE=1``) and with one (a temporary
-``PYTHONPYCACHEPREFIX``, filled by one run of every call first).
+run's end-to-end metrics and speed factor are kept.  Then the traced
+``lasso``, ``algebra`` and ``cli`` runs at seed 7 (per-layer spans and
+carrier op counts; of ``cli`` its ``cli.*`` figures), TRACED_RUNS times in
+each tree, alternating which tree goes first: the machine's speed moves
+between runs, so every run is kept with the median of each figure.  Then,
+in both trees, the lasso kernel's products per kept edge set on the
+canonical lassos of 20 compiled expressions per instance.  Last, the cold
+start: the median wall time of ``python -c pass``, of ``python -c "import
+omegalg.cli"`` and of one call of each command, in both trees by turns,
+without a bytecode cache (``PYTHONDONTWRITEBYTECODE=1``) and with one (a
+temporary ``PYTHONPYCACHEPREFIX``, filled by one run of every call first).
 Run it on an otherwise idle machine; it takes about an hour.
 """
 
@@ -36,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = {"kleene": 4242, "lasso": 2718, "algebra": 4242, "cli": 3}
 PAIRS = {"kleene": 3, "lasso": 10, "algebra": 10, "cli": 3}
 SECONDS = "20"
+TRACED_RUNS = 3
 COLD_REPEATS = 9
 
 # The cold-start calls: interpreter start, the CLI's import, and one call of
@@ -184,15 +187,18 @@ def main(argv=None):
                   file=sys.stderr)
         out["pairs"][workload] = rows
         out["summary"][workload] = summary(rows)
+    for workload in ("lasso", "algebra", "cli"):
+        runs = {side: [] for side in trees}
+        for i in range(TRACED_RUNS):
+            for side in trees if i % 2 == 0 else reversed(trees):
+                result, _ = run(trees[side], "--workload", workload, "--seed", "7", "--trace", "1")
+                runs[side].append({name: value for name, value in metrics(result).items()
+                                   if workload != "cli" or name.startswith("cli.")})
+        out[f"traced_{workload}_seed_7"] = {
+            side: {"runs": rs, "median": {name: statistics.median(r[name] for r in rs)
+                                          for name in rs[0]}} for side, rs in runs.items()}
     for side, tree in trees.items():
-        for workload in ("lasso", "algebra"):
-            result, _ = run(tree, "--workload", workload, "--seed", "7", "--trace", "1")
-            out[f"traced_{workload}_seed_7"][side] = metrics(result)
         out["products_per_kept_set"][side] = products(tree)
-    for side, tree in trees.items():
-        result, _ = run(tree, "--workload", "cli", "--seed", "7", "--trace", "1")
-        out["traced_cli_seed_7"][side] = {name: value for name, value in metrics(result).items()
-                                          if name.startswith("cli.")}
     out["cold_start_s"] = cold_start(trees)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
 
