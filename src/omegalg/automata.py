@@ -13,8 +13,10 @@ the same for every rotation of the period, is analysed once per rotation
 class and set of kept edges, and the analysis is kept on the automaton.  Its
 strongly connected components through repeated states decide acceptance
 and, depending on the instance, give each live node a maximum, a Howard
-cycle mean or an exact discounted value (policy iteration); a query reads
-its entry values at its rotation's offset and folds its stem onto them.
+cycle mean or an exact discounted value (policy iteration).  Every strategy
+answers a query the same way: it reads the entry values at the rotation's
+offset and walks the stem forward from the initial states, folding it back
+onto those values where the strategy weighs the stem's edges.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .core import HemimodulePair, Hemiring
+from .core import CommutativeMonoid, HemimodulePair, Hemiring
 from .ratexpr import (ActProd, Letter, OmegaPow, OmegaSum, Plus, Prod, Scalar,
                       Sum, check_alphabet, letters_of, to_text)
 from .series import DEFAULT_BOUND, OmegaSeries, OmegaWord, Series, _least_rotation
@@ -42,7 +44,7 @@ class MatrixAutomaton:
     beta: tuple
     edges: tuple  # (source, letter, target, weight)
     # the lasso kernel's analyses of this automaton: kept edges per (strategy,
-    # threshold), node values per rotation class, states reached per stem
+    # threshold), node values per rotation class, entry values per period
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -160,8 +162,9 @@ def finitary_series(aut) -> Series:
 # built on the least rotation of v and explored from every node that has a
 # predecessor; a query enters it one letter into v, at such a node.  Each
 # strategy reduces it to one value per live node, once per (strategy, set of
-# kept edges, rotation class), kept in the automaton's memo; a query reads
-# its entry values at its rotation's offset and folds its stem onto them.
+# kept edges, rotation class), kept in the automaton's memo.  One function,
+# ``_best``, answers every query from those values and a forward walk of the
+# stem, made anew for each query.
 
 
 class _Period:
@@ -384,12 +387,20 @@ def _nodes_discounted(aut, per):
     return [value.get(v, INF) if alive else None for v, alive in enumerate(per.live)]
 
 
-_NODE_VALUES = {
-    "boolean": lambda aut, per: [True if alive else None for alive in per.live],
-    "sup": _nodes_sup,
-    "limsup": _nodes_limsup,
-    "cycle_mean": _nodes_cycle_mean,
-    "discounted": _nodes_discounted,
+def _discount_step(aut):
+    lam = aut.instance.params["lam"]
+    return lambda wgt, v: wgt + lam * v
+
+
+# strategy -> (node values on a rotation class, stem step or None): with a
+# step, step(aut)(wgt, v) is the value of a transition of weight wgt into a
+# state worth v, and the stem is folded onto the entry values with it
+_STRATEGIES = {
+    "boolean": (lambda aut, per: [True if alive else None for alive in per.live], None),
+    "sup": (_nodes_sup, lambda aut: max),
+    "limsup": (_nodes_limsup, None),
+    "cycle_mean": (_nodes_cycle_mean, None),
+    "discounted": (_nodes_discounted, _discount_step),
 }
 
 
@@ -409,31 +420,14 @@ def _edge_test(aut, strategy, threshold):
 class _Kept:
     """The edges a strategy's product keeps, letter -> source -> [(target,
     weight)], and what is analysed on them: node values per (strategy, least
-    rotation), entry values per (strategy, period), and a trie of stems whose
-    nodes (states, children) hold the states reached after each prefix."""
+    rotation) and entry values per (strategy, period)."""
 
-    def __init__(self, aut, kept):
+    def __init__(self, kept):
         self.out = {}
         for i, ch, j, wgt in kept:
             self.out.setdefault(ch, {}).setdefault(i, []).append((j, wgt))
         self.analyses = {}
         self.entries = {}
-        self.stems = ({q for q in range(aut.n) if aut.alpha[q]}, {})
-
-    def reached(self, stem) -> list:
-        """The states reached after each prefix of the stem (len(stem) + 1
-        sets); lassos whose stems share a prefix share its steps."""
-        node = self.stems
-        layers = [node[0]]
-        for ch in stem:
-            child = node[1].get(ch)
-            if child is None:
-                edges = self.out.get(ch, {})
-                child = node[1].setdefault(
-                    ch, ({j for i in node[0] for j, _ in edges.get(i, ())}, {}))
-            node = child
-            layers.append(node[0])
-        return layers
 
 
 def _kept_edges(aut, strategy, threshold=None) -> _Kept:
@@ -447,7 +441,7 @@ def _kept_edges(aut, strategy, threshold=None) -> _Kept:
         kept = tuple(e for e in aut.edges if keep(e[3]))
         shared = memo.setdefault("kept", {})
         if kept not in shared:
-            shared.setdefault(kept, _Kept(aut, kept))
+            shared.setdefault(kept, _Kept(kept))
         memo[key] = shared[kept]
     return memo[key]
 
@@ -461,7 +455,7 @@ def _entry_values(aut, kept, strategy, period) -> dict:
         m, start = len(period), _least_rotation(period)
         least = period[start:] + period[:start]
         if (strategy, least) not in kept.analyses:
-            kept.analyses[strategy, least] = _NODE_VALUES[strategy](
+            kept.analyses[strategy, least] = _STRATEGIES[strategy][0](
                 aut, _Period(aut, kept.out, least))
         nodes, entry = kept.analyses[strategy, least], -start % m
         kept.entries[key] = {q: nodes[q * m + entry] for q in range(aut.n)
@@ -469,49 +463,53 @@ def _entry_values(aut, kept, strategy, period) -> dict:
     return kept.entries[key]
 
 
-def _fold_stem(kept, stem, values, step=None) -> list:
-    """The values of the initial states with a successful run, given the
-    values of the live entry states.  Without ``step`` a run is worth its
-    entry state's value; with it, the values are folded back over the
-    states the stem reaches, a transition of weight wgt into a state worth v
-    giving step(wgt, v), best per state."""
+def _best(aut, kept, strategy, w):
+    """The best value of a successful run on the lasso ``w`` over the kept
+    edges, or None if there is none.  Read as u·v[0] then (v[1:]·v[0])^omega,
+    one letter into its period, every run is at a product node with a
+    predecessor.  The stem is walked forward from the initial states, one
+    set of states per prefix; with a step, the entry values are folded back
+    over those sets, best per state."""
+    stem, period = w.prefix + w.period[0], w.period[1:] + w.period[0]
+    values = _entry_values(aut, kept, strategy, period)
     if not values:
-        return []
-    layers = kept.reached(stem)
-    if step is None:
-        return [values[q] for q in layers[-1] if q in values]
-    for pos in range(len(stem) - 1, -1, -1):
-        edges = kept.out.get(stem[pos], {})
-        prev = {}
-        for i in layers[pos]:
-            for j, wgt in edges.get(i, ()):
-                if j in values:
-                    cand = step(wgt, values[j])
-                    if i not in prev or cand > prev[i]:
-                        prev[i] = cand
-        values = prev
-    return [values[q] for q in layers[0] if q in values]
+        return None
+    layers = [{q for q in range(aut.n) if aut.alpha[q]}]
+    for ch in stem:
+        edges = kept.out.get(ch, {})
+        layers.append({j for i in layers[-1] for j, _ in edges.get(i, ())})
+    last, step = layers[-1], _STRATEGIES[strategy][1]
+    if step is not None:
+        step = step(aut)
+        for pos in range(len(stem) - 1, -1, -1):
+            edges = kept.out.get(stem[pos], {})
+            prev = {}
+            for i in layers[pos]:
+                for j, wgt in edges.get(i, ()):
+                    if j in values:
+                        cand = step(wgt, values[j])
+                        if i not in prev or cand > prev[i]:
+                            prev[i] = cand
+            values = prev
+        last = layers[0]
+    return max((values[q] for q in last if q in values), default=None)
 
 
-def _entered(w) -> tuple:
-    """The lasso u·v^omega as (u·v[0], v[1:]·v[0]): read one letter into its
-    period, every run is at a product node with a predecessor."""
-    return w.prefix + w.period[0], w.period[1:] + w.period[0]
-
-
-def _accepts(aut, kept, stem, period) -> bool:
-    """Does some initial state have a successful run on stem·period^omega
-    over the kept edges?"""
-    entries = _entry_values(aut, kept, "boolean", period)
-    return bool(entries) and any(q in entries for q in kept.reached(stem)[-1])
-
-
-def _query_lattice(aut, w):
-    """Join over thresholds x of: some successful run uses only weights >= x.
-    Thresholds that keep the same edges accept the same lassos, so each such
-    group is joined once per automaton and tested once per query."""
-    lattice = aut.instance.monoid
-    memo = aut._memo
+def infinitary_coeff(aut, w: OmegaWord):
+    """Coefficient of the infinitary behavior at an ultimately periodic word
+    (exact for every strategy).  The lattice joins the thresholds x at which
+    some successful run uses only weights >= x; thresholds that keep the
+    same edges accept the same lassos, so each such group is joined once per
+    automaton and tested once per query."""
+    inst = aut.instance
+    if inst.strategy is None:
+        raise ValueError(f"{inst.name}: no infinitary strategy registered")
+    if aut.k == 0:
+        return inst.zero
+    if inst.strategy != "lattice":
+        best = _best(aut, _kept_edges(aut, inst.strategy), inst.strategy, w)
+        return inst.zero if best is None else best
+    lattice, memo = inst.monoid, aut._memo
     if "lattice groups" not in memo:
         groups = {}
         for x in lattice.elements():
@@ -519,59 +517,17 @@ def _query_lattice(aut, w):
                 kept = _kept_edges(aut, "lattice", x)
                 groups[kept] = lattice.add(groups[kept], x) if kept in groups else x
         memo["lattice groups"] = list(groups.items())
-    best, entered = lattice.zero, _entered(w)
+    best = lattice.zero
     for kept, x in memo["lattice groups"]:
-        if _accepts(aut, kept, *entered):
+        if _best(aut, kept, "boolean", w):
             best = lattice.add(best, x)
     return best
 
 
-def _discount_step(aut):
-    lam = aut.instance.params["lam"]
-    return lambda wgt, v: wgt + lam * v
-
-
-def _query_best(strategy, step_of=None):
-    """The best value over the initial states; ``step_of(aut)``, if given,
-    is the step that folds the stem (see ``_fold_stem``)."""
-    def query(aut, w):
-        kept, (stem, period) = _kept_edges(aut, strategy), _entered(w)
-        values = _fold_stem(kept, stem, _entry_values(aut, kept, strategy, period),
-                            step_of and step_of(aut))
-        return max(values, default=aut.instance.zero)
-    return query
-
-
-_QUERIES = {
-    "boolean": lambda aut, w: _accepts(aut, _kept_edges(aut, "boolean"), *_entered(w)),
-    "sup": _query_best("sup", lambda aut: max),
-    "limsup": _query_best("limsup"),
-    "cycle_mean": _query_best("cycle_mean"),
-    "lattice": _query_lattice,
-    "discounted": _query_best("discounted", _discount_step),
-}
-
-
-def _query_of(aut):
-    inst = aut.instance
-    if inst.strategy is None:
-        raise ValueError(f"{inst.name}: no infinitary strategy registered")
-    if aut.k == 0:
-        return lambda aut, w: inst.zero
-    return _QUERIES[inst.strategy]
-
-
-def infinitary_coeff(aut, w: OmegaWord):
-    """Coefficient of the infinitary behavior at an ultimately periodic word
-    (exact for every strategy)."""
-    return _query_of(aut)(aut, w)
-
-
 def batch_infinitary(aut, lassos) -> list:
-    """Coefficients at each of ``lassos``, in order; lassos that share a
-    period or a stem prefix share its analysis."""
-    query = _query_of(aut)
-    return [query(aut, w) for w in lassos]
+    """Coefficients at each of ``lassos``, in order; lassos whose periods
+    share a rotation class share its analysis."""
+    return [infinitary_coeff(aut, w) for w in lassos]
 
 
 def infinitary_series(aut) -> OmegaSeries:
@@ -756,11 +712,11 @@ class _SymbolicExprCarrier(Hemiring):
         return Plus(a)
 
     def nat_act(self, n, a):
-        if n == 0 or a is None:
-            return None
-        if n == 1:
-            return a
-        return Scalar(n, a) if isinstance(a, Letter) else _nfold(Sum, n, a)
+        """n·a: a scalar on a letter, else a sum by doubling, a DAG of
+        O(log n) nodes."""
+        if n > 1 and isinstance(a, Letter):
+            return Scalar(n, a)
+        return super().nat_act(n, a)
 
     def eq(self, a, b):
         raise NotImplementedError("symbolic expressions have no decidable equality")
@@ -769,7 +725,7 @@ class _SymbolicExprCarrier(Hemiring):
         return "0" if a is None else to_text(a)
 
 
-class _SymbolicOmegaModule:
+class _SymbolicOmegaModule(CommutativeMonoid):
     name = "symbolic-omega"
     zero = None
 
@@ -782,13 +738,6 @@ class _SymbolicOmegaModule:
 
     def show(self, a):
         return "0" if a is None else to_text(a)
-
-
-def _nfold(node, n, a):
-    out = a
-    for _ in range(n - 1):
-        out = node(out, a)
-    return out
 
 
 def _symbolic_pair() -> HemimodulePair:
@@ -832,7 +781,7 @@ def eliminate(aut: MatrixAutomaton):
     om = None
     for i in range(aut.n):
         if aut.alpha[i] and col[i] is not None:
-            om = pair.module.add(om, _nfold(OmegaSum, aut.alpha[i], col[i]))
+            om = pair.module.add(om, pair.module.nat_act(aut.alpha[i], col[i]))
     return fin, om
 
 

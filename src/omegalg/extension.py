@@ -85,9 +85,6 @@ class ExtensionAlgebra(Semiring):
     def sample_ideal(self, rng):
         return FormalSum(self.s0.zero, self.h.sample(rng))
 
-    def scalar(self, x):
-        return FormalSum(x, self.h.zero)
-
     def embed(self, a):
         return FormalSum(self.s0.zero, a)
 
@@ -211,14 +208,13 @@ def partial_conway_laws(ext: ExtensionAlgebra, trials=200, seed=DEFAULT_SEED) ->
 class ExtensionPair:
     """Omega for formal sums: (x + a)^omega = (x* a)* x^omega + (x* a)^omega.
 
-    Needs a star on the scalar side, an omega H -> V, an explicitly supplied
-    scalar omega S0 -> V (the pair records this choice), and compatible left
-    actions of both sides on V.
+    Needs a star on the scalar side, an omega H -> V, a scalar omega S0 -> V
+    (no general principle fixes it, so each instance supplies its own), and
+    compatible left actions of both sides on V.
     """
 
     def __init__(self, ext: ExtensionAlgebra, module, h_act, h_omega,
-                 s0_act, s0_omega, scalar_omega_note="supplied per instance",
-                 validate_samples=200, seed=DEFAULT_SEED, name=None):
+                 s0_act, s0_omega, validate_samples=200, seed=DEFAULT_SEED, name=None):
         if not has_star(ext.s0):
             raise ExtensionError("extension omega needs a star on the scalar side")
         self.ext = ext
@@ -227,15 +223,9 @@ class ExtensionPair:
         self.h_omega = h_omega
         self.s0_act = s0_act
         self.s0_omega = s0_omega
-        self.scalar_omega_note = scalar_omega_note
         self.name = name or f"{ext.name}-pair"
         if validate_samples:
             self._validate(validate_samples, seed)
-
-    def manifest(self) -> dict:
-        """What this pair was built from, including the scalar-omega choice,
-        which no general principle fixes and must be declared per instance."""
-        return {"pair": self.name, "scalar_omega": self.scalar_omega_note}
 
     def act(self, s: FormalSum, v):
         return self.module.add(self.s0_act(s.scalar, v), self.h_act(s.ideal, v))

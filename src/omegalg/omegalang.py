@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import CommutativeMonoid, HemimodulePair
+from .core import CommutativeMonoid, HemimodulePair, words_up_to
 from .series import OmegaWord, _least_rotation, language_instance
 
 DEFAULT_STEM = 4
@@ -30,17 +30,8 @@ def canonical_lassos(alphabet: tuple, stem_max=DEFAULT_STEM, period_max=DEFAULT_
     """All distinct ultimately periodic words with canonical stem <= stem_max
     and canonical period <= period_max, grouped by period."""
     seen = set()
-    stems = [""]
-    frontier = [""]
-    for _ in range(stem_max):
-        frontier = [w + ch for w in frontier for ch in alphabet]
-        stems.extend(frontier)
-    periods = []
-    frontier = [""]
-    for _ in range(period_max):
-        frontier = [w + ch for w in frontier for ch in alphabet]
-        periods.extend(frontier)
-    for u in stems:
+    periods = list(words_up_to(alphabet, period_max))[1:]
+    for u in words_up_to(alphabet, stem_max):
         for v in periods:
             w = OmegaWord(u, v)
             if len(w.prefix) <= stem_max and len(w.period) <= period_max:

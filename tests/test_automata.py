@@ -391,7 +391,7 @@ def test_compile_repeated_states_lead(boolw):
         assert all(aut.beta[i] == 0 for i in range(aut.n))
 
 
-def test_eliminate_one_state_loop(boolw, lang_pair6):
+def test_eliminate_one_state_loop(boolw, natw, lang_pair6):
     aut = A.MatrixAutomaton(boolw, ("a",), 1, 0, (1,), (1,), ((0, "a", 0, True),))
     fin, om = A.eliminate(aut)
     assert om is None
@@ -400,6 +400,17 @@ def test_eliminate_one_state_loop(boolw, lang_pair6):
     for w in core.words_up_to(("a",), 6):
         if w:
             assert got.coeff(w) == want.coeff(w)
+    # an initial coefficient alpha scales both behaviors by a sum of
+    # O(log alpha) shared nodes, not an alpha-deep chain
+    import time
+    for alpha in (10 ** 4, 10 ** 6):
+        aut = A.MatrixAutomaton(natw, ("a",), 1, 1, (alpha,), (1,), ((0, "a", 0, 1),))
+        start = time.perf_counter()
+        fin, om = A.eliminate(aut)
+        assert time.perf_counter() - start < 1.0, alpha
+        if alpha == 10 ** 4:
+            assert rx.to_text(fin) and rx.to_text(om)
+        assert rx.eval_fin(fin, natw, ("a",)).coeff("a") == alpha
 
 
 def test_eliminate_zero_automaton(boolw):
@@ -573,6 +584,28 @@ def test_kernel_on_long_stems():
         assert nonzero, name
 
 
+def test_distinct_stems_leave_no_memory_behind():
+    """10^4 distinct 14-letter stems on one automaton: the kernel keeps its
+    analyses per period, nothing per stem, so the batch retains no memory
+    (by tracemalloc)."""
+    import tracemalloc
+    rng = random.Random(96)
+    inst = V.make_valuation_instance("limsup")
+    aut = A.compile(rx.parse("(a + b)^+ (ab + b)^w"), inst, AB)
+    stems = [format(x, "014b").replace("0", "a").replace("1", "b")
+             for x in rng.sample(range(2 ** 14), 10_000)]
+    lassos = [OmegaWord(u, "b") for u in stems]
+    assert A.infinitary_coeff(aut, lassos[0]) == inst.unit  # the period's analysis
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert all(value == inst.unit for value in A.batch_infinitary(aut, lassos))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000_000, retained
+
+
 def test_exact_discounting_near_one():
     """At lambda = 0.9999 value iteration needs ~300k steps; the exact values
     match the closed form of the optimal lasso."""
@@ -694,8 +727,8 @@ def test_one_acceptance_test_per_lattice_group(monkeypatch):
     compiled automaton (every weight the top) runs one acceptance test per
     query for its 7 thresholds, a reweighted one one per kept edge set."""
     tested = []
-    accepts = A._accepts
-    monkeypatch.setattr(A, "_accepts", lambda *args: tested.append(args) or accepts(*args))
+    best = A._best
+    monkeypatch.setattr(A, "_best", lambda *args: tested.append(args) or best(*args))
     inst = V.make_valuation_instance("lattice-inf")
     lassos = _canonical_lassos()
     compiled = A.compile(rx.parse("(a + b)^+ (ab + b)^w"), inst, AB)

@@ -69,7 +69,8 @@ def test_partial_star_language_example(bool_lang_ext, lang6):
 def test_full_star_extends_both_sides(bool_lang_ext, lang6, boolean):
     ext = bool_lang_ext
     # a = 0: star of a scalar is the scalar star
-    assert ext.eq(ext.star(ext.scalar(True)), ext.scalar(boolean.star(True)))
+    assert ext.eq(ext.star(E.FormalSum(True, lang6.zero)),
+                  E.FormalSum(boolean.star(True), lang6.zero))
     # x = 0: star coincides with the partial star
     rng = random.Random(2)
     for _ in range(20):
@@ -129,12 +130,10 @@ def test_extension_pair_omega(bool_lang_ext, lang_pair6, lang6):
         h_act=lang_pair6.act, h_omega=lang_pair6.omega,
         s0_act=lambda x, v: v if x else V.zero,
         s0_omega=lambda x: V.zero,
-        scalar_omega_note="1^w is the empty omega language",
         validate_samples=40)
-    assert epair.manifest()["scalar_omega"] == "1^w is the empty omega language"
     a = lang6.language("a")
     # scalar-only and ideal-only degenerate cases
-    assert epair.omega(bool_lang_ext.scalar(True)) == V.zero
+    assert epair.omega(E.FormalSum(True, lang6.zero)) == V.zero
     assert epair.omega(bool_lang_ext.embed(a)) == lang_pair6.omega(a)
     # (1 + {a})^omega contains a^omega
     om = epair.omega(bool_lang_ext.add(bool_lang_ext.one, bool_lang_ext.embed(a)))
@@ -183,7 +182,7 @@ def test_morphism_identity_and_collapse(bool_lang_ext, lang6):
                                    lambda x: x, lambda a: lang6.zero,
                                    validate_samples=30)
     assert collapse.homomorphism_report(trials=30).ok
-    assert bool_lang_ext.eq(collapse(s), bool_lang_ext.scalar(s.scalar))
+    assert bool_lang_ext.eq(collapse(s), E.FormalSum(s.scalar, lang6.zero))
 
 
 def test_morphism_nat_to_bool_extension(nat, nat_series6, boolean, lang6,
