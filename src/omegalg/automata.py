@@ -125,30 +125,16 @@ def batch_finitary(aut, max_len: int) -> dict:
     return out
 
 
-def _factor_finitary(aut, word: str) -> dict:
-    """Coefficients of the nonempty factors of ``word``: a run sweep per start."""
-    run = _Run(aut)
-    out = {}
-    for i in range(len(word)):
-        vec = run.start
-        for j in range(i, len(word)):
-            vec = run.step(vec, j - i, word[j])
-            out[word[i:j + 1]] = run.finish(vec)
-            if not vec:
-                break
-    return out
-
-
 def finitary_series(aut) -> Series:
-    """The finitary behavior as a series: the table of :func:`batch_finitary`,
-    or past its bound the run sweeps over the factors of the query."""
+    """The finitary behavior as a series: the table of :func:`batch_finitary`
+    up to the bound, and :func:`finitary_coeff` on a longer word."""
     inst = aut.instance
 
-    def build(L, only):
-        table = batch_finitary(aut, L) if only is None else _factor_finitary(aut, only.word)
-        return {w: v for w, v in table.items() if not inst.eq(v, inst.zero)}
+    def build(L):
+        return {w: v for w, v in batch_finitary(aut, L).items() if not inst.eq(v, inst.zero)}
 
-    return Series(inst, aut.alphabet, DEFAULT_BOUND, build, backing=aut)
+    return Series(inst, aut.alphabet, DEFAULT_BOUND, build,
+                  lambda word, memo: finitary_coeff(aut, word), backing=aut)
 
 
 # --- the lasso kernel ------------------------------------------------------------------
@@ -294,22 +280,24 @@ def _max_cycle_mean(succ, comp: list) -> float:
                              lambda wgt, t: (t[0], wgt - t[0] + t[1]))
         # a larger mean first; once no edge leads to one, every node of the
         # (strongly connected) component has the same mean, so a larger bias
-        if not (_switch(policy, edges, lambda v: value[v][0], lambda v, t, wgt: value[t][0])
-                or _switch(policy, edges, lambda v: value[v][1],
-                           lambda v, t, wgt: wgt - value[v][0] + value[t][1])):
+        if not (_switch(policy, edges, lambda v, t, wgt: value[t][0])
+                or _switch(policy, edges, lambda v, t, wgt: wgt - value[v][0] + value[t][1])):
             return max(mean for mean, _ in value.values())
 
 
-def _switch(policy, edges, current, gain) -> bool:
+def _switch(policy, edges, gain) -> bool:
     """Point each node at its out-edge (t, wgt) of largest ``gain(v, t, wgt)``
-    where that beats ``current(v)`` beyond rounding; did any node switch?"""
+    where that beats the gain of the edge it follows beyond rounding; did any
+    node change its edge?"""
     switched = False
     for v, outs in edges.items():
-        cur = current(v)
+        old = policy[v]
+        cur = gain(v, *old)
         for t, wgt in outs:
             cand = gain(v, t, wgt)
             if cand > cur + 1e-12 * (1.0 + abs(cur)):  # a gain beyond rounding
-                policy[v], cur, switched = (t, wgt), cand, True
+                policy[v], cur = (t, wgt), cand
+        switched = switched or policy[v] != old
     return switched
 
 
@@ -349,7 +337,7 @@ def _optimal_discounted(edges: dict, lam) -> dict:
     while True:
         value = _walk_values(policy, lambda ws: valw((), tuple((1, w) for w in ws)),
                              lambda wgt, v: wgt + lam * v)
-        if not _switch(policy, edges, value.get, lambda v, t, wgt: wgt + lam * value[t]):
+        if not _switch(policy, edges, lambda v, t, wgt: wgt + lam * value[t]):
             return value
 
 

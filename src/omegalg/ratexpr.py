@@ -397,7 +397,4 @@ def eval_fin(e, instance, alphabet=("a", "b"), bound=8):
     """Evaluate a finitary expression to a series over a valuation instance."""
     from .series import SeriesCarrier
     carrier = SeriesCarrier(instance, alphabet, bound)
-    out = eval_fin_in_carrier(e, carrier, carrier.letter)
-    if out.backing is None:
-        out.backing = e
-    return out
+    return eval_fin_in_carrier(e, carrier, carrier.letter)

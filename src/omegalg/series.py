@@ -9,14 +9,14 @@ the plus runs the prefix recurrence in order of length; the natural action
 maps every coefficient.  Zero sums and zero products are dropped, so
 ``coeff`` is a dict lookup and a miss is a zero coefficient.
 
-Past the bound nothing is guessed: a query for a longer word w rebuilds,
-from what each series was built from (a polynomial's own coefficients, the
-operands of a carrier operation, an automaton's runs, a DFA's walks),
-tables kept to the factors of w, which hold every coefficient the
-operations read.  That is O(|w|^2) entries per series, so coefficients are
-exact at every length at polynomial cost.  The behavior of an automaton
-(:func:`automata.finitary_series`) and the elements of the language
-carrier are series of this one kind too.
+Past the bound nothing is guessed: each operation has one rule for a single
+longer word, read from its operands.  A sum adds, a product sums the cuts
+of the word, the plus runs its prefix recurrence over the word's prefixes,
+the natural action scales, a polynomial looks the word up, an automaton's
+behavior (:func:`automata.finitary_series`) runs it, and an element of the
+language carrier walks its DFA.  An operand answers from its table within
+its own bound and at most once per query and word otherwise, so
+coefficients are exact at every length at polynomial cost.
 
 Ultimately periodic infinite words are represented by :class:`OmegaWord`
 lassos in canonical form: primitive period, shortest prefix.
@@ -142,40 +142,23 @@ def _check_letters(word: str, alphabet: tuple):
             raise ValueError(f"letter {ch!r} outside alphabet {alphabet}")
 
 
-class _Factors:
-    """The factors of one query word, shortest first, and the tables already
-    rebuilt on them (by ``id`` of the series), so shared operands rebuild once.
-
-    Sums, cuts, the plus recurrence and the natural action of a factor only
-    ever read coefficients of its own factors, so tables kept to these words
-    give the coefficient exactly with O(|w|^2) entries per series.
-    """
-
-    __slots__ = ("word", "words", "done")
-
-    def __init__(self, word: str):
-        n = len(word)
-        self.word = word
-        self.words = sorted({word[i:j] for i in range(n + 1) for j in range(i, n + 1)},
-                            key=len)
-        self.done = {}
-
-
 class Series:
     """Non-zero coefficients on the words of length <= ``bound``.
 
-    ``build(L, only)`` returns the table at bound L, kept to the words of
-    ``only`` (a :class:`_Factors`) unless that is None.  It runs in full on
-    the first query; a query past the bound rebuilds on the query's factors.
+    ``build(L)`` returns the table at bound L; it runs on the first query.
+    ``at(word, memo)`` gives the coefficient of a longer word, or ``_MISS``,
+    from the operands read through :func:`_at`.  No ``at`` refers to its
+    own series, so a series is freed by reference counting.
     """
 
-    __slots__ = ("weights", "alphabet", "bound", "build", "_table", "proper", "backing")
+    __slots__ = ("weights", "alphabet", "bound", "build", "at", "_table", "proper", "backing")
 
-    def __init__(self, weights, alphabet, bound, build, proper=True, backing=None):
+    def __init__(self, weights, alphabet, bound, build, at, proper=True, backing=None):
         self.weights = weights
         self.alphabet = tuple(alphabet)
         self.bound = bound
         self.build = build
+        self.at = at
         self._table = _UNBUILT
         self.proper = proper
         self.backing = backing
@@ -183,7 +166,7 @@ class Series:
     @property
     def table(self) -> dict:
         if self._table is _UNBUILT:
-            self._table = self.build(self.bound, None)
+            self._table = self.build(self.bound)
         return self._table
 
     def coeff(self, word: str):
@@ -192,7 +175,8 @@ class Series:
             return val
         _check_letters(word, self.alphabet)
         if len(word) > self.bound:
-            return self.table_on(_Factors(word)).get(word, self.weights.zero)
+            val = _at(self, word, {})
+            return self.weights.zero if val is _MISS else val
         if self._table is _UNBUILT:
             return self.table.get(word, self.weights.zero)
         return self.weights.zero
@@ -200,28 +184,23 @@ class Series:
     def table_at(self, bound: int) -> dict:
         """The table up to ``bound``, rebuilt in place if it stops short of it."""
         if bound > self.bound:
-            self._table = self.build(bound, None)
+            self._table = self.build(bound)
             self.bound = bound
         if bound == self.bound:
             return self.table
         return {u: x for u, x in self.table.items() if len(u) <= bound}
 
-    def table_on(self, only: _Factors) -> dict:
-        """The non-zero coefficients on the words of ``only``."""
-        if len(only.word) > self.bound:
-            return self.build(len(only.word), only)
-        t = self.table
-        return {u: t[u] for u in only.words if u in t}
 
-
-def _table(f, bound: int, only=None) -> dict:
-    """The non-zero coefficients of ``f`` up to ``bound``, or on ``only``'s words."""
-    if only is None:
-        return f.table_at(bound)
-    t = only.done.get(id(f))
-    if t is None:
-        t = only.done[id(f)] = f.table_on(only)
-    return t
+def _at(f, word: str, memo: dict):
+    """The coefficient of ``f`` on ``word``, ``_MISS`` where it is zero: its
+    table within its bound, else ``f.at``, once per query (``memo``) and word."""
+    if len(word) <= f.bound:
+        return f.table.get(word, _MISS)
+    key = (f, word)
+    if key not in memo:
+        x = f.at(word, memo)
+        memo[key] = _MISS if x is _MISS or f.weights.eq(x, f.weights.zero) else x
+    return memo[key]
 
 
 def _by_length(table: dict) -> dict:
@@ -240,24 +219,8 @@ def _drop_zeros(weights, table: dict, words=None) -> dict:
     return table
 
 
-def _cuts(w, z: str, left: dict, right: dict, lo: int, acc=_MISS):
-    """``acc`` plus left(u) ·(|u|,|v|) right(v) over the cuts z = uv with
-    lo <= |u| <= |z| - lo; ``_MISS`` if there is nothing to add."""
-    n = len(z)
-    for i in range(lo, n - lo + 1):
-        x = left.get(z[:i], _MISS)
-        if x is _MISS:
-            continue
-        y = right.get(z[i:], _MISS)
-        if y is _MISS:
-            continue
-        p = w.prod(i, n - i, x, y)
-        acc = p if acc is _MISS else w.add(acc, p)
-    return acc
-
-
 def zero_series(weights, alphabet, bound=DEFAULT_BOUND) -> Series:
-    return Series(weights, alphabet, bound, lambda L, only: {}, backing={})
+    return Series(weights, alphabet, bound, lambda L: {}, lambda word, memo: _MISS)
 
 
 def polynomial(weights, alphabet, table: dict, bound=DEFAULT_BOUND) -> Series:
@@ -267,23 +230,20 @@ def polynomial(weights, alphabet, table: dict, bound=DEFAULT_BOUND) -> Series:
         _check_letters(word, alphabet)
     table = dict(table)
 
-    def build(L, only):
-        if only is None:
-            out = {u: x for u, x in table.items() if len(u) <= L}
-        else:
-            out = {u: table[u] for u in only.words if u in table}
-        return _drop_zeros(weights, out)
+    def build(L):
+        return _drop_zeros(weights, {u: x for u, x in table.items() if len(u) <= L})
 
-    return Series(weights, alphabet, bound, build, proper="" not in table, backing=table)
+    return Series(weights, alphabet, bound, build, lambda word, memo: table.get(word, _MISS),
+                  proper="" not in table)
 
 
 def series_add(f, g) -> Series:
     w = f.weights
 
-    def build(L, only):
-        out = dict(_table(f, L, only))
+    def build(L):
+        out = dict(f.table_at(L))
         both = []
-        for u, y in _table(g, L, only).items():
+        for u, y in g.table_at(L).items():
             if u in out:
                 out[u] = w.add(out[u], y)
                 both.append(u)
@@ -291,14 +251,18 @@ def series_add(f, g) -> Series:
                 out[u] = y
         return _drop_zeros(w, out, both)
 
-    return Series(w, f.alphabet, min(f.bound, g.bound), build, proper=f.proper and g.proper)
+    def at(word, memo):
+        x, y = _at(f, word, memo), _at(g, word, memo)
+        return y if x is _MISS else x if y is _MISS else w.add(x, y)
+
+    return Series(w, f.alphabet, min(f.bound, g.bound), build, at, proper=f.proper and g.proper)
 
 
 def cauchy_mul(f, g) -> Series:
     """(fg, w) = sum over splits uv = w of (f,u) ·(|u|,|v|) (g,v).
 
-    A full table joins the two supports and drops pairs longer than the
-    bound; a table on a query's factors sums the cuts of each factor.
+    The table joins the two supports and drops pairs longer than the bound;
+    a longer word sums its cuts.
     """
     if f.weights is not g.weights:
         same_kind = (f.weights.name == g.weights.name and
@@ -307,17 +271,10 @@ def cauchy_mul(f, g) -> Series:
             raise ValueError("carrier mismatch in product")
     w = f.weights
 
-    def build(L, only):
+    def build(L):
         out = {}
-        if only is not None:
-            left, right = _table(f, L, only), _table(g, L, only)
-            for z in only.words:
-                acc = _cuts(w, z, left, right, 0)
-                if acc is not _MISS:
-                    out[z] = acc
-            return _drop_zeros(w, out)
-        left = _by_length(_table(f, L))
-        right = _by_length(_table(g, L))
+        left = _by_length(f.table_at(L))
+        right = _by_length(g.table_at(L))
         for m in sorted(left):
             for n in range(L - m + 1):
                 for v, y in right.get(n, ()):
@@ -327,7 +284,17 @@ def cauchy_mul(f, g) -> Series:
                         out[uv] = w.add(out[uv], p) if uv in out else p
         return _drop_zeros(w, out)
 
-    return Series(w, f.alphabet, min(f.bound, g.bound), build, proper=f.proper or g.proper)
+    def at(word, memo):
+        n, acc = len(word), _MISS
+        for i in range(n + 1):
+            x = _at(f, word[:i], memo)
+            y = _MISS if x is _MISS else _at(g, word[i:], memo)
+            if y is not _MISS:
+                p = w.prod(i, n - i, x, y)
+                acc = p if acc is _MISS else w.add(acc, p)
+        return acc
+
+    return Series(w, f.alphabet, min(f.bound, g.bound), build, at, proper=f.proper or g.proper)
 
 
 def series_plus(f) -> Series:
@@ -335,22 +302,17 @@ def series_plus(f) -> Series:
 
     Prefix recurrence T(w) = f(w) + sum over w = uv, u and v nonempty, of
     T(u) ·(|u|,|v|) f(v), in order of length; the left fold of the indexed
-    products matches the induced valuation by the split law.
+    products matches the induced valuation by the split law.  A longer word
+    runs the recurrence over its own prefixes.
     """
     if not f.proper:
         raise ValueError("plus is defined on proper series only")
     w = f.weights
+    token = object()    # keys this plus's prefix values in a query's memo
 
-    def build(L, only):
+    def build(L):
         out = {}
-        if only is not None:
-            pieces = _table(f, L, only)
-            for z in only.words:
-                acc = _cuts(w, z, out, pieces, 1, pieces.get(z, _MISS)) if z else _MISS
-                if acc is not _MISS and not w.eq(acc, w.zero):
-                    out[z] = acc
-            return out
-        pieces = _by_length(_table(f, L))
+        pieces = _by_length(f.table_at(L))
         done = {}       # length -> [(u, T(u))]
         for n in range(1, L + 1):
             layer = dict(pieces.get(n, ()))
@@ -365,17 +327,36 @@ def series_plus(f) -> Series:
             out.update(layer)
         return out
 
-    return Series(w, f.alphabet, f.bound, build, proper=True)
+    def at(word, memo):
+        prefixes = memo.setdefault(token, {})    # prefix -> T(prefix), or _MISS
+        for j in range(1, len(word) + 1):
+            z = word[:j]
+            if z in prefixes:
+                continue
+            acc = _at(f, z, memo)
+            for i in range(1, j):
+                x = prefixes[z[:i]]
+                y = _MISS if x is _MISS else _at(f, z[i:], memo)
+                if y is not _MISS:
+                    p = w.prod(i, j - i, x, y)
+                    acc = p if acc is _MISS else w.add(acc, p)
+            prefixes[z] = _MISS if acc is _MISS or w.eq(acc, w.zero) else acc
+        return prefixes[word]
+
+    return Series(w, f.alphabet, f.bound, build, at, proper=True)
 
 
 def scale_nat(n: int, f) -> Series:
     w = f.weights
 
-    def build(L, only):
-        out = {u: w.nat_act(n, x) for u, x in _table(f, L, only).items()}
-        return _drop_zeros(w, out)
+    def build(L):
+        return _drop_zeros(w, {u: w.nat_act(n, x) for u, x in f.table_at(L).items()})
 
-    return Series(w, f.alphabet, f.bound, build, proper=f.proper)
+    def at(word, memo):
+        x = _at(f, word, memo)
+        return x if x is _MISS else w.nat_act(n, x)
+
+    return Series(w, f.alphabet, f.bound, build, at, proper=f.proper)
 
 
 def _differing(f, g, bound):
@@ -387,7 +368,7 @@ def _differing(f, g, bound):
     if f.alphabet != g.alphabet:
         raise ValueError("alphabet mismatch")
     eq = f.weights.eq
-    a, b = _table(f, bound), _table(g, bound)
+    a, b = f.table_at(bound), g.table_at(bound)
     for u, x in a.items():
         y = b.get(u, _MISS)
         if y is _MISS or not eq(x, y):
@@ -406,7 +387,7 @@ def bounded_eq(f, g, bound: int = DEFAULT_BOUND) -> LawReport:
     if f.alphabet != g.alphabet:
         raise ValueError("alphabet mismatch")
     w = f.weights
-    a, b = _table(f, bound), _table(g, bound)
+    a, b = f.table_at(bound), g.table_at(bound)
     coeff = ("coeff", lambda u: (a.get(u, w.zero), b.get(u, w.zero)), lambda u: (u or "<empty>",))
     return check_laws(LawReport(f"bounded-eq(L={bound})", 0), [coeff],
                       ((u,) for u in words_up_to(f.alphabet, bound)), w.eq, w.show, max_failures=20)
@@ -498,21 +479,9 @@ class LanguageCarrier(SeriesCarrier):
     # every element carries a minimal DFA in ``backing``
     def _from_dfa(self, d: dfalib.Dfa) -> Series:
         from . import dfa as dfalib
-        def build(L, only):
-            if only is None:
-                return dict.fromkeys(dfalib.enumerate_words(d, L), True)
-            out, word = {}, only.word
-            for i in range(len(word)):   # one walk from each start position
-                s = d.start
-                for j in range(i, len(word)):
-                    s = d.delta[s].get(word[j])
-                    if s is None:
-                        break
-                    if s in d.accept:
-                        out[word[i:j + 1]] = True
-            return out
-
-        return Series(self.weights, self.alphabet, self.bound, build, backing=d)
+        return Series(self.weights, self.alphabet, self.bound,
+                      lambda L: dict.fromkeys(dfalib.enumerate_words(d, L), True),
+                      lambda word, memo: d.run(word), backing=d)
 
     def poly(self, table) -> Series:
         from . import dfa as dfalib

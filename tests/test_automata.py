@@ -9,7 +9,7 @@ import pytest
 import oracles
 from omegalg import automata as A, core, ratexpr as rx, valuation as V
 from omegalg.instances import INF, NEG_INF, make_instance
-from omegalg.series import OmegaWord, _Factors
+from omegalg.series import OmegaWord
 
 AB = ("a", "b")
 
@@ -94,9 +94,8 @@ def _factors(word):
 @pytest.mark.parametrize("name", ["nat", "disc", "limsup-avg"])
 def test_finitary_series_matches_runs(name):
     """The behavior as a series (bound 8) agrees with the per-word run on
-    every word up to length 10, on every factor of words past the bound
-    (the tables a query past the bound is built on), and on a 200-letter
-    word."""
+    every word up to length 10, on every factor of words past the bound,
+    and on a 200-letter word."""
     inst = V.make_valuation_instance(name)
     rng = random.Random(97)
     exprs = [rx.parse("((a + 2b)(a + b)^+)^+")] + [rx.random_expr(rng, 4) for _ in range(3)]
@@ -109,10 +108,8 @@ def test_finitary_series_matches_runs(name):
         for w in words:
             assert inst.eq(s.coeff(w), A.finitary_coeff(aut, w)), (rx.to_text(e), w)
         for w in ("abbabaabbab", long_word[:13]):
-            table = s.table_on(_Factors(w))
             for u in _factors(w):
-                assert inst.eq(table.get(u, inst.zero), A.finitary_coeff(aut, u)), \
-                    (rx.to_text(e), w, u)
+                assert inst.eq(s.coeff(u), A.finitary_coeff(aut, u)), (rx.to_text(e), w, u)
         want = A.finitary_coeff(aut, long_word)
         assert inst.eq(s.coeff(long_word), want), rx.to_text(e)
         nonzero += not inst.eq(want, inst.zero)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -507,6 +508,24 @@ def test_large_scalars_are_exact(runner, tmp_path):
     aut.write_text(json.dumps(_scaled_automaton(10 ** 20)))
     res = run(runner, "behavior", "--aut", str(aut), "--instance", "nat", "--word", "aaa")
     assert res.exit_code == 0 and res.stdout.strip() == str(10 ** 20)
+
+
+def test_limsup_avg_policy_iteration_ends_on_a_long_period(tmp_path):
+    """Three states and a random 2,000-letter period (seed 0).  Rounding along
+    a cycle of the product once made each bias pass of Howard's iteration
+    report a switch that changed no edge, so the query never ended."""
+    rng = random.Random(0)
+    edges = [{"from": i, "to": t, "letter": ch, "weight": str(rng.randrange(5))}
+             for i in range(3) for ch in "ab" for t in range(3) if rng.random() < 0.7]
+    period = "".join(rng.choice("ab") for _ in range(2000))
+    aut = tmp_path / "aut.json"
+    aut.write_text(json.dumps({"n": 3, "k": 3, "alphabet": ["a", "b"], "alpha": ["1", "0", "0"],
+                               "beta": ["1", "1", "1"], "transitions": edges}))
+    proc = subprocess.run([sys.executable, "-m", "omegalg.cli", "behavior", "--aut", str(aut),
+                           "--instance", "limsup-avg", "--word", f"a({period})^w"],
+                          capture_output=True, text=True, timeout=10, check=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.stdout.strip() == "2.583"
 
 
 @pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,

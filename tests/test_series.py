@@ -1,8 +1,11 @@
 """Series coefficients: Cauchy products, the plus DP against brute force,
 bounded equality, omega words, and the language instance."""
 
+import gc
 import math
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from omegalg import core, series, valuation
 from omegalg.instances import make_instance
-from omegalg.series import (OmegaWord, Series, SeriesCarrier, _differing, _Factors,
-                            bounded_eq, cauchy_mul, parse_word, series_plus)
+from omegalg.series import (OmegaWord, Series, SeriesCarrier, _differing, bounded_eq,
+                            cauchy_mul, parse_word, series_plus)
 
 
 # --- omega words -------------------------------------------------------------
@@ -249,8 +252,8 @@ def test_boolean_closure_series_match_dfa_language_ops(lang6):
 
 
 def test_language_coeff_matches_dfa_past_the_bound(lang6):
-    """Past the bound (6 here) a language element's coefficients come from
-    walks of its DFA over the query's factors; each must be the DFA's run."""
+    """Past the bound (6 here) a language element's coefficient is a walk of
+    its DFA: on long words and on every factor of one, it is the DFA's run."""
     rng = random.Random(43)
     long_word = "".join(rng.choice("ab") for _ in range(200))
     words = [w for w in core.words_up_to(("a", "b"), 9) if len(w) > 6] + [long_word]
@@ -264,9 +267,8 @@ def test_language_coeff_matches_dfa_past_the_bound(lang6):
             assert f.coeff(w) == d.run(w), (lang6.show(f), w)
             seen.add(f.coeff(w))
         w = long_word[:14]
-        table = f.table_on(_Factors(w))
         for u in {w[i:j] for i in range(len(w)) for j in range(i + 1, len(w) + 1)}:
-            assert table.get(u, False) == d.run(u), (lang6.show(f), u)
+            assert f.coeff(u) == d.run(u), (lang6.show(f), u)
     assert seen == {True, False}
 
 
@@ -298,18 +300,21 @@ def test_series_builds_its_table_on_first_query_only():
     sc = SeriesCarrier(natw, ("a", "b"), bound=4)
     calls = []
 
-    def build(L, only):
+    def build(L):
         calls.append(L)
         return {"a": 1}
 
-    f = Series(natw, ("a", "b"), 4, build)
+    def at(word, memo):
+        raise AssertionError("no query here goes past the bound")
+
+    f = Series(natw, ("a", "b"), 4, build, at)
     g = sc.plus(sc.add(sc.mul(f, f), sc.nat_act(2, f)))
-    sc.mul(Series(natw, ("a", "b"), 4, build), f)   # never queried: never built
+    sc.mul(Series(natw, ("a", "b"), 4, build, at), f)   # never queried: never built
     assert calls == []
     assert g.coeff("aa") == 5 and calls == [4]     # 1·aa + (2a)(2a), f built once
     assert f.table == {"a": 1} and calls == [4]
     # the table read from outside is built, never the empty placeholder
-    assert Series(natw, ("a", "b"), 4, build).table == {"a": 1} and calls == [4, 4]
+    assert Series(natw, ("a", "b"), 4, build, at).table == {"a": 1} and calls == [4, 4]
 
 
 def test_language_group_identities_small(lang6, lang_pair6):
@@ -434,3 +439,60 @@ def test_past_bound_query_on_a_dense_series():
     word = "abbabaabbbaababbbaaabaabbabaabab"
     assert s.coeff(word) == 2 ** (len(word) - 1)
     assert s.coeff("aab") == 4
+
+
+def test_long_past_bound_queries_cost_one_run(lang6):
+    """Past the bound, an automaton's behavior (8 states over disc) answers
+    an 800-letter word with one run and a plus-closed language with one DFA
+    walk: each well within 0.1 s and 1 MB."""
+    from omegalg import automata as A, ratexpr as rx
+    disc = valuation.make_valuation_instance("disc")
+    aut = A.compile(rx.parse("((a + 2b)(a + b)^+)^+"), disc, ("a", "b"))
+    assert aut.n == 8
+    rng, word = random.Random(800), ""
+    while len(word) < 800:      # 800 letters of (ab + b)^+
+        word += rng.choice(("ab", "b")) if len(word) < 799 else "b"
+    want = A.finitary_coeff(aut, word)
+    assert not disc.eq(want, disc.zero)
+    cases = [(A.finitary_series(aut), want), (lang6.plus(lang6.language("ab", "b")), True)]
+    for f, want in cases:
+        t0 = time.perf_counter()
+        got = f.coeff(word)
+        elapsed = time.perf_counter() - t0
+        tracemalloc.start()
+        try:
+            f.coeff(word)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert elapsed < 0.1 and peak < 2 ** 20, (elapsed, peak)
+
+
+def test_series_are_freed_by_reference_counting(lang6):
+    """No series keeps itself alive: with the cyclic collector off, building
+    every kind of series and querying it past its bound leaves no object
+    behind."""
+    from omegalg import automata as A, ratexpr as rx
+    natw = valuation.from_carrier(make_instance("nat"))
+    sc = SeriesCarrier(natw, ("a", "b"), bound=3)
+    aut = A.compile(rx.parse("(a + 2b)^+"), natw, ("a", "b"))
+
+    def build_and_query():
+        for _ in range(200):
+            a, b = sc.poly({"a": 2}), sc.letter("b")
+            f = sc.plus(sc.add(sc.mul(sc.plus(a), b), sc.nat_act(3, sc.plus(b))))
+            g = sc.mul(f, sc.add(sc.zero, A.finitary_series(aut)))
+            h = lang6.plus(lang6.mul(lang6.language("a", "ab"), lang6.letter("b")))
+            assert g.coeff("abbabbab") and h.coeff("abbabbabb")
+
+    build_and_query()   # fill the caches of first use
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        build_and_query()
+        after = len(gc.get_objects())
+    finally:
+        gc.enable()
+    assert after == before
