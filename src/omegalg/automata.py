@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .core import CommutativeMonoid, HemimodulePair, Hemiring
 from .ratexpr import (ActProd, Letter, OmegaPow, OmegaSum, Plus, Prod, Scalar,
-                      Sum, check_alphabet, letters_of, to_text)
+                      Sum, check_alphabet, fold, letters_of, to_text)
 from .series import DEFAULT_BOUND, OmegaSeries, OmegaWord, Series, _least_rotation
 from .valuation import _disc_periodic
 
@@ -547,10 +547,10 @@ def _shift_edges(edges, off):
 
 
 def _frag_sum(a: _Frag, b: _Frag) -> _Frag:
-    out = _Frag(a.n + b.n, 0, a.alpha + b.alpha, a.beta + b.beta,
+    out = _Frag(a.n + b.n, a.k, a.alpha + b.alpha, a.beta + b.beta,
                 a.edges + _shift_edges(b.edges, a.n))
     repeated = list(range(a.k)) + [a.n + r for r in range(b.k)]
-    return _reorder(out, repeated)
+    return _reorder(out, repeated) if b.k else out
 
 
 def _links(inst, a: _Frag, b: _Frag, off) -> list:
@@ -608,31 +608,27 @@ def _reorder(frag: _Frag, repeated: list) -> _Frag:
 
 
 def compile(expr, instance, alphabet=None) -> MatrixAutomaton:
-    """Structural compilation of a (finitary or omega) expression."""
+    """Structural compilation of a (finitary or omega) expression; a shared
+    subterm is compiled once, as no fragment is ever changed."""
     if alphabet is None:
         alphabet = tuple(sorted(letters_of(expr)))
     alphabet = tuple(alphabet)
 
-    def go(node) -> _Frag:
-        if isinstance(node, Letter):
-            if node.ch not in alphabet:
-                raise ValueError(f"letter {node.ch!r} outside alphabet {alphabet}")
-            return _frag_letter(instance, node.ch)
-        if isinstance(node, Scalar):
-            return _frag_scale(node.coef, go(node.arg))
-        if isinstance(node, (Sum, OmegaSum)):
-            return _frag_sum(go(node.left), go(node.right))
-        if isinstance(node, Prod):
-            return _frag_prod(instance, go(node.left), go(node.right))
-        if isinstance(node, Plus):
-            return _frag_plus(instance, go(node.arg))
-        if isinstance(node, OmegaPow):
-            return _frag_omega(instance, go(node.arg))
-        if isinstance(node, ActProd):
-            return _frag_prod(instance, go(node.head), go(node.tail), omega=True)
-        raise TypeError(f"not an expression node: {node!r}")
+    def letter(node) -> _Frag:
+        if node.ch not in alphabet:
+            raise ValueError(f"letter {node.ch!r} outside alphabet {alphabet}")
+        return _frag_letter(instance, node.ch)
 
-    return _aut_of(go(expr), instance, alphabet)
+    frag = fold(expr, {
+        Letter: letter,
+        Scalar: lambda node, a: _frag_scale(node.coef, a),
+        **dict.fromkeys((Sum, OmegaSum), lambda node, a, b: _frag_sum(a, b)),
+        Prod: lambda node, a, b: _frag_prod(instance, a, b),
+        Plus: lambda node, a: _frag_plus(instance, a),
+        OmegaPow: lambda node, a: _frag_omega(instance, a),
+        ActProd: lambda node, a, b: _frag_prod(instance, a, b, omega=True),
+    })
+    return _aut_of(frag, instance, alphabet)
 
 
 def _frag_of(aut: MatrixAutomaton) -> _Frag:
@@ -700,9 +696,8 @@ class _SymbolicExprCarrier(Hemiring):
         return Plus(a)
 
     def nat_act(self, n, a):
-        """n·a: a scalar on a letter, else a sum by doubling, a DAG of
-        O(log n) nodes."""
-        if n > 1 and isinstance(a, Letter):
+        """n·a as one scalar node."""
+        if n > 1 and a is not None:
             return Scalar(n, a)
         return super().nat_act(n, a)
 
@@ -724,8 +719,7 @@ class _SymbolicOmegaModule(CommutativeMonoid):
             return a
         return OmegaSum(a, b)
 
-    def show(self, a):
-        return "0" if a is None else to_text(a)
+    show = _SymbolicExprCarrier.show
 
 
 def _symbolic_pair() -> HemimodulePair:

@@ -8,13 +8,14 @@ be summed and prefixed by finitary factors, nothing else.
     expr   := term ('+' term)*
     term   := factor+
     factor := atom ('^+' | '^w')*
-    atom   := INT? LETTER | '(' expr ')'
+    atom   := INT? (LETTER | '(' expr ')')
 
-A LETTER is one of ``LETTERS``, ASCII ``a``-``z``; words and alphabets
-are spelled in the same letters.
+A scalar prefixes a finitary atom only.  A LETTER is one of ``LETTERS``,
+ASCII ``a``-``z``; words and alphabets are spelled in the same letters.
 
 AST nodes compare by identity (shared subterms are cheap), so structural
-comparison goes through :func:`expr_equal`.
+comparison goes through :func:`expr_equal`.  Every walk over an expression
+is a :func:`fold`: iterative, and once per distinct node of the DAG.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -84,7 +86,6 @@ class OmegaSum:
     right: object
 
 
-FIN_NODES = (Letter, Scalar, Sum, Prod, Plus)
 OMEGA_NODES = (OmegaPow, ActProd, OmegaSum)
 
 
@@ -92,66 +93,105 @@ def is_omega(e) -> bool:
     return isinstance(e, OMEGA_NODES)
 
 
+# The children of each node class; every walk reads them here.
+_CHILDREN = {
+    Letter: lambda e: (),
+    **dict.fromkeys((Scalar, Plus, OmegaPow), lambda e: (e.arg,)),
+    **dict.fromkeys((Sum, Prod, OmegaSum), lambda e: (e.left, e.right)),
+    ActProd: lambda e: (e.head, e.tail),
+}
+
+
+def fold(e, rules):
+    """The value of the expression ``e`` under ``rules``, which maps a node
+    class to a function of the node and its children's values.
+
+    Without recursion, each distinct node of the DAG is valued once,
+    children first, and its value dropped once its last parent read it.
+    A node whose class has no rule raises TypeError.
+    """
+    # The distinct nodes in post-order, each with its children, and the
+    # number of parent slots that read each node.
+    order, seen, reads, stack = [], set(), {}, [(e, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is not None:
+            order.append((node, kids))
+        elif id(node) not in seen:
+            if type(node) not in rules:
+                raise TypeError(f"not an expression node this walk reads: {node!r}")
+            seen.add(id(node))
+            kids = _CHILDREN[type(node)](node)
+            stack.append((node, kids))
+            for k in kids:
+                reads[id(k)] = reads.get(id(k), 0) + 1
+                stack.append((k, None))
+    values = {}
+    for node, kids in order:
+        values[id(node)] = rules[type(node)](node, *[values[id(k)] for k in kids])
+        for k in kids:
+            reads[id(k)] -= 1
+            if not reads[id(k)]:
+                del values[id(k)]
+    return values[id(e)]
+
+
 def expr_equal(a, b) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Letter):
-        return a.ch == b.ch
-    if isinstance(a, Scalar):
-        return a.coef == b.coef and expr_equal(a.arg, b.arg)
-    if isinstance(a, (Sum, Prod, OmegaSum)):
-        return expr_equal(a.left, b.left) and expr_equal(a.right, b.right)
-    if isinstance(a, (Plus, OmegaPow)):
-        return expr_equal(a.arg, b.arg)
-    if isinstance(a, ActProd):
-        return expr_equal(a.head, b.head) and expr_equal(a.tail, b.tail)
-    raise TypeError(f"not an expression node: {a!r}")
+    """Structural equality, linear in the sizes of the two DAGs: each node
+    is numbered by its class, its letter or coefficient and its children's
+    numbers, and equal numbers mean equal trees."""
+    numbers = {}
+
+    def number(node, *kids):
+        key = (type(node), getattr(node, "ch", None), getattr(node, "coef", None), kids)
+        return numbers.setdefault(key, len(numbers))
+
+    rules = dict.fromkeys(_CHILDREN, number)
+    return fold(a, rules) == fold(b, rules)
+
+
+_LETTERS_OF_RULES = dict.fromkeys(_CHILDREN, lambda node, *kids: set().union(*kids))
+_LETTERS_OF_RULES[Letter] = lambda node: {node.ch}
 
 
 def letters_of(e) -> set:
-    if isinstance(e, Letter):
-        return {e.ch}
-    if isinstance(e, Scalar):
-        return letters_of(e.arg)
-    if isinstance(e, (Plus, OmegaPow)):
-        return letters_of(e.arg)
-    if isinstance(e, (Sum, Prod, OmegaSum)):
-        return letters_of(e.left) | letters_of(e.right)
-    if isinstance(e, ActProd):
-        return letters_of(e.head) | letters_of(e.tail)
-    raise TypeError(f"not an expression node: {e!r}")
+    return fold(e, _LETTERS_OF_RULES)
 
 
 # --- printing ------------------------------------------------------------------
 
-_SUM, _PROD, _ATOM = 0, 1, 2
+# A printed node is its text and its level; a parent brackets a child whose
+# level is below the one its position needs (a scalar's, a letter's).
+_SUM, _PROD, _ATOM, _LETTER = 0, 1, 2, 3
+
+
+def _at(part, level) -> str:
+    text, own = part
+    return f"({text})" if own < level else text
+
+
+def _sum_text(node, x, y):
+    return f"{x[0]} + {_at(y, _PROD)}", _SUM
+
+
+def _prod_text(node, x, y):
+    return f"{_at(x, _PROD)}{_at(y, _ATOM)}", _PROD
+
+
+_TEXT_RULES = {
+    Letter: lambda node: (node.ch, _LETTER),
+    Scalar: lambda node, x: (f"{node.coef}{_at(x, _LETTER)}", _ATOM),
+    **dict.fromkeys((Sum, OmegaSum), _sum_text),
+    **dict.fromkeys((Prod, ActProd), _prod_text),
+    Plus: lambda node, x: (f"{_at(x, _ATOM)}^+", _ATOM),
+    OmegaPow: lambda node, x: (f"{_at(x, _ATOM)}^w", _ATOM),
+}
 
 
 def to_text(e) -> str:
-    return _render(e, _SUM)
-
-
-def _render(e, level) -> str:
-    if isinstance(e, Letter):
-        return e.ch
-    if isinstance(e, Scalar):
-        if isinstance(e.arg, Letter):
-            return f"{e.coef}{e.arg.ch}"
-        return f"{e.coef}({_render(e.arg, _SUM)})"
-    if isinstance(e, (Sum, OmegaSum)):
-        text = f"{_render(e.left, _SUM)} + {_render(e.right, _PROD)}"
-        return f"({text})" if level > _SUM else text
-    if isinstance(e, Prod):
-        text = f"{_render(e.left, _PROD)}{_render(e.right, _ATOM)}"
-        return f"({text})" if level > _PROD else text
-    if isinstance(e, ActProd):
-        text = f"{_render(e.head, _PROD)}{_render(e.tail, _ATOM)}"
-        return f"({text})" if level > _PROD else text
-    if isinstance(e, Plus):
-        return f"{_render(e.arg, _ATOM)}^+"
-    if isinstance(e, OmegaPow):
-        return f"{_render(e.arg, _ATOM)}^w"
-    raise TypeError(f"not an expression node: {e!r}")
+    """The expression in the grammar's syntax; a shared subterm is printed
+    at each of its occurrences."""
+    return fold(e, _TEXT_RULES)[0]
 
 
 # --- parsing --------------------------------------------------------------------
@@ -178,31 +218,31 @@ def _tokenize(text):
         elif ch in LETTERS:
             tokens.append(("letter", ch, i))
             i += 1
-        elif ch in "()":
+        elif ch in "()+":
             tokens.append((ch, ch, i))
             i += 1
-        elif ch == "+":
-            tokens.append(("+", "+", i))
-            i += 1
         elif ch == "^":
-            if text[i:i + 2] == "^+":
-                tokens.append(("plus", "^+", i))
-                i += 2
-            elif text[i:i + 2] == "^w":
-                tokens.append(("omega", "^w", i))
-                i += 2
-            else:
+            kind = {"^+": "plus", "^w": "omega"}.get(text[i:i + 2])
+            if kind is None:
                 raise ParseError("expected ^+ or ^w", i)
+            tokens.append((kind, text[i:i + 2], i))
+            i += 2
         else:
             raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(("end", None, len(text)))
     return tokens
 
 
+# The parser recurses once per open parenthesis, so their nesting is capped
+# well inside the interpreter's default stack.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -218,69 +258,56 @@ class _Parser:
             self.next()
             terms.append(self.term())
         kinds = {is_omega(t) for t in terms}
-        if kinds == {False}:
-            out = terms[0]
-            for t in terms[1:]:
-                out = Sum(out, t)
-            return out
-        if kinds == {True}:
-            out = terms[0]
-            for t in terms[1:]:
-                out = OmegaSum(out, t)
-            return out
-        raise ParseError("cannot mix finitary and omega terms in a sum",
-                         self.peek()[2])
+        if len(kinds) > 1:
+            raise ParseError("cannot mix finitary and omega terms in a sum",
+                             self.peek()[2])
+        return reduce(OmegaSum if kinds == {True} else Sum, terms)
 
     def term(self):
         factors = [self.factor()]
         while self.peek()[0] in ("int", "letter", "("):
             factors.append(self.factor())
-        omegas = [i for i, f in enumerate(factors) if is_omega(f)]
-        if not omegas:
-            out = factors[0]
-            for f in factors[1:]:
-                out = Prod(out, f)
-            return out
-        if omegas != [len(factors) - 1]:
+        if any(map(is_omega, factors[:-1])):
             raise ParseError("an omega factor must be the last factor of a product",
                              self.peek()[2])
-        if len(factors) == 1:
-            return factors[0]
-        head = factors[0]
-        for f in factors[1:-1]:
-            head = Prod(head, f)
-        return ActProd(head, factors[-1])
+        if len(factors) > 1 and is_omega(factors[-1]):
+            return ActProd(reduce(Prod, factors[:-1]), factors[-1])
+        return reduce(Prod, factors)
 
     def factor(self):
         out = self.atom()
         while self.peek()[0] in ("plus", "omega"):
             kind, _, pos = self.next()
-            if kind == "plus":
-                if is_omega(out):
-                    raise ParseError("plus does not apply to omega expressions", pos)
-                out = Plus(out)
-            else:
-                if is_omega(out):
-                    raise ParseError("omega power does not apply twice", pos)
-                out = OmegaPow(out)
+            if is_omega(out):
+                raise ParseError("plus does not apply to omega expressions" if kind == "plus"
+                                 else "omega power does not apply twice", pos)
+            out = Plus(out) if kind == "plus" else OmegaPow(out)
         return out
 
     def atom(self):
         kind, value, pos = self.next()
-        if kind == "int":
-            nkind, nvalue, npos = self.next()
-            if nkind != "letter":
-                raise ParseError("a scalar coefficient must prefix a letter", npos)
-            return Scalar(value, Letter(nvalue))
+        coef = value if kind == "int" else None
+        if coef is not None:
+            kind, value, pos = self.next()
         if kind == "letter":
-            return Letter(value)
-        if kind == "(":
-            inner = self.expr()
+            out = Letter(value)
+        elif kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", pos)
+            self.depth += 1
+            out = self.expr()
+            self.depth -= 1
             closing = self.next()
             if closing[0] != ")":
                 raise ParseError("expected )", closing[2])
-            return inner
-        raise ParseError(f"unexpected token {value!r}", pos)
+        else:
+            raise ParseError(f"unexpected token {value!r}" if coef is None
+                             else "a scalar coefficient must prefix a letter or '('", pos)
+        if coef is None:
+            return out
+        if is_omega(out):
+            raise ParseError("a scalar does not apply to omega expressions", pos)
+        return Scalar(coef, out)
 
 
 def parse(text: str):
@@ -337,60 +364,38 @@ def random_expr(rng: random.Random, max_depth: int, kind="fin", alphabet=("a", "
 
 # --- evaluation ----------------------------------------------------------------------
 
-def eval_fin_in_carrier(e, carrier, letter_fn, _memo=None):
+def _fin_rules(carrier, letter_fn) -> dict:
+    return {
+        Letter: lambda node: letter_fn(node.ch),
+        Scalar: lambda node, x: carrier.nat_act(node.coef, x),
+        Sum: lambda node, x, y: carrier.add(x, y),
+        Prod: lambda node, x, y: carrier.mul(x, y),
+        Plus: lambda node, x: carrier.plus(x),
+    }
+
+
+def eval_fin_in_carrier(e, carrier, letter_fn):
     """Homomorphic evaluation of a finitary expression into any carrier.
 
     ``letter_fn(ch)`` interprets letters; Sum/Prod/Plus map to the carrier
-    operations and integer scalars to the n-fold sum.  Shared subterms are
-    evaluated once (evaluation is DAG-aware), which matters for the large
-    shared expressions produced by state elimination.
+    operations and integer scalars to the natural action.  Shared subterms
+    are evaluated once, which matters for the large shared expressions
+    produced by state elimination.
     """
-    memo = _memo if _memo is not None else {}
-
-    def go(node):
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, Letter):
-            out = letter_fn(node.ch)
-        elif isinstance(node, Scalar):
-            out = carrier.nat_act(node.coef, go(node.arg))
-        elif isinstance(node, Sum):
-            out = carrier.add(go(node.left), go(node.right))
-        elif isinstance(node, Prod):
-            out = carrier.mul(go(node.left), go(node.right))
-        elif isinstance(node, Plus):
-            out = carrier.plus(go(node.arg))
-        else:
-            raise TypeError(f"not a finitary node: {node!r}")
-        memo[key] = out
-        return out
-
-    return go(e)
+    return fold(e, _fin_rules(carrier, letter_fn))
 
 
 def eval_omega_in_pair(e, pair, letter_fn):
-    """Evaluate an omega expression in a hemiring-hemimodule pair."""
-    fin_memo = {}
-    memo = {}
-
-    def go(node):
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, OmegaPow):
-            out = pair.omega(eval_fin_in_carrier(node.arg, pair.hemiring, letter_fn, fin_memo))
-        elif isinstance(node, ActProd):
-            head = eval_fin_in_carrier(node.head, pair.hemiring, letter_fn, fin_memo)
-            out = pair.act(head, go(node.tail))
-        elif isinstance(node, OmegaSum):
-            out = pair.module.add(go(node.left), go(node.right))
-        else:
-            raise TypeError(f"not an omega node: {node!r}")
-        memo[key] = out
-        return out
-
-    return go(e)
+    """Evaluate an omega expression in a hemiring-hemimodule pair; its
+    finitary parts evaluate in the pair's hemiring, in the same walk."""
+    if not is_omega(e):
+        raise TypeError(f"not an omega node: {e!r}")
+    return fold(e, {
+        **_fin_rules(pair.hemiring, letter_fn),
+        OmegaPow: lambda node, x: pair.omega(x),
+        ActProd: lambda node, x, y: pair.act(x, y),
+        OmegaSum: lambda node, x, y: pair.module.add(x, y),
+    })
 
 
 def eval_fin(e, instance, alphabet=("a", "b"), bound=8):

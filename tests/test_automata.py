@@ -397,17 +397,36 @@ def test_eliminate_one_state_loop(boolw, natw, lang_pair6):
     for w in core.words_up_to(("a",), 6):
         if w:
             assert got.coeff(w) == want.coeff(w)
-    # an initial coefficient alpha scales both behaviors by a sum of
-    # O(log alpha) shared nodes, not an alpha-deep chain
+    # an initial coefficient alpha scales the finitary behavior by one scalar
+    # node and the omega behavior by a sum of O(log alpha) shared nodes, not
+    # an alpha-deep chain
     import time
     for alpha in (10 ** 4, 10 ** 6):
         aut = A.MatrixAutomaton(natw, ("a",), 1, 1, (alpha,), (1,), ((0, "a", 0, 1),))
         start = time.perf_counter()
         fin, om = A.eliminate(aut)
         assert time.perf_counter() - start < 1.0, alpha
+        assert rx.to_text(fin) == f"{alpha}(a^+)"
         if alpha == 10 ** 4:
-            assert rx.to_text(fin) and rx.to_text(om)
+            assert rx.to_text(om)
         assert rx.eval_fin(fin, natw, ("a",)).coeff("a") == alpha
+
+
+def test_walks_on_an_eliminated_dag_cost_its_size(natw):
+    """An 8-state automaton, two edges per state and letter, eliminates to
+    a DAG of a few hundred nodes whose tree prints as 1.6 million
+    characters; each walk visits a shared node once."""
+    import time
+    from omegalg.series import SeriesCarrier
+    rng = random.Random(1)
+    edges = tuple((i, ch, rng.randrange(8), 1) for i in range(8) for ch in AB for _ in range(2))
+    fin, _ = A.eliminate(A.MatrixAutomaton(natw, AB, 8, 0, (1,) + (0,) * 7, (1,) * 8, edges))
+    sc = SeriesCarrier(natw, AB, bound=4)
+    for walk in (lambda: rx.letters_of(fin), lambda: rx.expr_equal(fin, fin),
+                 lambda: rx.eval_fin_in_carrier(fin, sc, sc.letter)):
+        start = time.perf_counter()
+        walk()
+        assert time.perf_counter() - start < 0.05
 
 
 def test_eliminate_zero_automaton(boolw):

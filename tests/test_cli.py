@@ -528,6 +528,35 @@ def test_limsup_avg_policy_iteration_ends_on_a_long_period(tmp_path):
     assert proc.stdout.strip() == "2.583"
 
 
+# ``python -m omegalg.cli`` under a recursion limit far below the depth of
+# the expressions below, so a walk that recursed over their nodes would fail.
+_SHALLOW_CLI = ("import sys; sys.setrecursionlimit(150); from omegalg.cli import main; "
+                "sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("instance, expr, word, want", [
+    ("nat", "a" * 2000, "a" * 2000, "1"),
+    ("nat", "+".join("a" * 2000), "a", "2000"),
+    ("nat", "a" + "^+" * 2000, "aa", "2000"),
+    ("bool", "a" * 1000 + "(ab)^w", "a" * 1000 + "(ab)^w", "1"),
+], ids=["product", "sum", "plus", "omega"])
+def test_long_expressions_read_without_recursion(instance, expr, word, want):
+    for args in (("coeff", "--word", word), ("compile",)):
+        proc = subprocess.run([sys.executable, "-c", _SHALLOW_CLI, args[0], "--instance", instance,
+                               "--expr", expr, *args[1:]], capture_output=True, text=True,
+                              timeout=10, env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 0, proc.stderr
+        if args[0] == "coeff":
+            assert proc.stdout.strip() == want
+        else:
+            assert json.loads(proc.stdout)["n"] > 1
+
+
+def test_deeply_nested_parentheses_are_bad_input(runner):
+    assert_bad_input(run(runner, "coeff", "--instance", "nat",
+                         "--expr", "(" * 400 + "a" + ")" * 400, "--word", "a"))
+
+
 @pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
                    reason="ROADMAP item 2: the language carrier's products blow up "
                    "on the entries of the Z6 group matrix")
