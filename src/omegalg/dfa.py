@@ -138,12 +138,16 @@ def minimize(dfa: Dfa) -> Dfa:
     breadth-first from the start."""
     n, alphabet, delta = dfa.n, dfa.alphabet, dfa.delta
     dead = n
-    inv = [[[] for _ in range(n + 1)] for _ in alphabet]   # per letter: target -> sources
-    for s, row in enumerate(delta):
-        for pre, ch in zip(inv, alphabet):
-            pre[row.get(ch, dead)].append(s)
-    for pre in inv:
-        pre[dead].append(dead)
+    inv = []                             # per letter: target -> sources, if any
+    for ch in alphabet:
+        pre = {dead: [dead]}
+        for s, row in enumerate(delta):
+            t = row.get(ch, dead)
+            if t in pre:
+                pre[t].append(s)
+            else:
+                pre[t] = [s]
+        inv.append(pre)
     acc = set(dfa.accept)
     rest = set(range(n + 1)) - acc
     blocks, block = [acc, rest], [1] * (n + 1)
@@ -157,8 +161,13 @@ def minimize(dfa: Dfa) -> Dfa:
         for pre in inv:
             touched = {}
             for t in blocks[b]:
-                for s in pre[t]:
-                    touched.setdefault(block[s], []).append(s)
+                if t in pre:
+                    for s in pre[t]:
+                        y = block[s]
+                        if y in touched:
+                            touched[y].append(s)
+                        else:
+                            touched[y] = [s]
             for y, xs in touched.items():
                 whole = blocks[y]
                 if len(xs) == len(whole):

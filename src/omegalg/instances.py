@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 from .core import CommutativeMonoid, Semiring
 
@@ -61,6 +62,18 @@ class BooleanCarrier(Semiring):
         return [False, True]
 
 
+def _decimal(n: int) -> str:
+    """The decimal digits of a natural number of any size.  ``str`` refuses
+    more than ``sys.get_int_max_str_digits()`` digits (4,300 by default), so
+    a longer number is printed in two halves of digits, each below the limit."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit or n.bit_length() < 3 * limit:       # 8 ** limit < 10 ** limit
+        return str(n)
+    low = n.bit_length() * 3 // 20                    # about half the digits
+    high, rest = divmod(n, 10 ** low)
+    return _decimal(high) + _decimal(rest).zfill(low)
+
+
 class NatCarrier(Semiring):
     """Natural numbers with ordinary + and ×; no star or plus."""
 
@@ -73,6 +86,9 @@ class NatCarrier(Semiring):
 
     def mul(self, a, b):
         return a * b
+
+    def show(self, a):
+        return _decimal(a)
 
     def read(self, text):
         n = int(text)

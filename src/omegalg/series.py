@@ -24,7 +24,10 @@ lassos in canonical form: primitive period, shortest prefix.
 
 from __future__ import annotations
 
+import itertools
 import re
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .core import Hemiring, LawReport, check_laws, words_up_to
@@ -467,6 +470,24 @@ def nat_series_instance(alphabet=("a", "b"), bound=DEFAULT_BOUND) -> SeriesCarri
 # the hemimodule pair cheap.  Sum, product and plus build the minimal DFA of
 # the result from the operands' DFAs.  Equality is bounded like every series
 # carrier's, decided by one walk over the pairs of states the two DFAs reach.
+#
+# A carrier builds each language once.  Minimal DFAs are canonical, so its
+# elements are interned by their DFA (hash-consing, Filliatre & Conchon 2006),
+# weakly: equal languages are one object while one of them lives.  Sum,
+# product and plus are memoised on their operands' creation numbers, a finite
+# language on its word set.  The memo keeps its RECENT most recently used
+# entries, so it holds at most that many elements alive; an entry whose
+# operand died is never hit again, since numbers are not reused.
+
+RECENT = 1024
+_SERIALS = itertools.count()     # creation numbers of language elements, across carriers
+
+
+class _Language(Series):
+    """A language element: ``backing`` is its minimal DFA."""
+
+    __slots__ = ("serial", "__weakref__")
+
 
 class LanguageCarrier(SeriesCarrier):
     """Epsilon-free regular languages as a Conway hemiring (no unit)."""
@@ -474,21 +495,47 @@ class LanguageCarrier(SeriesCarrier):
     def __init__(self, alphabet=("a", "b"), bound=DEFAULT_BOUND):
         from . import dfa as dfalib
         super().__init__(from_carrier(BooleanCarrier()), alphabet, bound, name="lang")
+        self._interned = weakref.WeakValueDictionary()   # DFA -> element
+        self._recent = OrderedDict()   # operation and operand numbers, or word set -> element
         self.zero = self._from_dfa(dfalib.empty(self.alphabet))
 
-    # every element carries a minimal DFA in ``backing``
     def _from_dfa(self, d: dfalib.Dfa) -> Series:
+        """The element of ``d``'s language: the live one this carrier made
+        from an identical DFA, else a new one."""
         from . import dfa as dfalib
-        return Series(self.weights, self.alphabet, self.bound,
-                      lambda L: dict.fromkeys(dfalib.enumerate_words(d, L), True),
-                      lambda word, memo: d.run(word), backing=d)
+        key = (d.start, d.accept, tuple(row.get(ch, -1) for row in d.delta for ch in self.alphabet))
+        f = self._interned.get(key)
+        if f is None:
+            f = _Language(self.weights, self.alphabet, self.bound,
+                          lambda L: dict.fromkeys(dfalib.enumerate_words(d, L), True),
+                          lambda word, memo: d.run(word), backing=d)
+            f.serial = next(_SERIALS)
+            self._interned[key] = f
+        return f
+
+    def _recall(self, key, make):
+        """The memo's element under ``key``, else ``make()``, kept as the
+        most recently used entry."""
+        recent = self._recent
+        out = recent.get(key)
+        if out is None:
+            out = recent[key] = make()
+            if len(recent) > RECENT:
+                recent.popitem(last=False)         # the least recently used
+        else:
+            recent.move_to_end(key)
+        return out
+
+    def _built(self, build, op, *args):
+        return self._recall((op, *(f.serial for f in args)),
+                            lambda: self._from_dfa(build(*(f.backing for f in args))))
 
     def poly(self, table) -> Series:
         from . import dfa as dfalib
-        words = [w for w, v in table.items() if v]
+        words = frozenset(w for w, v in table.items() if v)
         if not words:
             return self.zero
-        return self._from_dfa(dfalib.from_words(self.alphabet, words))
+        return self._recall(words, lambda: self._from_dfa(dfalib.from_words(self.alphabet, words)))
 
     def language(self, *words) -> Series:
         return self.poly({w: True for w in words})
@@ -504,25 +551,27 @@ class LanguageCarrier(SeriesCarrier):
 
     def add(self, f, g):
         from . import dfa as dfalib
-        return self._from_dfa(dfalib.union(f.backing, g.backing))
+        if f.serial > g.serial:          # union commutes: one entry per pair
+            f, g = g, f
+        return self._built(dfalib.union, "add", f, g)
 
     def mul(self, f, g):
         from . import dfa as dfalib
         if dfalib.dfa_is_empty(f.backing) or dfalib.dfa_is_empty(g.backing):
             return self.zero
-        return self._from_dfa(dfalib.concat(f.backing, g.backing))
+        return self._built(dfalib.concat, "mul", f, g)
 
     def plus(self, f):
         from . import dfa as dfalib
         if dfalib.dfa_is_empty(f.backing):
             return self.zero
-        return self._from_dfa(dfalib.plus(f.backing))
+        return self._built(dfalib.plus, "plus", f)
 
     def eq(self, f, g):
         from . import dfa as dfalib
         if f.alphabet != g.alphabet:
             raise ValueError("alphabet mismatch")
-        return dfalib.agree_up_to(f.backing, g.backing, self.bound)
+        return f is g or dfalib.agree_up_to(f.backing, g.backing, self.bound)
 
     def show(self, f):
         from . import dfa as dfalib

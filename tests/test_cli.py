@@ -510,6 +510,20 @@ def test_large_scalars_are_exact(runner, tmp_path):
     assert res.exit_code == 0 and res.stdout.strip() == str(10 ** 20)
 
 
+def test_nat_prints_numbers_past_the_str_digit_limit(runner):
+    """(a + a)^+ on 15,000 a's is 2^15000, 4,516 digits: more than ``str``
+    converts by default.  It is printed exactly, and Python's limit stays."""
+    limit = sys.get_int_max_str_digits()
+    res = run(runner, "coeff", "--instance", "nat", "--expr", "(a+a)^+", "--word", "a" * 15000)
+    assert res.exit_code == 0, res.stderr
+    digits = res.stdout.strip()
+    value = 0
+    for i in range(0, len(digits), 1000):           # int() has the same limit
+        value = value * 10 ** len(digits[i:i + 1000]) + int(digits[i:i + 1000])
+    assert len(digits) == 4516 and value == 2 ** 15000
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_limsup_avg_policy_iteration_ends_on_a_long_period(tmp_path):
     """Three states and a random 2,000-letter period (seed 0).  Rounding along
     a cycle of the product once made each bias pass of Howard's iteration

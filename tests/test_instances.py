@@ -20,6 +20,20 @@ def test_unknown_instance_rejected():
         make_instance("nosuch")
 
 
+def test_nat_shows_every_size_exactly():
+    """Past ``str``'s digit limit a natural number is shown in halves; the
+    digits read back, in chunks below the limit, to the same number, with
+    the zeros inside kept."""
+    nat = make_instance("nat")
+    for n in (0, 7, 10 ** 4299, 10 ** 4300 - 1, 10 ** 4300, 10 ** 9000 + 1, 2 ** 60000 - 1,
+              3 ** 20000 * 10 ** 5000):
+        digits = nat.show(n)
+        value = 0
+        for i in range(0, len(digits), 1000):
+            value = value * 10 ** len(digits[i:i + 1000]) + int(digits[i:i + 1000])
+        assert value == n and (digits == "0" or digits[0] != "0")
+
+
 def test_registry_roles():
     roles = {name: set(entry.roles) for name, entry in V.INSTANCES.items()}
     full = {"carrier", "weights", "pair"}

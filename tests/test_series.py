@@ -6,12 +6,13 @@ import math
 import random
 import time
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from omegalg import core, series, valuation
+from omegalg import core, dfa, series, valuation
 from omegalg.instances import make_instance
 from omegalg.series import (OmegaWord, Series, SeriesCarrier, _differing, bounded_eq,
                             cauchy_mul, parse_word, series_plus)
@@ -293,6 +294,130 @@ def test_language_eq_is_the_bounded_table_comparison():
                 (bound, lang.show(f), lang.show(g))
     with pytest.raises(ValueError):
         lang.eq(lang.zero, series.language_instance(("a", "b", "c")).zero)
+
+
+# --- the language carrier's memo ---------------------------------------------------
+
+def test_language_memo_changes_no_result():
+    """Random sums, products, pluses and finite languages on one carrier, a
+    third of them repeats of earlier calls: every result's DFA is ``==`` to
+    the operation done afresh on the operands' DFAs and matches the NFA +
+    Moore oracle; equal DFAs are one element; and ``eq`` gives the verdict
+    of a bare ``agree_up_to`` on every pair."""
+    rng = random.Random(46)
+    H = series.language_instance(("a", "b"), 5)
+    words = [w for w in core.words_up_to(H.alphabet, 3) if w]
+    build = {"add": dfa.union, "mul": dfa.concat, "plus": dfa.plus}
+    pool, calls, repeats = [H.zero], [], 0
+    for _ in range(400):
+        if calls and rng.random() < 0.3:
+            op, args = rng.choice(calls)
+            repeats += 1
+        else:
+            op = rng.choice(("add", "mul", "mul", "plus", "language"))
+            if op == "language":
+                args = tuple(rng.sample(words, rng.randrange(1, 4)))
+            else:
+                args = tuple(rng.choice(pool) for _ in range(1 if op == "plus" else 2))
+            calls.append((op, args))
+        if op == "language":
+            got = H.language(*args)
+            assert got.backing == dfa.from_words(H.alphabet, args)
+            want = oracles.moore_minimize(oracles.determinize(
+                oracles.nfa_from_words(H.alphabet, args)))
+        else:
+            got = getattr(H, op)(*args)
+            backings = [f.backing for f in args]
+            assert got.backing == build[op](*backings), (op, [H.show(f) for f in args])
+            want = oracles.language_op(op, *backings)
+        assert oracles.canonical_dfa(got.backing) == oracles.canonical_dfa(want)
+        if got.backing.n < 30 and got not in pool:
+            pool.append(got)
+    assert repeats > 100 and len(pool) > 40
+    by_dfa = {}
+    for f in pool:
+        assert by_dfa.setdefault(oracles.canonical_dfa(f.backing), f) is f
+    for f in pool:
+        for g in pool:
+            assert H.eq(f, g) == dfa.agree_up_to(f.backing, g.backing, H.bound)
+
+
+def test_language_memo_keeps_a_bounded_amount():
+    """The memo is bounded: on one carrier the memory kept after the
+    hemiring suite at 120 trials and after it at 1,200 trials is the same
+    within 0.5 MB (its ``RECENT`` entries, about 2 MB), and a carrier made
+    for one suite, as the benchmark makes them, keeps nothing once dropped."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        H = series.language_instance(("a", "b"), 6)
+        kept = []
+        for trials, seed in ((120, 7), (1200, 8)):
+            assert core.conway_hemiring_laws(H, None, trials, seed).ok
+            gc.collect()
+            kept.append(tracemalloc.get_traced_memory()[0] - start)
+        del H
+        assert core.conway_hemiring_laws(series.language_instance(("a", "b"), 6), None,
+                                         120, 9).ok
+        gc.collect()
+        kept.append(tracemalloc.get_traced_memory()[0] - start)
+    finally:
+        tracemalloc.stop()
+    assert abs(kept[1] - kept[0]) < 0.5e6 and kept[0] < 4e6, kept
+    assert abs(kept[2]) < 0.1e6, kept
+
+
+def test_language_memo_holds_no_element_for_good():
+    """An element the caller dropped stays alive only as one of the memo's
+    ``RECENT`` latest entries, and one that never went through the memo not
+    at all; a dropped carrier frees its elements by reference counting."""
+    H = series.language_instance(("a", "b"), 6)
+    made = H._from_dfa(dfa.concat(dfa.from_words(H.alphabet, ["ab"]),
+                                  dfa.from_words(H.alphabet, ["b"])))
+    kept = H.plus(H.language("ab", "b"))
+    made, kept = weakref.ref(made), weakref.ref(kept)
+    assert made() is None and kept() is not None
+    words = [w for w in core.words_up_to(H.alphabet, 10) if w]
+    for w in words[:series.RECENT]:
+        H.language(w)
+    assert kept() is None
+    gc.collect()
+    gc.disable()
+    try:
+        H = series.language_instance(("a", "b"), 6)
+        f = H.mul(H.plus(H.language("a", "ba")), H.language("b"))
+        refs = [weakref.ref(x) for x in (H, f, H.zero)]
+        del H, f
+        assert [r() for r in refs] == [None] * 3
+    finally:
+        gc.enable()
+
+
+# dfa.minimize calls, pinned: each is a language built, so losing the memo
+# (or a path around it) shows here as a higher count
+MINIMIZE_CALLS = {"conway-hemiring": 1430, "group S3": 464}
+
+
+def test_language_builds_are_counted(monkeypatch):
+    """The number of minimal DFAs the benchmark's language jobs build: the
+    hemiring suite on a fresh carrier at seed 7, 120 trials, and the S3
+    group check of the algebra workload.  Counts are deterministic."""
+    from omegalg import matrices, omegalang
+    calls = [0]
+    minimize = dfa.minimize
+
+    def counted(d):
+        calls[0] += 1
+        return minimize(d)
+    monkeypatch.setattr(dfa, "minimize", counted)
+    core.conway_hemiring_laws(series.language_instance(("a", "b"), 6), None, 120, 7)
+    suite, calls[0] = calls[0], 0
+    matrices.group_identity_check(matrices.builtin_groups()["S3"],
+                                  series.language_instance(("a", "b"), 6), None, 1, 42,
+                                  omegalang.language_pair(("a", "b"), bound=6))
+    counts = {"conway-hemiring": suite, "group S3": calls[0]}
+    assert counts == MINIMIZE_CALLS, counts
 
 
 def test_series_builds_its_table_on_first_query_only():
