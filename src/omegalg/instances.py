@@ -165,9 +165,8 @@ class ExtRealCarrier(CommutativeMonoid):
         return max(a, b)
 
     def eq(self, a, b):
-        if math.isinf(a) or math.isinf(b):
-            return a == b
-        return abs(a - b) <= REAL_TOL
+        # exact at the infinities: inf - inf is nan, inf - finite is inf
+        return a == b or abs(a - b) <= REAL_TOL
 
     def show(self, a):
         if a == INF:

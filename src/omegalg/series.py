@@ -24,6 +24,7 @@ lassos in canonical form: primitive period, shortest prefix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 import weakref
@@ -139,7 +140,16 @@ _MISS = object()
 _UNBUILT = {}   # the table of every series not yet queried; never written to
 
 
+@functools.cache
+def _letter_string(alphabet: tuple) -> str:
+    """The one-character letters of ``alphabet`` in one string: a word is
+    over the alphabet iff ``word.strip(letters)`` is empty."""
+    return "".join(ch for ch in alphabet if len(ch) == 1)
+
+
 def _check_letters(word: str, alphabet: tuple):
+    """Raise on the first letter of ``word`` outside ``alphabet``; called only
+    once ``word.strip(letters)`` has found one."""
     for ch in word:
         if ch not in alphabet:
             raise ValueError(f"letter {ch!r} outside alphabet {alphabet}")
@@ -148,20 +158,26 @@ def _check_letters(word: str, alphabet: tuple):
 class Series:
     """Non-zero coefficients on the words of length <= ``bound``.
 
-    ``build(L)`` returns the table at bound L; it runs on the first query.
-    ``at(word, memo)`` gives the coefficient of a longer word, or ``_MISS``,
-    from the operands read through :func:`_at`.  No ``at`` refers to its
-    own series, so a series is freed by reference counting.
+    ``build(L)`` returns the table at bound L; it runs on the first query,
+    which first builds the unbuilt tables of the ``operands`` it reads
+    (:func:`_build`).  ``at(word, memo)`` gives the coefficient of a longer
+    word, or ``_MISS``, from the operands read through :func:`_at`.  No
+    ``at`` refers to its own series, so a series is freed by reference
+    counting.
     """
 
-    __slots__ = ("weights", "alphabet", "bound", "build", "at", "_table", "proper", "backing")
+    __slots__ = ("weights", "alphabet", "letters", "bound", "build", "at", "operands", "_table",
+                 "proper", "backing")
 
-    def __init__(self, weights, alphabet, bound, build, at, proper=True, backing=None):
+    def __init__(self, weights, alphabet, bound, build, at, proper=True, backing=None,
+                 operands=()):
         self.weights = weights
         self.alphabet = tuple(alphabet)
+        self.letters = _letter_string(self.alphabet)
         self.bound = bound
         self.build = build
         self.at = at
+        self.operands = operands
         self._table = _UNBUILT
         self.proper = proper
         self.backing = backing
@@ -169,14 +185,15 @@ class Series:
     @property
     def table(self) -> dict:
         if self._table is _UNBUILT:
-            self._table = self.build(self.bound)
+            _build(self, self.bound)
         return self._table
 
     def coeff(self, word: str):
         val = self._table.get(word, _MISS)
         if val is not _MISS:
             return val
-        _check_letters(word, self.alphabet)
+        if word.strip(self.letters):
+            _check_letters(word, self.alphabet)
         if len(word) > self.bound:
             val = _at(self, word, {})
             return self.weights.zero if val is _MISS else val
@@ -186,12 +203,34 @@ class Series:
 
     def table_at(self, bound: int) -> dict:
         """The table up to ``bound``, rebuilt in place if it stops short of it."""
-        if bound > self.bound:
-            self._table = self.build(bound)
-            self.bound = bound
+        if bound > self.bound or self._table is _UNBUILT:
+            _build(self, bound)
         if bound == self.bound:
-            return self.table
-        return {u: x for u, x in self.table.items() if len(u) <= bound}
+            return self._table
+        return {u: x for u, x in self._table.items() if len(u) <= bound}
+
+
+def _build(root, bound: int):
+    """Build ``root``'s table at the larger of ``bound`` and its own bound.
+
+    A series built at L reads each operand's ``table_at(L)``, so every
+    operand not yet built at L or beyond is built first, at the larger of L
+    and its own bound, deepest first and left to right.  The walk keeps an
+    explicit stack, so an operand chain of any depth builds without
+    recursion; each series is built at most once per walk.
+    """
+    stack = [(root, bound, False)]
+    while stack:
+        f, L, expanded = stack.pop()
+        if f._table is not _UNBUILT and f.bound >= L:
+            continue
+        L = max(L, f.bound)
+        if expanded:
+            f._table = f.build(L)
+            f.bound = L
+        else:
+            stack.append((f, L, True))
+            stack.extend((g, L, False) for g in reversed(f.operands))
 
 
 def _at(f, word: str, memo: dict):
@@ -229,8 +268,10 @@ def zero_series(weights, alphabet, bound=DEFAULT_BOUND) -> Series:
 def polynomial(weights, alphabet, table: dict, bound=DEFAULT_BOUND) -> Series:
     """Finite-support series; missing words have coefficient zero."""
     alphabet = tuple(alphabet)
+    letters = _letter_string(alphabet)
     for word in table:
-        _check_letters(word, alphabet)
+        if word.strip(letters):
+            _check_letters(word, alphabet)
     table = dict(table)
 
     def build(L):
@@ -258,7 +299,8 @@ def series_add(f, g) -> Series:
         x, y = _at(f, word, memo), _at(g, word, memo)
         return y if x is _MISS else x if y is _MISS else w.add(x, y)
 
-    return Series(w, f.alphabet, min(f.bound, g.bound), build, at, proper=f.proper and g.proper)
+    return Series(w, f.alphabet, min(f.bound, g.bound), build, at, proper=f.proper and g.proper,
+                  operands=(f, g))
 
 
 def cauchy_mul(f, g) -> Series:
@@ -297,7 +339,8 @@ def cauchy_mul(f, g) -> Series:
                 acc = p if acc is _MISS else w.add(acc, p)
         return acc
 
-    return Series(w, f.alphabet, min(f.bound, g.bound), build, at, proper=f.proper or g.proper)
+    return Series(w, f.alphabet, min(f.bound, g.bound), build, at, proper=f.proper or g.proper,
+                  operands=(f, g))
 
 
 def series_plus(f) -> Series:
@@ -346,7 +389,7 @@ def series_plus(f) -> Series:
             prefixes[z] = _MISS if acc is _MISS or w.eq(acc, w.zero) else acc
         return prefixes[word]
 
-    return Series(w, f.alphabet, f.bound, build, at, proper=True)
+    return Series(w, f.alphabet, f.bound, build, at, operands=(f,))
 
 
 def scale_nat(n: int, f) -> Series:
@@ -359,7 +402,7 @@ def scale_nat(n: int, f) -> Series:
         x = _at(f, word, memo)
         return x if x is _MISS else w.nat_act(n, x)
 
-    return Series(w, f.alphabet, f.bound, build, at, proper=f.proper)
+    return Series(w, f.alphabet, f.bound, build, at, proper=f.proper, operands=(f,))
 
 
 def _differing(f, g, bound):

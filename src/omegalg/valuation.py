@@ -116,13 +116,15 @@ class OmegaValuation:
         return self.monoid.sum(values)
 
     def prod(self, m, n, a, b):
-        if self.is_zero(a) or self.is_zero(b):
-            return self.zero
+        eq, zero = self.eq, self.zero
+        if eq(a, zero) or eq(b, zero):
+            return zero
         return self._prod(m, n, a, b)
 
     def prod_omega(self, m, a, b):
-        if self.is_zero(a) or self.is_zero(b):
-            return self.zero
+        eq, zero = self.eq, self.zero
+        if eq(a, zero) or eq(b, zero):
+            return zero
         return self._prod_omega(m, a, b)
 
     def val(self, values) -> object:

@@ -15,7 +15,8 @@ letter-by-letter left action of a language on lassos and the omega power of
 a language through the weighted lasso kernel, and the per-lasso product at
 the end, with its Bellman value iteration and a truncated discounted sum:
 the textbook approximations, with error bounds, of the exact discounted
-values the library computes.
+values the library computes; and the first forms of extended-real equality
+and of the zero-guarded indexed products.
 """
 
 from __future__ import annotations
@@ -67,6 +68,30 @@ def cauchy_coeff_brute(fcoeff, gcoeff, word, add, prod, zero):
     for i in range(1, len(word)):
         total = add(total, prod(i, len(word) - i, fcoeff(word[:i]), gcoeff(word[i:])))
     return total
+
+
+# --- weight forms ------------------------------------------------------------------------
+
+def extreal_eq_isinf(a, b, tol):
+    """Equality of extended reals as first written: exact if either side is
+    infinite, within ``tol`` otherwise."""
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return abs(a - b) <= tol
+
+
+def zero_guarded_prod(inst, m, n, a, b):
+    """An omega-valuation's indexed product as first written: zero through
+    ``is_zero`` on either operand, else the instance's own product."""
+    if inst.is_zero(a) or inst.is_zero(b):
+        return inst.zero
+    return inst._prod(m, n, a, b)
+
+
+def zero_guarded_prod_omega(inst, m, a, b):
+    if inst.is_zero(a) or inst.is_zero(b):
+        return inst.zero
+    return inst._prod_omega(m, a, b)
 
 
 # --- matrix routes --------------------------------------------------------------------

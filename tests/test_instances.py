@@ -1,12 +1,14 @@
 """The concrete carriers and their codecs."""
 
 import math
+import random
 
 import pytest
 
+import oracles
 from omegalg import valuation as V
 from omegalg.core import LawReport
-from omegalg.instances import INF, NEG_INF, make_instance
+from omegalg.instances import INF, NEG_INF, REAL_TOL, make_instance
 
 
 def test_make_instance_names():
@@ -121,6 +123,22 @@ def test_extreal_monoid():
     assert e.eq(INF, INF) and not e.eq(INF, NEG_INF)
     assert e.show(INF) == "inf" and e.show(NEG_INF) == "-inf"
     assert e.read("inf") == INF and e.read("2.5") == 2.5
+
+
+def test_extreal_eq_matches_its_isinf_form():
+    """``a == b or abs(a - b) <= REAL_TOL`` is the branching form on the
+    infinities, nan, signed zeros, values half and twice the tolerance
+    apart, and random quarters."""
+    e = make_instance("extreal")
+    tol = REAL_TOL
+    rng = random.Random(19)
+    grid = [INF, NEG_INF, math.nan, 0.0, -0.0, 1.0, 3.25, 1e300]
+    grid += [x + k * tol for x in (0.0, 1.0, -2.0) for k in (-2, -0.5, 0.5, 2)]
+    grid += [rng.randrange(-40, 41) / 4 for _ in range(24)]
+    for a in grid:
+        for b in grid:
+            want = oracles.extreal_eq_isinf(a, b, tol)
+            assert e.eq(a, b) is want, (a, b)
 
 
 def test_nat_has_no_star(nat):

@@ -4,9 +4,11 @@ bounded equality, omega words, and the language instance."""
 import gc
 import math
 import random
+import sys
 import time
 import tracemalloc
 import weakref
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -440,6 +442,138 @@ def test_series_builds_its_table_on_first_query_only():
     assert f.table == {"a": 1} and calls == [4]
     # the table read from outside is built, never the empty placeholder
     assert Series(natw, ("a", "b"), 4, build, at).table == {"a": 1} and calls == [4, 4]
+
+
+def test_long_operand_chains_build_without_recursion():
+    """A 5,000-letter product, a 5,000-term sum and ``a`` under 5,000 plus
+    signs build their tables with an explicit stack: with a recursion limit
+    of 150 their first queries answer as the compiled automaton does."""
+    from omegalg import automata as A, ratexpr as rx
+    natw = valuation.from_carrier(make_instance("nat"))
+    a = rx.Letter("a")
+    tower = a
+    for _ in range(5000):
+        tower = rx.Plus(tower)
+    for e in (reduce(rx.Prod, [a] * 5000), reduce(rx.Sum, [a] * 5000), tower):
+        aut = A.compile(e, natw, ("a", "b"))
+        want = [A.finitary_coeff(aut, w) for w in ("a", "aa")]
+        s = rx.eval_fin(e, natw)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            got = [s.coeff(w) for w in ("a", "aa")]
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want
+    assert want == [1, 5000]
+
+
+def _series_of_every_kind(lang):
+    """Factories of one series per builder kind, at bound 8 and, past which
+    queries go, at bound 3."""
+    from omegalg import automata as A, ratexpr as rx
+    natw = valuation.from_carrier(make_instance("nat"))
+    ab = ("a", "b")
+    kinds = {}
+    for bound in (8, 3):
+        def p(bound=bound):
+            return series.polynomial(natw, ab, {"a": 2, "ab": 1, "bba": 3}, bound)
+
+        def q(bound=bound):
+            return series.polynomial(natw, ab, {"b": 1, "ba": 4}, bound)
+
+        kinds.update({
+            f"zero/{bound}": lambda bound=bound: series.zero_series(natw, ab, bound),
+            f"poly/{bound}": p,
+            f"add/{bound}": lambda p=p, q=q: series.series_add(p(), q()),
+            f"mul/{bound}": lambda p=p, q=q: cauchy_mul(p(), q()),
+            f"plus/{bound}": lambda p=p: series_plus(p()),
+            f"nat/{bound}": lambda p=p: series.scale_nat(3, p()),
+        })
+    aut = A.compile(rx.parse("(a + 2b)(ab)^+"), natw, ab)
+    kinds["automaton"] = lambda: A.finitary_series(aut)
+    kinds["language"] = lambda: lang.plus(lang.language("ab", "b"))
+    return kinds
+
+
+def test_in_alphabet_queries_never_reach_the_letter_loop(monkeypatch, lang6):
+    """On built and unbuilt series of every kind, a query on any word over
+    the alphabet up to length 8 passes the letter test without the loop
+    that names a foreign letter, and answers as before."""
+    kinds = _series_of_every_kind(lang6)
+    assert {name: make().bound for name, make in kinds.items()} == {
+        **{f"{kind}/{bound}": bound for kind in ("zero", "poly", "add", "mul", "plus", "nat")
+           for bound in (8, 3)}, "automaton": 8, "language": 6}
+    words = [w for w in core.words_up_to(("a", "b"), 8) if w]
+    assert len(words) == 510
+    want = {name: [make().coeff(w) for w in words] for name, make in kinds.items()}
+
+    def loop(word, alphabet):
+        raise AssertionError(f"letter loop reached on {word!r}")
+
+    monkeypatch.setattr(series, "_check_letters", loop)
+    for name, make in kinds.items():
+        built = make()
+        built.table
+        assert [make().coeff(w) for w in words] == want[name], name
+        assert [built.coeff(w) for w in words] == want[name], name
+
+
+def test_foreign_letters_raise_the_same_error(lang6):
+    """A foreign letter at the start, middle or end of a word, within the
+    bound and past it, is named in one message; the first one is named."""
+    for name, make in _series_of_every_kind(lang6).items():
+        for query in (make(), make()):
+            for word in ("c", "cab", "acb", "abc", "caaaaaaaaa", "aaaacaaaaa", "aaaaaaaaac",
+                         "abcd", "d" * 12 + "c"):
+                foreign = next(ch for ch in word if ch not in "ab")
+                with pytest.raises(ValueError) as err:
+                    query.coeff(word)
+                assert str(err.value) == f"letter {foreign!r} outside alphabet ('a', 'b')", name
+            query.table
+    natw = valuation.from_carrier(make_instance("nat"))
+    for word in ("ca", "aca", "ac"):
+        with pytest.raises(ValueError, match=r"^letter 'c' outside alphabet \('a', 'b'\)$"):
+            series.polynomial(natw, ("a", "b"), {"a": 1, word: 1})
+
+
+def _kleene_dump():
+    """Every coefficient up to length 8 of 100 seeded expressions over the
+    four weight structures of the finitary round trip, with the boolean
+    ones eliminated from their automaton and evaluated again."""
+    from omegalg import automata as A, ratexpr as rx
+    insts = {"bool": valuation.from_carrier(make_instance("bool")),
+             "nat": valuation.from_carrier(make_instance("nat")),
+             "disc": valuation.make_valuation_instance("disc", lam=0.5),
+             "limsup-avg": valuation.make_valuation_instance("limsup-avg")}
+    words = [w for w in core.words_up_to(("a", "b"), 8) if w]
+    rng = random.Random(4242)
+    out = []
+    for _ in range(100):
+        e = rx.random_expr(rng, 4)
+        for name, inst in insts.items():
+            s = rx.eval_fin(e, inst)
+            out.append([s.coeff(w) for w in words])
+            if name == "bool":
+                aut = A.compile(e, inst, ("a", "b"))
+                if aut.n <= 16:
+                    back, _ = A.eliminate(aut)
+                    if back is not None:
+                        s = rx.eval_fin(back, inst)
+                        out.append([s.coeff(w) for w in words])
+    return out
+
+
+def test_coefficients_match_the_first_eq_and_product_forms(monkeypatch):
+    """The seeded round-trip coefficients are identical under the branching
+    extended-real ``eq`` and the ``is_zero``-guarded products."""
+    from omegalg.instances import REAL_TOL, ExtRealCarrier
+    got = _kleene_dump()
+    monkeypatch.setattr(ExtRealCarrier, "eq",
+                        lambda self, a, b: oracles.extreal_eq_isinf(a, b, REAL_TOL))
+    monkeypatch.setattr(valuation.OmegaValuation, "prod", oracles.zero_guarded_prod)
+    monkeypatch.setattr(valuation.OmegaValuation, "prod_omega", oracles.zero_guarded_prod_omega)
+    assert got == _kleene_dump()
 
 
 def test_language_group_identities_small(lang6, lang_pair6):

@@ -1,6 +1,7 @@
 """Valuation structures: induced valuations, closed forms, law suites,
 and the quantitative counterexamples."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,28 @@ def test_zero_guard_everywhere(insts):
         assert inst.is_zero(inst.prod_omega(2, a, z))
         seq = WeightedSeq(((1, a),), ((2, z),))
         assert inst.is_zero(inst.val_omega(seq).value), name
+
+
+def test_products_with_a_zero_operand_return_zero():
+    """On every registered weight structure, ``prod`` and ``prod_omega``
+    hand back the zero itself when either operand is zero, and agree with
+    the ``is_zero`` form elsewhere."""
+    rng = random.Random(19)
+    for name, entry in V.INSTANCES.items():
+        if "weights" not in entry.roles:
+            continue
+        inst = entry.make("weights")
+        z = inst.zero
+        values = [z, *(inst.monoid.sample(rng) for _ in range(8))]
+        for a in values:
+            for b in values:
+                if inst.eq(a, z) or inst.eq(b, z):
+                    assert inst.prod(2, 3, a, b) is z, (name, a, b)
+                    assert inst.prod_omega(2, a, b) is z, (name, a, b)
+                else:
+                    assert inst.prod(2, 3, a, b) == oracles.zero_guarded_prod(inst, 2, 3, a, b)
+                    assert inst.prod_omega(2, a, b) == oracles.zero_guarded_prod_omega(
+                        inst, 2, a, b)
 
 
 def test_induced_valuation_examples(insts):

@@ -1,16 +1,17 @@
 """Alternating parent/change benchmark pairs, written to one JSON file.
 
-    python3 tools/bench_pairs.py PARENT_DIR --out BENCH_13.json
+    python3 tools/bench_pairs.py PARENT_DIR --out BENCH_19.json
 
 PARENT_DIR holds the files of the parent commit (for example
 ``git archive <parent> | tar -x -C PARENT_DIR``).  For each workload,
 ``perfbench/run.py --seconds 20 --trace 0`` runs PAIRS times in PARENT_DIR
 and in this checkout, alternating which of the two goes first, and every
 run's end-to-end metrics and speed factor are kept.  Then the traced
-``lasso``, ``algebra`` and ``cli`` runs at seed 7 (per-layer spans and
-carrier op counts; of ``cli`` its ``cli.*`` figures), TRACED_RUNS times in
-each tree, alternating which tree goes first: the machine's speed moves
-between runs, so every run is kept with the median of each figure.  Then,
+``kleene``, ``lasso``, ``algebra`` and ``cli`` runs at seed 7 (per-layer
+spans and carrier op counts; of ``cli`` its ``cli.*`` figures),
+TRACED_RUNS times in each tree, alternating which tree goes first: the
+machine's speed moves between runs, so every run is kept with the median
+of each figure.  Then,
 in both trees, the lasso kernel's products per kept edge set on the
 canonical lassos of 20 compiled expressions per instance.  Last, the cold
 start: the median wall time of ``python -c pass``, of ``python -c "import
@@ -36,7 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = {"kleene": 4242, "lasso": 2718, "algebra": 4242, "cli": 3}
-PAIRS = {"kleene": 3, "lasso": 10, "algebra": 10, "cli": 3}
+PAIRS = {"kleene": 10, "lasso": 10, "algebra": 10, "cli": 3}
 SECONDS = "20"
 TRACED_RUNS = 3
 COLD_REPEATS = 9
@@ -169,8 +170,9 @@ def main(argv=None):
     out = {"env": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
                    "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
            "command": "python3 tools/bench_pairs.py PARENT_DIR --out " + args.out.name,
-           "pairs": {}, "summary": {}, "speed_factors": [], "traced_lasso_seed_7": {},
-           "traced_algebra_seed_7": {}, "products_per_kept_set": {}, "traced_cli_seed_7": {},
+           "pairs": {}, "summary": {}, "speed_factors": [], "traced_kleene_seed_7": {},
+           "traced_lasso_seed_7": {}, "traced_algebra_seed_7": {}, "traced_cli_seed_7": {},
+           "products_per_kept_set": {},
            "cold_start_s": {}}
     for workload, seed in SEEDS.items():
         rows = []
@@ -187,7 +189,7 @@ def main(argv=None):
                   file=sys.stderr)
         out["pairs"][workload] = rows
         out["summary"][workload] = summary(rows)
-    for workload in ("lasso", "algebra", "cli"):
+    for workload in ("kleene", "lasso", "algebra", "cli"):
         runs = {side: [] for side in trees}
         for i in range(TRACED_RUNS):
             for side in trees if i % 2 == 0 else reversed(trees):
