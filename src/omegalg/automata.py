@@ -57,14 +57,6 @@ class MatrixAutomaton:
             out.setdefault(ch, []).append((i, j, w))
         return out
 
-    def entry(self, i, j) -> dict:
-        inst = self.instance
-        out = {}
-        for s, ch, t, w in self.edges:
-            if s == i and t == j:
-                out[ch] = inst.add(out[ch], w) if ch in out else w
-        return out
-
 
 # --- finitary behavior -------------------------------------------------------------
 
@@ -527,84 +519,74 @@ def infinitary_series(aut) -> OmegaSeries:
 
 @dataclass
 class _Frag:
+    """An automaton under construction, its states numbered as the builders
+    made them: the repeated states in the order they will lead, and sparse
+    initial and final coefficients (state -> non-zero natural).  No builder
+    changes a fragment, so fragments share their lists and maps."""
     n: int
-    k: int
-    alpha: list
-    beta: list
+    repeated: list
+    alpha: dict
+    beta: dict
     edges: list
 
 
 def _frag_letter(inst, ch) -> _Frag:
-    return _Frag(2, 0, [1, 0], [0, 1], [(0, ch, 1, inst.unit)])
+    return _Frag(2, [], {0: 1}, {1: 1}, [(0, ch, 1, inst.unit)])
 
 
 def _frag_scale(coef, a: _Frag) -> _Frag:
-    return _Frag(a.n, a.k, [coef * x for x in a.alpha], list(a.beta), list(a.edges))
+    return _Frag(a.n, a.repeated, {q: coef * x for q, x in a.alpha.items()} if coef else {},
+                 a.beta, a.edges)
 
 
 def _shift_edges(edges, off):
     return [(i + off, ch, j + off, w) for i, ch, j, w in edges]
 
 
+def _shift(coefs, off) -> dict:
+    return {q + off: x for q, x in coefs.items()}
+
+
 def _frag_sum(a: _Frag, b: _Frag) -> _Frag:
-    out = _Frag(a.n + b.n, a.k, a.alpha + b.alpha, a.beta + b.beta,
-                a.edges + _shift_edges(b.edges, a.n))
-    repeated = list(range(a.k)) + [a.n + r for r in range(b.k)]
-    return _reorder(out, repeated) if b.k else out
+    return _Frag(a.n + b.n, a.repeated + [r + a.n for r in b.repeated],
+                 {**a.alpha, **_shift(b.alpha, a.n)}, {**a.beta, **_shift(b.beta, a.n)},
+                 a.edges + _shift_edges(b.edges, a.n))
 
 
 def _links(inst, a: _Frag, b: _Frag, off) -> list:
     """Edges by which every final state of ``a`` also takes the first steps
     of ``b``, whose states are numbered from ``off``."""
-    return [(p, ch, j + off, inst.nat_act(a.beta[p] * b.alpha[q], w))
-            for p in range(a.n) if a.beta[p] for q, ch, j, w in b.edges if b.alpha[q]]
+    return [(p, ch, j + off, inst.nat_act(x * b.alpha[q], w))
+            for p, x in a.beta.items() for q, ch, j, w in b.edges if q in b.alpha]
 
 
 def _frag_prod(inst, a: _Frag, b: _Frag, omega=False) -> _Frag:
-    """Concatenation.  An omega tail keeps its repeated states, which lead
-    the new order, and leaves the final column zero."""
+    """Concatenation.  The repeated states are those of the tail; an omega
+    tail leaves no final state."""
     edges = a.edges + _shift_edges(b.edges, a.n) + _links(inst, a, b, a.n)
-    beta = [0] * (a.n + b.n) if omega else [0] * a.n + b.beta
-    out = _Frag(a.n + b.n, 0, a.alpha + [0] * b.n, beta, edges)
-    return _reorder(out, [a.n + r for r in range(b.k)]) if b.k else out
+    return _Frag(a.n + b.n, [r + a.n for r in b.repeated], a.alpha,
+                 {} if omega else _shift(b.beta, a.n), edges)
 
 
 def _frag_plus(inst, a: _Frag) -> _Frag:
-    return _Frag(a.n, a.k, list(a.alpha), list(a.beta), a.edges + _links(inst, a, a, 0))
+    return _Frag(a.n, a.repeated, a.alpha, a.beta, a.edges + _links(inst, a, a, 0))
 
 
 def _frag_omega(inst, a: _Frag) -> _Frag:
-    """Omega power: feedback through fresh boundary copies, which become the
-    repeated states; the final vector is zeroed."""
-    first_steps = [(q, ch, j, w) for q, ch, j, w in a.edges if a.alpha[q]]
+    """Omega power: feedback through fresh boundary copies of the first
+    steps' targets, which become the repeated states; no state is final."""
+    out_of, first_steps = {}, []
+    for e in a.edges:
+        out_of.setdefault(e[0], []).append(e)
+        if e[0] in a.alpha:
+            first_steps.append(e)
     targets = sorted({j for _, _, j, _ in first_steps})
-    copy = {t: a.n + i for i, t in enumerate(targets)}
-    edges = list(a.edges)
-    for t in targets:
-        for i, ch, j, w in a.edges:
-            if i == t:
-                edges.append((copy[t], ch, j, w))
-    sources = [p for p in range(a.n) if a.beta[p]]
-    sources += [copy[t] for t in targets if a.beta[t]]
-    for p in sources:
-        weight_out = a.beta[p] if p < a.n else a.beta[targets[p - a.n]]
-        for q, ch, j, w in first_steps:
-            edges.append((p, ch, copy[j], inst.nat_act(weight_out * a.alpha[q], w)))
-    n = a.n + len(targets)
-    out = _Frag(n, 0, a.alpha + [0] * len(targets), [0] * n, edges)
-    return _reorder(out, [copy[t] for t in targets])
-
-
-def _reorder(frag: _Frag, repeated: list) -> _Frag:
-    """Renumber states so the given repeated states occupy the leading indices."""
-    rest = [s for s in range(frag.n) if s not in set(repeated)]
-    order = list(repeated) + rest
-    newpos = {old: new for new, old in enumerate(order)}
-    return _Frag(
-        frag.n, len(repeated),
-        [frag.alpha[old] for old in order],
-        [frag.beta[old] for old in order],
-        [(newpos[i], ch, newpos[j], w) for i, ch, j, w in frag.edges])
+    copy = {t: a.n + c for c, t in enumerate(targets)}
+    edges = a.edges + [(copy[t], ch, j, w) for t in targets for _, ch, j, w in out_of.get(t, ())]
+    sources = list(a.beta.items()) + [(copy[t], a.beta[t]) for t in targets if t in a.beta]
+    edges += [(p, ch, copy[j], inst.nat_act(x * a.alpha[q], w))
+              for p, x in sources for q, ch, j, w in first_steps]
+    return _Frag(a.n + len(targets), list(copy.values()), a.alpha, {}, edges)
 
 
 def compile(expr, instance, alphabet=None) -> MatrixAutomaton:
@@ -632,12 +614,20 @@ def compile(expr, instance, alphabet=None) -> MatrixAutomaton:
 
 
 def _frag_of(aut: MatrixAutomaton) -> _Frag:
-    return _Frag(aut.n, aut.k, list(aut.alpha), list(aut.beta), list(aut.edges))
+    return _Frag(aut.n, list(range(aut.k)), {q: x for q, x in enumerate(aut.alpha) if x},
+                 {q: x for q, x in enumerate(aut.beta) if x}, list(aut.edges))
 
 
 def _aut_of(frag: _Frag, instance, alphabet) -> MatrixAutomaton:
-    return MatrixAutomaton(instance, alphabet, frag.n, frag.k,
-                           tuple(frag.alpha), tuple(frag.beta), tuple(frag.edges))
+    """The automaton of a fragment, numbered once: the repeated states first,
+    in order, then the rest by index."""
+    lead = set(frag.repeated)
+    order = frag.repeated + [q for q in range(frag.n) if q not in lead]
+    pos = {old: new for new, old in enumerate(order)}
+    return MatrixAutomaton(instance, alphabet, frag.n, len(frag.repeated),
+                           tuple(frag.alpha.get(q, 0) for q in order),
+                           tuple(frag.beta.get(q, 0) for q in order),
+                           tuple((pos[i], ch, pos[j], w) for i, ch, j, w in frag.edges))
 
 
 def _backing_of(x) -> MatrixAutomaton:
@@ -743,9 +733,14 @@ def eliminate(aut: MatrixAutomaton):
     sym = _SymbolicExprCarrier()
     pair = _symbolic_pair()
 
-    def entry_expr(i, j):
+    cells = {}  # (i, j) -> letter -> summed weight, in edge order
+    for i, ch, j, w in aut.edges:
+        cell = cells.setdefault((i, j), {})
+        cell[ch] = inst.add(cell[ch], w) if ch in cell else w
+
+    def entry_expr(cell):
         out = None
-        for ch, w in sorted(aut.entry(i, j).items()):
+        for ch, w in sorted(cell.items()):
             coef = inst.scalar_of(w)
             if coef is None:
                 raise ValueError(
@@ -753,7 +748,8 @@ def eliminate(aut: MatrixAutomaton):
             out = sym.add(out, sym.nat_act(coef, Letter(ch)))
         return out
 
-    m = matrices.mat([[entry_expr(i, j) for j in range(aut.n)] for i in range(aut.n)])
+    m = matrices.mat([[entry_expr(cells.get((i, j), {})) for j in range(aut.n)]
+                      for i in range(aut.n)])
     mp, col = matrices._eliminate(sym, m, pair, aut.k)
     fin = None
     for i in range(aut.n):
@@ -822,11 +818,11 @@ def automaton_from_json(data, instance) -> MatrixAutomaton:
     def coefficients(key):
         vec = data[key]
         if isinstance(vec, list) and len(vec) == n:
-            try:
-                out = tuple(int(x) for x in vec)
-            except (TypeError, ValueError):
+            try:  # a string of digits reads; int() would truncate 1.5 and True
+                out = tuple(int(x) if isinstance(x, str) else x for x in vec)
+            except ValueError:
                 out = None
-            if out is not None and all(x >= 0 for x in out):
+            if out is not None and all(_is_nat(x) for x in out):
                 return out
         raise ValueError(f"{key!r} must be a list of {n} natural numbers")
 

@@ -184,7 +184,7 @@ class ExtRealCarrier(CommutativeMonoid):
         if t == "-inf":
             return NEG_INF
         v = float(t)
-        if v < 0:
+        if not v >= 0:  # negative or NaN
             raise ValueError("weights live in the nonnegative reals plus infinities")
         return v
 

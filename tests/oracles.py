@@ -96,6 +96,16 @@ def zero_guarded_prod_omega(inst, m, a, b):
 
 # --- matrix routes --------------------------------------------------------------------
 
+def _entry(aut, i, j) -> dict:
+    """The matrix entry (i, j) of an automaton: letter -> the sum of the
+    weights of its edges from i to j on that letter."""
+    inst, out = aut.instance, {}
+    for s, ch, t, w in aut.edges:
+        if s == i and t == j:
+            out[ch] = inst.add(out[ch], w) if ch in out else w
+    return out
+
+
 def finitary_coeff_matrix(aut, word: str):
     """The finitary coefficient of an automaton through alpha · M^+ · beta
     over the series carrier, which checks the run dynamic program of
@@ -108,7 +118,7 @@ def finitary_coeff_matrix(aut, word: str):
     from omegalg.series import SeriesCarrier
 
     sc = SeriesCarrier(aut.instance, aut.alphabet, bound=0)
-    rows = [[sc.poly(aut.entry(i, j)) for j in range(aut.n)] for i in range(aut.n)]
+    rows = [[sc.poly(_entry(aut, i, j)) for j in range(aut.n)] for i in range(aut.n)]
     mp = matrices.mat_plus(sc, matrices.mat(rows))
     total = sc.zero
     for i in range(aut.n):

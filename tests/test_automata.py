@@ -388,6 +388,19 @@ def test_compile_repeated_states_lead(boolw):
         assert all(aut.beta[i] == 0 for i in range(aut.n))
 
 
+def test_long_product_compiles_within_four_seconds(natw):
+    """A 10,000-letter product, left-nested as the parser builds it, within
+    4 s: a product reads the final states of its left operand, not all of
+    its states, and the automaton is numbered once."""
+    import time
+    expr = rx.parse("ab" * 5000)
+    start = time.perf_counter()
+    aut = A.compile(expr, natw, AB)
+    assert time.perf_counter() - start < 4.0
+    assert (aut.n, aut.k) == (20000, 0)
+    assert A.finitary_coeff(aut, "ab" * 5000) == 1
+
+
 def test_eliminate_one_state_loop(boolw, natw, lang_pair6):
     aut = A.MatrixAutomaton(boolw, ("a",), 1, 0, (1,), (1,), ((0, "a", 0, True),))
     fin, om = A.eliminate(aut)

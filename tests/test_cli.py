@@ -257,7 +257,10 @@ def test_behavior_rejects_bad_shapes_and_weights(tmp_path, runner):
     bad = [dict(good, k=2), dict(good, alphabet="a"), dict(good, alpha=["1", "1"]),
            dict(good, transitions=[dict(good["transitions"][0], letter="b")]),
            dict(good, transitions=[dict(good["transitions"][0], weight="x")]),
-           dict(good, transitions=[{"from": 0}]), [good]]
+           dict(good, transitions=[{"from": 0}]), [good],
+           dict(good, alpha=[1.5]), dict(good, alpha=[True]), dict(good, alpha=[1e300])]
+    bad += [dict(good, transitions=[dict(good["transitions"][0], weight=nan)])
+            for nan in ("nan", float("nan"))]  # the string and the JSON literal NaN
     for data in bad:
         path = _aut_file(tmp_path, json.dumps(data))
         assert_bad_input(run(runner, "behavior", "--aut", path, "--instance", "limsup",

@@ -172,3 +172,10 @@ def test_extreal_sampler_stays_in_domain():
     for _ in range(200):
         v = e.sample(rng)
         assert v == NEG_INF or v == INF or (0 <= v and not math.isnan(v))
+
+
+def test_extreal_read_rejects_nan():
+    e = make_instance("extreal")
+    for text in ("nan", "-nan", "NaN"):
+        with pytest.raises(ValueError, match="nonnegative reals"):
+            e.read(text)
