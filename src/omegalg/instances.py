@@ -115,12 +115,13 @@ class MinPlusCarrier(Semiring):
         self.cap = cap
 
     def add(self, a, b):
-        return min(a, b)
+        return a if a <= b else b
 
     def mul(self, a, b):
-        if a == INF or b == INF:
-            return INF
-        return min(a + b, self.cap)
+        s = a + b
+        if s < self.cap:
+            return s
+        return INF if s == INF else self.cap
 
     def star(self, a):
         return 0
@@ -143,6 +144,8 @@ class MinPlusCarrier(Semiring):
         n = int(t)
         if n < 0:
             raise ValueError("min-plus weights are nonnegative")
+        if n > self.cap:
+            raise ValueError(f"min-plus weights are at most the cap {self.cap}")
         return n
 
     def sample(self, rng):

@@ -15,8 +15,8 @@ letter-by-letter left action of a language on lassos and the omega power of
 a language through the weighted lasso kernel, and the per-lasso product at
 the end, with its Bellman value iteration and a truncated discounted sum:
 the textbook approximations, with error bounds, of the exact discounted
-values the library computes; and the first forms of extended-real equality
-and of the zero-guarded indexed products.
+values the library computes; and the first forms of extended-real equality,
+of the zero-guarded indexed products and of the min-plus add and mul.
 """
 
 from __future__ import annotations
@@ -92,6 +92,20 @@ def zero_guarded_prod_omega(inst, m, a, b):
     if inst.is_zero(a) or inst.is_zero(b):
         return inst.zero
     return inst._prod_omega(m, a, b)
+
+
+def minplus_add_min(a, b):
+    """Min-plus add as first written: the builtin ``min``, which returns
+    its first operand on a tie."""
+    return min(a, b)
+
+
+def minplus_mul_guarded(c, a, b):
+    """Min-plus mul as first written: the constant ``INF`` when either
+    operand equals it, else the sum saturated at ``c.cap``."""
+    if a == INF or b == INF:
+        return INF
+    return min(a + b, c.cap)
 
 
 # --- matrix routes --------------------------------------------------------------------

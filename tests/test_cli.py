@@ -261,10 +261,13 @@ def test_behavior_rejects_bad_shapes_and_weights(tmp_path, runner):
            dict(good, alpha=[1.5]), dict(good, alpha=[True]), dict(good, alpha=[1e300])]
     bad += [dict(good, transitions=[dict(good["transitions"][0], weight=nan)])
             for nan in ("nan", float("nan"))]  # the string and the JSON literal NaN
-    for data in bad:
+    bad = [("limsup", "a^w", data) for data in bad]
+    bad += [("minplus", "a", dict(good, beta=["1"], transitions=[  # a weight above the cap
+        dict(good["transitions"][0], weight="5000000000")]))]
+    for instance, word, data in bad:
         path = _aut_file(tmp_path, json.dumps(data))
-        assert_bad_input(run(runner, "behavior", "--aut", path, "--instance", "limsup",
-                             "--word", "a^w"))
+        assert_bad_input(run(runner, "behavior", "--aut", path, "--instance", instance,
+                             "--word", word))
     res = run(runner, "behavior", "--aut", _aut_file(tmp_path, json.dumps(good)),
               "--instance", "limsup", "--word", "a^w")
     assert res.exit_code == 0 and float(res.stdout) == 2.0

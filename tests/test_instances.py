@@ -8,7 +8,7 @@ import pytest
 import oracles
 from omegalg import valuation as V
 from omegalg.core import LawReport
-from omegalg.instances import INF, NEG_INF, REAL_TOL, make_instance
+from omegalg.instances import INF, MINPLUS_CAP, NEG_INF, REAL_TOL, make_instance
 
 
 def test_make_instance_names():
@@ -101,6 +101,39 @@ def test_minplus_saturates_at_cap():
     assert c.mul(60, INF) == INF
     # associativity survives saturation
     assert c.mul(c.mul(60, 60), 60) == c.mul(60, c.mul(60, 60)) == 100
+
+
+def test_minplus_ops_match_their_first_forms():
+    """``add`` (one comparison) and ``mul`` (one sum, one comparison with
+    the cap) equal ``min`` and the ``== INF``-guarded saturated sum on a grid
+    around the cap and the infinities, values above the cap included.  An
+    infinite result, and ``add`` on tied operands, is the very object the
+    first forms return, because the elimination pass skips zero entries by
+    identity."""
+    for cap in (1, 100, MINPLUS_CAP):
+        c = make_instance("minplus", cap=cap)
+        grid = [0, 1, cap - 1, cap, cap + 1, 2 ** 40, INF, float("inf")]
+        for a in grid:
+            for b in grid:
+                want, got = oracles.minplus_add_min(a, b), c.add(a, b)
+                assert got == want, (cap, a, b)
+                if got == INF or a == b:
+                    assert got is want, (cap, a, b)
+                want, got = oracles.minplus_mul_guarded(c, a, b), c.mul(a, b)
+                assert got == want, (cap, a, b)
+                if got == INF:
+                    assert got is INF, (cap, a, b)
+
+
+def test_minplus_read_rejects_weights_above_the_cap():
+    """A weight above the cap would be saturated by the first ``mul`` and
+    break the unit law, so ``read`` refuses it and names the cap."""
+    for cap in (100, MINPLUS_CAP):
+        c = make_instance("minplus", cap=cap)
+        v = c.read(str(cap))
+        assert v == cap and c.mul(v, c.one) == v
+        with pytest.raises(ValueError, match=f"cap {cap}"):
+            c.read(str(cap + 1))
 
 
 def test_lattice_meet_join(lattice):

@@ -335,3 +335,22 @@ def test_omega_skips_the_last_plus_rows(minplus):
     got = M.mat_omega(self_pair(omega), m)
     assert got == want
     assert omega.ops < full.ops, (omega.ops, full.ops)
+
+
+def test_elimination_skips_zero_by_identity_only(minplus):
+    """The elimination pass skips entries that are the zero object
+    (``is c.zero``).  An entry equal to the min-plus zero but not that
+    object, a fresh ``float("inf")``, is multiplied out instead, to the same
+    plus, star, omega and omega_k on sparse matrices."""
+    pair = self_pair(minplus)
+    rng = random.Random(21)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        rows = [[INF if rng.random() < 0.6 else rng.randrange(0, 10) for _ in range(n)]
+                for _ in range(n)]
+        m = M.mat(rows)
+        fresh = M.mat([[float("inf") if x is INF else x for x in row] for row in rows])
+        k = rng.randint(1, n)
+        for op in (lambda m: M.mat_plus(minplus, m), lambda m: M.mat_star(minplus, m),
+                   lambda m: M.mat_omega(pair, m), lambda m: M.mat_omega_k(pair, m, k)):
+            assert op(fresh) == op(m), (rows, k)

@@ -11,13 +11,16 @@ run's end-to-end metrics and speed factor are kept.  Then the traced
 spans and carrier op counts; of ``cli`` its ``cli.*`` figures),
 TRACED_RUNS times in each tree, alternating which tree goes first: the
 machine's speed moves between runs, so every run is kept with the median
-of each figure.  Then,
-in both trees, the lasso kernel's products per kept edge set on the
-canonical lassos of 20 compiled expressions per instance.  Last, the cold
-start: the median wall time of ``python -c pass``, of ``python -c "import
-omegalg.cli"`` and of one call of each command, in both trees by turns,
-without a bytecode cache (``PYTHONDONTWRITEBYTECODE=1``) and with one (a
-temporary ``PYTHONPYCACHEPREFIX``, filled by one run of every call first).
+of each figure.  ``counts_moved`` lists, per traced workload, every
+per-layer metric whose ``BENCHMARK.json`` unit is ``count`` and whose
+parent and change medians differ, with both medians; it is ``{}`` when no
+count moved.  Then, in both trees, the lasso kernel's products per kept
+edge set on the canonical lassos of 20 compiled expressions per instance.
+Last, the cold start: the median wall time of ``python -c pass``, of
+``python -c "import omegalg.cli"`` and of one call of each command, in both
+trees by turns, without a bytecode cache (``PYTHONDONTWRITEBYTECODE=1``)
+and with one (a temporary ``PYTHONPYCACHEPREFIX``, filled by one run of
+every call first).
 Run it on an otherwise idle machine; it takes about an hour.
 """
 
@@ -118,6 +121,24 @@ def summary(rows: list) -> dict:
     return out
 
 
+def counts_moved(out: dict) -> dict:
+    """Per traced workload, the count-unit per-layer metrics whose parent
+    and change medians differ, with both medians; workloads where none
+    moved are left out."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    counts = {m["name"] for m in spec["per_layer"] if m["unit"] == "count"}
+    moved = {}
+    for workload in SEEDS:
+        parent, change = (out[f"traced_{workload}_seed_7"][side]["median"]
+                          for side in ("parent", "change"))
+        diff = {name: {"parent": parent.get(name), "change": change.get(name)}
+                for name in sorted(counts & (parent.keys() | change.keys()))
+                if parent.get(name) != change.get(name)}
+        if diff:
+            moved[workload] = diff
+    return moved
+
+
 def products(tree: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     proc = subprocess.run([sys.executable, "-c", PRODUCTS], env=env, capture_output=True,
@@ -172,7 +193,7 @@ def main(argv=None):
            "command": "python3 tools/bench_pairs.py PARENT_DIR --out " + args.out.name,
            "pairs": {}, "summary": {}, "speed_factors": [], "traced_kleene_seed_7": {},
            "traced_lasso_seed_7": {}, "traced_algebra_seed_7": {}, "traced_cli_seed_7": {},
-           "products_per_kept_set": {},
+           "counts_moved": {}, "products_per_kept_set": {},
            "cold_start_s": {}}
     for workload, seed in SEEDS.items():
         rows = []
@@ -199,6 +220,7 @@ def main(argv=None):
         out[f"traced_{workload}_seed_7"] = {
             side: {"runs": rs, "median": {name: statistics.median(r[name] for r in rs)
                                           for name in rs[0]}} for side, rs in runs.items()}
+    out["counts_moved"] = counts_moved(out)
     for side, tree in trees.items():
         out["products_per_kept_set"][side] = products(tree)
     out["cold_start_s"] = cold_start(trees)
