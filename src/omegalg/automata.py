@@ -15,8 +15,10 @@ strongly connected components through repeated states decide acceptance
 and, depending on the instance, give each live node a maximum, a Howard
 cycle mean or an exact discounted value (policy iteration).  Every strategy
 answers a query the same way: it reads the entry values at the rotation's
-offset and walks the stem forward from the initial states, folding it back
-onto those values where the strategy weighs the stem's edges.
+offset, kept per period, and walks the stem forward from the initial
+states, one set of states per letter, folding it back onto those values
+where the strategy weighs the stem's edges.  A word with a letter outside
+the alphabet raises ValueError, in the finitary and infinitary query alike.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from dataclasses import dataclass, field
 from .core import CommutativeMonoid, HemimodulePair, Hemiring
 from .ratexpr import (ActProd, Letter, OmegaPow, OmegaSum, Plus, Prod, Scalar,
                       Sum, check_alphabet, fold, letters_of, to_text)
-from .series import DEFAULT_BOUND, OmegaSeries, OmegaWord, Series, _least_rotation
+from .series import (DEFAULT_BOUND, OmegaSeries, OmegaWord, Series, _check_letters,
+                     _least_rotation, _letter_string)
 from .valuation import _disc_periodic
 
 INF = math.inf
@@ -43,8 +46,9 @@ class MatrixAutomaton:
     alpha: tuple
     beta: tuple
     edges: tuple  # (source, letter, target, weight)
-    # the lasso kernel's analyses of this automaton: kept edges per (strategy,
-    # threshold), node values per rotation class, entry values per period
+    # the lasso kernel of this automaton: what a query reads, resolved once,
+    # and the kept edge sets with their node values per rotation class and
+    # entry values per period
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -94,7 +98,8 @@ def finitary_coeff(aut, word: str):
     vec = run.start
     for pos, ch in enumerate(word):
         vec = run.step(vec, pos, ch)
-        if not vec:
+        if not vec:  # no run reads on: a letter outside the alphabet has no edge
+            _check_word(word, aut.alphabet)
             break
     return run.finish(vec)
 
@@ -140,9 +145,12 @@ def finitary_series(aut) -> Series:
 # built on the least rotation of v and explored from every node that has a
 # predecessor; a query enters it one letter into v, at such a node.  Each
 # strategy reduces it to one value per live node, once per (strategy, set of
-# kept edges, rotation class), kept in the automaton's memo.  One function,
-# ``_best``, answers every query from those values and a forward walk of the
-# stem, made anew for each query.
+# kept edges, rotation class), kept in the automaton's memo.  What a query
+# reads there (the kept edges, their entry values per period, the initial
+# states and the stem step) is resolved once per automaton, so a query
+# starts with one memo probe.  One function, ``_best``, answers every query
+# from the entry values and a forward walk of the stem, one set of states
+# per letter; nothing is kept per stem.
 
 
 class _Period:
@@ -400,7 +408,7 @@ def _edge_test(aut, strategy, threshold):
 class _Kept:
     """The edges a strategy's product keeps, letter -> source -> [(target,
     weight)], and what is analysed on them: node values per (strategy, least
-    rotation) and entry values per (strategy, period)."""
+    rotation), and per strategy the entry values of each lasso period."""
 
     def __init__(self, kept):
         self.out = {}
@@ -411,68 +419,119 @@ class _Kept:
 
 
 def _kept_edges(aut, strategy, threshold=None) -> _Kept:
-    """The edges the strategy's product keeps, each weight tested once per
-    automaton.  Thresholds (and strategies) that keep the same edges get the
-    same ``_Kept``, and so share every analysis made on them."""
-    key = ("edges", strategy, threshold)
-    memo = aut._memo
-    if key not in memo:
-        keep = _edge_test(aut, strategy, threshold)
-        kept = tuple(e for e in aut.edges if keep(e[3]))
-        shared = memo.setdefault("kept", {})
-        if kept not in shared:
-            shared.setdefault(kept, _Kept(kept))
-        memo[key] = shared[kept]
-    return memo[key]
+    """The edges the strategy's product keeps.  Thresholds (and strategies)
+    that keep the same edges get the same ``_Kept``, and so share every
+    analysis made on them."""
+    keep = _edge_test(aut, strategy, threshold)
+    kept = tuple(e for e in aut.edges if keep(e[3]))
+    shared = aut._memo.setdefault("kept", {})
+    if kept not in shared:
+        shared[kept] = _Kept(kept)
+    return shared[kept]
 
 
 def _entry_values(aut, kept, strategy, period) -> dict:
     """Live entry state (its node having a predecessor) -> value of the
     strategy on the product of ``kept`` with ``period``: the node values of
-    its least rotation, read at the position where the period starts."""
-    key = (strategy, period)
-    if key not in kept.entries:
+    its least rotation, read at the position where the period starts.  They
+    are kept under the period of the lassos that enter the product there,
+    one letter into their period: ``period`` with its last letter first."""
+    entries = kept.entries.setdefault(strategy, {})
+    key = period[-1] + period[:-1]
+    if key not in entries:
         m, start = len(period), _least_rotation(period)
         least = period[start:] + period[:start]
         if (strategy, least) not in kept.analyses:
             kept.analyses[strategy, least] = _STRATEGIES[strategy][0](
                 aut, _Period(aut, kept.out, least))
         nodes, entry = kept.analyses[strategy, least], -start % m
-        kept.entries[key] = {q: nodes[q * m + entry] for q in range(aut.n)
-                             if nodes[q * m + entry] is not None}
-    return kept.entries[key]
+        entries[key] = {q: nodes[q * m + entry] for q in range(aut.n)
+                        if nodes[q * m + entry] is not None}
+    return entries[key]
 
 
-def _best(aut, kept, strategy, w):
-    """The best value of a successful run on the lasso ``w`` over the kept
-    edges, or None if there is none.  Read as u·v[0] then (v[1:]·v[0])^omega,
+def _check_word(word, alphabet):
+    """Raise ValueError on the first letter of ``word`` outside ``alphabet``."""
+    if word.strip(_letter_string(alphabet)):
+        _check_letters(word, alphabet)
+
+
+def _best(aut, part, w):
+    """The best value of a successful run on the lasso ``w`` over one kept
+    edge set, or None if there is none; ``part`` is what the automaton's
+    kernel resolved for that set.  Read as u·v[0] then (v[1:]·v[0])^omega,
     one letter into its period, every run is at a product node with a
     predecessor.  The stem is walked forward from the initial states, one
-    set of states per prefix; with a step, the entry values are folded back
-    over those sets, best per state."""
-    stem, period = w.prefix + w.period[0], w.period[1:] + w.period[0]
-    values = _entry_values(aut, kept, strategy, period)
-    if not values:
-        return None
-    layers = [{q for q in range(aut.n) if aut.alpha[q]}]
-    for ch in stem:
-        edges = kept.out.get(ch, {})
-        layers.append({j for i in layers[-1] for j, _ in edges.get(i, ())})
-    last, step = layers[-1], _STRATEGIES[strategy][1]
-    if step is not None:
-        step = step(aut)
-        for pos in range(len(stem) - 1, -1, -1):
-            edges = kept.out.get(stem[pos], {})
-            prev = {}
-            for i in layers[pos]:
-                for j, wgt in edges.get(i, ()):
-                    if j in values:
-                        cand = step(wgt, values[j])
-                        if i not in prev or cand > prev[i]:
-                            prev[i] = cand
-            values = prev
-        last = layers[0]
-    return max((values[q] for q in last if q in values), default=None)
+    set of states per letter, and the walk stops at an empty set; with a
+    step, the entry values are folded back over the sets it passed, best
+    per state.  The letters of ``w`` are tested against the alphabet only
+    where a kept edge may not have read them: when its period is first
+    analysed, and when the walk stops short."""
+    kept, entries, strategy, initial, step = part
+    period = w.period
+    values = entries.get(period)
+    if values is None:
+        _check_word(w.prefix + period, aut.alphabet)
+        values = _entry_values(aut, kept, strategy, period[1:] + period[0])
+    stem = w.prefix + period[0]
+    if values:
+        out, states, passed = kept.out, initial, []
+        for ch in stem:
+            edges = out.get(ch)
+            if edges is None:
+                break
+            if step is not None:
+                passed.append((states, edges))
+            states = {j for i in states for j, _ in edges.get(i, ())}
+            if not states:
+                break
+        else:
+            # with a step, fold back to the first set passed: the initial states
+            for states, edges in reversed(passed):
+                prev = {}
+                for i in states:
+                    for j, wgt in edges.get(i, ()):
+                        if j in values:
+                            cand = step(wgt, values[j])
+                            if i not in prev or cand > prev[i]:
+                                prev[i] = cand
+                values = prev
+            return max((values[q] for q in states if q in values), default=None)
+    _check_word(stem, aut.alphabet)
+    return None
+
+
+def _kernel(aut):
+    """What every query on ``aut`` reads, kept in its memo: (part, groups).
+    A part is what ``_best`` reads for one kept edge set: the set, its entry
+    values per lasso period under the strategy it is analysed with, that
+    strategy, the initial states and the stem step (or None).  The lattice
+    has no one part but a (part, join of the thresholds) per group of
+    thresholds that keep the same edges; the other strategies have one part
+    and no groups; without a repeated state there is neither."""
+    inst = aut.instance
+    if inst.strategy is None:
+        raise ValueError(f"{inst.name}: no infinitary strategy registered")
+    initial = frozenset(q for q in range(aut.n) if aut.alpha[q])
+
+    def part(kept, strategy):
+        step = _STRATEGIES[strategy][1]
+        return (kept, kept.entries.setdefault(strategy, {}), strategy, initial,
+                step(aut) if step else None)
+
+    if aut.k == 0:
+        kernel = None, ()
+    elif inst.strategy != "lattice":
+        kernel = part(_kept_edges(aut, inst.strategy), inst.strategy), ()
+    else:
+        lattice, groups = inst.monoid, {}
+        for x in lattice.elements():
+            if not lattice.eq(x, lattice.zero):
+                kept = _kept_edges(aut, "lattice", x)
+                groups[kept] = lattice.add(groups[kept], x) if kept in groups else x
+        kernel = None, tuple((part(kept, "boolean"), x) for kept, x in groups.items())
+    aut._memo["kernel"] = kernel
+    return kernel
 
 
 def infinitary_coeff(aut, w: OmegaWord):
@@ -480,27 +539,19 @@ def infinitary_coeff(aut, w: OmegaWord):
     (exact for every strategy).  The lattice joins the thresholds x at which
     some successful run uses only weights >= x; thresholds that keep the
     same edges accept the same lassos, so each such group is joined once per
-    automaton and tested once per query."""
-    inst = aut.instance
-    if inst.strategy is None:
-        raise ValueError(f"{inst.name}: no infinitary strategy registered")
-    if aut.k == 0:
-        return inst.zero
-    if inst.strategy != "lattice":
-        best = _best(aut, _kept_edges(aut, inst.strategy), inst.strategy, w)
-        return inst.zero if best is None else best
-    lattice, memo = inst.monoid, aut._memo
-    if "lattice groups" not in memo:
-        groups = {}
-        for x in lattice.elements():
-            if not lattice.eq(x, lattice.zero):
-                kept = _kept_edges(aut, "lattice", x)
-                groups[kept] = lattice.add(groups[kept], x) if kept in groups else x
-        memo["lattice groups"] = list(groups.items())
-    best = lattice.zero
-    for kept, x in memo["lattice groups"]:
-        if _best(aut, kept, "boolean", w):
-            best = lattice.add(best, x)
+    automaton and tested once per query.  A letter outside the automaton's
+    alphabet raises ValueError."""
+    one, groups = aut._memo.get("kernel") or _kernel(aut)
+    if one is not None:
+        best = _best(aut, one, w)
+        return aut.instance.zero if best is None else best
+    monoid = aut.instance.monoid
+    best = monoid.zero
+    for part, x in groups:
+        if _best(aut, part, w):
+            best = monoid.add(best, x)
+    if not groups:  # no repeated state, so no successful run
+        _check_word(w.prefix + w.period, aut.alphabet)
     return best
 
 

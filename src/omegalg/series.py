@@ -651,18 +651,13 @@ def language_instance(alphabet=("a", "b"), bound=DEFAULT_BOUND) -> LanguageCarri
 class OmegaSeries:
     """Coefficient query over ultimately periodic infinite words."""
 
-    __slots__ = ("weights", "alphabet", "fn", "backing", "_memo")
+    __slots__ = ("weights", "alphabet", "fn", "backing")
 
     def __init__(self, weights, alphabet, fn, backing=None):
         self.weights = weights
         self.alphabet = tuple(alphabet)
         self.fn = fn
         self.backing = backing
-        self._memo = {}
 
     def coeff(self, w: OmegaWord):
-        if w in self._memo:
-            return self._memo[w]
-        val = self.fn(w)
-        self._memo[w] = val
-        return val
+        return self.fn(w)

@@ -792,6 +792,60 @@ def test_values_do_not_depend_on_query_order():
                     assert A.infinitary_coeff(fresh(), lassos[i]) == want[i], (name, str(lassos[i]))
 
 
+def _error(fn, *args) -> str:
+    with pytest.raises(ValueError) as err:
+        fn(*args)
+    return str(err.value)
+
+
+def test_letters_outside_the_alphabet_raise(natw):
+    """A letter outside the alphabet raises the error ``Series.coeff``
+    raises on the same word, in the stem or the period, on a period seen
+    before or not, for every strategy, also without a repeated state; and
+    in ``finitary_coeff`` wherever it stands in the word."""
+    lassos = [OmegaWord("", "c"), OmegaWord("c", "ab"), OmegaWord("abc", "a"),
+              OmegaWord("ab", "bac"), OmegaWord("dc", "b"), OmegaWord("b", "ca")]
+    rng = random.Random(97)
+    insts = {**_kernel_instances(), "disc-0.99": V.make_valuation_instance("disc", lam=0.99)}
+    for name, inst in insts.items():
+        compiled = A.compile(rx.parse("(a + b)^+ (ab + b)^w"), inst, AB)
+        graph = _random_graph(inst, rng)
+        for aut in (compiled, _reweighted(compiled, rng), graph,
+                    A.MatrixAutomaton(inst, AB, graph.n, 0, graph.alpha, graph.beta, graph.edges)):
+            series = A.finitary_series(aut)
+            for analysed in (False, True):
+                if analysed:  # every period over the alphabet is now analysed
+                    A.batch_infinitary(aut, _canonical_lassos())
+                for w in lassos:
+                    want = _error(series.coeff, w.prefix + w.period)
+                    assert _error(A.infinitary_coeff, aut, w) == want, (name, str(w))
+                    assert _error(A.infinitary_series(aut).coeff, w) == want
+    aut = A.compile(rx.parse("(a + b)^+"), natw, AB)
+    for word in ("c", "ac", "ca", "abcab", "abbac"):
+        assert _error(A.finitary_coeff, aut, word) == _error(A.finitary_series(aut).coeff, word)
+    assert A.finitary_coeff(aut, "abbab") == 1
+
+
+def test_in_alphabet_queries_never_reach_the_letter_loop(monkeypatch):
+    """On words over the alphabet the letter test finds nothing, so the
+    loop that names a foreign letter never runs: every strategy gives its
+    values on the canonical lassos with that loop made to fail."""
+    lassos = _canonical_lassos()
+    rng = random.Random(98)
+    auts = [A.compile(rx.random_expr(rng, 3, kind="omega"), inst, AB)
+            for inst in _kernel_instances().values() for _ in range(3)]
+    words = ("a", "ab", "ba", "bbab")
+
+    def values(auts):
+        return ([A.batch_infinitary(aut, lassos) for aut in auts],
+                [A.finitary_coeff(aut, word) for aut in auts for word in words])
+
+    want = values(auts)
+    monkeypatch.setattr(A, "_check_letters", lambda word, alphabet: pytest.fail(word))
+    assert values([A.MatrixAutomaton(a.instance, AB, a.n, a.k, a.alpha, a.beta, a.edges)
+                   for a in auts]) == want
+
+
 def test_howard_cycle_mean_matches_karp():
     """Howard's policy iteration against Karp's algorithm on random strongly
     connected components inside larger graphs, with negative, fractional

@@ -305,25 +305,6 @@ class _CountingCarrier:
         return getattr(self._base, item)
 
 
-def test_elimination_op_counts_grow_cubically(minplus):
-    """On dense matrices (no zero entry to skip), omega costs O(n^3) carrier
-    operations like plus: at most 8.5 times as many at n = 32 as at 16, and
-    at most 1.25 times the ops of plus at n = 32."""
-    def ops(op, n):
-        rng = random.Random(n)
-        m = M.mat([[rng.randrange(0, 7) for _ in range(n)] for _ in range(n)])
-        c = _CountingCarrier(minplus)
-        if op == "plus":
-            M.mat_plus(c, m)
-        else:
-            M.mat_omega(self_pair(c), m)
-        return c.ops
-
-    omega16, omega32, plus32 = ops("omega", 16), ops("omega", 32), ops("plus", 32)
-    assert omega32 <= 8.5 * omega16, (omega16, omega32)
-    assert omega32 <= 1.25 * plus32, (omega32, plus32)
-
-
 def test_omega_skips_the_last_plus_rows(minplus):
     """Omega discards M^+, so its last elimination step builds no M^+ rows:
     on a dense n = 16 matrix it takes fewer carrier operations than the full
