@@ -267,12 +267,6 @@ def _max_cycle_mean(succ, comp: list) -> float:
     edges = {v: [(t, wgt) for t, wgt in succ[v] if t in inside] for v in comp}
     if any(wgt == INF for outs in edges.values() for _, wgt in outs):
         return INF  # every edge of a component lies on one of its cycles
-    if all(len(outs) == 1 for outs in edges.values()):  # one cycle, summed from its least node
-        ws, v = [], min(comp)
-        for _ in comp:
-            v, wgt = edges[v][0]
-            ws.append(wgt)
-        return sum(ws) / len(ws)
     policy = {v: max(outs, key=lambda e: e[1]) for v, outs in edges.items()}
     while True:
         # (mean, bias) per node; the least node of each cycle has bias 0
@@ -288,14 +282,17 @@ def _max_cycle_mean(succ, comp: list) -> float:
 def _switch(policy, edges, gain) -> bool:
     """Point each node at its out-edge (t, wgt) of largest ``gain(v, t, wgt)``
     where that beats the gain of the edge it follows beyond rounding; did any
-    node change its edge?"""
+    node change its edge?  A value is summed along at most ``len(edges)``
+    edges, each addition rounding by up to 2**-52 relative, so a smaller gain
+    may be rounding alone: accepting it could make edges take turns for ever."""
+    slack = 1e-12 + len(edges) * 2.0 ** -52
     switched = False
     for v, outs in edges.items():
         old = policy[v]
         cur = gain(v, *old)
         for t, wgt in outs:
             cand = gain(v, t, wgt)
-            if cand > cur + 1e-12 * (1.0 + abs(cur)):  # a gain beyond rounding
+            if cand > cur + slack * (1.0 + abs(cur)):
                 policy[v], cur = (t, wgt), cand
         switched = switched or policy[v] != old
     return switched

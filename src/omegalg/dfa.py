@@ -46,7 +46,8 @@ def from_words(alphabet, words) -> Dfa:
         if not w:
             raise ValueError("languages here are proper: no empty word")
         if not letters.issuperset(w):
-            raise ValueError(f"{w!r} has a letter outside the alphabet")
+            ch = next(ch for ch in w if ch not in letters)
+            raise ValueError(f"letter {ch!r} outside alphabet {tuple(alphabet)}")
         s = 0
         for ch in w:
             t = delta[s].get(ch)

@@ -849,13 +849,19 @@ def test_in_alphabet_queries_never_reach_the_letter_loop(monkeypatch):
 def test_howard_cycle_mean_matches_karp():
     """Howard's policy iteration against Karp's algorithm on random strongly
     connected components inside larger graphs, with negative, fractional
-    and infinite weights."""
+    and infinite weights; on single cycles of 200-500 nodes; and on two
+    cycles through one node whose means differ by less than 1e-12."""
     from types import SimpleNamespace
     rng = random.Random(95)
 
     def weight():
         roll = rng.random()
         return INF if roll < 0.01 else rng.uniform(-3, 3) if roll < 0.5 else float(rng.randrange(-4, 9))
+
+    def agree(succ, nodes):
+        got = A._max_cycle_mean(succ, nodes)
+        want = oracles._max_cycle_mean(SimpleNamespace(succ=succ), nodes)
+        assert got == want or abs(got - want) <= 1e-9, (succ, nodes, got, want)
 
     for _ in range(1000):
         n = rng.randrange(1, 13)
@@ -865,6 +871,24 @@ def test_howard_cycle_mean_matches_karp():
             succ[v].append((t, weight()))
         for _ in range(rng.randrange(3 * n)):  # more edges, inside and out
             succ[rng.choice(nodes)].append((rng.randrange(3 * n), weight()))
-        got = A._max_cycle_mean(succ, nodes)
-        want = oracles._max_cycle_mean(SimpleNamespace(succ=succ), nodes)
-        assert got == want or abs(got - want) <= 1e-9, (succ, nodes, got, want)
+        agree(succ, nodes)
+    for _ in range(8):  # one cycle, and edges that leave it
+        n = rng.randrange(200, 501)
+        nodes = rng.sample(range(2 * n), n)
+        succ = [[] for _ in range(2 * n)]
+        for v, t in zip(nodes, nodes[1:] + nodes[:1]):
+            succ[v].append((t, rng.uniform(-3, 3)))
+        outside = sorted(set(range(2 * n)) - set(nodes))
+        for _ in range(n // 2):
+            succ[rng.choice(nodes)].append((rng.choice(outside), rng.uniform(-3, 3)))
+        agree(succ, nodes)
+    for _ in range(200):  # two cycles through node 0, means a gap below 1e-12 apart
+        a, b = rng.randrange(1, 40), rng.randrange(1, 40)
+        succ = [[] for _ in range(a + b - 1)]
+        ring_a, ring_b = [0, *range(1, a)], [0, *range(a, a + b - 1)]
+        ws = [rng.uniform(-3, 3) for _ in range(a + b)]
+        ws[-1] = b * (sum(ws[:a]) / a + rng.uniform(-1e-12, 1e-12)) - sum(ws[a:-1])
+        for ring, wts in ((ring_a, ws[:a]), (ring_b, ws[a:])):
+            for v, t, wgt in zip(ring, ring[1:] + ring[:1], wts):
+                succ[v].append((t, wgt))
+        agree(succ, list(range(a + b - 1)))

@@ -531,21 +531,25 @@ def test_nat_prints_numbers_past_the_str_digit_limit(runner):
 
 
 def test_limsup_avg_policy_iteration_ends_on_a_long_period(tmp_path):
-    """Three states and a random 2,000-letter period (seed 0).  Rounding along
-    a cycle of the product once made each bias pass of Howard's iteration
-    report a switch that changed no edge, so the query never ended."""
-    rng = random.Random(0)
-    edges = [{"from": i, "to": t, "letter": ch, "weight": str(rng.randrange(5))}
-             for i in range(3) for ch in "ab" for t in range(3) if rng.random() < 0.7]
-    period = "".join(rng.choice("ab") for _ in range(2000))
-    aut = tmp_path / "aut.json"
-    aut.write_text(json.dumps({"n": 3, "k": 3, "alphabet": ["a", "b"], "alpha": ["1", "0", "0"],
-                               "beta": ["1", "1", "1"], "transitions": edges}))
-    proc = subprocess.run([sys.executable, "-m", "omegalg.cli", "behavior", "--aut", str(aut),
-                           "--instance", "limsup-avg", "--word", f"a({period})^w"],
-                          capture_output=True, text=True, timeout=10, check=True,
-                          env={**os.environ, "PYTHONPATH": SRC})
-    assert proc.stdout.strip() == "2.583"
+    """Three states and a random period: 2,000 letters at seed 0, 12,000 at
+    seed 3.  Rounding along a cycle of the product once made each bias pass
+    of Howard's iteration report a switch that changed no edge (seed 0), and
+    then accept gains within the rounding of a bias summed along 36,000
+    nodes, so that edges took turns (seed 3): neither query ended."""
+    for seed, m, want in ((0, 2000, "2.583"), (3, 12000, "3.5418333333333334")):
+        rng = random.Random(seed)
+        edges = [{"from": i, "to": t, "letter": ch, "weight": str(rng.randrange(5))}
+                 for i in range(3) for ch in "ab" for t in range(3) if rng.random() < 0.7]
+        period = "".join(rng.choice("ab") for _ in range(m))
+        aut = tmp_path / "aut.json"
+        aut.write_text(json.dumps({"n": 3, "k": 3, "alphabet": ["a", "b"],
+                                   "alpha": ["1", "0", "0"], "beta": ["1", "1", "1"],
+                                   "transitions": edges}))
+        proc = subprocess.run([sys.executable, "-m", "omegalg.cli", "behavior", "--aut", str(aut),
+                               "--instance", "limsup-avg", "--word", f"a({period})^w"],
+                              capture_output=True, text=True, timeout=10, check=True,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.stdout.strip() == want, seed
 
 
 # ``python -m omegalg.cli`` under a recursion limit far below the depth of

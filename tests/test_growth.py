@@ -100,3 +100,41 @@ def test_lasso_products_grow_linearly_in_period_length(monkeypatch):
     assert nodes[128] == 1280, nodes
     for m in (128, 256):
         assert nodes[2 * m] <= 2.2 * nodes[m], nodes
+
+
+def _long_period_query(m):
+    """The ``limsup-avg`` query of ``test_limsup_avg_policy_iteration_ends_on_a_long_period``
+    (tests/test_cli.py) at ``random.Random(3)``: three states, a seeded
+    random period of m letters."""
+    rng = random.Random(3)
+    edges = tuple((i, ch, t, float(rng.randrange(5)))
+                  for i in range(3) for ch in "ab" for t in range(3) if rng.random() < 0.7)
+    period = "".join(rng.choice("ab") for _ in range(m))
+    aut = A.MatrixAutomaton(V.make_valuation_instance("limsup-avg"), ("a", "b"), 3, 3,
+                            (1, 0, 0), (1, 1, 1), edges)
+    return A.infinitary_coeff(aut, OmegaWord("a", period))
+
+
+def test_howard_passes_do_not_grow_with_period_length(monkeypatch):
+    """Howard's iteration on a product of up to 3m nodes: each doubling of
+    the period m multiplies its ``_switch`` passes by at most 1.25, and the
+    count at 3,000 letters is pinned exactly.  Switches accepted for gains
+    within rounding once made the 12,000-letter query switch for ever, so
+    the count stops the query after 200 passes."""
+    switch, passes = A._switch, [0]
+
+    def counted(*args):
+        passes[0] += 1
+        if passes[0] > 200:
+            raise RuntimeError("Howard's iteration is still switching after 200 passes")
+        return switch(*args)
+
+    monkeypatch.setattr(A, "_switch", counted)
+    count = {}
+    for m in (3000, 6000, 12000):
+        passes[0] = 0
+        _long_period_query(m)
+        count[m] = passes[0]
+    assert count[3000] == 24, count
+    for m in (3000, 6000):
+        assert count[2 * m] <= 1.25 * count[m], count

@@ -537,6 +537,23 @@ def test_foreign_letters_raise_the_same_error(lang6):
             series.polynomial(natw, ("a", "b"), {"a": 1, word: 1})
 
 
+def test_every_carrier_names_a_foreign_letter_alike(lang6):
+    """The language carrier's constructors (built by ``dfa.from_words``),
+    the ``nat`` series carrier's and ``compile`` name a foreign letter in
+    the one message ``Series.coeff`` gives; all but ``compile`` name the
+    first of two."""
+    from omegalg import automata as A, ratexpr as rx
+    nat = series.nat_series_instance()
+    for word in ("c", "acb", "bbca", "cd", "acdc"):
+        makers = [lambda: lang6.language(word), lambda: lang6.poly({word: True}),
+                  lambda: nat.poly({word: 1}), lambda: nat.zero.coeff(word)]
+        if "d" not in word:
+            makers.append(lambda: A.compile(rx.parse(word), nat.weights, ("a", "b")))
+        for make in makers:
+            with pytest.raises(ValueError, match=r"^letter 'c' outside alphabet \('a', 'b'\)$"):
+                make()
+
+
 def _kleene_dump():
     """Every coefficient up to length 8 of 100 seeded expressions over the
     four weight structures of the finitary round trip, with the boolean

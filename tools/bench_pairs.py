@@ -16,11 +16,15 @@ per-layer metric whose ``BENCHMARK.json`` unit is ``count`` and whose
 parent and change medians differ, with both medians; it is ``{}`` when no
 count moved.  Then, in both trees, the lasso kernel's products per kept
 edge set on the canonical lassos of 20 compiled expressions per instance.
-Last, the cold start: the median wall time of ``python -c pass``, of
-``python -c "import omegalg.cli"`` and of one call of each command, in both
-trees by turns, without a bytecode cache (``PYTHONDONTWRITEBYTECODE=1``)
-and with one (a temporary ``PYTHONPYCACHEPREFIX``, filled by one run of
-every call first).
+Then ``tier1``: the tier-1 suite, ``PYTHONPATH=<tree>/src python -m pytest
+-q -s --continue-on-collection-errors``, TIER1_RUNS times in each tree,
+alternating which tree goes first; per run its wall time in seconds,
+pytest's summary line, and each ``ACCEPTANCE n: PASS (t / budget)`` line
+as ``{n: [t, budget]}`` in seconds.  Last, the cold start: the median wall
+time of ``python -c pass``, of ``python -c "import omegalg.cli"`` and of
+one call of each command, in both trees by turns, without a bytecode
+cache (``PYTHONDONTWRITEBYTECODE=1``) and with one (a temporary
+``PYTHONPYCACHEPREFIX``, filled by one run of every call first).
 Run it on an otherwise idle machine; it takes about an hour.
 """
 
@@ -43,7 +47,9 @@ SEEDS = {"kleene": 4242, "lasso": 2718, "algebra": 4242, "cli": 3}
 PAIRS = {"kleene": 10, "lasso": 10, "algebra": 10, "cli": 3}
 SECONDS = "20"
 TRACED_RUNS = 3
+TIER1_RUNS = 2
 COLD_REPEATS = 9
+ACCEPTANCE = re.compile(r"ACCEPTANCE (\S+): PASS \(([0-9.]+)s / budget ([0-9.]+)s\)")
 
 # The cold-start calls: interpreter start, the CLI's import, and one call of
 # each command (``behavior`` reads the automaton ``compile`` writes).
@@ -146,6 +152,25 @@ def products(tree: Path) -> dict:
     return json.loads(proc.stdout)
 
 
+def tier1(trees: dict) -> dict:
+    """Per tree, TIER1_RUNS runs of the tier-1 suite, alternating which tree
+    goes first: each run's wall time, summary line and acceptance lines."""
+    runs = {side: [] for side in trees}
+    for i in range(TIER1_RUNS):
+        for side in trees if i % 2 == 0 else reversed(trees):
+            env = {**os.environ, "PYTHONPATH": str(trees[side] / "src")}
+            start = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-s",
+                                   "--continue-on-collection-errors"], cwd=trees[side],
+                                  env=env, capture_output=True, text=True)
+            wall = time.perf_counter() - start
+            lines = proc.stdout.strip().splitlines()
+            runs[side].append({"wall_s": wall, "summary": lines[-1] if lines else "",
+                               "acceptance": {n: [float(t), float(budget)] for n, t, budget
+                                              in ACCEPTANCE.findall(proc.stdout)}})
+    return runs
+
+
 def cold_start(trees: dict) -> dict:
     """Per tree and cache setting, the median wall time in seconds of each
     of COLD_CALLS, run in a fresh process."""
@@ -193,7 +218,7 @@ def main(argv=None):
            "command": "python3 tools/bench_pairs.py PARENT_DIR --out " + args.out.name,
            "pairs": {}, "summary": {}, "speed_factors": [], "traced_kleene_seed_7": {},
            "traced_lasso_seed_7": {}, "traced_algebra_seed_7": {}, "traced_cli_seed_7": {},
-           "counts_moved": {}, "products_per_kept_set": {},
+           "counts_moved": {}, "products_per_kept_set": {}, "tier1": {},
            "cold_start_s": {}}
     for workload, seed in SEEDS.items():
         rows = []
@@ -223,6 +248,7 @@ def main(argv=None):
     out["counts_moved"] = counts_moved(out)
     for side, tree in trees.items():
         out["products_per_kept_set"][side] = products(tree)
+    out["tier1"] = tier1(trees)
     out["cold_start_s"] = cold_start(trees)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
 
