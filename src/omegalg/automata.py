@@ -23,6 +23,7 @@ the alphabet raises ValueError, in the finitary and infinitary query alike.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,8 +31,7 @@ from dataclasses import dataclass, field
 from .core import CommutativeMonoid, HemimodulePair, Hemiring
 from .ratexpr import (ActProd, Letter, OmegaPow, OmegaSum, Plus, Prod, Scalar,
                       Sum, check_alphabet, fold, letters_of, to_text)
-from .series import (DEFAULT_BOUND, OmegaSeries, OmegaWord, Series, _check_letters,
-                     _least_rotation, _letter_string)
+from .series import DEFAULT_BOUND, OmegaSeries, OmegaWord, Series, _check_word, _least_rotation
 from .valuation import _disc_periodic
 
 INF = math.inf
@@ -447,12 +447,6 @@ def _entry_values(aut, kept, strategy, period) -> dict:
     return entries[key]
 
 
-def _check_word(word, alphabet):
-    """Raise ValueError on the first letter of ``word`` outside ``alphabet``."""
-    if word.strip(_letter_string(alphabet)):
-        _check_letters(word, alphabet)
-
-
 def _best(aut, part, w):
     """The best value of a successful run on the lasso ``w`` over one kept
     edge set, or None if there is none; ``part`` is what the automaton's
@@ -565,123 +559,125 @@ def infinitary_series(aut) -> OmegaSeries:
 
 # --- compilation -------------------------------------------------------------------
 
+_STATES = itertools.count()  # a state's number, taken when it is made (atomic in CPython)
+
+
 @dataclass
 class _Frag:
-    """An automaton under construction, its states numbered as the builders
-    made them: the repeated states in the order they will lead, and sparse
-    initial and final coefficients (state -> non-zero natural).  No builder
-    changes a fragment, so fragments share their lists and maps."""
-    n: int
+    """An automaton under construction: its states in the order they were
+    made, the repeated states in the order they will lead, sparse initial and
+    final coefficients (state -> non-zero natural), its edges and its first
+    steps (the edges out of its initial states, in edge order).  No builder
+    renumbers or changes a fragment, so fragments share their lists and maps;
+    ``read`` marks one a parent has read, which a second reader copies."""
+    states: list
     repeated: list
     alpha: dict
     beta: dict
     edges: list
+    first: list
+    read: bool = False
 
 
 def _frag_letter(inst, ch) -> _Frag:
-    return _Frag(2, [], {0: 1}, {1: 1}, [(0, ch, 1, inst.unit)])
+    i, j = next(_STATES), next(_STATES)
+    edges = [(i, ch, j, inst.unit)]
+    return _Frag([i, j], [], {i: 1}, {j: 1}, edges, edges)
 
 
 def _frag_scale(coef, a: _Frag) -> _Frag:
-    return _Frag(a.n, a.repeated, {q: coef * x for q, x in a.alpha.items()} if coef else {},
-                 a.beta, a.edges)
-
-
-def _shift_edges(edges, off):
-    return [(i + off, ch, j + off, w) for i, ch, j, w in edges]
-
-
-def _shift(coefs, off) -> dict:
-    return {q + off: x for q, x in coefs.items()}
+    return _Frag(a.states, a.repeated, {q: coef * x for q, x in a.alpha.items()} if coef else {},
+                 a.beta, a.edges, a.first if coef else [])
 
 
 def _frag_sum(a: _Frag, b: _Frag) -> _Frag:
-    return _Frag(a.n + b.n, a.repeated + [r + a.n for r in b.repeated],
-                 {**a.alpha, **_shift(b.alpha, a.n)}, {**a.beta, **_shift(b.beta, a.n)},
-                 a.edges + _shift_edges(b.edges, a.n))
+    return _Frag(a.states + b.states, a.repeated + b.repeated, {**a.alpha, **b.alpha},
+                 {**a.beta, **b.beta}, a.edges + b.edges, a.first + b.first)
 
 
-def _links(inst, a: _Frag, b: _Frag, off) -> list:
-    """Edges by which every final state of ``a`` also takes the first steps
-    of ``b``, whose states are numbered from ``off``."""
-    return [(p, ch, j + off, inst.nat_act(x * b.alpha[q], w))
-            for p, x in a.beta.items() for q, ch, j, w in b.edges if q in b.alpha]
+def _links(inst, a: _Frag, b: _Frag) -> list:
+    """Edges by which every final state of ``a`` also takes ``b``'s first steps."""
+    return [(p, ch, j, inst.nat_act(x * b.alpha[q], w))
+            for p, x in a.beta.items() for q, ch, j, w in b.first]
 
 
 def _frag_prod(inst, a: _Frag, b: _Frag, omega=False) -> _Frag:
     """Concatenation.  The repeated states are those of the tail; an omega
     tail leaves no final state."""
-    edges = a.edges + _shift_edges(b.edges, a.n) + _links(inst, a, b, a.n)
-    return _Frag(a.n + b.n, [r + a.n for r in b.repeated], a.alpha,
-                 {} if omega else _shift(b.beta, a.n), edges)
+    links = _links(inst, a, b)
+    return _Frag(a.states + b.states, b.repeated, a.alpha, {} if omega else b.beta,
+                 [*a.edges, *b.edges, *links], a.first + [e for e in links if e[0] in a.alpha])
 
 
 def _frag_plus(inst, a: _Frag) -> _Frag:
-    return _Frag(a.n, a.repeated, a.alpha, a.beta, a.edges + _links(inst, a, a, 0))
+    links = _links(inst, a, a)
+    return _Frag(a.states, a.repeated, a.alpha, a.beta, a.edges + links,
+                 a.first + [e for e in links if e[0] in a.alpha])
 
 
 def _frag_omega(inst, a: _Frag) -> _Frag:
     """Omega power: feedback through fresh boundary copies of the first
     steps' targets, which become the repeated states; no state is final."""
-    out_of, first_steps = {}, []
-    for e in a.edges:
-        out_of.setdefault(e[0], []).append(e)
-        if e[0] in a.alpha:
-            first_steps.append(e)
-    targets = sorted({j for _, _, j, _ in first_steps})
-    copy = {t: a.n + c for c, t in enumerate(targets)}
-    edges = a.edges + [(copy[t], ch, j, w) for t in targets for _, ch, j, w in out_of.get(t, ())]
-    sources = list(a.beta.items()) + [(copy[t], a.beta[t]) for t in targets if t in a.beta]
-    edges += [(p, ch, copy[j], inst.nat_act(x * a.alpha[q], w))
-              for p, x in sources for q, ch, j, w in first_steps]
-    return _Frag(a.n + len(targets), list(copy.values()), a.alpha, {}, edges)
+    copy = {t: next(_STATES) for t in sorted({j for _, _, j, _ in a.first})}
+    steps = sorted((e for e in a.edges if e[0] in copy), key=lambda e: copy[e[0]])
+    sources = list(a.beta.items()) + [(c, a.beta[t]) for t, c in copy.items() if t in a.beta]
+    back = [(p, ch, copy[j], inst.nat_act(x * a.alpha[q], w))
+            for p, x in sources for q, ch, j, w in a.first]
+    return _Frag(a.states + list(copy.values()), list(copy.values()), a.alpha, {},
+                 [*a.edges, *((copy[i], ch, j, w) for i, ch, j, w in steps), *back],
+                 a.first + [e for e in back if e[0] in a.alpha])
 
 
 def compile(expr, instance, alphabet=None) -> MatrixAutomaton:
-    """Structural compilation of a (finitary or omega) expression; a shared
-    subterm is compiled once, as no fragment is ever changed."""
+    """Structural compilation of a (finitary or omega) expression in the order
+    of its text; each reader of a shared subterm after the first copies it."""
     if alphabet is None:
         alphabet = tuple(sorted(letters_of(expr)))
     alphabet = tuple(alphabet)
 
+    def fresh(a: _Frag) -> _Frag:
+        a = _frag_of(_aut_of(a, instance, alphabet)) if a.read else a
+        a.read = True
+        return a
+
     def letter(node) -> _Frag:
-        if node.ch not in alphabet:
-            raise ValueError(f"letter {node.ch!r} outside alphabet {alphabet}")
+        _check_word(node.ch, alphabet)
         return _frag_letter(instance, node.ch)
 
     frag = fold(expr, {
         Letter: letter,
-        Scalar: lambda node, a: _frag_scale(node.coef, a),
-        **dict.fromkeys((Sum, OmegaSum), lambda node, a, b: _frag_sum(a, b)),
-        Prod: lambda node, a, b: _frag_prod(instance, a, b),
-        Plus: lambda node, a: _frag_plus(instance, a),
-        OmegaPow: lambda node, a: _frag_omega(instance, a),
-        ActProd: lambda node, a, b: _frag_prod(instance, a, b, omega=True),
+        Scalar: lambda node, a: _frag_scale(node.coef, fresh(a)),
+        **dict.fromkeys((Sum, OmegaSum), lambda node, a, b: _frag_sum(fresh(a), fresh(b))),
+        Prod: lambda node, a, b: _frag_prod(instance, fresh(a), fresh(b)),
+        Plus: lambda node, a: _frag_plus(instance, fresh(a)),
+        OmegaPow: lambda node, a: _frag_omega(instance, fresh(a)),
+        ActProd: lambda node, a, b: _frag_prod(instance, fresh(a), fresh(b), omega=True),
     })
     return _aut_of(frag, instance, alphabet)
 
 
 def _frag_of(aut: MatrixAutomaton) -> _Frag:
-    return _Frag(aut.n, list(range(aut.k)), {q: x for q, x in enumerate(aut.alpha) if x},
-                 {q: x for q, x in enumerate(aut.beta) if x}, list(aut.edges))
+    new = list(itertools.islice(_STATES, aut.n))
+    alpha = {new[q]: x for q, x in enumerate(aut.alpha) if x}
+    edges = [(new[i], ch, new[j], w) for i, ch, j, w in aut.edges]
+    return _Frag(new, new[:aut.k], alpha, {new[q]: x for q, x in enumerate(aut.beta) if x},
+                 edges, [e for e in edges if e[0] in alpha])
 
 
 def _aut_of(frag: _Frag, instance, alphabet) -> MatrixAutomaton:
     """The automaton of a fragment, numbered once: the repeated states first,
-    in order, then the rest by index."""
+    in order, then the rest in the order they were made."""
     lead = set(frag.repeated)
-    order = frag.repeated + [q for q in range(frag.n) if q not in lead]
+    order = frag.repeated + [q for q in frag.states if q not in lead]
     pos = {old: new for new, old in enumerate(order)}
-    return MatrixAutomaton(instance, alphabet, frag.n, len(frag.repeated),
+    return MatrixAutomaton(instance, alphabet, len(order), len(frag.repeated),
                            tuple(frag.alpha.get(q, 0) for q in order),
                            tuple(frag.beta.get(q, 0) for q in order),
                            tuple((pos[i], ch, pos[j], w) for i, ch, j, w in frag.edges))
 
 
 def _backing_of(x) -> MatrixAutomaton:
-    if isinstance(x, MatrixAutomaton):
-        return x
-    backing = getattr(x, "backing", None)
+    backing = x if isinstance(x, MatrixAutomaton) else getattr(x, "backing", None)
     if isinstance(backing, MatrixAutomaton):
         return backing
     raise ValueError("needs an automaton or an automaton-backed series")

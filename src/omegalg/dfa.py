@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .series import _check_word
+
 
 @dataclass
 class Dfa:
@@ -41,13 +43,11 @@ def empty(alphabet) -> Dfa:
 
 def from_words(alphabet, words) -> Dfa:
     """The minimal DFA of a finite set of nonempty words, from their trie."""
-    delta, accept, letters = [dict()], set(), set(alphabet)
+    delta, accept, alphabet = [dict()], set(), tuple(alphabet)
     for w in words:
         if not w:
             raise ValueError("languages here are proper: no empty word")
-        if not letters.issuperset(w):
-            ch = next(ch for ch in w if ch not in letters)
-            raise ValueError(f"letter {ch!r} outside alphabet {tuple(alphabet)}")
+        _check_word(w, alphabet)
         s = 0
         for ch in w:
             t = delta[s].get(ch)
@@ -56,7 +56,7 @@ def from_words(alphabet, words) -> Dfa:
                 delta.append(dict())
             s = t
         accept.add(s)
-    return minimize(Dfa(tuple(alphabet), len(delta), 0, frozenset(accept), delta))
+    return minimize(Dfa(alphabet, len(delta), 0, frozenset(accept), delta))
 
 
 def _explore(alphabet, start, step, accepting) -> Dfa:

@@ -106,12 +106,12 @@ def fold(e, rules):
     """The value of the expression ``e`` under ``rules``, which maps a node
     class to a function of the node and its children's values.
 
-    Without recursion, each distinct node of the DAG is valued once,
-    children first, and its value dropped once its last parent read it.
-    A node whose class has no rule raises TypeError.
+    Without recursion, each distinct node of the DAG is valued once, children
+    first in the order of the text, and its value dropped once its last parent
+    read it.  A node whose class has no rule raises TypeError.
     """
-    # The distinct nodes in post-order, each with its children, and the
-    # number of parent slots that read each node.
+    # The distinct nodes in post-order, children left to right (so pushed in
+    # reverse), each with its children; and how many parent slots read each.
     order, seen, reads, stack = [], set(), {}, [(e, None)]
     while stack:
         node, kids = stack.pop()
@@ -123,7 +123,7 @@ def fold(e, rules):
             seen.add(id(node))
             kids = _CHILDREN[type(node)](node)
             stack.append((node, kids))
-            for k in kids:
+            for k in reversed(kids):
                 reads[id(k)] = reads.get(id(k), 0) + 1
                 stack.append((k, None))
     values = {}

@@ -155,6 +155,12 @@ def _check_letters(word: str, alphabet: tuple):
             raise ValueError(f"letter {ch!r} outside alphabet {alphabet}")
 
 
+def _check_word(word: str, alphabet: tuple):
+    """The one word check: a letter test, then the loop naming a foreign letter."""
+    if word.strip(_letter_string(alphabet)):
+        _check_letters(word, alphabet)
+
+
 class Series:
     """Non-zero coefficients on the words of length <= ``bound``.
 
@@ -268,10 +274,8 @@ def zero_series(weights, alphabet, bound=DEFAULT_BOUND) -> Series:
 def polynomial(weights, alphabet, table: dict, bound=DEFAULT_BOUND) -> Series:
     """Finite-support series; missing words have coefficient zero."""
     alphabet = tuple(alphabet)
-    letters = _letter_string(alphabet)
     for word in table:
-        if word.strip(letters):
-            _check_letters(word, alphabet)
+        _check_word(word, alphabet)
     table = dict(table)
 
     def build(L):

@@ -401,6 +401,50 @@ def test_long_product_compiles_within_four_seconds(natw):
     assert A.finitary_coeff(aut, "ab" * 5000) == 1
 
 
+def test_long_right_nested_product_compiles_within_four_seconds(natw):
+    """The same 10,000-letter product nested to the right, ``Prod(letter,
+    rest)`` (built by hand: the parser nests parentheses at most 100 deep),
+    within the same 4 s: each state is numbered once, when it is made, so
+    no product renumbers its right operand."""
+    import time
+    word = "ab" * 5000
+    expr = rx.Letter(word[-1])
+    for ch in reversed(word[:-1]):
+        expr = rx.Prod(rx.Letter(ch), expr)
+    start = time.perf_counter()
+    aut = A.compile(expr, natw, AB)
+    assert time.perf_counter() - start < 4.0
+    assert (aut.n, aut.k) == (20000, 0)
+    assert A.finitary_coeff(aut, word) == 1
+
+
+def test_shared_subterms_compile_as_their_tree(natw, disc):
+    """A node object read by several parent slots, the second slot of one
+    parent included, compiles to the behavior of the tree the DAG expands
+    to (its printed text, parsed again), with the states of one copy per
+    reader: on every word up to length 7 over nat, and on the canonical
+    lassos over disc, where ``Prod(y, y)`` before a tail that is not y's
+    own tells y·y from y^+."""
+    x = rx.parse("a + 2ab^+")
+    y, tail = rx.parse("a + ab"), rx.OmegaPow(rx.Letter("b"))
+    fin = [rx.Sum(x, x), rx.Prod(x, x), rx.Plus(rx.Prod(x, x)),
+           rx.Sum(rx.Prod(x, x), rx.Scalar(3, x))]
+    omega = [rx.ActProd(rx.Prod(y, y), rx.OmegaSum(tail, rx.ActProd(y, rx.OmegaPow(y)))),
+             rx.OmegaSum(tail, tail)]
+    words = [w for w in core.words_up_to(AB, 7) if w]
+    lassos = _canonical_lassos()
+    for dag in fin:
+        tree = rx.parse(rx.to_text(dag))
+        aut, want = A.compile(dag, natw, AB), rx.eval_fin(tree, natw, AB)
+        assert aut.n == A.compile(tree, natw, AB).n, rx.to_text(dag)
+        assert [A.finitary_coeff(aut, w) for w in words] == [want.coeff(w) for w in words]
+    for dag in omega:
+        aut, tree = A.compile(dag, disc, AB), A.compile(rx.parse(rx.to_text(dag)), disc, AB)
+        assert (aut.n, aut.k) == (tree.n, tree.k), rx.to_text(dag)
+        assert A.batch_infinitary(aut, lassos) == A.batch_infinitary(tree, lassos)
+    assert A.infinitary_coeff(A.compile(omega[0], disc, AB), OmegaWord("a", "b")) == NEG_INF
+
+
 def test_eliminate_one_state_loop(boolw, natw, lang_pair6):
     aut = A.MatrixAutomaton(boolw, ("a",), 1, 0, (1,), (1,), ((0, "a", 0, True),))
     fin, om = A.eliminate(aut)
@@ -468,6 +512,21 @@ def test_series_act_and_omega_power(disc):
     assert abs(prod.coeff(OmegaWord("a", "b")) - 2.0) < 1e-6
     power = A.series_omega(A.compile(rx.parse("a"), disc, ("a",)))
     assert abs(power.coeff(OmegaWord("", "a")) - 2.0) < 1e-6
+
+
+def test_untouched_states_survive_the_constructions(disc):
+    """A state that no edge touches, neither initial nor final, keeps a place
+    in ``omega_automaton`` and ``series_act``: the states of a construction
+    are the ones it made, not the ones its edges name."""
+    aut = A.MatrixAutomaton(disc, AB, 3, 0, (1, 0, 0), (0, 1, 0), ((0, "a", 1, disc.unit),))
+    tail = A.compile(rx.parse("b^w"), disc, AB)
+    power, act = A.omega_automaton(aut), A.series_act(aut, tail).backing
+    assert (power.n, power.k, act.n, act.k) == (4, 1, 3 + tail.n, tail.k)
+    for got, dead in ((power, 3), (act, tail.k + 2)):
+        assert got.alpha[dead] == got.beta[dead] == 0
+        assert all(dead not in (i, j) for i, _, j, _ in got.edges)
+    assert abs(A.infinitary_coeff(power, OmegaWord("", "a")) - 2.0) < 1e-6
+    assert abs(A.infinitary_coeff(act, OmegaWord("a", "b")) - 2.0) < 1e-6
 
 
 def test_valuation_series_wrappers(disc):
@@ -841,7 +900,7 @@ def test_in_alphabet_queries_never_reach_the_letter_loop(monkeypatch):
                 [A.finitary_coeff(aut, word) for aut in auts for word in words])
 
     want = values(auts)
-    monkeypatch.setattr(A, "_check_letters", lambda word, alphabet: pytest.fail(word))
+    monkeypatch.setattr("omegalg.series._check_letters", lambda word, alphabet: pytest.fail(word))
     assert values([A.MatrixAutomaton(a.instance, AB, a.n, a.k, a.alpha, a.beta, a.edges)
                    for a in auts]) == want
 

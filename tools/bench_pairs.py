@@ -24,7 +24,9 @@ as ``{n: [t, budget]}`` in seconds.  Last, the cold start: the median wall
 time of ``python -c pass``, of ``python -c "import omegalg.cli"`` and of
 one call of each command, in both trees by turns, without a bytecode
 cache (``PYTHONDONTWRITEBYTECODE=1``) and with one (a temporary
-``PYTHONPYCACHEPREFIX``, filled by one run of every call first).
+``PYTHONPYCACHEPREFIX``, filled by one run of every call first).  And
+``src_lines``: per tree, the ``wc -l`` of each ``src/omegalg/*.py`` file
+and their total.
 Run it on an otherwise idle machine; it takes about an hour.
 """
 
@@ -152,6 +154,14 @@ def products(tree: Path) -> dict:
     return json.loads(proc.stdout)
 
 
+def src_lines(tree: Path) -> dict:
+    """The ``wc -l`` (newline count) of each ``src/omegalg/*.py`` file of
+    ``tree``, by file name, and their ``total``."""
+    out = {f.name: f.read_bytes().count(b"\n")
+           for f in sorted((tree / "src" / "omegalg").glob("*.py"))}
+    return {**out, "total": sum(out.values())}
+
+
 def tier1(trees: dict) -> dict:
     """Per tree, TIER1_RUNS runs of the tier-1 suite, alternating which tree
     goes first: each run's wall time, summary line and acceptance lines."""
@@ -219,7 +229,8 @@ def main(argv=None):
            "pairs": {}, "summary": {}, "speed_factors": [], "traced_kleene_seed_7": {},
            "traced_lasso_seed_7": {}, "traced_algebra_seed_7": {}, "traced_cli_seed_7": {},
            "counts_moved": {}, "products_per_kept_set": {}, "tier1": {},
-           "cold_start_s": {}}
+           "cold_start_s": {},
+           "src_lines": {side: src_lines(tree) for side, tree in trees.items()}}
     for workload, seed in SEEDS.items():
         rows = []
         for i in range(PAIRS[workload]):
