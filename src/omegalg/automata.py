@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .core import CommutativeMonoid, HemimodulePair, Hemiring
 from .ratexpr import (ActProd, Letter, OmegaPow, OmegaSum, Plus, Prod, Scalar,
-                      Sum, check_alphabet, fold, letters_of, to_text)
+                      Sum, check_alphabet, fold, to_text)
 from .series import DEFAULT_BOUND, OmegaSeries, OmegaWord, Series, _check_word, _least_rotation
 from .valuation import _disc_periodic
 
@@ -46,8 +46,8 @@ class MatrixAutomaton:
     alpha: tuple
     beta: tuple
     edges: tuple  # (source, letter, target, weight)
-    # the lasso kernel of this automaton: what a query reads, resolved once,
-    # and the kept edge sets with their node values per rotation class and
+    # the lasso kernel of this automaton, resolved once: its kept edge sets,
+    # each one object a query reads, with node values per rotation class and
     # entry values per period
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -144,11 +144,12 @@ def finitary_series(aut) -> Series:
 # of v has the same product, entered at another position, so the product is
 # built on the least rotation of v and explored from every node that has a
 # predecessor; a query enters it one letter into v, at such a node.  Each
-# strategy reduces it to one value per live node, once per (strategy, set of
-# kept edges, rotation class), kept in the automaton's memo.  What a query
-# reads there (the kept edges, their entry values per period, the initial
-# states and the stem step) is resolved once per automaton, so a query
-# starts with one memo probe.  One function, ``_best``, answers every query
+# strategy reduces it to one value per live node, once per set of kept edges
+# and rotation class, kept in the automaton's memo.  Each kept edge set is one
+# object, made once per automaton with the one strategy that analyses it, and
+# holds all a query reads (the edges, the strategy's node values and stem
+# step, the initial states, the entry values per period), so a query starts
+# with one memo probe.  One function, ``_best``, answers every query
 # from the entry values and a forward walk of the stem, one set of states
 # per letter; nothing is kept per stem.
 
@@ -389,84 +390,58 @@ _STRATEGIES = {
 }
 
 
-def _edge_test(aut, strategy, threshold):
-    """The weights the strategy's product keeps.  A run through the zero
-    weight is worth zero, so no product keeps a zero-weight edge: the
-    quantitative strategies drop -inf, the lattice keeps weights >= the
-    threshold."""
-    if strategy == "boolean":
-        return bool
-    if strategy == "lattice":
-        lattice = aut.instance.monoid
-        return lambda wgt: lattice.eq(lattice.mul(wgt, threshold), threshold)
-    return lambda wgt: wgt != -INF
-
-
 class _Kept:
-    """The edges a strategy's product keeps, letter -> source -> [(target,
-    weight)], and what is analysed on them: node values per (strategy, least
-    rotation), and per strategy the entry values of each lasso period."""
+    """One kept edge set of an automaton and all a query reads on it: the
+    edges, letter -> source -> [(target, weight)]; the node-value function
+    and stem step (or None) of the one strategy it is analysed under; the
+    initial states; node values per least rotation, and entry values per
+    lasso period."""
 
-    def __init__(self, kept):
+    def __init__(self, aut, kept, strategy, initial):
         self.out = {}
         for i, ch, j, wgt in kept:
             self.out.setdefault(ch, {}).setdefault(i, []).append((j, wgt))
+        self.nodes, step = _STRATEGIES[strategy]
+        self.step = step(aut) if step else None
+        self.initial = initial
         self.analyses = {}
         self.entries = {}
 
 
-def _kept_edges(aut, strategy, threshold=None) -> _Kept:
-    """The edges the strategy's product keeps.  Thresholds (and strategies)
-    that keep the same edges get the same ``_Kept``, and so share every
-    analysis made on them."""
-    keep = _edge_test(aut, strategy, threshold)
-    kept = tuple(e for e in aut.edges if keep(e[3]))
-    shared = aut._memo.setdefault("kept", {})
-    if kept not in shared:
-        shared[kept] = _Kept(kept)
-    return shared[kept]
+def _entry_values(aut, kept, period) -> dict:
+    """Live entry state (its node having a predecessor) -> value on the
+    product of ``kept`` with the lasso period ``period``, kept per period: the
+    node values of its least rotation, read one letter into the period,
+    where the lasso enters the product."""
+    m, start = len(period), _least_rotation(period)
+    least = period[start:] + period[:start]
+    nodes = kept.analyses.get(least)
+    if nodes is None:
+        nodes = kept.analyses[least] = kept.nodes(aut, _Period(aut, kept.out, least))
+    entry = (1 - start) % m
+    values = kept.entries[period] = {q: nodes[q * m + entry] for q in range(aut.n)
+                                     if nodes[q * m + entry] is not None}
+    return values
 
 
-def _entry_values(aut, kept, strategy, period) -> dict:
-    """Live entry state (its node having a predecessor) -> value of the
-    strategy on the product of ``kept`` with ``period``: the node values of
-    its least rotation, read at the position where the period starts.  They
-    are kept under the period of the lassos that enter the product there,
-    one letter into their period: ``period`` with its last letter first."""
-    entries = kept.entries.setdefault(strategy, {})
-    key = period[-1] + period[:-1]
-    if key not in entries:
-        m, start = len(period), _least_rotation(period)
-        least = period[start:] + period[:start]
-        if (strategy, least) not in kept.analyses:
-            kept.analyses[strategy, least] = _STRATEGIES[strategy][0](
-                aut, _Period(aut, kept.out, least))
-        nodes, entry = kept.analyses[strategy, least], -start % m
-        entries[key] = {q: nodes[q * m + entry] for q in range(aut.n)
-                        if nodes[q * m + entry] is not None}
-    return entries[key]
-
-
-def _best(aut, part, w):
+def _best(aut, kept, w):
     """The best value of a successful run on the lasso ``w`` over one kept
-    edge set, or None if there is none; ``part`` is what the automaton's
-    kernel resolved for that set.  Read as u·v[0] then (v[1:]·v[0])^omega,
-    one letter into its period, every run is at a product node with a
-    predecessor.  The stem is walked forward from the initial states, one
-    set of states per letter, and the walk stops at an empty set; with a
-    step, the entry values are folded back over the sets it passed, best
-    per state.  The letters of ``w`` are tested against the alphabet only
-    where a kept edge may not have read them: when its period is first
-    analysed, and when the walk stops short."""
-    kept, entries, strategy, initial, step = part
-    period = w.period
-    values = entries.get(period)
+    edge set of the automaton's kernel, or None if there is none.  Read as
+    u·v[0] then (v[1:]·v[0])^omega, one letter into its period, every run is
+    at a product node with a predecessor.  The stem is walked forward from
+    the initial states, one set of states per letter, and the walk stops at
+    an empty set; with a step, the entry values are folded back over the
+    sets it passed, best per state.  The letters of ``w`` are tested against
+    the alphabet only where a kept edge may not have read them: when its
+    period is first analysed, and when the walk stops short."""
+    period, step = w.period, kept.step
+    values = kept.entries.get(period)
     if values is None:
         _check_word(w.prefix + period, aut.alphabet)
-        values = _entry_values(aut, kept, strategy, period[1:] + period[0])
+        values = _entry_values(aut, kept, period)
     stem = w.prefix + period[0]
     if values:
-        out, states, passed = kept.out, initial, []
+        out, states, passed = kept.out, kept.initial, []
         for ch in stem:
             edges = out.get(ch)
             if edges is None:
@@ -493,34 +468,31 @@ def _best(aut, part, w):
 
 
 def _kernel(aut):
-    """What every query on ``aut`` reads, kept in its memo: (part, groups).
-    A part is what ``_best`` reads for one kept edge set: the set, its entry
-    values per lasso period under the strategy it is analysed with, that
-    strategy, the initial states and the stem step (or None).  The lattice
-    has no one part but a (part, join of the thresholds) per group of
-    thresholds that keep the same edges; the other strategies have one part
-    and no groups; without a repeated state there is neither."""
+    """What every query on ``aut`` reads, kept in its memo: (kept, groups).
+    A strategy other than the lattice keeps one edge set and has no groups.
+    The lattice has no one set but a (set, join of the thresholds) per group
+    of thresholds that keep the same edges, each set analysed under
+    ``"boolean"``.  Without a repeated state there is neither.  A run
+    through the zero weight is worth zero, so no set keeps a zero-weight
+    edge: the quantitative strategies drop -inf, the lattice keeps weights
+    >= the threshold."""
     inst = aut.instance
     if inst.strategy is None:
         raise ValueError(f"{inst.name}: no infinitary strategy registered")
     initial = frozenset(q for q in range(aut.n) if aut.alpha[q])
-
-    def part(kept, strategy):
-        step = _STRATEGIES[strategy][1]
-        return (kept, kept.entries.setdefault(strategy, {}), strategy, initial,
-                step(aut) if step else None)
-
     if aut.k == 0:
         kernel = None, ()
     elif inst.strategy != "lattice":
-        kernel = part(_kept_edges(aut, inst.strategy), inst.strategy), ()
+        keep = bool if inst.strategy == "boolean" else (lambda wgt: wgt != -INF)
+        kernel = _Kept(aut, [e for e in aut.edges if keep(e[3])], inst.strategy, initial), ()
     else:
         lattice, groups = inst.monoid, {}
         for x in lattice.elements():
             if not lattice.eq(x, lattice.zero):
-                kept = _kept_edges(aut, "lattice", x)
+                kept = tuple(e for e in aut.edges if lattice.eq(lattice.mul(e[3], x), x))
                 groups[kept] = lattice.add(groups[kept], x) if kept in groups else x
-        kernel = None, tuple((part(kept, "boolean"), x) for kept, x in groups.items())
+        kernel = None, tuple((_Kept(aut, kept, "boolean", initial), x)
+                             for kept, x in groups.items())
     aut._memo["kernel"] = kernel
     return kernel
 
@@ -538,8 +510,8 @@ def infinitary_coeff(aut, w: OmegaWord):
         return aut.instance.zero if best is None else best
     monoid = aut.instance.monoid
     best = monoid.zero
-    for part, x in groups:
-        if _best(aut, part, w):
+    for kept, x in groups:
+        if _best(aut, kept, w):
             best = monoid.add(best, x)
     if not groups:  # no repeated state, so no successful run
         _check_word(w.prefix + w.period, aut.alphabet)
@@ -628,11 +600,9 @@ def _frag_omega(inst, a: _Frag) -> _Frag:
                  a.first + [e for e in back if e[0] in a.alpha])
 
 
-def compile(expr, instance, alphabet=None) -> MatrixAutomaton:
+def compile(expr, instance, alphabet) -> MatrixAutomaton:
     """Structural compilation of a (finitary or omega) expression in the order
     of its text; each reader of a shared subterm after the first copies it."""
-    if alphabet is None:
-        alphabet = tuple(sorted(letters_of(expr)))
     alphabet = tuple(alphabet)
 
     def fresh(a: _Frag) -> _Frag:

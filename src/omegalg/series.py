@@ -285,7 +285,17 @@ def polynomial(weights, alphabet, table: dict, bound=DEFAULT_BOUND) -> Series:
                   proper="" not in table)
 
 
+def _same_weights(f, g, op):
+    """Raise ValueError unless ``f`` and ``g`` have one weight structure: the
+    same object, or the same name and parameters."""
+    if f.weights is not g.weights and (
+            f.weights.name != g.weights.name or
+            getattr(f.weights, "params", None) != getattr(g.weights, "params", None)):
+        raise ValueError(f"carrier mismatch in {op}")
+
+
 def series_add(f, g) -> Series:
+    _same_weights(f, g, "sum")
     w = f.weights
 
     def build(L):
@@ -313,11 +323,7 @@ def cauchy_mul(f, g) -> Series:
     The table joins the two supports and drops pairs longer than the bound;
     a longer word sums its cuts.
     """
-    if f.weights is not g.weights:
-        same_kind = (f.weights.name == g.weights.name and
-                     getattr(f.weights, "params", None) == getattr(g.weights, "params", None))
-        if not same_kind:
-            raise ValueError("carrier mismatch in product")
+    _same_weights(f, g, "product")
     w = f.weights
 
     def build(L):

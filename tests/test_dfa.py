@@ -85,9 +85,10 @@ def test_buchi_win_at_entry_simple_cycle():
     # two states looping a, b with the repeated bit on state 0
     aut = A.MatrixAutomaton(boolw, AB, 2, 1, (1, 0), (0, 0),
                             ((0, "a", 1, True), (1, "b", 0, True)))
-    win = A._entry_values(aut, A._kept_edges(aut, "boolean"), "boolean", "ab")
+    kept, _ = A._kernel(aut)
+    win = A._entry_values(aut, kept, "ba")  # (ba)^w enters ab at position 0
     assert 0 in win         # from state 0 at position 0, the loop accepts
-    win_bad = A._entry_values(aut, A._kept_edges(aut, "boolean"), "boolean", "aa")
+    win_bad = A._entry_values(aut, kept, "aa")
     assert win_bad == {}    # the word aa^w has no run at all
 
 

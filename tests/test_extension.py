@@ -95,6 +95,25 @@ def test_full_star_fixed_point(bool_lang_ext):
         assert ext.eq(ext.add(ext.mul(s, st), ext.one), st)
 
 
+def test_plus_outside_the_ideal(bool_lang_ext, nat_series_ext, nat_series6):
+    """Over bool ⊕ lang, plus outside the ideal satisfies plus(s) = s +
+    s·plus(s); nat has no star, so over nat ⊕ nat-series neither plus nor
+    star reaches outside the ideal."""
+    ext = bool_lang_ext
+    rng = random.Random(5)
+    outside = [s for s in (ext.sample(rng) for _ in range(40)) if not ext.is_ideal(s)]
+    assert outside
+    for s in outside:
+        p = ext.plus(s)
+        assert ext.eq(p, ext.add(s, ext.mul(s, p)))
+    s = E.FormalSum(2, nat_series6.poly({"a": 1}))
+    with pytest.raises(E.ExtensionError,
+                       match="plus needs an ideal argument or a starred scalar side"):
+        nat_series_ext.plus(s)
+    with pytest.raises(E.ExtensionError, match="nat has no star operation"):
+        nat_series_ext.star(s)
+
+
 def test_partial_conway_suite(bool_lang_ext, nat_series_ext):
     for ext in (bool_lang_ext, nat_series_ext):
         report = E.partial_conway_laws(ext, trials=40)

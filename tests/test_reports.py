@@ -153,6 +153,11 @@ def produce() -> dict:
         for c in (minplus, skewed, nat_series):
             put(f"simulation:{c.name}",
                 M.simulation_check(c, [powers(c), advisory(c)], trials=4, seed=seed))
+        groups = M.builtin_groups()
+        for gname in ("Z3", "V4", "S3"):
+            for c in (minplus, skewed):
+                put(f"group:{gname}:{c.name}", M.group_identity_check(
+                    groups[gname], c, trials=30, seed=seed, pair=core.self_pair(c)))
 
         f = nat_series.plus(nat_series.poly({"a": seed, "b": 1}))
         put("bounded-eq:equal", series.bounded_eq(f, nat_series.plus(

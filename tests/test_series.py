@@ -176,6 +176,22 @@ def test_plus_dp_matches_brute_force_for_discounting():
             assert disc.eq(fp.coeff(w), expected), (w, fp.coeff(w), expected)
 
 
+def test_sum_and_product_check_weights_alike():
+    """A sum, like a product, of series over λ = 0.5 and λ = 0.9 raises;
+    series over two separately made λ = 0.5 instances combine."""
+    make = valuation.make_valuation_instance
+    half, other_half, ninth = make("disc", lam=0.5), make("disc", lam=0.5), make("disc", lam=0.9)
+    f = series.polynomial(half, ("a", "b"), {"a": 1.0})
+    with pytest.raises(ValueError, match="carrier mismatch in sum"):
+        series.series_add(f, series.polynomial(ninth, ("a", "b"), {"b": 2.0}))
+    with pytest.raises(ValueError, match="carrier mismatch in product"):
+        cauchy_mul(f, series.polynomial(ninth, ("a", "b"), {"b": 2.0}))
+    g = series.polynomial(other_half, ("a", "b"), {"b": 2.0})
+    assert other_half is not half
+    assert series.series_add(f, g).coeff("b") == 2.0
+    assert cauchy_mul(f, g).coeff("ab") == half.prod(1, 1, 1.0, 2.0)
+
+
 def test_plus_fixed_point_identity():
     sc = SeriesCarrier(valuation.from_carrier(make_instance("nat")), ("a", "b"), bound=8)
     rng = random.Random(12)

@@ -14,11 +14,9 @@ machine's speed moves between runs, so every run is kept with the median
 of each figure.  ``counts_moved`` lists, per traced workload, every
 per-layer metric whose ``BENCHMARK.json`` unit is ``count`` and whose
 parent and change medians differ, with both medians; it is ``{}`` when no
-count moved.  Then, in both trees, the lasso kernel's products per kept
-edge set on the canonical lassos of 20 compiled expressions per instance.
-Then ``tier1``: the tier-1 suite, ``PYTHONPATH=<tree>/src python -m pytest
--q -s --continue-on-collection-errors``, TIER1_RUNS times in each tree,
-alternating which tree goes first; per run its wall time in seconds,
+count moved.  Then ``tier1``: the tier-1 suite, ``PYTHONPATH=<tree>/src
+python -m pytest -q -s --continue-on-collection-errors``, TIER1_RUNS times
+in each tree, alternating which tree goes first; per run its wall time in seconds,
 pytest's summary line, and each ``ACCEPTANCE n: PASS (t / budget)`` line
 as ``{n: [t, budget]}`` in seconds.  Last, the cold start: the median wall
 time of ``python -c pass``, of ``python -c "import omegalg.cli"`` and of
@@ -71,37 +69,6 @@ COLD_CALLS = {
     ]},
 }
 
-# Counts the products the lasso kernel builds: `_Period` is the product of
-# the kept edges with one period's cycle graph in both trees.
-PRODUCTS = """
-import json, random
-from omegalg import automata as A, omegalang, ratexpr as rx, valuation as V
-from omegalg.instances import make_instance
-built = []
-class Counted(A._Period):
-    def __init__(self, *args):
-        built.append(args[2])
-        super().__init__(*args)
-A._Period = Counted
-lassos = [w for g in omegalang.canonical_lassos(("a", "b")).values() for w in g]
-rng = random.Random(7)
-insts = {"bool": V.from_carrier(make_instance("bool")),
-         "limsup-avg": V.make_valuation_instance("limsup-avg"),
-         "disc-0.5": V.make_valuation_instance("disc", lam=0.5),
-         "lattice-inf": V.make_valuation_instance("lattice-inf")}
-out = {}
-for name, inst in insts.items():
-    per_set = set()
-    for _ in range(20):
-        aut = A.compile(rx.random_expr(rng, 3, kind="omega"), inst, ("a", "b"))
-        built.clear()
-        A.batch_infinitary(aut, lassos)
-        per_set.add(len(built) / len(aut._memo["kept"]))
-    out[name] = sorted(per_set)
-print(json.dumps(out))
-"""
-
-
 def run(tree: Path, *args) -> tuple[dict, float | None]:
     """The last stdout line of perfbench/run.py in ``tree``, and the median
     speed factor it reported."""
@@ -145,13 +112,6 @@ def counts_moved(out: dict) -> dict:
         if diff:
             moved[workload] = diff
     return moved
-
-
-def products(tree: Path) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    proc = subprocess.run([sys.executable, "-c", PRODUCTS], env=env, capture_output=True,
-                          text=True, check=True)
-    return json.loads(proc.stdout)
 
 
 def src_lines(tree: Path) -> dict:
@@ -228,7 +188,7 @@ def main(argv=None):
            "command": "python3 tools/bench_pairs.py PARENT_DIR --out " + args.out.name,
            "pairs": {}, "summary": {}, "speed_factors": [], "traced_kleene_seed_7": {},
            "traced_lasso_seed_7": {}, "traced_algebra_seed_7": {}, "traced_cli_seed_7": {},
-           "counts_moved": {}, "products_per_kept_set": {}, "tier1": {},
+           "counts_moved": {}, "tier1": {},
            "cold_start_s": {},
            "src_lines": {side: src_lines(tree) for side, tree in trees.items()}}
     for workload, seed in SEEDS.items():
@@ -257,8 +217,6 @@ def main(argv=None):
             side: {"runs": rs, "median": {name: statistics.median(r[name] for r in rs)
                                           for name in rs[0]}} for side, rs in runs.items()}
     out["counts_moved"] = counts_moved(out)
-    for side, tree in trees.items():
-        out["products_per_kept_set"][side] = products(tree)
     out["tier1"] = tier1(trees)
     out["cold_start_s"] = cold_start(trees)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
