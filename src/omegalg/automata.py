@@ -46,39 +46,39 @@ class MatrixAutomaton:
     alpha: tuple
     beta: tuple
     edges: tuple  # (source, letter, target, weight)
-    # the lasso kernel of this automaton, resolved once: its kept edge sets,
-    # each one object a query reads, with node values per rotation class and
-    # entry values per period
+    # the run dynamic program of this automaton (its out-edges per letter and
+    # source) and its lasso kernel, each resolved once: the kernel's kept edge
+    # sets, each one object a query reads, with node values per rotation class
+    # and entry values per period
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.k <= self.n:
             raise ValueError("need 0 <= k <= n")
 
-    def by_letter(self):
-        out = {}
-        for i, ch, j, w in self.edges:
-            out.setdefault(ch, []).append((i, j, w))
-        return out
-
 
 # --- finitary behavior -------------------------------------------------------------
 
 class _Run:
-    """The run dynamic program of an automaton.  ``step(vec, pos, ch)`` reads
-    the letter ``ch`` at position ``pos`` into the run values per state, at
-    position 0 from ``start``, the initial coefficients; ``finish`` sums the
-    values in final states."""
+    """The run dynamic program of an automaton, made once per automaton
+    (:func:`_run`).  ``step(vec, pos, ch)`` reads the letter ``ch`` at
+    position ``pos`` into the run values per state, at position 0 from
+    ``start``, the initial coefficients, and reads only the out-edges of the
+    states in ``vec`` (``out[letter][source]``, in edge order); ``finish``
+    sums the values in final states."""
 
     def __init__(self, aut):
-        self.inst, self.beta, self.by_letter = aut.instance, aut.beta, aut.by_letter()
+        self.inst, self.beta = aut.instance, aut.beta
         self.start = {i: a for i, a in enumerate(aut.alpha) if a}
+        self.out = {}
+        for i, ch, j, w in aut.edges:
+            self.out.setdefault(ch, {}).setdefault(i, []).append((j, w))
 
     def step(self, vec, pos, ch) -> dict:
-        inst, nxt = self.inst, {}
-        for i, j, w in self.by_letter.get(ch, ()):
-            if i in vec:
-                val = inst.prod(pos, 1, vec[i], w) if pos else inst.nat_act(vec[i], w)
+        inst, nxt, out = self.inst, {}, self.out.get(ch, {})
+        for i, x in vec.items():
+            for j, w in out.get(i, ()):
+                val = inst.prod(pos, 1, x, w) if pos else inst.nat_act(x, w)
                 nxt[j] = inst.add(nxt[j], val) if j in nxt else val
         return nxt
 
@@ -90,11 +90,19 @@ class _Run:
         return total
 
 
+def _run(aut) -> _Run:
+    """The automaton's run dynamic program, built on first use."""
+    run = aut._memo.get("run")
+    if run is None:
+        run = aut._memo["run"] = _Run(aut)
+    return run
+
+
 def finitary_coeff(aut, word: str):
     """Sum over successful runs on ``word`` of the valuation of their weights."""
     if not word:
         raise ValueError("the finitary behavior is a proper series: no empty word")
-    run = _Run(aut)
+    run = _run(aut)
     vec = run.start
     for pos, ch in enumerate(word):
         vec = run.step(vec, pos, ch)
@@ -107,7 +115,7 @@ def finitary_coeff(aut, word: str):
 def batch_finitary(aut, max_len: int) -> dict:
     """Coefficients of the nonempty words of length <= max_len, one sweep; a
     word missing from the table (no run reads it) has coefficient zero."""
-    run = _Run(aut)
+    run = _run(aut)
     out = {}
     frontier = [("", run.start)]
     for pos in range(max_len):

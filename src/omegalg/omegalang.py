@@ -111,10 +111,12 @@ def _plan(alphabet: tuple, stem_max, period_max):
 
 def _cut_walk(d, r):
     """The plain runs of the DFA on r^omega, from node q·m + i (state q, next
-    letter r[i]): a function giving a node's bitmask of the positions its run
-    cuts into, position i + 1 mod m when it reads r[i] into an accepting
-    state.  A plain run is deterministic, so it dies or ends in a cycle; a
-    node is walked once, when a query first reaches it."""
+    letter r[i]): a node's bitmask of the positions its run cuts into,
+    position i + 1 mod m when it reads r[i] into an accepting state.  A
+    plain run is deterministic, so it dies or ends in a cycle; a node is
+    walked once, when a query first reaches it.  Returns the memo of the
+    walked nodes' masks and the function that walks a node and gives its
+    mask; between calls every value in the memo is final."""
     m, delta, accept = len(r), d.delta, d.accept
     memo = {None: 0}                      # None: the dead state, which cuts nowhere
 
@@ -140,7 +142,7 @@ def _cut_walk(d, r):
             acc |= bit
             memo[u] = acc
         return acc
-    return cuts
+    return memo, cuts
 
 
 def _cut_into(lang, monoid: OmegaLangMonoid, inside, given) -> frozenset:
@@ -164,11 +166,16 @@ def _cut_into(lang, monoid: OmegaLangMonoid, inside, given) -> frozenset:
     cut = [q in d.accept for q in state]
     out = set()
     for r, rotations, lassos in classes:
-        m, cuts = len(r), _cut_walk(d, r)
+        m = len(r)
+        walked, cuts = _cut_walk(d, r)
         mask = inside(rotations, cuts)
         if mask:
-            out.update(w for w, stem, pos in lassos
-                       if state[stem] is not None and cuts(state[stem] * m + pos) & mask)
+            for w, stem, pos in lassos:
+                q = state[stem]
+                if q is not None:
+                    v = q * m + pos
+                    if (walked[v] if v in walked else cuts(v)) & mask:
+                        out.add(w)
     todo = list(out) if given is None else given
     for y in todo:
         for p, x in heads.get(y, ()):
@@ -198,9 +205,10 @@ def omega_language(lang, monoid: OmegaLangMonoid) -> frozenset:
 
     def endless(rotations, cuts):
         m = len(rotations)
+        reach = [cuts(s0 * m + j) for j in range(m)]
         live = (1 << m) - 1               # shrinks to the positions with endless cuts
         while True:
-            keep = sum(1 << j for j in range(m) if live >> j & 1 and cuts(s0 * m + j) & live)
+            keep = sum(1 << j for j in range(m) if live >> j & 1 and reach[j] & live)
             if keep == live:
                 return live
             live = keep

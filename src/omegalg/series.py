@@ -19,7 +19,8 @@ its own bound and at most once per query and word otherwise, so
 coefficients are exact at every length at polynomial cost.
 
 Ultimately periodic infinite words are represented by :class:`OmegaWord`
-lassos in canonical form: primitive period, shortest prefix.
+lassos in canonical form: primitive period, shortest prefix.  Each canonical
+form has one live object, so lassos compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import itertools
 import re
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
 
 from .core import Hemiring, LawReport, check_laws, words_up_to
 from .instances import BooleanCarrier, NatCarrier
@@ -64,28 +64,51 @@ def _least_rotation(word: str) -> int:
     return start
 
 
-@dataclass(frozen=True)
+_WORDS = weakref.WeakValueDictionary()   # canonical (prefix, period) -> its one live word
+
+
 class OmegaWord:
-    """Ultimately periodic word prefix · period^omega, canonicalised.
+    """Ultimately periodic word prefix · period^omega, canonicalised and interned.
 
     Canonical form: the period is primitive and the prefix cannot be
     shortened by rotating its last letter into the period.  Equality of
-    canonical forms is equality of the infinite words.
+    canonical forms is equality of the infinite words, and each canonical
+    form has one live object (hash-consing, kept in a weak table), so
+    ``==`` and ``hash`` are object identity.  A word is immutable.
     """
 
-    prefix: str
-    period: str
+    __slots__ = ("prefix", "period", "__weakref__")
 
-    def __post_init__(self):
-        if not self.period:
+    def __new__(cls, prefix: str, period: str):
+        w = _WORDS.get((prefix, period))      # only canonical forms are keys
+        if w is not None:
+            return w
+        if not period:
             raise ValueError("period must be nonempty")
-        v = _primitive_root(self.period)
-        u = self.prefix
+        v = _primitive_root(period)
+        u = prefix
         while u and u[-1] == v[-1]:
             u = u[:-1]
             v = v[-1] + v[:-1]
-        object.__setattr__(self, "prefix", u)
-        object.__setattr__(self, "period", v)
+        w = _WORDS.get((u, v))
+        if w is None:
+            w = object.__new__(cls)
+            object.__setattr__(w, "prefix", u)
+            object.__setattr__(w, "period", v)
+            _WORDS[u, v] = w
+        return w
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return OmegaWord, (self.prefix, self.period)
+
+    def __repr__(self):
+        return f"OmegaWord(prefix={self.prefix!r}, period={self.period!r})"
 
     def letters(self, count: int) -> str:
         """The first ``count`` letters of the infinite word."""

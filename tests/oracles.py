@@ -614,7 +614,9 @@ def _lasso_product(aut: MatrixAutomaton, w: OmegaWord, edge_filter=None) -> _Las
     length, stem = len(word), len(w.prefix)
     nnodes = aut.n * length
     succ = [[] for _ in range(nnodes)]
-    by_letter = aut.by_letter()
+    by_letter = {}
+    for i, ch, j, wgt in aut.edges:
+        by_letter.setdefault(ch, []).append((i, j, wgt))
     for pos in range(length):
         nxt = pos + 1 if pos + 1 < length else stem
         for i, j, wgt in by_letter.get(word[pos], ()):

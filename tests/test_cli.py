@@ -153,6 +153,23 @@ def test_seed_determinism(runner):
     assert run(runner, *args).stdout == run(runner, *args).stdout
 
 
+def test_lang_hemimodule_report_does_not_depend_on_hash_order():
+    """Fingerprints are sets of interned lassos hashed by identity, so they
+    iterate in an order set by addresses and string hashes; the report must
+    not depend on it.  Two processes with different string hash seeds print
+    the same bytes."""
+    outs = []
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-m", "omegalg.cli", "laws", "--instance", "lang",
+                               "--suite", "hemimodule", "--seed", "3"], capture_output=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": SRC,
+                                               "PYTHONHASHSEED": hash_seed})
+        assert proc.returncode in (0, 1), proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["suite"] == "hemimodule:lang-pair(ab)"
+
+
 def test_env_seed_override(runner):
     res = run(runner, "manifest", "--instance", "disc", env={"OMEGA_WEIGHTS_SEED": "99"})
     data = json.loads(res.stdout)

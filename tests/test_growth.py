@@ -4,9 +4,9 @@ doubles.  Counts do not move with the machine, so they can be pinned."""
 
 import random
 
-from omegalg import automata as A, matrices as M, valuation as V
+from omegalg import automata as A, matrices as M, ratexpr as rx, valuation as V
 from omegalg.core import self_pair
-from omegalg.instances import MinPlusCarrier
+from omegalg.instances import MinPlusCarrier, make_instance
 from omegalg.series import OmegaWord
 
 
@@ -138,3 +138,34 @@ def test_howard_passes_do_not_grow_with_period_length(monkeypatch):
     assert count[3000] == 24, count
     for m in (3000, 6000):
         assert count[2 * m] <= 1.25 * count[m], count
+
+
+def test_finitary_runs_grow_linearly_in_word_length(monkeypatch):
+    """A run on the chain automaton of a product reads only the out-edges of
+    its live states: each doubling of the word multiplies the edges it reads
+    by at most 2.2 (linear: 2), where reading every edge of each letter made
+    it quadratic."""
+    read = [0]
+
+    class Edges(list):
+        def __iter__(self):
+            read[0] += len(self)
+            return super().__iter__()
+
+    class Counted(A._Run):
+        def __init__(self, aut):
+            super().__init__(aut)
+            for by_source in self.out.values():
+                for i, edges in by_source.items():
+                    by_source[i] = Edges(edges)
+
+    monkeypatch.setattr(A, "_Run", Counted)
+    nat = V.from_carrier(make_instance("nat"))
+    edges = {}
+    for m in (2500, 5000, 10000):
+        word = "ab" * (m // 2)
+        read[0] = 0
+        assert A.finitary_coeff(A.compile(rx.parse(word), nat, ("a", "b")), word) == 1
+        edges[m] = read[0]
+    for m in (2500, 5000):
+        assert edges[2 * m] <= 2.2 * edges[m], edges

@@ -1,8 +1,10 @@
 """Series coefficients: Cauchy products, the plus DP against brute force,
 bounded equality, omega words, and the language instance."""
 
+import copy
 import gc
 import math
+import pickle
 import random
 import sys
 import time
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from omegalg import core, dfa, series, valuation
+from omegalg import core, dfa, omegalang, series, valuation
 from omegalg.instances import make_instance
 from omegalg.series import (OmegaWord, Series, SeriesCarrier, _differing, bounded_eq,
                             cauchy_mul, parse_word, series_plus)
@@ -99,6 +101,67 @@ def test_omega_word_suffix_drops_letters(u, v, d, n):
 def test_parse_word_inverts_str(u, v):
     w = OmegaWord(u, v)
     assert parse_word(str(w)) == w
+
+
+# --- interned omega words ------------------------------------------------------
+
+def test_equal_omega_words_are_one_object():
+    """Every way of making a lasso gives the one live object of its
+    canonical form: the constructor, ``parse_word``, ``suffix`` and the
+    canonical family of the fingerprints."""
+    w = OmegaWord("b", "ab")
+    assert OmegaWord("bab", "ab") is w
+    assert OmegaWord(prefix="ba", period="baba") is w
+    assert parse_word("b(ab)^w") is w and parse_word("bab(ab)^w") is w
+    assert OmegaWord("ab", "ab").suffix(1) is w
+    assert OmegaWord("ab", "ba").suffix(3) is OmegaWord("", "ab")
+    for group in omegalang.canonical_lassos(("a", "b")).values():
+        for x in group:
+            assert OmegaWord(x.prefix, x.period) is x
+            assert parse_word(str(x)) is x
+            assert x.suffix(0) is x
+
+
+def test_omega_words_survive_pickle_and_deepcopy_as_the_same_object():
+    w = OmegaWord("ab", "ba")
+    assert pickle.loads(pickle.dumps(w)) is w
+    assert copy.deepcopy(w) is w and copy.copy(w) is w
+    fp = frozenset([w, OmegaWord("", "a"), OmegaWord("b", "ab")])
+    back = pickle.loads(pickle.dumps(fp))
+    assert back == fp and all(any(x is y for y in fp) for x in back)
+
+
+def test_omega_words_are_immutable():
+    w = OmegaWord("a", "b")
+    for name in ("prefix", "period", "other"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, "b")
+    with pytest.raises(AttributeError):
+        del w.prefix
+    assert (w.prefix, w.period) == ("a", "b")
+
+
+def test_omega_word_text_and_letters_are_unchanged():
+    w = OmegaWord("ab", "ba")
+    assert repr(w) == "OmegaWord(prefix='ab', period='ba')"
+    assert str(w) == "ab(ba)^w"
+    assert w.letters(0) == "" and w.letters(3) == "abb" and w.letters(9) == "abbababab"
+    assert [w.letter_at(i) for i in range(7)] == list("abbabab")
+    assert repr(OmegaWord("abab", "ab")) == "OmegaWord(prefix='', period='ab')"
+
+
+def test_the_word_table_keeps_no_dead_words():
+    """Memory does not grow with the lassos a program makes: 10,000 distinct
+    200-letter lassos leave the weak table once they are dropped."""
+    gc.collect()
+    before = len(series._WORDS)
+    words = [OmegaWord(format(i, "0198b").translate(str.maketrans("01", "ab")) + "b", "a")
+             for i in range(10_000)]
+    assert len({id(w) for w in words}) == 10_000
+    assert len(series._WORDS) == before + 10_000
+    del words
+    gc.collect()
+    assert len(series._WORDS) == before
 
 
 # --- coefficients ------------------------------------------------------------

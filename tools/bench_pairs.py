@@ -6,7 +6,13 @@ PARENT_DIR holds the files of the parent commit (for example
 ``git archive <parent> | tar -x -C PARENT_DIR``).  For each workload,
 ``perfbench/run.py --seconds 20 --trace 0`` runs PAIRS times in PARENT_DIR
 and in this checkout, alternating which of the two goes first, and every
-run's end-to-end metrics and speed factor are kept.  Then the traced
+run's end-to-end metrics and speed factor are kept.  ``summary`` gives,
+per workload and metric, both medians, the parent's interquartile range,
+``change_higher`` (the pairs in which the change reads higher) and
+``change_better`` (the pairs the change wins by the metric's ``better`` in
+``BENCHMARK.json``, ties counting for neither), so a claimed gain reads
+straight off it: wins in at least 9 of 10 pairs and a median gap above the
+parent's interquartile range.  Then the traced
 ``kleene``, ``lasso``, ``algebra`` and ``cli`` runs at seed 7 (per-layer
 spans and carrier op counts; of ``cli`` its ``cli.*`` figures),
 TRACED_RUNS times in each tree, alternating which tree goes first: the
@@ -84,15 +90,22 @@ def metrics(result: dict) -> dict:
 
 def summary(rows: list) -> dict:
     """Per metric: parent and change medians, the parent's interquartile
-    range, and the pairs in which the change reads higher."""
+    range, the pairs in which the change reads higher (``change_higher``)
+    and the pairs it wins by the metric's ``better`` in ``BENCHMARK.json``
+    (``change_better``; a tie counts for neither side)."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     out = {}
     for name in rows[0]["parent"]:
         parent = [row["parent"][name] for row in rows]
         change = [row["change"][name] for row in rows]
         q1, _, q3 = statistics.quantiles(parent, n=4)
+        lower = better[name] == "lower"
         out[name] = {"parent_median": statistics.median(parent),
                      "change_median": statistics.median(change), "parent_iqr": q3 - q1,
-                     "change_higher": sum(c > p for p, c in zip(parent, change))}
+                     "change_higher": sum(c > p for p, c in zip(parent, change)),
+                     "change_better": sum(c < p if lower else c > p
+                                          for p, c in zip(parent, change))}
     return out
 
 
