@@ -18,8 +18,6 @@ import sys
 # pays only for its own modules
 from . import core, valuation
 
-DEFAULT_SEED = 42
-
 
 class BadInput(Exception):
     """Bad input: one ``Error: ...`` line on stderr and exit code 2."""
@@ -40,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
 def _default_seed():
     env = os.environ.get("OMEGA_WEIGHTS_SEED")
     try:
-        return int(env) if env else DEFAULT_SEED
+        return int(env) if env else core.DEFAULT_SEED
     except ValueError:
         raise BadInput(f"OMEGA_WEIGHTS_SEED={env!r} is not an integer") from None
 

@@ -1,12 +1,15 @@
 """Finitary series as truncated coefficient tables, plus the word machinery.
 
 A :class:`Series` holds the non-zero coefficients of a series on every word
-of length at most its ``bound``, in a dict built bottom-up on first use.
-Sums merge the two tables; Cauchy products join the two supports, combine
-each split with ``prod(|u|, |v|, ·, ·)`` (which collapses to plain
-multiplication for hemiring weights) and drop pairs longer than the bound;
-the plus runs the prefix recurrence in order of length; the natural action
-maps every coefficient.  Zero sums and zero products are dropped, so
+of length at most its ``bound``, in a dict.  An operation makes its result's
+table from its operands' tables when it makes the series; only a machine's
+behavior (an automaton's, a language element's DFA) builds its table on
+first read, once.  A bound never changes.  Sums merge the two tables;
+Cauchy products join the two supports, combine each split with
+``prod(|u|, |v|, ·, ·)`` (which collapses to plain multiplication for
+hemiring weights) and drop pairs longer than the bound; the plus runs the
+prefix recurrence in order of length; the natural action maps every
+coefficient.  Zero sums and zero products are dropped, so
 ``coeff`` is a dict lookup and a miss is a zero coefficient.
 
 Past the bound nothing is guessed: each operation has one rule for a single
@@ -16,7 +19,8 @@ the natural action scales, a polynomial looks the word up, an automaton's
 behavior (:func:`automata.finitary_series`) runs it, and an element of the
 language carrier walks its DFA.  An operand answers from its table within
 its own bound and at most once per query and word otherwise, so
-coefficients are exact at every length at polynomial cost.
+coefficients are exact at every length at polynomial cost.  A table asked
+for past the bound is read word by word through these rules.
 
 Ultimately periodic infinite words are represented by :class:`OmegaWord`
 lassos in canonical form: primitive period, shortest prefix.  Each canonical
@@ -160,7 +164,7 @@ def parse_word(text: str):
 # --- series -----------------------------------------------------------------------
 
 _MISS = object()
-_UNBUILT = {}   # the table of every series not yet queried; never written to
+_UNBUILT = {}   # the table of a machine's series not yet read; never written to
 
 
 @functools.cache
@@ -187,34 +191,33 @@ def _check_word(word: str, alphabet: tuple):
 class Series:
     """Non-zero coefficients on the words of length <= ``bound``.
 
-    ``build(L)`` returns the table at bound L; it runs on the first query,
-    which first builds the unbuilt tables of the ``operands`` it reads
-    (:func:`_build`).  ``at(word, memo)`` gives the coefficient of a longer
-    word, or ``_MISS``, from the operands read through :func:`_at`.  No
-    ``at`` refers to its own series, so a series is freed by reference
-    counting.
+    An operation passes the ``table`` it made from its operands' tables; a
+    series backed by a machine passes ``build`` instead, and its first read
+    of ``table`` calls ``build(bound)``, once.  The bound never changes.
+    ``at(word, memo)`` gives the coefficient of a longer word, or ``_MISS``,
+    from the operands read through :func:`_at`.  No ``at`` refers to its
+    own series, so a series is freed by reference counting.
     """
 
-    __slots__ = ("weights", "alphabet", "letters", "bound", "build", "at", "operands", "_table",
+    __slots__ = ("weights", "alphabet", "letters", "bound", "build", "at", "_table",
                  "proper", "backing")
 
     def __init__(self, weights, alphabet, bound, build, at, proper=True, backing=None,
-                 operands=()):
+                 table=None):
         self.weights = weights
         self.alphabet = tuple(alphabet)
         self.letters = _letter_string(self.alphabet)
         self.bound = bound
         self.build = build
         self.at = at
-        self.operands = operands
-        self._table = _UNBUILT
+        self._table = _UNBUILT if table is None else table
         self.proper = proper
         self.backing = backing
 
     @property
     def table(self) -> dict:
         if self._table is _UNBUILT:
-            _build(self, self.bound)
+            self._table = self.build(self.bound)
         return self._table
 
     def coeff(self, word: str):
@@ -231,35 +234,21 @@ class Series:
         return self.weights.zero
 
     def table_at(self, bound: int) -> dict:
-        """The table up to ``bound``, rebuilt in place if it stops short of it."""
-        if bound > self.bound or self._table is _UNBUILT:
-            _build(self, bound)
+        """The non-zero coefficients on the words of length <= ``bound``: the
+        table cut at ``bound``, or, past the series' own bound, the table and
+        every longer word read through :meth:`coeff`."""
         if bound == self.bound:
-            return self._table
-        return {u: x for u, x in self._table.items() if len(u) <= bound}
-
-
-def _build(root, bound: int):
-    """Build ``root``'s table at the larger of ``bound`` and its own bound.
-
-    A series built at L reads each operand's ``table_at(L)``, so every
-    operand not yet built at L or beyond is built first, at the larger of L
-    and its own bound, deepest first and left to right.  The walk keeps an
-    explicit stack, so an operand chain of any depth builds without
-    recursion; each series is built at most once per walk.
-    """
-    stack = [(root, bound, False)]
-    while stack:
-        f, L, expanded = stack.pop()
-        if f._table is not _UNBUILT and f.bound >= L:
-            continue
-        L = max(L, f.bound)
-        if expanded:
-            f._table = f.build(L)
-            f.bound = L
-        else:
-            stack.append((f, L, True))
-            stack.extend((g, L, False) for g in reversed(f.operands))
+            return self.table
+        if bound < self.bound:
+            return {u: x for u, x in self.table.items() if len(u) <= bound}
+        out = dict(self.table)
+        eq, zero = self.weights.eq, self.weights.zero
+        for u in words_up_to(self.alphabet, bound):
+            if len(u) > self.bound:
+                x = self.coeff(u)
+                if not eq(x, zero):
+                    out[u] = x
+        return out
 
 
 def _at(f, word: str, memo: dict):
@@ -291,7 +280,7 @@ def _drop_zeros(weights, table: dict, words=None) -> dict:
 
 
 def zero_series(weights, alphabet, bound=DEFAULT_BOUND) -> Series:
-    return Series(weights, alphabet, bound, lambda L: {}, lambda word, memo: _MISS)
+    return Series(weights, alphabet, bound, None, lambda word, memo: _MISS, table={})
 
 
 def polynomial(weights, alphabet, table: dict, bound=DEFAULT_BOUND) -> Series:
@@ -300,12 +289,9 @@ def polynomial(weights, alphabet, table: dict, bound=DEFAULT_BOUND) -> Series:
     for word in table:
         _check_word(word, alphabet)
     table = dict(table)
-
-    def build(L):
-        return _drop_zeros(weights, {u: x for u, x in table.items() if len(u) <= L})
-
-    return Series(weights, alphabet, bound, build, lambda word, memo: table.get(word, _MISS),
-                  proper="" not in table)
+    kept = _drop_zeros(weights, {u: x for u, x in table.items() if len(u) <= bound})
+    return Series(weights, alphabet, bound, None, lambda word, memo: table.get(word, _MISS),
+                  proper="" not in table, table=kept)
 
 
 def _same_weights(f, g, op):
@@ -319,25 +305,22 @@ def _same_weights(f, g, op):
 
 def series_add(f, g) -> Series:
     _same_weights(f, g, "sum")
-    w = f.weights
-
-    def build(L):
-        out = dict(f.table_at(L))
-        both = []
-        for u, y in g.table_at(L).items():
-            if u in out:
-                out[u] = w.add(out[u], y)
-                both.append(u)
-            else:
-                out[u] = y
-        return _drop_zeros(w, out, both)
+    w, L = f.weights, min(f.bound, g.bound)
+    out = dict(f.table_at(L))
+    both = []
+    for u, y in g.table_at(L).items():
+        if u in out:
+            out[u] = w.add(out[u], y)
+            both.append(u)
+        else:
+            out[u] = y
+    _drop_zeros(w, out, both)
 
     def at(word, memo):
         x, y = _at(f, word, memo), _at(g, word, memo)
         return y if x is _MISS else x if y is _MISS else w.add(x, y)
 
-    return Series(w, f.alphabet, min(f.bound, g.bound), build, at, proper=f.proper and g.proper,
-                  operands=(f, g))
+    return Series(w, f.alphabet, L, None, at, proper=f.proper and g.proper, table=out)
 
 
 def cauchy_mul(f, g) -> Series:
@@ -347,20 +330,18 @@ def cauchy_mul(f, g) -> Series:
     a longer word sums its cuts.
     """
     _same_weights(f, g, "product")
-    w = f.weights
-
-    def build(L):
-        out = {}
-        left = _by_length(f.table_at(L))
-        right = _by_length(g.table_at(L))
-        for m in sorted(left):
-            for n in range(L - m + 1):
-                for v, y in right.get(n, ()):
-                    for u, x in left[m]:
-                        p = w.prod(m, n, x, y)
-                        uv = u + v
-                        out[uv] = w.add(out[uv], p) if uv in out else p
-        return _drop_zeros(w, out)
+    w, L = f.weights, min(f.bound, g.bound)
+    out = {}
+    left = _by_length(f.table_at(L))
+    right = _by_length(g.table_at(L))
+    for m in sorted(left):
+        for n in range(L - m + 1):
+            for v, y in right.get(n, ()):
+                for u, x in left[m]:
+                    p = w.prod(m, n, x, y)
+                    uv = u + v
+                    out[uv] = w.add(out[uv], p) if uv in out else p
+    _drop_zeros(w, out)
 
     def at(word, memo):
         n, acc = len(word), _MISS
@@ -372,8 +353,7 @@ def cauchy_mul(f, g) -> Series:
                 acc = p if acc is _MISS else w.add(acc, p)
         return acc
 
-    return Series(w, f.alphabet, min(f.bound, g.bound), build, at, proper=f.proper or g.proper,
-                  operands=(f, g))
+    return Series(w, f.alphabet, L, None, at, proper=f.proper or g.proper, table=out)
 
 
 def series_plus(f) -> Series:
@@ -388,23 +368,20 @@ def series_plus(f) -> Series:
         raise ValueError("plus is defined on proper series only")
     w = f.weights
     token = object()    # keys this plus's prefix values in a query's memo
-
-    def build(L):
-        out = {}
-        pieces = _by_length(f.table_at(L))
-        done = {}       # length -> [(u, T(u))]
-        for n in range(1, L + 1):
-            layer = dict(pieces.get(n, ()))
-            for m in range(1, n):
-                for v, y in pieces.get(n - m, ()):
-                    for u, x in done.get(m, ()):
-                        p = w.prod(m, n - m, x, y)
-                        uv = u + v
-                        layer[uv] = w.add(layer[uv], p) if uv in layer else p
-            _drop_zeros(w, layer)
-            done[n] = list(layer.items())
-            out.update(layer)
-        return out
+    out = {}
+    pieces = _by_length(f.table)
+    done = {}       # length -> [(u, T(u))]
+    for n in range(1, f.bound + 1):
+        layer = dict(pieces.get(n, ()))
+        for m in range(1, n):
+            for v, y in pieces.get(n - m, ()):
+                for u, x in done.get(m, ()):
+                    p = w.prod(m, n - m, x, y)
+                    uv = u + v
+                    layer[uv] = w.add(layer[uv], p) if uv in layer else p
+        _drop_zeros(w, layer)
+        done[n] = list(layer.items())
+        out.update(layer)
 
     def at(word, memo):
         prefixes = memo.setdefault(token, {})    # prefix -> T(prefix), or _MISS
@@ -422,20 +399,18 @@ def series_plus(f) -> Series:
             prefixes[z] = _MISS if acc is _MISS or w.eq(acc, w.zero) else acc
         return prefixes[word]
 
-    return Series(w, f.alphabet, f.bound, build, at, operands=(f,))
+    return Series(w, f.alphabet, f.bound, None, at, table=out)
 
 
 def scale_nat(n: int, f) -> Series:
     w = f.weights
 
-    def build(L):
-        return _drop_zeros(w, {u: w.nat_act(n, x) for u, x in f.table_at(L).items()})
-
     def at(word, memo):
         x = _at(f, word, memo)
         return x if x is _MISS else w.nat_act(n, x)
 
-    return Series(w, f.alphabet, f.bound, build, at, proper=f.proper, operands=(f,))
+    return Series(w, f.alphabet, f.bound, None, at, proper=f.proper,
+                  table=_drop_zeros(w, {u: w.nat_act(n, x) for u, x in f.table.items()}))
 
 
 def _differing(f, g, bound):
@@ -466,8 +441,7 @@ def bounded_eq(f, g, bound: int = DEFAULT_BOUND) -> LawReport:
     if f.alphabet != g.alphabet:
         raise ValueError("alphabet mismatch")
     w = f.weights
-    a, b = f.table_at(bound), g.table_at(bound)
-    coeff = ("coeff", lambda u: (a.get(u, w.zero), b.get(u, w.zero)), lambda u: (u or "<empty>",))
+    coeff = ("coeff", lambda u: (f.coeff(u), g.coeff(u)), lambda u: (u or "<empty>",))
     return check_laws(LawReport(f"bounded-eq(L={bound})", 0), [coeff],
                       ((u,) for u in words_up_to(f.alphabet, bound)), w.eq, w.show, max_failures=20)
 

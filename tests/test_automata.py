@@ -482,21 +482,43 @@ def test_eliminate_one_state_loop(boolw, natw, lang_pair6):
         assert rx.eval_fin(fin, natw, ("a",)).coeff("a") == alpha
 
 
-def test_walks_on_an_eliminated_dag_cost_its_size(natw):
+def test_walks_on_an_eliminated_dag_cost_its_size(natw, monkeypatch):
     """An 8-state automaton, two edges per state and letter, eliminates to
     a DAG of a few hundred nodes whose tree prints as 1.6 million
-    characters; each walk visits a shared node once."""
-    import time
+    characters; each walk calls its rules once per distinct node, and
+    ``expr_equal(fin, fin)`` twice (one walk per side)."""
+    import dataclasses
+    from collections import Counter
     from omegalg.series import SeriesCarrier
     rng = random.Random(1)
     edges = tuple((i, ch, rng.randrange(8), 1) for i in range(8) for ch in AB for _ in range(2))
     fin, _ = A.eliminate(A.MatrixAutomaton(natw, AB, 8, 0, (1,) + (0,) * 7, (1,) * 8, edges))
+    nodes, stack = {}, [fin]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(getattr(node, f.name) for f in dataclasses.fields(node)
+                         if f.name not in ("ch", "coef"))
+    assert 200 < len(nodes) < 1000
+    visits = Counter()
+    fold = rx.fold
+
+    def counted(e, rules):
+        def count(rule):
+            def call(node, *kids):
+                visits[id(node)] += 1
+                return rule(node, *kids)
+            return call
+        return fold(e, {cls: count(rule) for cls, rule in rules.items()})
+
+    monkeypatch.setattr(rx, "fold", counted)
     sc = SeriesCarrier(natw, AB, bound=4)
-    for walk in (lambda: rx.letters_of(fin), lambda: rx.expr_equal(fin, fin),
-                 lambda: rx.eval_fin_in_carrier(fin, sc, sc.letter)):
-        start = time.perf_counter()
+    for walk, times in ((lambda: rx.letters_of(fin), 1), (lambda: rx.expr_equal(fin, fin), 2),
+                        (lambda: rx.eval_fin_in_carrier(fin, sc, sc.letter), 1)):
+        visits.clear()
         walk()
-        assert time.perf_counter() - start < 0.05
+        assert visits == dict.fromkeys(nodes, times)
 
 
 def test_eliminate_zero_automaton(boolw):

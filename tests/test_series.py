@@ -501,32 +501,71 @@ def test_language_builds_are_counted(monkeypatch):
     assert counts == MINIMIZE_CALLS, counts
 
 
-def test_series_builds_its_table_on_first_query_only():
+def test_operations_make_their_tables_with_the_series():
+    """An operation reads each operand's table once, when it makes its
+    series; a caller's ``build`` runs once, on the first read of the table
+    and never before; ``table`` never hands out the unbuilt placeholder;
+    and no query, within the bound or past it, changes a bound."""
     natw = valuation.from_carrier(make_instance("nat"))
     sc = SeriesCarrier(natw, ("a", "b"), bound=4)
     calls = []
+
+    class Counted(Series):
+        __slots__ = ("reads",)
+
+        @property
+        def table(self):
+            self.reads += 1
+            return Series.table.fget(self)
 
     def build(L):
         calls.append(L)
         return {"a": 1}
 
-    def at(word, memo):
-        raise AssertionError("no query here goes past the bound")
+    def machine():
+        f = Counted(natw, ("a", "b"), 4, build, lambda word, memo: series._MISS)
+        f.reads = 0
+        return f
 
-    f = Series(natw, ("a", "b"), 4, build, at)
-    g = sc.plus(sc.add(sc.mul(f, f), sc.nat_act(2, f)))
-    sc.mul(Series(natw, ("a", "b"), 4, build, at), f)   # never queried: never built
-    assert calls == []
-    assert g.coeff("aa") == 5 and calls == [4]     # 1·aa + (2a)(2a), f built once
-    assert f.table == {"a": 1} and calls == [4]
+    f, h = machine(), machine()
+    assert calls == []                              # never read: never built
+    g = sc.add(f, h)
+    assert calls == [4, 4] and (f.reads, h.reads) == (1, 1)
+    k = sc.plus(sc.add(sc.mul(f, h), sc.nat_act(2, f)))
+    assert calls == [4, 4] and (f.reads, h.reads) == (3, 2)
+    assert g.coeff("a") == 2 and k.coeff("aa") == 5     # 1·aa + (2a)(2a)
+    assert [k.coeff("a" * n) for n in range(1, 5)] == [2, 5, 12, 29]
+    assert calls == [4, 4] and (f.reads, h.reads) == (3, 2)   # within the bound: lookups only
+    assert k.coeff("a" * 6) == 169 and k.table_at(6)["a" * 6] == 169
+    assert bounded_eq(k, k, 6).ok and next(_differing(k, g, 6), None) is not None
+    assert calls == [4, 4]
+    assert all(s.bound == 4 for s in (f, h, g, k))
     # the table read from outside is built, never the empty placeholder
-    assert Series(natw, ("a", "b"), 4, build, at).table == {"a": 1} and calls == [4, 4]
+    empty = Series(natw, ("a", "b"), 4, lambda L: calls.append(L) or {}, None)
+    assert empty.table == {} and empty.table is not series._UNBUILT and calls == [4, 4, 4]
+    assert empty.table is empty.table and calls == [4, 4, 4]
+    assert machine().table == {"a": 1} and calls == [4, 4, 4, 4]
+
+
+def test_language_elements_build_no_table():
+    """The language carrier's elements answer from their DFAs: after the
+    hemiring suite and the S3 group check of the benchmark's language jobs,
+    no element the carrier holds has built a table."""
+    from omegalg import matrices
+    lang = series.language_instance(("a", "b"), 6)
+    pair = omegalang.language_pair(("a", "b"), bound=6)
+    assert core.conway_hemiring_laws(lang, None, 120, 7).ok
+    matrices.group_identity_check(matrices.builtin_groups()["S3"], lang, None, 1, 42, pair)
+    held = [*lang._interned.values(), *pair.hemiring._interned.values()]
+    assert len(held) > 100
+    assert all(f._table is series._UNBUILT for f in held)
 
 
 def test_long_operand_chains_build_without_recursion():
     """A 5,000-letter product, a 5,000-term sum and ``a`` under 5,000 plus
-    signs build their tables with an explicit stack: with a recursion limit
-    of 150 their first queries answer as the compiled automaton does."""
+    signs build their tables without recursion, each series as it is made:
+    with a recursion limit of 150 their evaluation and first queries answer
+    as the compiled automaton does."""
     from omegalg import automata as A, ratexpr as rx
     natw = valuation.from_carrier(make_instance("nat"))
     a = rx.Letter("a")
@@ -536,10 +575,10 @@ def test_long_operand_chains_build_without_recursion():
     for e in (reduce(rx.Prod, [a] * 5000), reduce(rx.Sum, [a] * 5000), tower):
         aut = A.compile(e, natw, ("a", "b"))
         want = [A.finitary_coeff(aut, w) for w in ("a", "aa")]
-        s = rx.eval_fin(e, natw)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(150)
         try:
+            s = rx.eval_fin(e, natw)
             got = [s.coeff(w) for w in ("a", "aa")]
         finally:
             sys.setrecursionlimit(limit)
@@ -596,6 +635,29 @@ def test_in_alphabet_queries_never_reach_the_letter_loop(monkeypatch, lang6):
         built.table
         assert [make().coeff(w) for w in words] == want[name], name
         assert [built.coeff(w) for w in words] == want[name], name
+
+
+def test_tables_past_the_bound_read_the_coefficients(lang6):
+    """A table asked for past a series' bound holds exactly its non-zero
+    coefficients there, as the same series made at bound 8 has them; and
+    ``bounded_eq`` past the bound finds the bound-8 twin equal and every
+    non-zero coefficient of the support against zero, in shortlex order."""
+    kinds = _series_of_every_kind(lang6)
+    words = list(core.words_up_to(("a", "b"), 5))
+    for name, make in kinds.items():
+        f = make()
+        want = {u: f.coeff(u) for u in words if not f.weights.eq(f.coeff(u), f.weights.zero)}
+        assert f.table_at(5) == want, name
+        if name.endswith("/3"):
+            twin = kinds[name.replace("/3", "/8")]()
+            assert want == twin.table_at(5), name
+            report = bounded_eq(make(), twin, 5)
+            assert report.ok and report.trials == len(words) == 63, name
+            zero = series.zero_series(f.weights, f.alphabet, 8)
+            shown = [(f.weights.show(x), u) for u, x in want.items()]
+            assert [(x.lhs, x.inputs[0]) for x in bounded_eq(make(), zero, 5).failures] == \
+                shown[:20], name
+            assert make().bound == 3
 
 
 def test_foreign_letters_raise_the_same_error(lang6):
@@ -726,7 +788,7 @@ def test_eval_fin_tables_match_brute_force(name):
 def test_length_indexed_products_match_brute_force(name):
     # letters of unequal weight, so that swapping the lengths in
     # prod(|u|, |v|, x, y) changes the coefficients; bound 6 checks the full
-    # tables, bound 0 the tables rebuilt on each query word's factors
+    # tables, bound 0 the rules past the bound on each query word's factors
     from omegalg import ratexpr as rx
     inst = valuation.make_valuation_instance(name)
     letters = {"a": 0.0, "b": 3.0}

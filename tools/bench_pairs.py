@@ -12,7 +12,11 @@ per workload and metric, both medians, the parent's interquartile range,
 ``change_better`` (the pairs the change wins by the metric's ``better`` in
 ``BENCHMARK.json``, ties counting for neither), so a claimed gain reads
 straight off it: wins in at least 9 of 10 pairs and a median gap above the
-parent's interquartile range.  Then the traced
+parent's interquartile range.  ``unresolved`` is true when the parent's
+interquartile range exceeds the metric's ``bound`` times the parent
+median, unless every change run is better than every parent run: the
+parent's own spread is then wider than the change the bound allows, so the
+pairs can neither show nor rule out a regression.  Then the traced
 ``kleene``, ``lasso``, ``algebra`` and ``cli`` runs at seed 7 (per-layer
 spans and carrier op counts; of ``cli`` its ``cli.*`` figures),
 TRACED_RUNS times in each tree, alternating which tree goes first: the
@@ -90,22 +94,27 @@ def metrics(result: dict) -> dict:
 
 def summary(rows: list) -> dict:
     """Per metric: parent and change medians, the parent's interquartile
-    range, the pairs in which the change reads higher (``change_higher``)
-    and the pairs it wins by the metric's ``better`` in ``BENCHMARK.json``
-    (``change_better``; a tie counts for neither side)."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    range, the pairs in which the change reads higher (``change_higher``),
+    the pairs it wins by the metric's ``better`` in ``BENCHMARK.json``
+    (``change_better``; a tie counts for neither side), and ``unresolved``
+    (the parent's interquartile range above ``bound`` times its median,
+    unless every change run beats every parent run)."""
+    spec = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     out = {}
     for name in rows[0]["parent"]:
         parent = [row["parent"][name] for row in rows]
         change = [row["change"][name] for row in rows]
         q1, _, q3 = statistics.quantiles(parent, n=4)
-        lower = better[name] == "lower"
-        out[name] = {"parent_median": statistics.median(parent),
+        median = statistics.median(parent)
+        lower = spec[name]["better"] == "lower"
+        all_better = max(change) < min(parent) if lower else min(change) > max(parent)
+        out[name] = {"parent_median": median,
                      "change_median": statistics.median(change), "parent_iqr": q3 - q1,
                      "change_higher": sum(c > p for p, c in zip(parent, change)),
                      "change_better": sum(c < p if lower else c > p
-                                          for p, c in zip(parent, change))}
+                                          for p, c in zip(parent, change)),
+                     "unresolved": q3 - q1 > spec[name]["bound"] * median
+                                   and not all_better}
     return out
 
 
