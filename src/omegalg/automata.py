@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from .core import CommutativeMonoid, HemimodulePair, Hemiring
 from .ratexpr import (ActProd, Letter, OmegaPow, OmegaSum, Plus, Prod, Scalar,
                       Sum, check_alphabet, fold, to_text)
-from .series import DEFAULT_BOUND, OmegaSeries, OmegaWord, Series, _check_word, _least_rotation
+from .series import OmegaSeries, OmegaWord, Series, _check_word, _least_rotation
 from .valuation import _disc_periodic
 
 INF = math.inf
@@ -131,14 +131,10 @@ def batch_finitary(aut, max_len: int) -> dict:
 
 
 def finitary_series(aut) -> Series:
-    """The finitary behavior as a series: the table of :func:`batch_finitary`
-    up to the bound, and :func:`finitary_coeff` on a longer word."""
-    inst = aut.instance
-
-    def build(L):
-        return {w: v for w, v in batch_finitary(aut, L).items() if not inst.eq(v, inst.zero)}
-
-    return Series(inst, aut.alphabet, DEFAULT_BOUND, build,
+    """The finitary behavior as a series of bound 0 with the empty table:
+    :func:`finitary_coeff` answers every nonempty word, and the empty word
+    has coefficient zero."""
+    return Series(aut.instance, aut.alphabet, 0, {},
                   lambda word, memo: finitary_coeff(aut, word), backing=aut)
 
 
@@ -438,41 +434,36 @@ def _best(aut, kept, w):
     u·v[0] then (v[1:]·v[0])^omega, one letter into its period, every run is
     at a product node with a predecessor.  The stem is walked forward from
     the initial states, one set of states per letter, and the walk stops at
-    an empty set; with a step, the entry values are folded back over the
-    sets it passed, best per state.  The letters of ``w`` are tested against
-    the alphabet only where a kept edge may not have read them: when its
-    period is first analysed, and when the walk stops short."""
+    an empty set, with None; with a step, the entry values are folded back
+    over the sets it passed, best per state.  The caller has tested the
+    letters of ``w`` against the alphabet."""
     period, step = w.period, kept.step
     values = kept.entries.get(period)
     if values is None:
-        _check_word(w.prefix + period, aut.alphabet)
         values = _entry_values(aut, kept, period)
-    stem = w.prefix + period[0]
-    if values:
-        out, states, passed = kept.out, kept.initial, []
-        for ch in stem:
-            edges = out.get(ch)
-            if edges is None:
-                break
-            if step is not None:
-                passed.append((states, edges))
-            states = {j for i in states for j, _ in edges.get(i, ())}
-            if not states:
-                break
-        else:
-            # with a step, fold back to the first set passed: the initial states
-            for states, edges in reversed(passed):
-                prev = {}
-                for i in states:
-                    for j, wgt in edges.get(i, ()):
-                        if j in values:
-                            cand = step(wgt, values[j])
-                            if i not in prev or cand > prev[i]:
-                                prev[i] = cand
-                values = prev
-            return max((values[q] for q in states if q in values), default=None)
-    _check_word(stem, aut.alphabet)
-    return None
+    if not values:
+        return None
+    out, states, passed = kept.out, kept.initial, []
+    for ch in w.prefix + period[0]:
+        edges = out.get(ch)
+        if edges is None:
+            return None
+        if step is not None:
+            passed.append((states, edges))
+        states = {j for i in states for j, _ in edges.get(i, ())}
+        if not states:
+            return None
+    # with a step, fold back to the first set passed: the initial states
+    for states, edges in reversed(passed):
+        prev = {}
+        for i in states:
+            for j, wgt in edges.get(i, ()):
+                if j in values:
+                    cand = step(wgt, values[j])
+                    if i not in prev or cand > prev[i]:
+                        prev[i] = cand
+        values = prev
+    return max((values[q] for q in states if q in values), default=None)
 
 
 def _kernel(aut):
@@ -513,6 +504,7 @@ def infinitary_coeff(aut, w: OmegaWord):
     automaton and tested once per query.  A letter outside the automaton's
     alphabet raises ValueError."""
     one, groups = aut._memo.get("kernel") or _kernel(aut)
+    _check_word(w.prefix + w.period, aut.alphabet)
     if one is not None:
         best = _best(aut, one, w)
         return aut.instance.zero if best is None else best
@@ -521,8 +513,6 @@ def infinitary_coeff(aut, w: OmegaWord):
     for kept, x in groups:
         if _best(aut, kept, w):
             best = monoid.add(best, x)
-    if not groups:  # no repeated state, so no successful run
-        _check_word(w.prefix + w.period, aut.alphabet)
     return best
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import DEFAULT_SEED, LawReport, Semiring, check_laws, has_star
+from .core import DEFAULT_SEED, HemimodulePair, LawReport, Semiring, check_laws, has_star
 
 
 class ExtensionError(ValueError):
@@ -205,19 +205,21 @@ def partial_conway_laws(ext: ExtensionAlgebra, trials=200, seed=DEFAULT_SEED) ->
 
 # --- omega on the extension ---------------------------------------------------------
 
-class ExtensionPair:
+class ExtensionPair(HemimodulePair):
     """Omega for formal sums: (x + a)^omega = (x* a)* x^omega + (x* a)^omega.
 
-    Needs a star on the scalar side, an omega H -> V, a scalar omega S0 -> V
-    (no general principle fixes it, so each instance supplies its own), and
-    compatible left actions of both sides on V.
+    A hemimodule pair whose hemiring is the extension algebra, so
+    :func:`core.hemimodule_pair_laws` checks its identities.  Needs a star on
+    the scalar side, an omega H -> V, a scalar omega S0 -> V (no general
+    principle fixes it, so each instance supplies its own), and compatible
+    left actions of both sides on V.
     """
 
     def __init__(self, ext: ExtensionAlgebra, module, h_act, h_omega,
                  s0_act, s0_omega, validate_samples=200, seed=DEFAULT_SEED, name=None):
         if not has_star(ext.s0):
             raise ExtensionError("extension omega needs a star on the scalar side")
-        self.ext = ext
+        self.hemiring = ext
         self.module = module
         self.h_act = h_act
         self.h_omega = h_omega
@@ -231,7 +233,7 @@ class ExtensionPair:
         return self.module.add(self.s0_act(s.scalar, v), self.h_act(s.ideal, v))
 
     def omega(self, s: FormalSum):
-        ext, V = self.ext, self.module
+        ext, V = self.hemiring, self.module
         xs = ext.s0.star(s.scalar)
         t = ext.bi.left(xs, s.ideal)             # x* a
         xo = self.s0_omega(s.scalar)
@@ -240,7 +242,7 @@ class ExtensionPair:
 
     def _validate(self, samples, seed):
         rng = random.Random(seed)
-        s0, h, bi = self.ext.s0, self.ext.h, self.ext.bi
+        s0, h, bi = self.hemiring.s0, self.hemiring.h, self.hemiring.bi
         checks = [
             ("omega_compat", lambda x, a, v:
                 (self.h_omega(bi.left(x, a)), self.s0_act(x, self.h_omega(bi.right(a, x))))),

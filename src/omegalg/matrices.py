@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 
-from .core import HemimodulePair, LawFailure, LawReport, check_laws
+from .core import DEFAULT_SEED, HemimodulePair, LawFailure, LawReport, check_laws
 
 
 @dataclass(frozen=True)
@@ -384,7 +384,7 @@ def group_matrix(g: GroupTable, xs) -> Matrix:
                 for i in range(g.order)])
 
 
-def group_identity_check(g: GroupTable, c, sampler=None, trials=30, seed=42,
+def group_identity_check(g: GroupTable, c, sampler=None, trials=30, seed=DEFAULT_SEED,
                          pair: HemimodulePair = None) -> LawReport:
     """Row and column sums of the plus (and optionally omega) of the group matrix.
 
@@ -424,7 +424,7 @@ def group_identity_check(g: GroupTable, c, sampler=None, trials=30, seed=42,
     return report
 
 
-def simulation_check(c, pairs, trials=20, seed=42) -> LawReport:
+def simulation_check(c, pairs, trials=20, seed=DEFAULT_SEED) -> LawReport:
     """If M Q = Q N then M^+ Q = Q N^+ (checked on supplied (M, N, Q) builders).
 
     ``pairs`` is an iterable of callables rng -> (M, N, Q) producing matrices

@@ -1,15 +1,15 @@
 """Finitary series as truncated coefficient tables, plus the word machinery.
 
 A :class:`Series` holds the non-zero coefficients of a series on every word
-of length at most its ``bound``, in a dict.  An operation makes its result's
-table from its operands' tables when it makes the series; only a machine's
-behavior (an automaton's, a language element's DFA) builds its table on
-first read, once.  A bound never changes.  Sums merge the two tables;
-Cauchy products join the two supports, combine each split with
-``prod(|u|, |v|, ·, ·)`` (which collapses to plain multiplication for
-hemiring weights) and drop pairs longer than the bound; the plus runs the
-prefix recurrence in order of length; the natural action maps every
-coefficient.  Zero sums and zero products are dropped, so
+of length at most its ``bound``, in a dict made with the series: an
+operation makes its result's table from its operands' tables, and a
+machine's behavior (an automaton's, a language element's DFA) has bound 0
+and the empty table, for its machine answers every word.  A bound never
+changes.  Sums merge the two tables; Cauchy products join the two supports,
+combine each split with ``prod(|u|, |v|, ·, ·)`` (which collapses to plain
+multiplication for hemiring weights) and drop pairs longer than the bound;
+the plus runs the prefix recurrence in order of length; the natural action
+maps every coefficient.  Zero sums and zero products are dropped, so
 ``coeff`` is a dict lookup and a miss is a zero coefficient.
 
 Past the bound nothing is guessed: each operation has one rule for a single
@@ -17,10 +17,11 @@ longer word, read from its operands.  A sum adds, a product sums the cuts
 of the word, the plus runs its prefix recurrence over the word's prefixes,
 the natural action scales, a polynomial looks the word up, an automaton's
 behavior (:func:`automata.finitary_series`) runs it, and an element of the
-language carrier walks its DFA.  An operand answers from its table within
-its own bound and at most once per query and word otherwise, so
-coefficients are exact at every length at polynomial cost.  A table asked
-for past the bound is read word by word through these rules.
+language carrier walks its DFA; a series made from a machine's has bound 0
+and answers every nonempty word by these rules.  An operand answers from
+its table within its own bound and at most once per query and word
+otherwise, so coefficients are exact at every length at polynomial cost.
+A table asked for past the bound is read word by word through these rules.
 
 Ultimately periodic infinite words are represented by :class:`OmegaWord`
 lassos in canonical form: primitive period, shortest prefix.  Each canonical
@@ -164,7 +165,6 @@ def parse_word(text: str):
 # --- series -----------------------------------------------------------------------
 
 _MISS = object()
-_UNBUILT = {}   # the table of a machine's series not yet read; never written to
 
 
 @functools.cache
@@ -191,37 +191,27 @@ def _check_word(word: str, alphabet: tuple):
 class Series:
     """Non-zero coefficients on the words of length <= ``bound``.
 
-    An operation passes the ``table`` it made from its operands' tables; a
-    series backed by a machine passes ``build`` instead, and its first read
-    of ``table`` calls ``build(bound)``, once.  The bound never changes.
-    ``at(word, memo)`` gives the coefficient of a longer word, or ``_MISS``,
-    from the operands read through :func:`_at`.  No ``at`` refers to its
-    own series, so a series is freed by reference counting.
+    ``table`` is made with the series (a machine's is empty, at bound 0),
+    and neither it nor the bound ever changes.  ``at(word, memo)`` gives the
+    coefficient of a longer word, or ``_MISS``, from the operands read
+    through :func:`_at` or from the machine.  No ``at`` refers to its own
+    series, so a series is freed by reference counting.
     """
 
-    __slots__ = ("weights", "alphabet", "letters", "bound", "build", "at", "_table",
-                 "proper", "backing")
+    __slots__ = ("weights", "alphabet", "letters", "bound", "table", "at", "proper", "backing")
 
-    def __init__(self, weights, alphabet, bound, build, at, proper=True, backing=None,
-                 table=None):
+    def __init__(self, weights, alphabet, bound, table, at, proper=True, backing=None):
         self.weights = weights
         self.alphabet = tuple(alphabet)
         self.letters = _letter_string(self.alphabet)
         self.bound = bound
-        self.build = build
+        self.table = table
         self.at = at
-        self._table = _UNBUILT if table is None else table
         self.proper = proper
         self.backing = backing
 
-    @property
-    def table(self) -> dict:
-        if self._table is _UNBUILT:
-            self._table = self.build(self.bound)
-        return self._table
-
     def coeff(self, word: str):
-        val = self._table.get(word, _MISS)
+        val = self.table.get(word, _MISS)
         if val is not _MISS:
             return val
         if word.strip(self.letters):
@@ -229,8 +219,6 @@ class Series:
         if len(word) > self.bound:
             val = _at(self, word, {})
             return self.weights.zero if val is _MISS else val
-        if self._table is _UNBUILT:
-            return self.table.get(word, self.weights.zero)
         return self.weights.zero
 
     def table_at(self, bound: int) -> dict:
@@ -280,7 +268,7 @@ def _drop_zeros(weights, table: dict, words=None) -> dict:
 
 
 def zero_series(weights, alphabet, bound=DEFAULT_BOUND) -> Series:
-    return Series(weights, alphabet, bound, None, lambda word, memo: _MISS, table={})
+    return Series(weights, alphabet, bound, {}, lambda word, memo: _MISS)
 
 
 def polynomial(weights, alphabet, table: dict, bound=DEFAULT_BOUND) -> Series:
@@ -290,8 +278,8 @@ def polynomial(weights, alphabet, table: dict, bound=DEFAULT_BOUND) -> Series:
         _check_word(word, alphabet)
     table = dict(table)
     kept = _drop_zeros(weights, {u: x for u, x in table.items() if len(u) <= bound})
-    return Series(weights, alphabet, bound, None, lambda word, memo: table.get(word, _MISS),
-                  proper="" not in table, table=kept)
+    return Series(weights, alphabet, bound, kept, lambda word, memo: table.get(word, _MISS),
+                  proper="" not in table)
 
 
 def _same_weights(f, g, op):
@@ -320,7 +308,7 @@ def series_add(f, g) -> Series:
         x, y = _at(f, word, memo), _at(g, word, memo)
         return y if x is _MISS else x if y is _MISS else w.add(x, y)
 
-    return Series(w, f.alphabet, L, None, at, proper=f.proper and g.proper, table=out)
+    return Series(w, f.alphabet, L, out, at, proper=f.proper and g.proper)
 
 
 def cauchy_mul(f, g) -> Series:
@@ -353,7 +341,7 @@ def cauchy_mul(f, g) -> Series:
                 acc = p if acc is _MISS else w.add(acc, p)
         return acc
 
-    return Series(w, f.alphabet, L, None, at, proper=f.proper or g.proper, table=out)
+    return Series(w, f.alphabet, L, out, at, proper=f.proper or g.proper)
 
 
 def series_plus(f) -> Series:
@@ -399,7 +387,7 @@ def series_plus(f) -> Series:
             prefixes[z] = _MISS if acc is _MISS or w.eq(acc, w.zero) else acc
         return prefixes[word]
 
-    return Series(w, f.alphabet, f.bound, None, at, table=out)
+    return Series(w, f.alphabet, f.bound, out, at)
 
 
 def scale_nat(n: int, f) -> Series:
@@ -409,8 +397,9 @@ def scale_nat(n: int, f) -> Series:
         x = _at(f, word, memo)
         return x if x is _MISS else w.nat_act(n, x)
 
-    return Series(w, f.alphabet, f.bound, None, at, proper=f.proper,
-                  table=_drop_zeros(w, {u: w.nat_act(n, x) for u, x in f.table.items()}))
+    return Series(w, f.alphabet, f.bound,
+                  _drop_zeros(w, {u: w.nat_act(n, x) for u, x in f.table.items()}), at,
+                  proper=f.proper)
 
 
 def _differing(f, g, bound):
@@ -515,11 +504,12 @@ def nat_series_instance(alphabet=("a", "b"), bound=DEFAULT_BOUND) -> SeriesCarri
 
 # --- the regular-language instance ----------------------------------------------------
 #
-# Elements are proper boolean series backed by minimal DFAs, which keeps
-# coefficient queries at O(|w|) and makes the omega-side (lasso) analysis of
-# the hemimodule pair cheap.  Sum, product and plus build the minimal DFA of
-# the result from the operands' DFAs.  Equality is bounded like every series
-# carrier's, decided by one walk over the pairs of states the two DFAs reach.
+# Elements are proper boolean series of bound 0 backed by minimal DFAs: the
+# DFA answers every word, which keeps coefficient queries at O(|w|) and makes
+# the omega-side (lasso) analysis of the hemimodule pair cheap.  Sum, product
+# and plus build the minimal DFA of the result from the operands' DFAs.
+# Equality is bounded like every series carrier's, at the carrier's bound,
+# decided by one walk over the pairs of states the two DFAs reach.
 #
 # A carrier builds each language once.  Minimal DFAs are canonical, so its
 # elements are interned by their DFA (hash-consing, Filliatre & Conchon 2006),
@@ -534,7 +524,8 @@ _SERIALS = itertools.count()     # creation numbers of language elements, across
 
 
 class _Language(Series):
-    """A language element: ``backing`` is its minimal DFA."""
+    """A language element: ``backing`` is its minimal DFA, which answers
+    every word; the element has bound 0 and the empty table."""
 
     __slots__ = ("serial", "__weakref__")
 
@@ -552,13 +543,11 @@ class LanguageCarrier(SeriesCarrier):
     def _from_dfa(self, d: dfalib.Dfa) -> Series:
         """The element of ``d``'s language: the live one this carrier made
         from an identical DFA, else a new one."""
-        from . import dfa as dfalib
         key = (d.start, d.accept, tuple(row.get(ch, -1) for row in d.delta for ch in self.alphabet))
         f = self._interned.get(key)
         if f is None:
-            f = _Language(self.weights, self.alphabet, self.bound,
-                          lambda L: dict.fromkeys(dfalib.enumerate_words(d, L), True),
-                          lambda word, memo: d.run(word), backing=d)
+            f = _Language(self.weights, self.alphabet, 0, {}, lambda word, memo: d.run(word),
+                          backing=d)
             f.serial = next(_SERIALS)
             self._interned[key] = f
         return f

@@ -162,7 +162,8 @@ def test_extension_pair_omega(bool_lang_ext, lang_pair6, lang6):
 
 def test_extension_pair_omega_identities_on_formal_sums(bool_lang_ext, lang_pair6):
     """Sum omega, product omega and the omega fixed point on sampled pairs of
-    formal sums, using the total star of the boolean-language extension."""
+    formal sums, using the total star of the boolean-language extension; and
+    the whole hemimodule suite on the extension pair."""
     ext = bool_lang_ext
     V = lang_pair6.module
     epair = E.ExtensionPair(
@@ -180,6 +181,8 @@ def test_extension_pair_omega_identities_on_formal_sums(bool_lang_ext, lang_pair
         a = ext.mul(ext.star(s), t)
         want = V.add(epair.act(ext.star(a), epair.omega(s)), epair.omega(a))
         assert epair.omega(ext.add(s, t)) == want
+    report = core.hemimodule_pair_laws(epair, trials=40, seed=13)
+    assert report.ok and report.trials == 401, report
 
 
 def test_extension_pair_needs_scalar_star(nat_series_ext, lang_pair6):

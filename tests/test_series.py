@@ -503,54 +503,50 @@ def test_language_builds_are_counted(monkeypatch):
 
 def test_operations_make_their_tables_with_the_series():
     """An operation reads each operand's table once, when it makes its
-    series; a caller's ``build`` runs once, on the first read of the table
-    and never before; ``table`` never hands out the unbuilt placeholder;
-    and no query, within the bound or past it, changes a bound."""
+    series; a query within the bound is a lookup in the series' own table;
+    and no query, within the bound or past it, changes a bound or a table."""
     natw = valuation.from_carrier(make_instance("nat"))
     sc = SeriesCarrier(natw, ("a", "b"), bound=4)
-    calls = []
 
     class Counted(Series):
+        """Counts the reads of its table: the property stands over the slot
+        ``Series.table`` and stores through it."""
         __slots__ = ("reads",)
 
         @property
         def table(self):
             self.reads += 1
-            return Series.table.fget(self)
+            return Series.table.__get__(self)
 
-    def build(L):
-        calls.append(L)
-        return {"a": 1}
+        @table.setter
+        def table(self, table):
+            self.reads = 0
+            Series.table.__set__(self, table)
 
-    def machine():
-        f = Counted(natw, ("a", "b"), 4, build, lambda word, memo: series._MISS)
-        f.reads = 0
-        return f
+    def operand():
+        return Counted(natw, ("a", "b"), 4, {"a": 1}, lambda word, memo: series._MISS)
 
-    f, h = machine(), machine()
-    assert calls == []                              # never read: never built
+    f, h = operand(), operand()
+    assert (f.reads, h.reads) == (0, 0)
     g = sc.add(f, h)
-    assert calls == [4, 4] and (f.reads, h.reads) == (1, 1)
+    assert (f.reads, h.reads) == (1, 1)
     k = sc.plus(sc.add(sc.mul(f, h), sc.nat_act(2, f)))
-    assert calls == [4, 4] and (f.reads, h.reads) == (3, 2)
+    assert (f.reads, h.reads) == (3, 2)
+    made = [(s.table, dict(s.table)) for s in (g, k)]
     assert g.coeff("a") == 2 and k.coeff("aa") == 5     # 1·aa + (2a)(2a)
     assert [k.coeff("a" * n) for n in range(1, 5)] == [2, 5, 12, 29]
-    assert calls == [4, 4] and (f.reads, h.reads) == (3, 2)   # within the bound: lookups only
+    assert (f.reads, h.reads) == (3, 2)                   # within the bound: lookups only
     assert k.coeff("a" * 6) == 169 and k.table_at(6)["a" * 6] == 169
     assert bounded_eq(k, k, 6).ok and next(_differing(k, g, 6), None) is not None
-    assert calls == [4, 4]
     assert all(s.bound == 4 for s in (f, h, g, k))
-    # the table read from outside is built, never the empty placeholder
-    empty = Series(natw, ("a", "b"), 4, lambda L: calls.append(L) or {}, None)
-    assert empty.table == {} and empty.table is not series._UNBUILT and calls == [4, 4, 4]
-    assert empty.table is empty.table and calls == [4, 4, 4]
-    assert machine().table == {"a": 1} and calls == [4, 4, 4, 4]
+    assert all(s.table is table and table == kept for s, (table, kept) in zip((g, k), made))
 
 
-def test_language_elements_build_no_table():
+def test_language_elements_are_bound_zero_machines():
     """The language carrier's elements answer from their DFAs: after the
     hemiring suite and the S3 group check of the benchmark's language jobs,
-    no element the carrier holds has built a table."""
+    every element the carriers hold has bound 0 and the empty table, while
+    each carrier keeps its bound for equality."""
     from omegalg import matrices
     lang = series.language_instance(("a", "b"), 6)
     pair = omegalang.language_pair(("a", "b"), bound=6)
@@ -558,7 +554,8 @@ def test_language_elements_build_no_table():
     matrices.group_identity_check(matrices.builtin_groups()["S3"], lang, None, 1, 42, pair)
     held = [*lang._interned.values(), *pair.hemiring._interned.values()]
     assert len(held) > 100
-    assert all(f._table is series._UNBUILT for f in held)
+    assert all(f.bound == 0 and f.table == {} for f in held)
+    assert lang.bound == pair.hemiring.bound == 6
 
 
 def test_long_operand_chains_build_without_recursion():
@@ -588,7 +585,7 @@ def test_long_operand_chains_build_without_recursion():
 
 def _series_of_every_kind(lang):
     """Factories of one series per builder kind, at bound 8 and, past which
-    queries go, at bound 3."""
+    queries go, at bound 3, and of the two machines' series, at bound 0."""
     from omegalg import automata as A, ratexpr as rx
     natw = valuation.from_carrier(make_instance("nat"))
     ab = ("a", "b")
@@ -615,13 +612,13 @@ def _series_of_every_kind(lang):
 
 
 def test_in_alphabet_queries_never_reach_the_letter_loop(monkeypatch, lang6):
-    """On built and unbuilt series of every kind, a query on any word over
-    the alphabet up to length 8 passes the letter test without the loop
-    that names a foreign letter, and answers as before."""
+    """On series of every kind, fresh or already queried, a query on any
+    word over the alphabet up to length 8 passes the letter test without the
+    loop that names a foreign letter, and answers as before."""
     kinds = _series_of_every_kind(lang6)
     assert {name: make().bound for name, make in kinds.items()} == {
         **{f"{kind}/{bound}": bound for kind in ("zero", "poly", "add", "mul", "plus", "nat")
-           for bound in (8, 3)}, "automaton": 8, "language": 6}
+           for bound in (8, 3)}, "automaton": 0, "language": 0}
     words = [w for w in core.words_up_to(("a", "b"), 8) if w]
     assert len(words) == 510
     want = {name: [make().coeff(w) for w in words] for name, make in kinds.items()}
@@ -631,10 +628,9 @@ def test_in_alphabet_queries_never_reach_the_letter_loop(monkeypatch, lang6):
 
     monkeypatch.setattr(series, "_check_letters", loop)
     for name, make in kinds.items():
-        built = make()
-        built.table
+        one = make()
         assert [make().coeff(w) for w in words] == want[name], name
-        assert [built.coeff(w) for w in words] == want[name], name
+        assert [one.coeff(w) for w in words] == want[name], name
 
 
 def test_tables_past_the_bound_read_the_coefficients(lang6):

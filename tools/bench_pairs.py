@@ -35,7 +35,7 @@ cache (``PYTHONDONTWRITEBYTECODE=1``) and with one (a temporary
 ``PYTHONPYCACHEPREFIX``, filled by one run of every call first).  And
 ``src_lines``: per tree, the ``wc -l`` of each ``src/omegalg/*.py`` file
 and their total.
-Run it on an otherwise idle machine; it takes about an hour.
+Run it on an otherwise idle machine; it takes about 20 minutes on 2 cores.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = {"kleene": 4242, "lasso": 2718, "algebra": 4242, "cli": 3}
-PAIRS = {"kleene": 10, "lasso": 10, "algebra": 10, "cli": 3}
+PAIRS = 10   # per workload; fewer runs' quartiles cannot resolve a set-up time
 SECONDS = "20"
 TRACED_RUNS = 3
 TIER1_RUNS = 2
@@ -215,7 +215,7 @@ def main(argv=None):
            "src_lines": {side: src_lines(tree) for side, tree in trees.items()}}
     for workload, seed in SEEDS.items():
         rows = []
-        for i in range(PAIRS[workload]):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             row = {"seed": seed, "first": order[0]}
             for side in order:
