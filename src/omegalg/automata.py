@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
 
 from .core import CommutativeMonoid, HemimodulePair, Hemiring
 from .ratexpr import (ActProd, Letter, OmegaPow, OmegaSum, Plus, Prod, Scalar,
@@ -37,24 +36,34 @@ from .valuation import _disc_periodic
 INF = math.inf
 
 
-@dataclass(frozen=True)
 class MatrixAutomaton:
-    instance: object
-    alphabet: tuple
-    n: int
-    k: int
-    alpha: tuple
-    beta: tuple
-    edges: tuple  # (source, letter, target, weight)
-    # the run dynamic program of this automaton (its out-edges per letter and
-    # source) and its lasso kernel, each resolved once: the kernel's kept edge
-    # sets, each one object a query reads, with node values per rotation class
-    # and entry values per period
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    """A weighted automaton on states 0..n-1, of which the first ``k``
+    repeat; immutable."""
 
-    def __post_init__(self):
-        if not 0 <= self.k <= self.n:
+    __slots__ = ("instance", "alphabet", "n", "k", "alpha", "beta", "edges", "_memo")
+
+    def __init__(self, instance, alphabet: tuple, n: int, k: int, alpha: tuple, beta: tuple,
+                 edges: tuple):
+        if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "edges", edges)   # (source, letter, target, weight)
+        # the run dynamic program of this automaton (its out-edges per letter and
+        # source) and its lasso kernel, each resolved once: the kernel's kept edge
+        # sets, each one object a query reads, with node values per rotation class
+        # and entry values per period
+        object.__setattr__(self, "_memo", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # --- finitary behavior -------------------------------------------------------------
@@ -532,7 +541,6 @@ def infinitary_series(aut) -> OmegaSeries:
 _STATES = itertools.count()  # a state's number, taken when it is made (atomic in CPython)
 
 
-@dataclass
 class _Frag:
     """An automaton under construction: its states in the order they were
     made, the repeated states in the order they will lead, sparse initial and
@@ -540,13 +548,18 @@ class _Frag:
     steps (the edges out of its initial states, in edge order).  No builder
     renumbers or changes a fragment, so fragments share their lists and maps;
     ``read`` marks one a parent has read, which a second reader copies."""
-    states: list
-    repeated: list
-    alpha: dict
-    beta: dict
-    edges: list
-    first: list
-    read: bool = False
+
+    __slots__ = ("states", "repeated", "alpha", "beta", "edges", "first", "read")
+
+    def __init__(self, states: list, repeated: list, alpha: dict, beta: dict, edges: list,
+                 first: list, read: bool = False):
+        self.states = states
+        self.repeated = repeated
+        self.alpha = alpha
+        self.beta = beta
+        self.edges = edges
+        self.first = first
+        self.read = read
 
 
 def _frag_letter(inst, ch) -> _Frag:

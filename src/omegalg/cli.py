@@ -129,33 +129,43 @@ def _parse_cli_word(text, alphabet):
     return w
 
 
+def _check_query(inst, w):
+    """A coefficient of ``inst``'s weights at the finite or omega word ``w``
+    exists, or bad input."""
+    from .series import OmegaWord
+    if isinstance(w, OmegaWord):
+        if inst.strategy is None:
+            raise BadInput(f"instance {inst.name!r} has no infinitary coefficients")
+    elif not w:
+        raise BadInput("finitary coefficients live on nonempty words")
+
+
 def _print_coeff(inst, aut, w):
     """Print the coefficient of ``aut``'s behavior at the finite or omega word ``w``."""
     from . import automata
     from .series import OmegaWord
     if isinstance(w, OmegaWord):
-        if inst.strategy is None:
-            raise BadInput(f"instance {inst.name!r} has no infinitary coefficients")
         value = automata.infinitary_coeff(aut, w)
     else:
-        if not w:
-            raise BadInput("finitary coefficients live on nonempty words")
         value = automata.finitary_coeff(aut, w)
     print(inst.show(value))
 
 
 def coeff(name, text, word, lam, alphabet):
     """Coefficient of an expression's series at a finite or omega word."""
-    from . import automata, ratexpr
-    from .series import OmegaWord
+    # every check runs before the compiler loads, so bad input never pays for it
+    from . import ratexpr
     _, inst = _instance(name, "weights", lam=lam)
     letters = _parse_alphabet(alphabet)
     e = _parse_expr(text, letters)
     w = _parse_cli_word(word, letters)
+    from .series import OmegaWord
     if ratexpr.is_omega(e) and not isinstance(w, OmegaWord):
         raise BadInput("an omega expression needs a word of shape u(v)^w")
     if not ratexpr.is_omega(e) and isinstance(w, OmegaWord):
         raise BadInput("a finitary expression needs a finite word")
+    _check_query(inst, w)
+    from . import automata
     _print_coeff(inst, automata.compile(e, inst, letters), w)
 
 
@@ -178,7 +188,9 @@ def behavior(path, name, word, lam):
             aut = automata.automaton_from_json(fh.read(), inst)
     except (OSError, ValueError) as exc:
         raise BadInput(f"--aut {path}: {exc}")
-    _print_coeff(inst, aut, _parse_cli_word(word, aut.alphabet))
+    w = _parse_cli_word(word, aut.alphabet)
+    _check_query(inst, w)
+    _print_coeff(inst, aut, w)
 
 
 def group_check(gname, name, samples, seed, bound):

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 1000
@@ -125,20 +124,34 @@ def mul_star(c, y, x):
 
 # --- reports ----------------------------------------------------------------
 
-@dataclass(frozen=True)
 class LawFailure:
-    law: str
-    inputs: tuple[str, ...]
-    lhs: str
-    rhs: str
+    """One failing argument tuple of a law: the law's name, the shown
+    inputs and the two shown sides.  Immutable."""
+
+    __slots__ = ("law", "inputs", "lhs", "rhs")
+
+    def __init__(self, law: str, inputs: tuple[str, ...], lhs: str, rhs: str):
+        object.__setattr__(self, "law", law)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass
 class LawReport:
-    suite: str
-    trials: int
-    failures: list[LawFailure] = field(default_factory=list)
-    skipped: dict = field(default_factory=dict)   # law name -> why it was not checked
+    __slots__ = ("suite", "trials", "failures", "skipped")
+
+    def __init__(self, suite: str, trials: int, failures: list[LawFailure] | None = None,
+                 skipped: dict | None = None):
+        self.suite = suite
+        self.trials = trials
+        self.failures = [] if failures is None else failures
+        self.skipped = {} if skipped is None else skipped   # law name -> why it was not checked
 
     @property
     def ok(self) -> bool:
@@ -340,7 +353,6 @@ def plus_from_star(c):
 
 # --- hemimodule pairs ---------------------------------------------------------
 
-@dataclass
 class HemimodulePair:
     """A hemiring acting on a commutative monoid, with an omega operation.
 
@@ -350,11 +362,14 @@ class HemimodulePair:
     omega shapes, and the action laws.
     """
 
-    hemiring: object
-    module: object
-    act: object
-    omega: object
-    name: str = "pair"
+    __slots__ = ("hemiring", "module", "act", "omega", "name")
+
+    def __init__(self, hemiring, module, act, omega, name: str = "pair"):
+        self.hemiring = hemiring
+        self.module = module
+        self.act = act
+        self.omega = omega
+        self.name = name
 
     def star_act(self, x, v):
         """x* v == plus(x)·v + v, the star-convention action."""

@@ -15,18 +15,26 @@ give equal DFAs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .series import _check_word
 
 
-@dataclass
 class Dfa:
-    alphabet: tuple
-    n: int
-    start: int               # state index
-    accept: frozenset
-    delta: list              # per state: dict letter -> state (partial; missing = dead)
+    """A DFA; equal to a DFA with the same alphabet, states and transitions."""
+
+    __slots__ = ("alphabet", "n", "start", "accept", "delta")
+
+    def __init__(self, alphabet: tuple, n: int, start: int, accept: frozenset, delta: list):
+        self.alphabet = alphabet
+        self.n = n
+        self.start = start        # state index
+        self.accept = accept
+        self.delta = delta        # per state: dict letter -> state (partial; missing = dead)
+
+    def __eq__(self, other):
+        if type(other) is not Dfa:
+            return NotImplemented
+        return ((self.alphabet, self.n, self.start, self.accept, self.delta)
+                == (other.alphabet, other.n, other.start, other.accept, other.delta))
 
     def run(self, word: str) -> bool:
         s = self.start

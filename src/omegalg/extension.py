@@ -13,7 +13,6 @@ construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .core import DEFAULT_SEED, HemimodulePair, LawReport, Semiring, check_laws, has_star
 
@@ -22,18 +21,36 @@ class ExtensionError(ValueError):
     """A sampled compatibility condition failed; carries the witness."""
 
 
-@dataclass(frozen=True, eq=False)
 class FormalSum:
-    scalar: object
-    ideal: object
+    """The formal sum scalar + ideal.  Immutable."""
+
+    __slots__ = ("scalar", "ideal")
+
+    def __init__(self, scalar, ideal):
+        object.__setattr__(self, "scalar", scalar)
+        object.__setattr__(self, "ideal", ideal)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
 class BiAction:
-    """Left and right action of a semiring on a hemiring."""
+    """Left and right action of a semiring on a hemiring.  Immutable."""
 
-    left: object   # (x, a) -> H
-    right: object  # (a, x) -> H
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)     # (x, a) -> H
+        object.__setattr__(self, "right", right)   # (a, x) -> H
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def biaction_nat(h) -> BiAction:

@@ -12,19 +12,33 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import reduce
 
 from .core import DEFAULT_SEED, HemimodulePair, LawFailure, LawReport, check_laws
 
 
-@dataclass(frozen=True)
 class Matrix:
-    entries: tuple
+    """A matrix as a tuple of equally long rows; immutable, and equal to a
+    matrix with the same entries."""
 
-    def __post_init__(self):
-        if not self.entries or any(len(r) != len(self.entries[0]) for r in self.entries):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple):
+        if not entries or any(len(r) != len(entries[0]) for r in entries):
             raise ValueError("matrix rows must be nonempty and equal length")
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self.entries == other.entries if type(other) is Matrix else NotImplemented
+
+    def __hash__(self):
+        return hash(self.entries)
 
     @property
     def rows(self):
@@ -277,13 +291,21 @@ def mat_omega_k(pair: HemimodulePair, m: Matrix, k: int) -> tuple:
 
 # --- permutations ------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PermutationMatrix:
-    perm: tuple  # image list: position i holds pi(i)
+    """A permutation by its image list: position i holds pi(i).  Immutable."""
 
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(len(self.perm))):
+    __slots__ = ("perm",)
+
+    def __init__(self, perm: tuple):
+        if sorted(perm) != list(range(len(perm))):
             raise ValueError("not a permutation")
+        object.__setattr__(self, "perm", perm)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def n(self):
@@ -319,12 +341,15 @@ def permutation_omega_check(pair: HemimodulePair, m: Matrix, pi: PermutationMatr
 
 # --- finite groups ------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class GroupTable:
-    name: str
-    table: tuple  # table[i][j] = i*j over elements 0..n-1, with 0 the unit
+    """A finite group by its table: table[i][j] = i*j over elements
+    0..n-1, with 0 the unit.  Immutable."""
 
-    def __post_init__(self):
+    __slots__ = ("name", "table")
+
+    def __init__(self, name: str, table: tuple):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "table", table)
         n = self.order
         for i in range(n):
             if self.table[0][i] != i or self.table[i][0] != i:
@@ -337,6 +362,12 @@ class GroupTable:
         for i in range(n):
             if not any(self.table[i][j] == 0 for j in range(n)):
                 raise ValueError(f"{self.name}: element {i} has no inverse")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def order(self):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -41,49 +40,79 @@ def check_alphabet(letters) -> tuple:
     return letters
 
 
-@dataclass(frozen=True, eq=False)
-class Letter:
-    ch: str
+class _Node:
+    """An expression node: immutable, and equal only to itself (structural
+    equality is :func:`expr_equal`).  Each node class lists its fields in
+    ``__slots__``, in the order its constructor takes them."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class Scalar:
-    coef: int
-    arg: object
+class Letter(_Node):
+    __slots__ = ("ch",)
+
+    def __init__(self, ch: str):
+        object.__setattr__(self, "ch", ch)
 
 
-@dataclass(frozen=True, eq=False)
-class Sum:
-    left: object
-    right: object
+class Scalar(_Node):
+    __slots__ = ("coef", "arg")
+
+    def __init__(self, coef: int, arg):
+        object.__setattr__(self, "coef", coef)
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True, eq=False)
-class Prod:
-    left: object
-    right: object
+class Sum(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True, eq=False)
-class Plus:
-    arg: object
+class Prod(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True, eq=False)
-class OmegaPow:
-    arg: object
+class Plus(_Node):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg):
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True, eq=False)
-class ActProd:
-    head: object   # finitary
-    tail: object   # omega
+class OmegaPow(_Node):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg):
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True, eq=False)
-class OmegaSum:
-    left: object
-    right: object
+class ActProd(_Node):
+    __slots__ = ("head", "tail")
+
+    def __init__(self, head, tail):
+        object.__setattr__(self, "head", head)   # finitary
+        object.__setattr__(self, "tail", tail)   # omega
+
+
+class OmegaSum(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 OMEGA_NODES = (OmegaPow, ActProd, OmegaSum)

@@ -19,26 +19,31 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 
 from .core import DEFAULT_SEED, LawFailure, LawReport, check_laws, has_omega, self_pair
 from .instances import (INF, NEG_INF, BooleanCarrier, ExtRealCarrier, LatticeCarrier,
                         MinPlusCarrier, NatCarrier)
 
 
-@dataclass(frozen=True)
 class WeightedSeq:
-    """Eventually periodic sequence of (length, value) pairs."""
+    """Eventually periodic sequence of (length, value) pairs.  Immutable."""
 
-    prefix: tuple
-    block: tuple
+    __slots__ = ("prefix", "block")
 
-    def __post_init__(self):
-        if not self.block:
+    def __init__(self, prefix: tuple, block: tuple):
+        if not block:
             raise ValueError("repeated block must be nonempty")
-        for n, _ in self.prefix + self.block:
+        for n, _ in prefix + block:
             if n < 1:
                 raise ValueError("lengths must be positive")
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "block", block)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def take(self, count: int) -> tuple:
         out = list(self.prefix)
@@ -79,9 +84,19 @@ class WeightedSeq:
         return f"{fmt(self.prefix)}[{fmt(self.block)}]^w"
 
 
-@dataclass(frozen=True)
 class ValOmega:
-    value: object
+    """The valuation of an infinite sequence.  Immutable."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class OmegaValuation:
@@ -280,7 +295,6 @@ def _lang_pair(bound):
 
 # --- the instance registry -------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Instance:
     """One registered instance name.
 
@@ -291,13 +305,23 @@ class Instance:
     whose product omega identity fails only on a word no sampler draws, the
     report of the explicit witness).  ``params`` are the keyword parameters
     every factory of the entry takes, with their defaults; ``caps`` bound the
-    trials per law suite.
+    trials per law suite.  Immutable.
     """
 
-    name: str
-    roles: dict
-    params: dict = field(default_factory=dict)
-    caps: dict = field(default_factory=dict)
+    __slots__ = ("name", "roles", "params", "caps")
+
+    def __init__(self, name: str, roles: dict, params: dict | None = None,
+                 caps: dict | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "roles", roles)
+        object.__setattr__(self, "params", {} if params is None else params)
+        object.__setattr__(self, "caps", {} if caps is None else caps)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def bind(self, options) -> dict:
         """The entry's params, each replaced by ``options``' value if it has one."""
@@ -464,14 +488,18 @@ def omega_valuation_laws(inst: OmegaValuation, trials=200, seed=DEFAULT_SEED) ->
 
 # --- the two counterexample harnesses --------------------------------------------------
 
-@dataclass
 class RegroupAvgTrace:
     """Doubling 0/1 blocks: direct limsup-average 2/3, regrouped 1/3."""
 
-    block_end_averages: list
-    group_end_averages: list
-    direct_estimate: float
-    regrouped_estimate: float | None  # None below 3 blocks: no group ends
+    __slots__ = ("block_end_averages", "group_end_averages", "direct_estimate",
+                 "regrouped_estimate")
+
+    def __init__(self, block_end_averages: list, group_end_averages: list,
+                 direct_estimate: float, regrouped_estimate: float | None):
+        self.block_end_averages = block_end_averages
+        self.group_end_averages = group_end_averages
+        self.direct_estimate = direct_estimate
+        self.regrouped_estimate = regrouped_estimate  # None below 3 blocks: no group ends
 
     def to_json(self):
         return {
@@ -522,14 +550,17 @@ def counterexample_regroup_avg(blocks: int = 24) -> RegroupAvgTrace:
     return RegroupAvgTrace(block_ends, group_ends, float(direct), regrouped)
 
 
-@dataclass
 class ProductOmegaTrace:
     """Witness that the product omega identity fails for limsup-average."""
 
-    lengths: list
-    lhs_estimates: list
-    rhs_estimates: list
-    rhs_closed_form: list
+    __slots__ = ("lengths", "lhs_estimates", "rhs_estimates", "rhs_closed_form")
+
+    def __init__(self, lengths: list, lhs_estimates: list, rhs_estimates: list,
+                 rhs_closed_form: list):
+        self.lengths = lengths
+        self.lhs_estimates = lhs_estimates
+        self.rhs_estimates = rhs_estimates
+        self.rhs_closed_form = rhs_closed_form
 
     def to_json(self):
         return {

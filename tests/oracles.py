@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 INF = math.inf
 
@@ -147,11 +147,13 @@ def to_run_automata(aut):
     """Split an automaton with natural initial/final coefficients into a
     family of automata with 0/1 vectors whose behaviors sum to the original
     behavior."""
+    from omegalg.automata import MatrixAutomaton
+
     def layers(vec):
         return [tuple(int(v > t) for v in vec) for t in range(max(max(vec, default=0), 1))]
 
-    return [replace(aut, alpha=ini, beta=fin) for ini in layers(aut.alpha)
-            for fin in layers(aut.beta)]
+    return [MatrixAutomaton(aut.instance, aut.alphabet, aut.n, aut.k, ini, fin, aut.edges)
+            for ini in layers(aut.alpha) for fin in layers(aut.beta)]
 
 
 def omega_k_block(pair, m, k):

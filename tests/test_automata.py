@@ -167,6 +167,9 @@ def test_k_zero_rejects_everything(boolw):
     crippled = A.MatrixAutomaton(boolw, AB, aut.n, 0, aut.alpha, aut.beta, aut.edges)
     for w in (OmegaWord("", "ab"), OmegaWord("", "a")):
         assert A.infinitary_coeff(crippled, w) is False
+    for k in (-1, aut.n + 1):
+        with pytest.raises(ValueError, match="^need 0 <= k <= n$"):
+            A.MatrixAutomaton(boolw, AB, aut.n, k, aut.alpha, aut.beta, aut.edges)
 
 
 def test_boolean_strategy_matches_brute_oracle(boolw):
@@ -487,7 +490,6 @@ def test_walks_on_an_eliminated_dag_cost_its_size(natw, monkeypatch):
     a DAG of a few hundred nodes whose tree prints as 1.6 million
     characters; each walk calls its rules once per distinct node, and
     ``expr_equal(fin, fin)`` twice (one walk per side)."""
-    import dataclasses
     from collections import Counter
     from omegalg.series import SeriesCarrier
     rng = random.Random(1)
@@ -498,8 +500,8 @@ def test_walks_on_an_eliminated_dag_cost_its_size(natw, monkeypatch):
         node = stack.pop()
         if id(node) not in nodes:
             nodes[id(node)] = node
-            stack.extend(getattr(node, f.name) for f in dataclasses.fields(node)
-                         if f.name not in ("ch", "coef"))
+            stack.extend(getattr(node, name) for name in type(node).__slots__
+                         if name not in ("ch", "coef"))
     assert 200 < len(nodes) < 1000
     visits = Counter()
     fold = rx.fold

@@ -42,3 +42,16 @@ def test_algebra_setup_of_bench_21_reads_unresolved():
     assert round(out["setup_s"]["parent_iqr"], 3) == 0.086
     assert out["setup_s"]["unresolved"] is True
     assert out["verdicts_per_s"]["unresolved"] is False
+
+
+def test_import_self_times_read_every_module_line():
+    """``-X importtime`` prints a header, then one line per module with its
+    self and cumulative time in microseconds, indented by import depth."""
+    stderr = ("import time: self [us] | cumulative | imported package\n"
+              "import time:       169 |        169 |   _io\n"
+              "import time:      1395 |       2531 | argparse\n"
+              "import time:        31 |         31 |     json.scanner\n"
+              "import time:      7322 |       7322 | omegalg.core\n"
+              "Error: not an import line\n")
+    assert bench_pairs.import_self_times(stderr) == {
+        "_io": 0.000169, "argparse": 0.001395, "json.scanner": 0.000031, "omegalg.core": 0.007322}

@@ -608,26 +608,33 @@ def test_lang_group_check_z6_within_budget():
 
 
 # Runs ``python -m omegalg.cli ARGS`` through runpy and prints, as the last
-# stdout line, the omegalg modules loaded by then, and click if it was loaded.
+# stdout line, the omegalg modules loaded by then, and click, dataclasses and
+# inspect if the call loaded them (the bare interpreter may already hold some).
 _LOADED_BY = """
-import runpy, sys
+import sys
+held = set(sys.modules)
+import runpy
 sys.argv = ["omegalg.cli", *sys.argv[1:]]
 try:
     runpy.run_module("omegalg.cli", run_name="__main__", alter_sys=True)
 finally:
-    print(" ".join(sorted(m for m in sys.modules if m.startswith("omegalg.") or m == "click")))
+    print(" ".join(sorted(m for m in sys.modules if m.startswith("omegalg.")
+                          or m in {"click", "dataclasses", "inspect"} - held)))
 """
 
 _LIBRARY = {"automata", "matrices", "ratexpr", "series", "dfa", "omegalang", "extension"}
 
 
-def _loaded(cwd, *args):
+def _loaded(cwd, *args, bad=False):
+    """The modules a call loads; ``bad``: the call is bad input."""
     proc = subprocess.run([sys.executable, "-c", _LOADED_BY, *args], cwd=cwd, capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": SRC})
-    # 0: checks passed, 1: a law failed or a counterexample holds
-    assert proc.returncode in (0, 1) and "Error" not in proc.stderr, proc.stderr
+    if bad:
+        assert proc.returncode == 2 and proc.stderr.startswith("Error: "), proc.stderr
+    else:   # 0: checks passed, 1: a law failed or a counterexample holds
+        assert proc.returncode in (0, 1) and "Error" not in proc.stderr, proc.stderr
     loaded = {m.removeprefix("omegalg.") for m in proc.stdout.splitlines()[-1].split()}
-    assert "click" not in loaded, args
+    assert not loaded & {"click", "dataclasses", "inspect"}, (args, loaded)
     return loaded
 
 
@@ -637,6 +644,18 @@ def test_import_omegalg_loads_no_submodule():
          "print([m for m in sys.modules if m.startswith('omegalg.')])"],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_submodule_loads_dataclasses():
+    names = sorted(f[:-3] for f in os.listdir(os.path.join(SRC, "omegalg"))
+                   if f.endswith(".py") and f != "__init__.py")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import importlib, sys\n"
+         f"for name in {names!r}: importlib.import_module('omegalg.' + name)\n"
+         "print(len([m for m in sys.modules if m.startswith('omegalg.')]), "
+         "'dataclasses' in sys.modules, 'inspect' in sys.modules)"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.stdout.split() == [str(len(names)), "False", "False"], names
 
 
 @pytest.mark.parametrize("args", [
@@ -659,6 +678,19 @@ def test_series_commands_load_no_matrices_or_languages(tmp_path):
         loaded = _loaded(tmp_path, *args)
         assert {"automata", "ratexpr", "series"} <= loaded, args
         assert not loaded & {"matrices", "dfa", "omegalang", "extension"}, args
+
+
+@pytest.mark.parametrize("instance, expr, word, more, unloaded", [
+    ("bool", "a +", "a", (), {"automata", "series"}),
+    ("disc", "a^+", "a", ("--lambda", "1.5"), {"automata", "series"}),
+    ("bool", "a^+", "", (), {"automata"}),
+    ("bool", "a", "c", (), {"automata"}),
+    ("liminf", "a^w", "a^w", (), {"automata"}),
+], ids=["parse-error", "lambda-1.5", "empty-word", "foreign-letter", "no-strategy"])
+def test_bad_coeff_input_loads_no_compiler(tmp_path, instance, expr, word, more, unloaded):
+    loaded = _loaded(tmp_path, "coeff", "--instance", instance, "--expr", expr, "--word", word,
+                     *more, bad=True)
+    assert not loaded & unloaded, loaded
 
 
 def test_language_pair_laws_load_no_automata(tmp_path):

@@ -170,7 +170,7 @@ def test_permutation_identity_on_identity_perm(minplus):
 
 
 def test_permutation_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^not a permutation$"):
         M.PermutationMatrix((0, 0, 2))
 
 
@@ -184,8 +184,12 @@ def test_group_tables_valid():
 
 
 def test_group_table_rejects_bad_table():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bad: element 1 has no inverse$"):
         M.GroupTable("bad", ((0, 1), (1, 1)))
+    with pytest.raises(ValueError, match="^bad: element 0 is not a unit$"):
+        M.GroupTable("bad", ((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="^bad: product is not associative$"):
+        M.GroupTable("bad", ((0, 1, 2), (1, 0, 0), (2, 0, 0)))
 
 
 def test_group_matrix_layout(minplus):
@@ -225,8 +229,9 @@ def test_group_identities_all_carriers(boolean, minplus, lattice):
 
 
 def test_matrix_rectangular_validation():
-    with pytest.raises(ValueError):
-        M.mat([[1, 2], [3]])
+    for rows in ([[1, 2], [3]], [[1], [2, 3]], []):
+        with pytest.raises(ValueError, match="^matrix rows must be nonempty and equal length$"):
+            M.mat(rows)
     with pytest.raises(ValueError):
         M.mat_star(None, M.mat([[1, 2]]))
 

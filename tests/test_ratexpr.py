@@ -1,7 +1,6 @@
 """Expression syntax: parsing, printing, random generation, evaluation."""
 
 import random
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,7 +165,7 @@ def test_parse_inverts_to_text(seed, depth, kind):
 
 
 def _children(e):
-    return [getattr(e, f.name) for f in fields(e)]
+    return [getattr(e, name) for name in type(e).__slots__]
 
 
 def _scale_compounds(e, rng):

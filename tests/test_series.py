@@ -141,6 +141,32 @@ def test_omega_words_are_immutable():
     assert (w.prefix, w.period) == ("a", "b")
 
 
+def test_value_classes_are_immutable(boolean):
+    """Each library class whose objects are values refuses to assign or
+    delete a field, as an omega word does."""
+    from omegalg import automata, extension, matrices, ratexpr as rx
+    a, aw = rx.Letter("a"), rx.OmegaPow(rx.Letter("a"))
+    values = [
+        core.LawFailure("law", ("x",), "1", "2"),
+        valuation.WeightedSeq((), ((1, 0.0),)), valuation.ValOmega(0.0), valuation.lookup("disc"),
+        a, rx.Scalar(2, a), rx.Sum(a, a), rx.Prod(a, a), rx.Plus(a), aw, rx.ActProd(a, aw),
+        rx.OmegaSum(aw, aw),
+        extension.FormalSum(1, 2), extension.biaction_bool(boolean),
+        matrices.mat([[1]]), matrices.PermutationMatrix((0,)), matrices.cyclic_group(2),
+        automata.MatrixAutomaton(valuation.from_carrier(boolean), ("a",), 1, 1, (1,), (1,), ()),
+    ]
+    for value in values:
+        for name in type(value).__slots__:
+            before = getattr(value, name)
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                delattr(value, name)
+            assert getattr(value, name) is before, (type(value).__name__, name)
+        with pytest.raises(AttributeError):
+            value.other = None
+
+
 def test_omega_word_text_and_letters_are_unchanged():
     w = OmegaWord("ab", "ba")
     assert repr(w) == "OmegaWord(prefix='ab', period='ba')"

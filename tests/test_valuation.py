@@ -178,10 +178,11 @@ def test_regroup_shapes(insts):
 
 
 def test_weighted_seq_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^repeated block must be nonempty$"):
         WeightedSeq(((1, 1.0),), ())
-    with pytest.raises(ValueError):
-        WeightedSeq(((0, 1.0),), ((1, 1.0),))
+    for prefix, block in ((((0, 1.0),), ((1, 1.0),)), ((), ((1, 1.0), (-1, 1.0)))):
+        with pytest.raises(ValueError, match="^lengths must be positive$"):
+            WeightedSeq(prefix, block)
 
 
 def test_from_carrier_valuations(boolean, minplus, lattice):

@@ -32,9 +32,12 @@ as ``{n: [t, budget]}`` in seconds.  Last, the cold start: the median wall
 time of ``python -c pass``, of ``python -c "import omegalg.cli"`` and of
 one call of each command, in both trees by turns, without a bytecode
 cache (``PYTHONDONTWRITEBYTECODE=1``) and with one (a temporary
-``PYTHONPYCACHEPREFIX``, filled by one run of every call first).  And
-``src_lines``: per tree, the ``wc -l`` of each ``src/omegalg/*.py`` file
-and their total.
+``PYTHONPYCACHEPREFIX``, filled by one run of every call first); and, per
+tree, where the ``coeff`` call's import time goes: each module it loads
+beyond ``python -c pass`` without a bytecode cache, with the median of its
+``-X importtime`` self time over COLD_REPEATS runs, and the sum of those
+medians (``coeff_imports``).  And ``src_lines``: per tree, the ``wc -l``
+of each ``src/omegalg/*.py`` file and their total.
 Run it on an otherwise idle machine; it takes about 20 minutes on 2 cores.
 """
 
@@ -60,6 +63,7 @@ TRACED_RUNS = 3
 TIER1_RUNS = 2
 COLD_REPEATS = 9
 ACCEPTANCE = re.compile(r"ACCEPTANCE (\S+): PASS \(([0-9.]+)s / budget ([0-9.]+)s\)")
+IMPORT_TIME = re.compile(r"import time:\s+(\d+) \|\s+\d+ \| +(\S+)$")
 
 # The cold-start calls: interpreter start, the CLI's import, and one call of
 # each command (``behavior`` reads the automaton ``compile`` writes).
@@ -163,9 +167,17 @@ def tier1(trees: dict) -> dict:
     return runs
 
 
+def import_self_times(stderr: str) -> dict:
+    """Per module, its self time in seconds, from ``-X importtime`` output."""
+    return {m.group(2): int(m.group(1)) / 1e6
+            for m in map(IMPORT_TIME.match, stderr.splitlines()) if m}
+
+
 def cold_start(trees: dict) -> dict:
     """Per tree and cache setting, the median wall time in seconds of each
-    of COLD_CALLS, run in a fresh process."""
+    of COLD_CALLS, run in a fresh process; and per tree ``coeff_imports``,
+    the median self time of each module the ``coeff`` call loads beyond
+    ``python -c pass``, without a bytecode cache, and their sum."""
     with tempfile.TemporaryDirectory() as tmp:
         envs = {}
         for side, tree in trees.items():
@@ -176,16 +188,16 @@ def cold_start(trees: dict) -> dict:
             env.pop("PYTHONDONTWRITEBYTECODE", None)
             envs[side, "cache"] = {**env, "PYTHONPYCACHEPREFIX": f"{tmp}/pycache-{side}"}
 
-        def call(env, name):
+        def call(env, name, *options):
             start = time.perf_counter()
-            proc = subprocess.run([sys.executable, *COLD_CALLS[name]], cwd=tmp, env=env,
-                                  capture_output=True, text=True)
+            proc = subprocess.run([sys.executable, *options, *COLD_CALLS[name]], cwd=tmp,
+                                  env=env, capture_output=True, text=True)
             wall = time.perf_counter() - start
             if proc.returncode not in (0, 1):   # 1: the counterexample holds
                 raise RuntimeError(f"{name}: exit {proc.returncode}: {proc.stderr}")
             if name == "compile":
                 Path(tmp, "aut.json").write_text(proc.stdout)
-            return wall
+            return wall, proc.stderr
 
         for key, env in envs.items():   # writes aut.json and fills the caches
             for name in COLD_CALLS:
@@ -194,9 +206,21 @@ def cold_start(trees: dict) -> dict:
         for i in range(COLD_REPEATS):
             for key in envs if i % 2 == 0 else reversed(envs):
                 for name in COLD_CALLS:
-                    walls[key][name].append(call(envs[key], name))
-    return {side: {cache: {name: statistics.median(w) for name, w in walls[side, cache].items()}
-                   for cache in ("no_cache", "cache")} for side in trees}
+                    walls[key][name].append(call(envs[key], name)[0])
+        self_s = {side: {} for side in trees}
+        for i in range(COLD_REPEATS):
+            for side in trees if i % 2 == 0 else reversed(trees):
+                bare, coeff = (import_self_times(call(envs[side, "no_cache"], name,
+                                                      "-X", "importtime")[1])
+                               for name in ("python", "coeff"))
+                for module in coeff.keys() - bare.keys():
+                    self_s[side].setdefault(module, []).append(coeff[module])
+    out = {side: {cache: {name: statistics.median(w) for name, w in walls[side, cache].items()}
+                  for cache in ("no_cache", "cache")} for side in trees}
+    for side, runs in self_s.items():
+        medians = {module: statistics.median(s) for module, s in sorted(runs.items())}
+        out[side]["coeff_imports"] = {"self_s": medians, "total_s": sum(medians.values())}
+    return out
 
 
 def main(argv=None):
