@@ -27,7 +27,7 @@ import itertools
 import json
 import math
 
-from .core import CommutativeMonoid, HemimodulePair, Hemiring
+from .core import CommutativeMonoid, Frozen, HemimodulePair, Hemiring
 from .ratexpr import (ActProd, Letter, OmegaPow, OmegaSum, Plus, Prod, Scalar,
                       Sum, check_alphabet, fold, to_text)
 from .series import OmegaSeries, OmegaWord, Series, _check_word, _least_rotation
@@ -36,7 +36,7 @@ from .valuation import _disc_periodic
 INF = math.inf
 
 
-class MatrixAutomaton:
+class MatrixAutomaton(Frozen):
     """A weighted automaton on states 0..n-1, of which the first ``k``
     repeat; immutable."""
 
@@ -59,11 +59,14 @@ class MatrixAutomaton:
         # and entry values per period
         object.__setattr__(self, "_memo", {})
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+def _out_edges(edges) -> dict:
+    """The out-edges of ``(source, letter, target, weight)`` edges, letter ->
+    source -> [(target, weight)], in edge order."""
+    out = {}
+    for i, ch, j, w in edges:
+        out.setdefault(ch, {}).setdefault(i, []).append((j, w))
+    return out
 
 
 # --- finitary behavior -------------------------------------------------------------
@@ -79,9 +82,7 @@ class _Run:
     def __init__(self, aut):
         self.inst, self.beta = aut.instance, aut.beta
         self.start = {i: a for i, a in enumerate(aut.alpha) if a}
-        self.out = {}
-        for i, ch, j, w in aut.edges:
-            self.out.setdefault(ch, {}).setdefault(i, []).append((j, w))
+        self.out = _out_edges(aut.edges)
 
     def step(self, vec, pos, ch) -> dict:
         inst, nxt, out = self.inst, {}, self.out.get(ch, {})
@@ -411,9 +412,7 @@ class _Kept:
     lasso period."""
 
     def __init__(self, aut, kept, strategy, initial):
-        self.out = {}
-        for i, ch, j, wgt in kept:
-            self.out.setdefault(ch, {}).setdefault(i, []).append((j, wgt))
+        self.out = _out_edges(kept)
         self.nodes, step = _STRATEGIES[strategy]
         self.step = step(aut) if step else None
         self.initial = initial

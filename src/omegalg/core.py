@@ -122,9 +122,31 @@ def mul_star(c, y, x):
     return c.add(y, c.mul(y, c.plus(x)))
 
 
+# --- values -----------------------------------------------------------------
+
+class Frozen:
+    """Base of the library's immutable values.  A subclass lists its fields
+    in ``__slots__`` and sets them in ``__init__`` with ``object.__setattr__``;
+    after that a field can be neither assigned nor deleted.  ``copy``,
+    ``deepcopy`` and ``pickle`` restore a value's fields through
+    ``__setstate__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():   # (None, slot -> value) of a slotted object
+            object.__setattr__(self, name, value)
+
+
 # --- reports ----------------------------------------------------------------
 
-class LawFailure:
+class LawFailure(Frozen):
     """One failing argument tuple of a law: the law's name, the shown
     inputs and the two shown sides.  Immutable."""
 
@@ -135,12 +157,6 @@ class LawFailure:
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class LawReport:

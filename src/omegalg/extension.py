@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import random
 
-from .core import DEFAULT_SEED, HemimodulePair, LawReport, Semiring, check_laws, has_star
+from .core import DEFAULT_SEED, Frozen, HemimodulePair, LawReport, Semiring, check_laws, has_star
 
 
 class ExtensionError(ValueError):
     """A sampled compatibility condition failed; carries the witness."""
 
 
-class FormalSum:
+class FormalSum(Frozen):
     """The formal sum scalar + ideal.  Immutable."""
 
     __slots__ = ("scalar", "ideal")
@@ -30,14 +30,8 @@ class FormalSum:
         object.__setattr__(self, "scalar", scalar)
         object.__setattr__(self, "ideal", ideal)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class BiAction:
+class BiAction(Frozen):
     """Left and right action of a semiring on a hemiring.  Immutable."""
 
     __slots__ = ("left", "right")
@@ -45,12 +39,6 @@ class BiAction:
     def __init__(self, left, right):
         object.__setattr__(self, "left", left)     # (x, a) -> H
         object.__setattr__(self, "right", right)   # (a, x) -> H
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def biaction_nat(h) -> BiAction:

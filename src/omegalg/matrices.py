@@ -14,10 +14,10 @@ import itertools
 import random
 from functools import reduce
 
-from .core import DEFAULT_SEED, HemimodulePair, LawFailure, LawReport, check_laws
+from .core import DEFAULT_SEED, Frozen, HemimodulePair, LawFailure, LawReport, check_laws
 
 
-class Matrix:
+class Matrix(Frozen):
     """A matrix as a tuple of equally long rows; immutable, and equal to a
     matrix with the same entries."""
 
@@ -27,12 +27,6 @@ class Matrix:
         if not entries or any(len(r) != len(entries[0]) for r in entries):
             raise ValueError("matrix rows must be nonempty and equal length")
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         return self.entries == other.entries if type(other) is Matrix else NotImplemented
@@ -291,7 +285,7 @@ def mat_omega_k(pair: HemimodulePair, m: Matrix, k: int) -> tuple:
 
 # --- permutations ------------------------------------------------------------------
 
-class PermutationMatrix:
+class PermutationMatrix(Frozen):
     """A permutation by its image list: position i holds pi(i).  Immutable."""
 
     __slots__ = ("perm",)
@@ -300,12 +294,6 @@ class PermutationMatrix:
         if sorted(perm) != list(range(len(perm))):
             raise ValueError("not a permutation")
         object.__setattr__(self, "perm", perm)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def n(self):
@@ -341,7 +329,7 @@ def permutation_omega_check(pair: HemimodulePair, m: Matrix, pi: PermutationMatr
 
 # --- finite groups ------------------------------------------------------------------
 
-class GroupTable:
+class GroupTable(Frozen):
     """A finite group by its table: table[i][j] = i*j over elements
     0..n-1, with 0 the unit.  Immutable."""
 
@@ -362,12 +350,6 @@ class GroupTable:
         for i in range(n):
             if not any(self.table[i][j] == 0 for j in range(n)):
                 raise ValueError(f"{self.name}: element {i} has no inverse")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def order(self):

@@ -24,6 +24,8 @@ import random
 from collections import Counter
 from functools import reduce
 
+from .core import Frozen
+
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
@@ -40,28 +42,18 @@ def check_alphabet(letters) -> tuple:
     return letters
 
 
-class _Node:
-    """An expression node: immutable, and equal only to itself (structural
-    equality is :func:`expr_equal`).  Each node class lists its fields in
-    ``__slots__``, in the order its constructor takes them."""
+# An expression node is immutable, and equal only to itself (structural
+# equality is :func:`expr_equal`).  Each node class lists its fields in
+# ``__slots__``, in the order its constructor takes them.
 
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class Letter(_Node):
+class Letter(Frozen):
     __slots__ = ("ch",)
 
     def __init__(self, ch: str):
         object.__setattr__(self, "ch", ch)
 
 
-class Scalar(_Node):
+class Scalar(Frozen):
     __slots__ = ("coef", "arg")
 
     def __init__(self, coef: int, arg):
@@ -69,7 +61,7 @@ class Scalar(_Node):
         object.__setattr__(self, "arg", arg)
 
 
-class Sum(_Node):
+class Sum(Frozen):
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
@@ -77,7 +69,7 @@ class Sum(_Node):
         object.__setattr__(self, "right", right)
 
 
-class Prod(_Node):
+class Prod(Frozen):
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
@@ -85,21 +77,21 @@ class Prod(_Node):
         object.__setattr__(self, "right", right)
 
 
-class Plus(_Node):
+class Plus(Frozen):
     __slots__ = ("arg",)
 
     def __init__(self, arg):
         object.__setattr__(self, "arg", arg)
 
 
-class OmegaPow(_Node):
+class OmegaPow(Frozen):
     __slots__ = ("arg",)
 
     def __init__(self, arg):
         object.__setattr__(self, "arg", arg)
 
 
-class ActProd(_Node):
+class ActProd(Frozen):
     __slots__ = ("head", "tail")
 
     def __init__(self, head, tail):
@@ -107,7 +99,7 @@ class ActProd(_Node):
         object.__setattr__(self, "tail", tail)   # omega
 
 
-class OmegaSum(_Node):
+class OmegaSum(Frozen):
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):

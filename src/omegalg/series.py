@@ -36,7 +36,7 @@ import re
 import weakref
 from collections import OrderedDict
 
-from .core import Hemiring, LawReport, check_laws, words_up_to
+from .core import Frozen, Hemiring, LawReport, check_laws, words_up_to
 from .instances import BooleanCarrier, NatCarrier
 from .ratexpr import LETTERS
 from .valuation import from_carrier
@@ -72,7 +72,7 @@ def _least_rotation(word: str) -> int:
 _WORDS = weakref.WeakValueDictionary()   # canonical (prefix, period) -> its one live word
 
 
-class OmegaWord:
+class OmegaWord(Frozen):
     """Ultimately periodic word prefix · period^omega, canonicalised and interned.
 
     Canonical form: the period is primitive and the prefix cannot be
@@ -102,12 +102,6 @@ class OmegaWord:
             object.__setattr__(w, "period", v)
             _WORDS[u, v] = w
         return w
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return OmegaWord, (self.prefix, self.period)

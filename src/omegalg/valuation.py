@@ -20,12 +20,12 @@ import itertools
 import math
 import random
 
-from .core import DEFAULT_SEED, LawFailure, LawReport, check_laws, has_omega, self_pair
+from .core import DEFAULT_SEED, Frozen, LawFailure, LawReport, check_laws, has_omega, self_pair
 from .instances import (INF, NEG_INF, BooleanCarrier, ExtRealCarrier, LatticeCarrier,
                         MinPlusCarrier, NatCarrier)
 
 
-class WeightedSeq:
+class WeightedSeq(Frozen):
     """Eventually periodic sequence of (length, value) pairs.  Immutable."""
 
     __slots__ = ("prefix", "block")
@@ -38,12 +38,6 @@ class WeightedSeq:
                 raise ValueError("lengths must be positive")
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "block", block)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def take(self, count: int) -> tuple:
         out = list(self.prefix)
@@ -84,19 +78,13 @@ class WeightedSeq:
         return f"{fmt(self.prefix)}[{fmt(self.block)}]^w"
 
 
-class ValOmega:
+class ValOmega(Frozen):
     """The valuation of an infinite sequence.  Immutable."""
 
     __slots__ = ("value",)
 
     def __init__(self, value):
         object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class OmegaValuation:
@@ -295,7 +283,7 @@ def _lang_pair(bound):
 
 # --- the instance registry -------------------------------------------------------------
 
-class Instance:
+class Instance(Frozen):
     """One registered instance name.
 
     ``roles`` maps each role the name provides to the factory that builds it:
@@ -316,12 +304,6 @@ class Instance:
         object.__setattr__(self, "roles", roles)
         object.__setattr__(self, "params", {} if params is None else params)
         object.__setattr__(self, "caps", {} if caps is None else caps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def bind(self, options) -> dict:
         """The entry's params, each replaced by ``options``' value if it has one."""

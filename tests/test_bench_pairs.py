@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,3 +56,27 @@ def test_import_self_times_read_every_module_line():
               "Error: not an import line\n")
     assert bench_pairs.import_self_times(stderr) == {
         "_io": 0.000169, "argparse": 0.001395, "json.scanner": 0.000031, "omegalg.core": 0.007322}
+
+
+def test_cold_start_runs_each_call_in_both_trees_back_to_back(monkeypatch):
+    """After the warm-up round, each cold-start call runs COLD_REPEATS times
+    in a row, each time in both trees, the first tree alternating, and in
+    each tree without, then with, the bytecode cache."""
+    calls = []
+
+    def fake_run(argv, cwd, env, capture_output, text):
+        name = next(n for n, tail in bench_pairs.COLD_CALLS.items()
+                    if tuple(argv[-len(tail):]) == tail)
+        cache = "no_cache" if env.get("PYTHONDONTWRITEBYTECODE") else "cache"
+        calls.append((Path(env["PYTHONPATH"]).parent.name, cache, name,
+                      "importtime" in argv))
+        return subprocess.CompletedProcess(argv, 0, "", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    bench_pairs.cold_start({"parent": Path("/p/parent"), "change": Path("/c/change")})
+    names, repeats = list(bench_pairs.COLD_CALLS), bench_pairs.COLD_REPEATS
+    warm_up = len(names) * 4
+    want = [(side, cache, name, False) for name in names for i in range(repeats)
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent"))
+            for cache in ("no_cache", "cache")]
+    assert calls[warm_up:warm_up + len(want)] == want

@@ -3,12 +3,15 @@ bounded equality, omega words, and the language instance."""
 
 import copy
 import gc
+import importlib
 import math
 import pickle
+import pkgutil
 import random
 import sys
 import time
 import tracemalloc
+import types
 import weakref
 from functools import reduce
 
@@ -141,12 +144,11 @@ def test_omega_words_are_immutable():
     assert (w.prefix, w.period) == ("a", "b")
 
 
-def test_value_classes_are_immutable(boolean):
-    """Each library class whose objects are values refuses to assign or
-    delete a field, as an omega word does."""
+def _values(boolean) -> list:
+    """One object of each library class whose objects are values."""
     from omegalg import automata, extension, matrices, ratexpr as rx
     a, aw = rx.Letter("a"), rx.OmegaPow(rx.Letter("a"))
-    values = [
+    return [
         core.LawFailure("law", ("x",), "1", "2"),
         valuation.WeightedSeq((), ((1, 0.0),)), valuation.ValOmega(0.0), valuation.lookup("disc"),
         a, rx.Scalar(2, a), rx.Sum(a, a), rx.Prod(a, a), rx.Plus(a), aw, rx.ActProd(a, aw),
@@ -155,6 +157,12 @@ def test_value_classes_are_immutable(boolean):
         matrices.mat([[1]]), matrices.PermutationMatrix((0,)), matrices.cyclic_group(2),
         automata.MatrixAutomaton(valuation.from_carrier(boolean), ("a",), 1, 1, (1,), (1,), ()),
     ]
+
+
+def test_value_classes_are_immutable(boolean):
+    """Each library class whose objects are values refuses to assign or
+    delete a field, as an omega word does."""
+    values = _values(boolean)
     for value in values:
         for name in type(value).__slots__:
             before = getattr(value, name)
@@ -165,6 +173,70 @@ def test_value_classes_are_immutable(boolean):
             assert getattr(value, name) is before, (type(value).__name__, name)
         with pytest.raises(AttributeError):
             value.other = None
+
+
+def _fields(value) -> dict:
+    """A value's fields by name: its ``__slots__``, or its ``__dict__``."""
+    if hasattr(value, "__dict__"):
+        return vars(value)
+    return {name: getattr(value, name) for name in type(value).__slots__}
+
+
+def _same(x, y) -> bool:
+    """x and y hold the same data: the same class, and equal, or (for an
+    object equal only to itself, such as an expression node or a carrier)
+    fields that hold the same data in turn; a bound method, the same
+    function bound to the same data."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, (tuple, list)):
+        return len(x) == len(y) and all(map(_same, x, y))
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(_same(x[k], y[k]) for k in x)
+    if isinstance(x, types.MethodType):
+        return x.__func__ is y.__func__ and _same(x.__self__, y.__self__)
+    if x == y:
+        return True
+    return (hasattr(x, "__dict__") or hasattr(type(x), "__slots__")) and _same(_fields(x), _fields(y))
+
+
+def test_values_copy_deepcopy_and_pickle(boolean):
+    """A copy of a value is a value of its class whose fields are the
+    original's fields; a deep copy and a pickle round trip give fields that
+    hold the same data.  The automaton, the instance and the bi-action hold
+    lambdas, which do not pickle.  An omega word comes back as itself."""
+    from omegalg import automata, extension
+    unpicklable = (automata.MatrixAutomaton, valuation.Instance, extension.BiAction)
+    for value in _values(boolean):
+        name, fields = type(value).__name__, _fields(value)
+        shallow = copy.copy(value)
+        assert type(shallow) is type(value) and shallow is not value, name
+        assert _fields(shallow).keys() == fields.keys(), name
+        assert all(_fields(shallow)[k] is v for k, v in fields.items()), name
+        copies = [copy.deepcopy(value)]
+        if not isinstance(value, unpicklable):
+            copies.append(pickle.loads(pickle.dumps(value)))
+        for other in copies:
+            assert type(other) is type(value) and other is not value, name
+            assert _same(_fields(other), fields), name
+    w = OmegaWord("ab", "ba")
+    assert copy.copy(w) is w and copy.deepcopy(w) is w and pickle.loads(pickle.dumps(w)) is w
+
+
+def test_the_immutability_rule_lives_in_one_class(boolean):
+    """No class of the library but ``core.Frozen`` defines ``__setattr__``
+    or ``__delattr__``, and every value class inherits it."""
+    import omegalg
+    defined = []
+    for info in pkgutil.iter_modules(omegalg.__path__):
+        module = importlib.import_module(f"omegalg.{info.name}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                defined += [f"{info.name}.{cls.__qualname__}.{name}"
+                            for name in ("__setattr__", "__delattr__") if name in vars(cls)]
+    assert defined == ["core.Frozen.__setattr__", "core.Frozen.__delattr__"]
+    for cls in {type(value) for value in _values(boolean)} | {OmegaWord}:
+        assert issubclass(cls, core.Frozen), cls.__name__
 
 
 def test_omega_word_text_and_letters_are_unchanged():

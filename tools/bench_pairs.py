@@ -30,11 +30,15 @@ in each tree, alternating which tree goes first; per run its wall time in second
 pytest's summary line, and each ``ACCEPTANCE n: PASS (t / budget)`` line
 as ``{n: [t, budget]}`` in seconds.  Last, the cold start: the median wall
 time of ``python -c pass``, of ``python -c "import omegalg.cli"`` and of
-one call of each command, in both trees by turns, without a bytecode
-cache (``PYTHONDONTWRITEBYTECODE=1``) and with one (a temporary
-``PYTHONPYCACHEPREFIX``, filled by one run of every call first); and, per
-tree, where the ``coeff`` call's import time goes: each module it loads
-beyond ``python -c pass`` without a bytecode cache, with the median of its
+one call of each command, without a bytecode cache
+(``PYTHONDONTWRITEBYTECODE=1``) and with one (a temporary
+``PYTHONPYCACHEPREFIX``, filled by one run of every call first).  The runs
+of one call are adjacent: COLD_REPEATS rounds, each running it in both
+trees, alternating which tree goes first, and in each tree without and
+with the cache, so a drift of the machine's speed between calls falls on
+both trees alike.  And, per tree, where the ``coeff`` call's import time
+goes: each module it loads beyond ``python -c pass`` without a bytecode
+cache, with the median of its
 ``-X importtime`` self time over COLD_REPEATS runs, and the sum of those
 medians (``coeff_imports``).  And ``src_lines``: per tree, the ``wc -l``
 of each ``src/omegalg/*.py`` file and their total.
@@ -175,7 +179,9 @@ def import_self_times(stderr: str) -> dict:
 
 def cold_start(trees: dict) -> dict:
     """Per tree and cache setting, the median wall time in seconds of each
-    of COLD_CALLS, run in a fresh process; and per tree ``coeff_imports``,
+    of COLD_CALLS, run in a fresh process: command by command, COLD_REPEATS
+    times, each time in both trees (alternating which goes first) and
+    without, then with, the cache; and per tree ``coeff_imports``,
     the median self time of each module the ``coeff`` call loads beyond
     ``python -c pass``, without a bytecode cache, and their sum."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -203,10 +209,11 @@ def cold_start(trees: dict) -> dict:
             for name in COLD_CALLS:
                 call(env, name)
         walls = {key: {name: [] for name in COLD_CALLS} for key in envs}
-        for i in range(COLD_REPEATS):
-            for key in envs if i % 2 == 0 else reversed(envs):
-                for name in COLD_CALLS:
-                    walls[key][name].append(call(envs[key], name)[0])
+        for name in COLD_CALLS:   # one command's runs back to back, so drift hits both trees
+            for i in range(COLD_REPEATS):
+                for side in trees if i % 2 == 0 else reversed(trees):
+                    for cache in ("no_cache", "cache"):
+                        walls[side, cache][name].append(call(envs[side, cache], name)[0])
         self_s = {side: {} for side in trees}
         for i in range(COLD_REPEATS):
             for side in trees if i % 2 == 0 else reversed(trees):
