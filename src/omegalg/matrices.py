@@ -24,7 +24,7 @@ class Matrix(Frozen):
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple):
-        if not entries or any(len(r) != len(entries[0]) for r in entries):
+        if len(set(map(len, entries))) != 1 or not entries[0]:
             raise ValueError("matrix rows must be nonempty and equal length")
         object.__setattr__(self, "entries", entries)
 
@@ -47,7 +47,7 @@ class Matrix(Frozen):
 
 
 def mat(rows) -> Matrix:
-    return Matrix(tuple(tuple(r) for r in rows))
+    return Matrix(tuple(map(tuple, rows)))
 
 
 def zeros(c, rows, cols) -> Matrix:
@@ -61,27 +61,30 @@ def identity(c, n) -> Matrix:
 def mat_add(c, a: Matrix, b: Matrix) -> Matrix:
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError("dimension mismatch in add")
-    return mat([[c.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)])
+    return Matrix(tuple(tuple(map(c.add, ra, rb)) for ra, rb in zip(a.entries, b.entries)))
 
 
 def mat_mul(c, a: Matrix, b: Matrix) -> Matrix:
+    """A B; entry (i, j) adds a[i][k] b[k][j] to zero for k = 0, 1, ... in turn."""
     if a.cols != b.rows:
         raise ValueError("dimension mismatch in mul")
+    add, mul, zero = c.add, c.mul, c.zero
+    cols = tuple(zip(*b.entries))
     out = []
-    for i in range(a.rows):
+    for ra in a.entries:
         row = []
-        for j in range(b.cols):
-            acc = c.zero
-            for k in range(a.cols):
-                acc = c.add(acc, c.mul(a.entries[i][k], b.entries[k][j]))
+        for cb in cols:
+            acc = zero
+            for x, y in zip(ra, cb):
+                acc = add(acc, mul(x, y))
             row.append(acc)
-        out.append(row)
-    return mat(out)
+        out.append(tuple(row))
+    return Matrix(tuple(out))
 
 
 def mat_eq(c, a: Matrix, b: Matrix) -> bool:
     return (a.rows, a.cols) == (b.rows, b.cols) and all(
-        c.eq(x, y) for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb))
+        map(c.eq, itertools.chain(*a.entries), itertools.chain(*b.entries)))
 
 
 def mat_show(c, a: Matrix) -> str:
@@ -89,17 +92,17 @@ def mat_show(c, a: Matrix) -> str:
 
 
 def _blocks(m: Matrix, k: int):
-    x = mat([row[:k] for row in m.entries[:k]])
-    y = mat([row[k:] for row in m.entries[:k]])
-    u = mat([row[:k] for row in m.entries[k:]])
-    v = mat([row[k:] for row in m.entries[k:]])
-    return x, y, u, v
+    """X, Y, U, V of the square m split after row and column k."""
+    _require_square(m)
+    if not 1 <= k < m.rows:
+        raise ValueError("split must satisfy 1 <= split < n")
+    top, bottom = m.entries[:k], m.entries[k:]
+    return (Matrix(tuple(r[:k] for r in top)), Matrix(tuple(r[k:] for r in top)),
+            Matrix(tuple(r[:k] for r in bottom)), Matrix(tuple(r[k:] for r in bottom)))
 
 
 def _assemble(x: Matrix, y: Matrix, u: Matrix, v: Matrix) -> Matrix:
-    top = [rx + ry for rx, ry in zip(x.entries, y.entries)]
-    bot = [ru + rv for ru, rv in zip(u.entries, v.entries)]
-    return mat(top + bot)
+    return Matrix(tuple(map(tuple.__add__, x.entries + u.entries, y.entries + v.entries)))
 
 
 def _require_square(m: Matrix):
@@ -128,14 +131,15 @@ def _eliminate(c, m: Matrix, pair: HemimodulePair = None, k=None, with_plus=True
     e = m.entries
     add, mul, zero = c.add, c.mul, c.zero
     block, vp, col = [], [], []               # rows of V, V^+ and V^omega
-    for i in list(range(k, n)) + list(range(k - 1, -1, -1)):
+    for i in [*range(k, n), *range(k - 1, -1, -1)]:
         y, u = [e[i][b] for b in block], [e[b][i] for b in block]
         vu = list(u)                              # V* u
         for j, w in enumerate(u):
             if w is not zero:
                 for r, row in enumerate(vp):
-                    if row[j] is not zero:
-                        vu[r] = add(vu[r], mul(row[j], w))
+                    p = row[j]
+                    if p is not zero:
+                        vu[r] = add(vu[r], mul(p, w))
         a = e[i][i]
         for w, g in zip(y, vu):
             if w is not zero and g is not zero:
@@ -153,18 +157,21 @@ def _eliminate(c, m: Matrix, pair: HemimodulePair = None, k=None, with_plus=True
                     if p is not zero:
                         yv[j] = add(yv[j], mul(w, p))
         rows = [[ap] + [add(mul(ap, h), h) if h is not zero else h for h in yv]]  # a* yV*
-        yv_nz = [(j, h) for j, h in enumerate(yv) if h is not zero]
+        yv_nz = [(j, h) for j, h in enumerate(yv, 1) if h is not zero]
         for g, row in zip(vu, vp):
             row = [g] + row
             if g is not zero:
                 g = row[0] = add(g, mul(g, ap))   # V*u a*
                 for j, h in yv_nz:
-                    row[j + 1] = add(row[j + 1], mul(g, h))
+                    row[j] = add(row[j], mul(g, h))
             rows.append(row)
         block, vp = [i] + block, rows
-    at = sorted(range(n), key=block.__getitem__)  # position of each row in V
-    plus = Matrix(tuple(tuple(vp[p][q] for q in at) for p in at)) if with_plus else None
-    return plus, tuple(col[p] for p in at) if pair is not None else None
+    if k < n:                         # V's rows are 0..k-1, n-1..k: back to index order
+        at = sorted(range(n), key=block.__getitem__)
+        vp = [[vp[p][q] for q in at] for p in at] if with_plus else None
+        col = [col[p] for p in at] if pair is not None else None
+    plus = Matrix(tuple(map(tuple, vp))) if with_plus else None
+    return plus, tuple(col) if pair is not None else None
 
 
 def _omega_step(pair: HemimodulePair, y, vu, col, a, ap) -> list:
@@ -185,12 +192,8 @@ def mat_plus(c, m: Matrix, split=None) -> Matrix:
     With ``split=None`` the elimination pass is used; with an explicit
     split point the literal block formula is evaluated at that k.
     """
-    _require_square(m)
-    n = m.rows
-    if split is None or n == 1:
+    if split is None or m.rows == 1:
         return _eliminate(c, m)[0]
-    if not 1 <= split < n:
-        raise ValueError("split must satisfy 1 <= split < n")
     x, y, u, v = _blocks(m, split)
     vp = mat_plus(c, v)
     y_vstar = mat_add(c, y, mat_mul(c, y, vp))          # Y V*
@@ -209,14 +212,9 @@ def mat_plus(c, m: Matrix, split=None) -> Matrix:
 
 def mat_star(c, m: Matrix, split=None) -> Matrix:
     """Matrix star, I + M^+, for carriers with a unit."""
-    _require_square(m)
-    n = m.rows
-    if split is None or n == 1:
-        mp = mat_plus(c, m)
-        return mat([[c.add(c.one, x) if i == j else x for j, x in enumerate(row)]
-                    for i, row in enumerate(mp.entries)])
-    if not 1 <= split < n:
-        raise ValueError("split must satisfy 1 <= split < n")
+    if split is None or m.rows == 1:
+        return Matrix(tuple(r[:i] + (c.add(c.one, r[i]),) + r[i + 1:]
+                            for i, r in enumerate(mat_plus(c, m).entries)))
     x, y, u, v = _blocks(m, split)
     vs = mat_star(c, v)
     xs = mat_star(c, x)
@@ -231,29 +229,25 @@ def mat_star(c, m: Matrix, split=None) -> Matrix:
 
 def _act_vec(pair: HemimodulePair, m: Matrix, vec) -> tuple:
     """H-matrix acting on a V-column."""
-    V = pair.module
+    add, act, zero = pair.module.add, pair.act, pair.module.zero
     out = []
-    for i in range(m.rows):
-        acc = V.zero
-        for j in range(m.cols):
-            acc = V.add(acc, pair.act(m.entries[i][j], vec[j]))
+    for row in m.entries:
+        acc = zero
+        for h, v in zip(row, vec):
+            acc = add(acc, act(h, v))
         out.append(acc)
     return tuple(out)
 
 
 def _vec_add(V, a, b):
-    return tuple(V.add(x, y) for x, y in zip(a, b))
+    return tuple(map(V.add, a, b))
 
 
 def mat_omega(pair: HemimodulePair, m: Matrix, split=None) -> tuple:
     """Omega of a square H-matrix as a column over V."""
-    _require_square(m)
     H, V = pair.hemiring, pair.module
-    n = m.rows
-    if split is None or n == 1:
+    if split is None or m.rows == 1:
         return _eliminate(H, m, pair, with_plus=False)[1]
-    if not 1 <= split < n:
-        raise ValueError("split must satisfy 1 <= split < n")
     x, y, u, v = _blocks(m, split)
     vp = mat_plus(H, v)
     xp = mat_plus(H, x)
@@ -303,11 +297,17 @@ class PermutationMatrix(Frozen):
 def permutation_conjugate(m: Matrix, pi: PermutationMatrix) -> Matrix:
     """pi^-1 M pi, computed by index permutation (no multiplications)."""
     p = pi.perm
-    return mat([[m.entries[p[i]][p[j]] for j in range(m.cols)] for i in range(m.rows)])
+    if not len(p) == m.rows == m.cols:
+        raise ValueError(f"a permutation of size {len(p)} cannot conjugate "
+                         f"a {m.rows}x{m.cols} matrix")
+    return Matrix(tuple(tuple(map(row.__getitem__, p)) for row in map(m.entries.__getitem__, p)))
 
 
 def permute_column(vec, pi: PermutationMatrix) -> tuple:
-    return tuple(vec[pi.perm[i]] for i in range(len(vec)))
+    if len(pi.perm) != len(vec):
+        raise ValueError(f"a permutation of size {len(pi.perm)} cannot permute "
+                         f"a column of size {len(vec)}")
+    return tuple(map(vec.__getitem__, pi.perm))
 
 
 def permutation_plus_check(c, m: Matrix, pi: PermutationMatrix) -> bool:
@@ -393,8 +393,8 @@ def group_matrix(g: GroupTable, xs) -> Matrix:
     """Matrix whose (i, j) entry is the variable at group element i^-1 · j."""
     if len(xs) != g.order:
         raise ValueError(f"{g.name} needs {g.order} elements, got {len(xs)}")
-    return mat([[xs[g.table[g.inverse(i)][j]] for j in range(g.order)]
-                for i in range(g.order)])
+    return Matrix(tuple(tuple(map(xs.__getitem__, g.table[g.inverse(i)]))
+                        for i in range(g.order)))
 
 
 def group_identity_check(g: GroupTable, c, sampler=None, trials=30, seed=DEFAULT_SEED,
@@ -415,12 +415,12 @@ def group_identity_check(g: GroupTable, c, sampler=None, trials=30, seed=DEFAULT
         mp, col_o = _eliminate(c, m, pair)
         want = c.plus(total)
         report.trials += 1
-        for i in range(g.order):
+        for i, column in enumerate(zip(*mp.entries)):
             row = c.sum(mp.entries[i])
             if not c.eq(row, want):
                 report.failures.append(LawFailure(
                     "plus_group_row", tuple(c.show(x) for x in xs), c.show(row), c.show(want)))
-            col = c.sum(mp.entries[j][i] for j in range(g.order))
+            col = c.sum(column)
             if not c.eq(col, want):
                 report.failures.append(LawFailure(
                     "plus_group_col", tuple(c.show(x) for x in xs), c.show(col), c.show(want)))

@@ -5,6 +5,8 @@ import json
 import subprocess
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_spec)
@@ -80,3 +82,22 @@ def test_cold_start_runs_each_call_in_both_trees_back_to_back(monkeypatch):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent"))
             for cache in ("no_cache", "cache")]
     assert calls[warm_up:warm_up + len(want)] == want
+
+
+def test_seed_flag_overrides_a_workloads_seed():
+    """``--seed WORKLOAD=SEED`` (repeatable) replaces that workload's seed
+    in SEEDS and keeps the others; without it the seeds are SEEDS."""
+    args = bench_pairs.parse_args(["parent", "--out", "b.json"])
+    assert args.seeds == bench_pairs.SEEDS
+    args = bench_pairs.parse_args(["parent", "--out", "b.json", "--seed", "algebra=7",
+                                   "--seed", "cli=11", "--seed", "algebra=8"])
+    assert args.seeds == {**bench_pairs.SEEDS, "algebra": 8, "cli": 11}
+    assert bench_pairs.SEEDS["algebra"] == 4242
+
+
+def test_seed_flag_rejects_a_bad_pair(capsys):
+    for bad in ("algebra", "algebra=", "algebra=x", "algebra=-1", "nope=3", "=3"):
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.parse_args(["parent", "--out", "b.json", "--seed", bad])
+        assert exc.value.code == 2
+        assert "expected WORKLOAD=SEED" in capsys.readouterr().err, bad

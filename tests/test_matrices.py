@@ -174,6 +174,27 @@ def test_permutation_validation():
         M.PermutationMatrix((0, 0, 2))
 
 
+@pytest.mark.parametrize("perm", [(1, 0, 3, 2), (0,)])
+def test_conjugation_rejects_a_permutation_of_another_size(minplus, perm):
+    """A size-4 permutation once conjugated a 2x2 matrix, and the plus check
+    on it returned True; a size-1 permutation raised IndexError."""
+    m = rand_mat(minplus, 2, random.Random(2))
+    pi = M.PermutationMatrix(perm)
+    want = f"^a permutation of size {len(perm)} cannot conjugate a 2x2 matrix$"
+    with pytest.raises(ValueError, match=want):
+        M.permutation_conjugate(m, pi)
+    with pytest.raises(ValueError, match=want):
+        M.permutation_plus_check(minplus, m, pi)
+
+
+def test_permute_column_rejects_a_permutation_of_another_size():
+    """A size-3 permutation once permuted the column (1, 2) to (2, 1)."""
+    with pytest.raises(ValueError,
+                       match="^a permutation of size 3 cannot permute a column of size 2$"):
+        M.permute_column((1, 2), M.PermutationMatrix((1, 0, 2)))
+    assert M.permute_column((1, 2, 3), M.PermutationMatrix((1, 2, 0))) == (2, 3, 1)
+
+
 def test_group_tables_valid():
     groups = M.builtin_groups()
     assert sorted(groups) == ["S3", "V4", "Z1", "Z2", "Z3", "Z4", "Z5", "Z6"]
@@ -229,7 +250,7 @@ def test_group_identities_all_carriers(boolean, minplus, lattice):
 
 
 def test_matrix_rectangular_validation():
-    for rows in ([[1, 2], [3]], [[1], [2, 3]], []):
+    for rows in ([[1, 2], [3]], [[1], [2, 3]], [], [[]], [[], []]):
         with pytest.raises(ValueError, match="^matrix rows must be nonempty and equal length$"):
             M.mat(rows)
     with pytest.raises(ValueError):

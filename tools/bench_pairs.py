@@ -1,9 +1,11 @@
 """Alternating parent/change benchmark pairs, written to one JSON file.
 
-    python3 tools/bench_pairs.py PARENT_DIR --out BENCH_19.json
+    python3 tools/bench_pairs.py PARENT_DIR --out BENCH_19.json [--seed algebra=7 ...]
 
 PARENT_DIR holds the files of the parent commit (for example
 ``git archive <parent> | tar -x -C PARENT_DIR``).  For each workload,
+at its seed in SEEDS or the one ``--seed WORKLOAD=SEED`` gives it (so that
+a claimed gain can be checked at a seed not used while writing the change),
 ``perfbench/run.py --seconds 20 --trace 0`` runs PAIRS times in PARENT_DIR
 and in this checkout, alternating which of the two goes first, and every
 run's end-to-end metrics and speed factor are kept.  ``summary`` gives,
@@ -230,21 +232,39 @@ def cold_start(trees: dict) -> dict:
     return out
 
 
-def main(argv=None):
+def workload_seed(text: str) -> tuple[str, int]:
+    """``WORKLOAD=SEED`` as (workload, seed), for a workload of SEEDS."""
+    workload, _, seed = text.partition("=")
+    if workload not in SEEDS or not seed.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"expected WORKLOAD=SEED with WORKLOAD one of {', '.join(SEEDS)}, got {text!r}")
+    return workload, int(seed)
+
+
+def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path)
     p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--seed", type=workload_seed, action="append", default=[],
+                   metavar="WORKLOAD=SEED", help="run WORKLOAD's pairs at SEED (repeatable)")
     args = p.parse_args(argv)
+    args.seeds = {**SEEDS, **dict(args.seed)}
+    return args
+
+
+def main(argv=None):
+    args = parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     out = {"env": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
                    "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
-           "command": "python3 tools/bench_pairs.py PARENT_DIR --out " + args.out.name,
+           "command": " ".join(["python3 tools/bench_pairs.py PARENT_DIR --out", args.out.name,
+                                *(f"--seed {w}={s}" for w, s in args.seed)]),
            "pairs": {}, "summary": {}, "speed_factors": [], "traced_kleene_seed_7": {},
            "traced_lasso_seed_7": {}, "traced_algebra_seed_7": {}, "traced_cli_seed_7": {},
            "counts_moved": {}, "tier1": {},
            "cold_start_s": {},
            "src_lines": {side: src_lines(tree) for side, tree in trees.items()}}
-    for workload, seed in SEEDS.items():
+    for workload, seed in args.seeds.items():
         rows = []
         for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
