@@ -8,20 +8,26 @@ never accepts; the empty language is one state that accepts nothing.  Union,
 concatenation and plus are each built in one exploration over the fixed
 letter order, on pairs of states, on a left state with a set of right
 states, and on sets of states (int bitmasks), and the result is minimised by
-Hopcroft's refinement.  A finite set of words is its trie.  Minimal DFAs are
-numbered breadth-first from the start in letter order, so equal languages
-give equal DFAs.
+Hopcroft's refinement.  A set of operand states reached by concatenation or
+plus keeps only its inclusion-maximal states: a state whose language is
+contained in another's adds nothing to the set's language, so the result is
+the same minimal DFA from fewer explored states (subsets saturated by a
+simulation preorder, one of the determinisations Van Glabbeek & Ploeger
+compare, CIAA 2008).  Each DFA keeps its inclusion order, computed the first
+time an operation needs it.  A finite set of words is its trie.  Minimal
+DFAs are numbered breadth-first from the start in letter order, so equal
+languages give equal DFAs.
 """
 
 from __future__ import annotations
 
-from .series import _check_word
+from .series import _check_word, _same_alphabet
 
 
 class Dfa:
     """A DFA; equal to a DFA with the same alphabet, states and transitions."""
 
-    __slots__ = ("alphabet", "n", "start", "accept", "delta")
+    __slots__ = ("alphabet", "n", "start", "accept", "delta", "below")
 
     def __init__(self, alphabet: tuple, n: int, start: int, accept: frozenset, delta: list):
         self.alphabet = alphabet
@@ -29,6 +35,7 @@ class Dfa:
         self.start = start        # state index
         self.accept = accept
         self.delta = delta        # per state: dict letter -> state (partial; missing = dead)
+        self.below = None         # per state t: mask of the states whose language is in t's
 
     def __eq__(self, other):
         if type(other) is not Dfa:
@@ -86,10 +93,73 @@ def _explore(alphabet, start, step, accepting) -> Dfa:
     return minimize(Dfa(alphabet, len(states), 0, accept, delta))
 
 
+def _inclusion(d: Dfa) -> list:
+    """below[t]: the mask of the states s with L(s) contained in L(t).
+
+    The greatest fixpoint of the simulation rule: t accepts if s does, and
+    on every letter s can read, t can read it too and its successor is above
+    s's.  On a DFA whose states all reach acceptance (every minimal one) the
+    simulation is exactly language inclusion; elsewhere it is contained in it.
+    """
+    n, delta = d.n, d.delta
+    full = (1 << n) - 1
+    acc = sum(1 << s for s in d.accept)
+    pre = {ch: [0] * n for ch in d.alphabet}    # per letter: target -> mask of sources
+    lacks = dict.fromkeys(d.alphabet, full)     # per letter: mask of the states without it
+    for s, row in enumerate(delta):
+        for ch, t in row.items():
+            pre[ch][t] |= 1 << s
+            lacks[ch] &= ~(1 << s)
+    below = []
+    for t, row in enumerate(delta):
+        m = full if t in d.accept else full & ~acc
+        for ch in d.alphabet:
+            if ch not in row:
+                m &= lacks[ch]
+        below.append(m)
+    work, queued = list(range(n)), full     # the states whose successors' masks shrank
+    while work:
+        t = work.pop()
+        queued &= ~(1 << t)
+        m = old = below[t]
+        for ch, u in delta[t].items():      # keep the states that lack ch or step into below[u]
+            into, ok, x = pre[ch], lacks[ch], below[u]
+            while x:
+                low = x & -x
+                ok |= into[low.bit_length() - 1]
+                x ^= low
+            m &= ok
+        if m != old:
+            below[t] = m
+            for into in pre.values():       # t's predecessors, each queued once
+                x = into[t] & ~queued
+                queued |= x
+                while x:
+                    low = x & -x
+                    work.append(low.bit_length() - 1)
+                    x ^= low
+    return below
+
+
 def _subset_step(d: Dfa):
-    """step(mask, ch, again): the set of states ``d`` reaches from ``mask``
-    on ch, with the first step out of the start as well when ``again``."""
+    """step(mask, ch, again): the inclusion-maximal states among those ``d``
+    reaches from ``mask`` on ch, with the first step out of the start as
+    well when ``again``.  Of states with one language the lowest is kept.
+    Reduced sets are memoised for the one operation that made ``step``."""
     bit = {ch: [1 << row[ch] if ch in row else 0 for row in d.delta] for ch in d.alphabet}
+    reduced = {}
+
+    def maximal(mask):
+        below = d.below
+        if below is None:
+            below = d.below = _inclusion(d)
+        out, rest = mask, mask
+        while rest:
+            low = rest & -rest
+            if out & low:                # kept so far: drop what lies below it
+                out &= ~below[low.bit_length() - 1] | low
+            rest ^= low
+        return out
 
     def step(mask, ch, again):
         succ = bit[ch]
@@ -98,12 +168,18 @@ def _subset_step(d: Dfa):
             low = mask & -mask
             out |= succ[low.bit_length() - 1]
             mask ^= low
+        if out & (out - 1):              # two states or more
+            kept = reduced.get(out)
+            if kept is None:
+                kept = reduced[out] = maximal(out)
+            return kept
         return out
     return step
 
 
 def union(a: Dfa, b: Dfa) -> Dfa:
     """Product on pairs of states; None is the dead state of either side."""
+    _same_alphabet(a, b)
     if a == b or not b.accept:           # minimal DFAs of equal languages are equal
         return a
     if not a.accept:
@@ -122,6 +198,7 @@ def union(a: Dfa, b: Dfa) -> Dfa:
 def concat(a: Dfa, b: Dfa) -> Dfa:
     """States (p, S): p a state of ``a`` (or None), S the states of ``b``
     reached so far; b's first step joins S whenever p accepts."""
+    _same_alphabet(a, b)
     da, sub, b_acc = a.delta, _subset_step(b), sum(1 << s for s in b.accept)
 
     def step(key, ch):
@@ -240,10 +317,6 @@ def agree_up_to(a: Dfa, b: Dfa, bound: int) -> bool:
             break
         frontier = nxt
     return True
-
-
-def dfa_is_empty(dfa: Dfa) -> bool:
-    return not dfa.accept
 
 
 def enumerate_words(dfa: Dfa, max_len: int, limit=None):

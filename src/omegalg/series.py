@@ -285,8 +285,16 @@ def _same_weights(f, g, op):
         raise ValueError(f"carrier mismatch in {op}")
 
 
+def _same_alphabet(x, y):
+    """Raise ValueError unless ``x`` and ``y`` (series, carriers or DFAs)
+    have one alphabet."""
+    if x.alphabet is not y.alphabet and x.alphabet != y.alphabet:
+        raise ValueError("alphabet mismatch")
+
+
 def series_add(f, g) -> Series:
     _same_weights(f, g, "sum")
+    _same_alphabet(f, g)
     w, L = f.weights, min(f.bound, g.bound)
     out = dict(f.table_at(L))
     both = []
@@ -312,6 +320,7 @@ def cauchy_mul(f, g) -> Series:
     a longer word sums its cuts.
     """
     _same_weights(f, g, "product")
+    _same_alphabet(f, g)
     w, L = f.weights, min(f.bound, g.bound)
     out = {}
     left = _by_length(f.table_at(L))
@@ -402,8 +411,7 @@ def _differing(f, g, bound):
     A word in one table only differs: the other side is zero, and every
     weight domain's ``eq`` is exact at zero.
     """
-    if f.alphabet != g.alphabet:
-        raise ValueError("alphabet mismatch")
+    _same_alphabet(f, g)
     eq = f.weights.eq
     a, b = f.table_at(bound), g.table_at(bound)
     for u, x in a.items():
@@ -421,8 +429,7 @@ def bounded_eq(f, g, bound: int = DEFAULT_BOUND) -> LawReport:
     A failure is a definitive inequality witness; success is bounded evidence
     only.  Witnesses come in shortlex order, at most 20.
     """
-    if f.alphabet != g.alphabet:
-        raise ValueError("alphabet mismatch")
+    _same_alphabet(f, g)
     w = f.weights
     coeff = ("coeff", lambda u: (f.coeff(u), g.coeff(u)), lambda u: (u or "<empty>",))
     return check_laws(LawReport(f"bounded-eq(L={bound})", 0), [coeff],
@@ -501,17 +508,22 @@ def nat_series_instance(alphabet=("a", "b"), bound=DEFAULT_BOUND) -> SeriesCarri
 # Elements are proper boolean series of bound 0 backed by minimal DFAs: the
 # DFA answers every word, which keeps coefficient queries at O(|w|) and makes
 # the omega-side (lasso) analysis of the hemimodule pair cheap.  Sum, product
-# and plus build the minimal DFA of the result from the operands' DFAs.
-# Equality is bounded like every series carrier's, at the carrier's bound,
-# decided by one walk over the pairs of states the two DFAs reach.
+# and plus build the minimal DFA of the result from the operands' DFAs, with
+# the DFA kit the carrier binds when it is made (so a series query that makes
+# no language carrier never loads ``dfa``); product and plus reduce each set
+# of operand states to its inclusion-maximal states.  Equality is bounded
+# like every series carrier's, at the carrier's bound, decided by one walk
+# over the pairs of states the two DFAs reach.  Operands over another
+# alphabet raise ``alphabet mismatch``, as in every series operation.
 #
 # A carrier builds each language once.  Minimal DFAs are canonical, so its
 # elements are interned by their DFA (hash-consing, Filliatre & Conchon 2006),
 # weakly: equal languages are one object while one of them lives.  Sum,
 # product and plus are memoised on their operands' creation numbers, a finite
-# language on its word set.  The memo keeps its RECENT most recently used
-# entries, so it holds at most that many elements alive; an entry whose
-# operand died is never hit again, since numbers are not reused.
+# language on its word set; each operation probes the memo itself.  The memo
+# keeps its RECENT most recently used entries, so it holds at most that many
+# elements alive; an entry whose operand died is never hit again, since
+# numbers are not reused.
 
 RECENT = 1024
 _SERIALS = itertools.count()     # creation numbers of language elements, across carriers
@@ -528,13 +540,14 @@ class LanguageCarrier(SeriesCarrier):
     """Epsilon-free regular languages as a Conway hemiring (no unit)."""
 
     def __init__(self, alphabet=("a", "b"), bound=DEFAULT_BOUND):
-        from . import dfa as dfalib
+        from . import dfa
         super().__init__(from_carrier(BooleanCarrier()), alphabet, bound, name="lang")
+        self._dfa = dfa                # the DFA kit, bound once
         self._interned = weakref.WeakValueDictionary()   # DFA -> element
         self._recent = OrderedDict()   # operation and operand numbers, or word set -> element
-        self.zero = self._from_dfa(dfalib.empty(self.alphabet))
+        self.zero = self._from_dfa(dfa.empty(self.alphabet))
 
-    def _from_dfa(self, d: dfalib.Dfa) -> Series:
+    def _from_dfa(self, d) -> Series:
         """The element of ``d``'s language: the live one this carrier made
         from an identical DFA, else a new one."""
         key = (d.start, d.accept, tuple(row.get(ch, -1) for row in d.delta for ch in self.alphabet))
@@ -546,29 +559,32 @@ class LanguageCarrier(SeriesCarrier):
             self._interned[key] = f
         return f
 
-    def _recall(self, key, make):
-        """The memo's element under ``key``, else ``make()``, kept as the
-        most recently used entry."""
-        recent = self._recent
-        out = recent.get(key)
-        if out is None:
-            out = recent[key] = make()
-            if len(recent) > RECENT:
-                recent.popitem(last=False)         # the least recently used
-        else:
-            recent.move_to_end(key)
-        return out
+    def _mine(self, *args):
+        """Raise ValueError unless every one of ``args`` is over this carrier's alphabet."""
+        for f in args:
+            _same_alphabet(self, f)
 
-    def _built(self, build, op, *args):
-        return self._recall((op, *(f.serial for f in args)),
-                            lambda: self._from_dfa(build(*(f.backing for f in args))))
+    def _keep(self, key, f) -> Series:
+        """Memoise ``f`` under ``key`` as the most recently used entry."""
+        recent = self._recent
+        recent[key] = f
+        if len(recent) > RECENT:
+            recent.popitem(last=False)         # the least recently used
+        return f
+
+    # A memo hit is moved to the end, a miss is built and kept.  Operand
+    # numbers are never reused, so a hit's operands passed the alphabet
+    # check when it was built.
 
     def poly(self, table) -> Series:
-        from . import dfa as dfalib
         words = frozenset(w for w, v in table.items() if v)
         if not words:
             return self.zero
-        return self._recall(words, lambda: self._from_dfa(dfalib.from_words(self.alphabet, words)))
+        out = self._recent.get(words)
+        if out is None:
+            return self._keep(words, self._from_dfa(self._dfa.from_words(self.alphabet, words)))
+        self._recent.move_to_end(words)
+        return out
 
     def language(self, *words) -> Series:
         return self.poly({w: True for w in words})
@@ -583,34 +599,48 @@ class LanguageCarrier(SeriesCarrier):
         return f if n else self.zero
 
     def add(self, f, g):
-        from . import dfa as dfalib
         if f.serial > g.serial:          # union commutes: one entry per pair
             f, g = g, f
-        return self._built(dfalib.union, "add", f, g)
+        key = ("add", f.serial, g.serial)
+        out = self._recent.get(key)
+        if out is None:
+            self._mine(f, g)
+            return self._keep(key, self._from_dfa(self._dfa.union(f.backing, g.backing)))
+        self._recent.move_to_end(key)
+        return out
 
     def mul(self, f, g):
-        from . import dfa as dfalib
-        if dfalib.dfa_is_empty(f.backing) or dfalib.dfa_is_empty(g.backing):
+        if not f.backing.accept or not g.backing.accept:
+            self._mine(f, g)
             return self.zero
-        return self._built(dfalib.concat, "mul", f, g)
+        key = ("mul", f.serial, g.serial)
+        out = self._recent.get(key)
+        if out is None:
+            self._mine(f, g)
+            return self._keep(key, self._from_dfa(self._dfa.concat(f.backing, g.backing)))
+        self._recent.move_to_end(key)
+        return out
 
     def plus(self, f):
-        from . import dfa as dfalib
-        if dfalib.dfa_is_empty(f.backing):
+        if not f.backing.accept:
+            self._mine(f)
             return self.zero
-        return self._built(dfalib.plus, "plus", f)
+        key = ("plus", f.serial)
+        out = self._recent.get(key)
+        if out is None:
+            self._mine(f)
+            return self._keep(key, self._from_dfa(self._dfa.plus(f.backing)))
+        self._recent.move_to_end(key)
+        return out
 
     def eq(self, f, g):
-        from . import dfa as dfalib
-        if f.alphabet != g.alphabet:
-            raise ValueError("alphabet mismatch")
-        return f is g or dfalib.agree_up_to(f.backing, g.backing, self.bound)
+        _same_alphabet(f, g)
+        return f is g or self._dfa.agree_up_to(f.backing, g.backing, self.bound)
 
     def show(self, f):
-        from . import dfa as dfalib
-        words = dfalib.enumerate_words(f.backing, 4, limit=7)
+        words = self._dfa.enumerate_words(f.backing, 4, limit=7)
         if not words:
-            return "{}" if dfalib.dfa_is_empty(f.backing) else "{…}"
+            return "{…}" if f.backing.accept else "{}"
         body = ", ".join(words[:6]) + (", …" if len(words) > 6 else "")
         return "{" + body + "}"
 

@@ -545,6 +545,17 @@ def canonical_dfa(dfa):
     return tuple(s in dfa.accept for s in queue), tuple(rows)
 
 
+def numbered_dfa(dfa):
+    """The reachable part of ``dfa`` as a DFA numbered breadth-first from
+    the start in letter order, as ``dfa.minimize`` numbers its result: a
+    minimal DFA so numbered is ``==`` to it exactly when they are isomorphic."""
+    from omegalg.dfa import Dfa
+
+    flags, rows = canonical_dfa(dfa)
+    delta = [{ch: t for ch, t in zip(dfa.alphabet, row) if t is not None} for row in rows]
+    return Dfa(dfa.alphabet, len(rows), 0, frozenset(i for i, f in enumerate(flags) if f), delta)
+
+
 def act_language_walk(lang, fp, monoid) -> frozenset:
     """The left action of a language on a fingerprint, walking each lasso
     with ``letter_at`` and normalising the suffix at each accepting state;

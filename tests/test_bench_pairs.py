@@ -101,3 +101,32 @@ def test_seed_flag_rejects_a_bad_pair(capsys):
             bench_pairs.parse_args(["parent", "--out", "b.json", "--seed", bad])
         assert exc.value.code == 2
         assert "expected WORKLOAD=SEED" in capsys.readouterr().err, bad
+
+
+def test_lang_group_checks_time_each_case_once_per_tree(monkeypatch):
+    """Each case of LANG_GROUP_CHECKS runs once in each tree, the first tree
+    alternating, under LANG_TIMEOUT_S; a call that runs out is recorded as
+    timed out, at the timeout, with no exit code."""
+    calls = []
+
+    def fake_run(argv, cwd, env, capture_output, text, timeout):
+        case = f"{argv[argv.index('--group') + 1]} {argv[argv.index('--seed') + 1]}"
+        side = Path(env["PYTHONPATH"]).parent.name
+        assert argv[argv.index("--instance") + 1] == "lang" and timeout == bench_pairs.LANG_TIMEOUT_S
+        calls.append((side, case))
+        if (side, case) == ("parent", "Z4 6"):
+            raise subprocess.TimeoutExpired(argv, timeout)
+        return subprocess.CompletedProcess(argv, 0, "", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = bench_pairs.lang_group_checks({"parent": Path("/p/parent"), "change": Path("/c/change")})
+    cases = [f"{g} {s}" for g, s in bench_pairs.LANG_GROUP_CHECKS]
+    assert cases == ["V4 8", "Z4 6", "S3 8"]
+    assert calls == [(side, case) for i, case in enumerate(cases)
+                     for side in (("parent", "change") if i % 2 == 0 else ("change", "parent"))]
+    assert out["parent"]["Z4 6"] == {"wall_s": bench_pairs.LANG_TIMEOUT_S, "timed_out": True,
+                                     "exit": None}
+    for side, case in calls:
+        if (side, case) != ("parent", "Z4 6"):
+            got = out[side][case]
+            assert not got["timed_out"] and got["exit"] == 0 and got["wall_s"] < 1, (side, case)

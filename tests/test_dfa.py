@@ -68,7 +68,7 @@ def test_minimize_empty_language():
     nfa = oracles.nfa_from_words(AB, ["a"])
     dead = oracles.Nfa(AB, nfa.n, nfa.start, 0, nfa.steps)   # no accepting states
     small = D.minimize(oracles.determinize(dead))
-    assert D.dfa_is_empty(small)
+    assert not small.accept
 
 
 def test_enumerate_words_shortlex():
@@ -156,3 +156,100 @@ def test_minimisation_is_fast_on_long_chains():
     t1 = time.perf_counter()
     assert small.n == 2001 and small.run("a" * 2000)
     assert t1 - t0 < 1.0, t1 - t0
+
+
+# --- subsets reduced to their inclusion-maximal states --------------------------
+
+BUILD = {"add": D.union, "mul": D.concat, "plus": D.plus}
+
+
+def _nfa_route(op, *args):
+    """The NFA route's minimal DFA, numbered as ``minimize`` numbers; Moore's
+    refinement is minimal on DFAs whose states all reach acceptance, which
+    its first pass leaves when an operand has dead ends."""
+    return oracles.numbered_dfa(oracles.moore_minimize(oracles.language_op(op, *args)))
+
+
+def test_reduced_constructions_match_the_nfa_route_on_lang_samples():
+    """Concatenation and plus keep only the inclusion-maximal states of each
+    subset they reach; the result is ``==`` to the NFA route's minimal DFA
+    on 200 operations over samples of the ``lang`` carrier and the results
+    of earlier operations."""
+    rng = random.Random(59)
+    lang = series.language_instance(AB, 6)
+    pool = [lang.sample(rng).backing for _ in range(8)]
+    for _ in range(200):
+        op = rng.choice(("add", "mul", "mul", "plus"))
+        args = [rng.choice(pool) for _ in range(1 if op == "plus" else 2)]
+        got = BUILD[op](*args)
+        assert got == _nfa_route(op, *args), op
+        if got.n < 30:
+            pool.append(got)
+            if len(pool) > 14:
+                pool.pop(rng.randrange(len(pool)))
+
+
+def test_reduced_constructions_match_the_nfa_route_on_group_matrix_entries(monkeypatch):
+    """Every union, concatenation and plus that two group checks of the
+    ``lang`` carrier make on operands of at most 80 states in all is ``==``
+    to the NFA route's (larger ones blow the route's subset construction
+    up); among them are operands with two states, one of whose languages
+    includes the other's, whose subsets the reduction shrinks."""
+    from omegalg import matrices, omegalang
+
+    calls = []
+    for name in ("union", "concat", "plus"):
+        monkeypatch.setattr(D, name, lambda *args, fn=getattr(D, name):
+                            calls.append((fn, args)) or fn(*args))
+    lang, pair = series.language_instance(AB, 6), omegalang.language_pair(bound=6)
+    for gname, seed in (("Z3", 4), ("V4", 8)):
+        matrices.group_identity_check(matrices.builtin_groups()[gname], lang, trials=1,
+                                      seed=seed, pair=pair)
+    monkeypatch.undo()
+    op = {D.union: "add", D.concat: "mul", D.plus: "plus"}
+    small = [(fn, args) for fn, args in calls if sum(d.n for d in args) <= 80]
+    assert len(small) >= 100 and len({fn for fn, _ in small}) == 3, len(small)
+    ordered = 0
+    for fn, args in small:
+        assert fn(*args) == _nfa_route(op[fn], *args)
+        below = args[-1].below
+        ordered += below is not None and any(b & (b - 1) for b in below)
+    assert ordered >= 20, ordered
+
+
+def test_of_two_states_with_one_language_the_lower_is_kept():
+    """A non-minimal DFA whose states 1 and 2 both accept a*: the plus
+    reaches {1, 2} on aa and keeps state 1 alone; plus and concatenation
+    still give the NFA route's DFAs, with the two states in either order."""
+    b = D.Dfa(AB, 3, 0, frozenset({1, 2}), [{"a": 1}, {"a": 2}, {"a": 2}])
+    assert D._subset_step(b)(0b010, "a", True) == 0b010
+    assert b.below == [0b001, 0b111, 0b111]
+    swapped = D.Dfa(AB, 3, 0, frozenset({1, 2}), [{"a": 2}, {"a": 1}, {"a": 1}])
+    assert D._subset_step(swapped)(0b100, "a", True) == 0b010
+    x = D.from_words(AB, ["a", "ba"])
+    for d in (b, swapped):
+        assert D.plus(d) == _nfa_route("plus", d)
+        assert D.concat(d, d) == _nfa_route("mul", d, d)
+        for args in ((x, d), (d, x)):
+            assert D.concat(*args) == _nfa_route("mul", *args)
+            assert D.union(*args) == _nfa_route("add", *args)
+
+
+def test_dead_end_states_keep_the_constructions_exact():
+    """Hand-built DFAs with states that never reach acceptance (a b-loop
+    that never accepts, a state with no way out): no live state counts as
+    below a dead end, and every union, concatenation and plus among them
+    and two finite languages is ``==`` to the NFA route's (a union of a DFA
+    with itself returns it, so only minimal DFAs are joined to themselves)."""
+    dead_loop = D.Dfa(AB, 3, 0, frozenset({1}), [{"a": 1, "b": 2}, {"a": 1}, {"b": 2}])
+    stuck = D.Dfa(AB, 4, 0, frozenset({2}), [{"a": 1, "b": 2}, {}, {"a": 3, "b": 0}, {}])
+    for d, dead in ((dead_loop, {2}), (stuck, {1, 3})):
+        live = sum(1 << s for s in range(d.n) if s not in dead)
+        assert all(not D._inclusion(d)[t] & live for t in dead), d.delta
+    pool = [dead_loop, stuck, D.from_words(AB, ["ab", "b"]), D.from_words(AB, ["a"])]
+    for a in pool:
+        assert D.plus(a) == _nfa_route("plus", a)
+        for b in pool:
+            assert D.concat(a, b) == _nfa_route("mul", a, b)
+            if a is not b or a.n == D.minimize(a).n:
+                assert D.union(a, b) == _nfa_route("add", a, b)

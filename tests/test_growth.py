@@ -3,6 +3,9 @@ grows in the class its algorithm states as a user-controlled parameter
 doubles.  Counts do not move with the machine, so they can be pinned."""
 
 import random
+import time
+
+import pytest
 
 from omegalg import automata as A, matrices as M, ratexpr as rx, valuation as V
 from omegalg.core import self_pair
@@ -169,3 +172,37 @@ def test_finitary_runs_grow_linearly_in_word_length(monkeypatch):
         edges[m] = read[0]
     for m in (2500, 5000):
         assert edges[2 * m] <= 2.2 * edges[m], edges
+
+
+# Group checks of the language carrier that ran past 20 s when concatenation
+# and plus explored every subset of operand states: group, seed, and the
+# states ``dfa._explore`` builds once subsets keep their inclusion-maximal
+# states (measured 74,265, 91,356, 182,603 and 365,278), times 1.5.
+_LANG_GROUP_CASES = [("V4", 8, 111_397), ("Z4", 6, 137_034), ("Z4", 8, 273_904),
+                     ("S3", 8, 547_917)]
+
+
+@pytest.mark.parametrize("group, seed, most", _LANG_GROUP_CASES,
+                         ids=[f"{g}-{s}" for g, s, _ in _LANG_GROUP_CASES])
+def test_lang_group_checks_build_a_bounded_number_of_states(monkeypatch, group, seed, most):
+    """``group_identity_check`` on ``lang`` at bound 6, one trial: the
+    identities hold, the explorations build at most ``most`` states (each
+    is asked once whether it accepts) and the check ends within 10 s."""
+    from omegalg import dfa, omegalang, series
+
+    built, explore = [0], dfa._explore
+
+    def counted(alphabet, start, step, accepting):
+        def asked(key):
+            built[0] += 1
+            return accepting(key)
+        return explore(alphabet, start, step, asked)
+
+    monkeypatch.setattr(dfa, "_explore", counted)
+    start = time.perf_counter()
+    report = M.group_identity_check(M.builtin_groups()[group], series.language_instance(bound=6),
+                                    trials=1, seed=seed, pair=omegalang.language_pair(bound=6))
+    took = time.perf_counter() - start
+    assert report.ok and report.trials == 1, report.failures[:1]
+    assert built[0] <= most, built[0]
+    assert took < 10.0, took

@@ -353,6 +353,53 @@ def test_sum_and_product_check_weights_alike():
     assert cauchy_mul(f, g).coeff("ab") == half.prod(1, 1, 1.0, 2.0)
 
 
+_MIXED = {   # one operation on {a} over ("a",) and {b} over ("a", "b")
+    "carrier add": lambda ab, a, x, y: ab.add(x, y),
+    "carrier add, swapped": lambda ab, a, x, y: ab.add(y, x),
+    "carrier mul": lambda ab, a, x, y: ab.mul(x, y),
+    "carrier mul, swapped": lambda ab, a, x, y: ab.mul(y, x),
+    "carrier mul by the empty language": lambda ab, a, x, y: ab.mul(a.zero, y),
+    "carrier plus": lambda ab, a, x, y: ab.plus(x),
+    "carrier plus of the empty language": lambda ab, a, x, y: ab.plus(a.zero),
+    "carrier eq": lambda ab, a, x, y: ab.eq(x, y),
+    "dfa union": lambda ab, a, x, y: dfa.union(x.backing, y.backing),
+    "dfa concat": lambda ab, a, x, y: dfa.concat(x.backing, y.backing),
+    "series sum": lambda ab, a, x, y: series.series_add(*_polys(x, y)),
+    "series product": lambda ab, a, x, y: cauchy_mul(*_polys(x, y)),
+    "bounded eq": lambda ab, a, x, y: bounded_eq(*_polys(x, y)),
+}
+
+
+def _polys(x, y):
+    """Boolean polynomials with the words and alphabets of ``x`` and ``y``."""
+    weights = x.weights
+    return (series.polynomial(weights, x.alphabet, {"a": weights.unit}),
+            series.polynomial(weights, y.alphabet, {"b": weights.unit}))
+
+
+@pytest.mark.parametrize("case", _MIXED)
+def test_operations_refuse_mixed_alphabets(case):
+    """Every operation on operands over two alphabets raises the one
+    ``alphabet mismatch`` error, at the carrier, DFA and series levels,
+    rather than giving a result over one operand's alphabet."""
+    a, ab = series.language_instance(("a",)), series.language_instance(("a", "b"))
+    x, y = a.language("a"), ab.language("b")
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        _MIXED[case](ab, a, x, y)
+
+
+def test_operations_on_one_alphabet_from_two_carriers_combine():
+    """Two carriers over equal alphabets share elements' alphabets: no
+    operation raises, and the results are the languages expected."""
+    ab, other = series.language_instance(("a", "b")), series.language_instance(["a", "b"])
+    x, y = ab.language("a"), other.language("b")
+    assert ab.eq(ab.add(x, y), ab.language("a", "b"))
+    assert ab.eq(ab.mul(x, y), ab.language("ab"))
+    assert ab.eq(ab.plus(y), other.plus(y))
+    f, g = _polys(x, y)
+    assert series.series_add(f, g).coeff("b") and cauchy_mul(f, g).coeff("ab")
+
+
 def test_plus_fixed_point_identity():
     sc = SeriesCarrier(valuation.from_carrier(make_instance("nat")), ("a", "b"), bound=8)
     rng = random.Random(12)

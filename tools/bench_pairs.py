@@ -43,7 +43,11 @@ goes: each module it loads beyond ``python -c pass`` without a bytecode
 cache, with the median of its
 ``-X importtime`` self time over COLD_REPEATS runs, and the sum of those
 medians (``coeff_imports``).  And ``src_lines``: per tree, the ``wc -l``
-of each ``src/omegalg/*.py`` file and their total.
+of each ``src/omegalg/*.py`` file and their total.  And ``lang_group_checks``:
+per tree, the wall time of one ``omegalg group-check --instance lang`` call
+for each group and seed of LANG_GROUP_CHECKS, the trees alternating which
+goes first, with a LANG_TIMEOUT_S timeout; a call that runs out is recorded
+as timed out, at the timeout.
 Run it on an otherwise idle machine; it takes about 20 minutes on 2 cores.
 """
 
@@ -70,6 +74,9 @@ TIER1_RUNS = 2
 COLD_REPEATS = 9
 ACCEPTANCE = re.compile(r"ACCEPTANCE (\S+): PASS \(([0-9.]+)s / budget ([0-9.]+)s\)")
 IMPORT_TIME = re.compile(r"import time:\s+(\d+) \|\s+\d+ \| +(\S+)$")
+# Language group checks whose subset constructions used to blow up (ROADMAP item 2).
+LANG_GROUP_CHECKS = (("V4", 8), ("Z4", 6), ("S3", 8))
+LANG_TIMEOUT_S = 30
 
 # The cold-start calls: interpreter start, the CLI's import, and one call of
 # each command (``behavior`` reads the automaton ``compile`` writes).
@@ -232,6 +239,29 @@ def cold_start(trees: dict) -> dict:
     return out
 
 
+def lang_group_checks(trees: dict) -> dict:
+    """Per tree and ``GROUP SEED``, the wall time in seconds of one
+    ``group-check --instance lang`` call and whether it timed out (then
+    at LANG_TIMEOUT_S), and its exit code (None on a timeout)."""
+    out = {side: {} for side in trees}
+    for i, (group, seed) in enumerate(LANG_GROUP_CHECKS):
+        for side in trees if i % 2 == 0 else reversed(trees):
+            env = {**os.environ, "PYTHONPATH": str(trees[side] / "src")}
+            argv = [sys.executable, "-m", "omegalg.cli", "group-check", "--group", group,
+                    "--instance", "lang", "--seed", str(seed)]
+            start = time.perf_counter()
+            try:
+                code = subprocess.run(argv, cwd=trees[side], env=env, capture_output=True,
+                                      text=True, timeout=LANG_TIMEOUT_S).returncode
+            except subprocess.TimeoutExpired:
+                code = None
+            wall = time.perf_counter() - start
+            out[side][f"{group} {seed}"] = {
+                "wall_s": LANG_TIMEOUT_S if code is None else wall,
+                "timed_out": code is None, "exit": code}
+    return out
+
+
 def workload_seed(text: str) -> tuple[str, int]:
     """``WORKLOAD=SEED`` as (workload, seed), for a workload of SEEDS."""
     workload, _, seed = text.partition("=")
@@ -262,7 +292,7 @@ def main(argv=None):
            "pairs": {}, "summary": {}, "speed_factors": [], "traced_kleene_seed_7": {},
            "traced_lasso_seed_7": {}, "traced_algebra_seed_7": {}, "traced_cli_seed_7": {},
            "counts_moved": {}, "tier1": {},
-           "cold_start_s": {},
+           "cold_start_s": {}, "lang_group_checks": {},
            "src_lines": {side: src_lines(tree) for side, tree in trees.items()}}
     for workload, seed in args.seeds.items():
         rows = []
@@ -292,6 +322,7 @@ def main(argv=None):
     out["counts_moved"] = counts_moved(out)
     out["tier1"] = tier1(trees)
     out["cold_start_s"] = cold_start(trees)
+    out["lang_group_checks"] = lang_group_checks(trees)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
 
 
