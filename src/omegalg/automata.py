@@ -46,18 +46,12 @@ class MatrixAutomaton(Frozen):
                  edges: tuple):
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
-        object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "edges", edges)   # (source, letter, target, weight)
-        # the run dynamic program of this automaton (its out-edges per letter and
-        # source) and its lasso kernel, each resolved once: the kernel's kept edge
-        # sets, each one object a query reads, with node values per rotation class
-        # and entry values per period
-        object.__setattr__(self, "_memo", {})
+        # an edge is (source, letter, target, weight); ``_memo`` holds the run
+        # dynamic program of this automaton (its out-edges per letter and
+        # source) and its lasso kernel, each resolved once: the kernel's kept
+        # edge sets, each one object a query reads, with node values per
+        # rotation class and entry values per period
+        super().__init__(instance, alphabet, n, k, alpha, beta, edges, {})
 
 
 def _out_edges(edges) -> dict:
@@ -853,8 +847,6 @@ def automaton_from_json(data, instance) -> MatrixAutomaton:
     alpha, beta = coefficients("alpha"), coefficients("beta")
     if not isinstance(data["transitions"], list):
         raise ValueError("'transitions' must be a list")
-    if instance.read is None:
-        raise ValueError(f"{instance.name} weights cannot be read")
     edges = []
     for num, t in enumerate(data["transitions"]):
         where = f"transition {num}"

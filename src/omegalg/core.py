@@ -91,7 +91,7 @@ class Semiring(Hemiring):
 
 
 def has_one(c) -> bool:
-    return getattr(c, "one", None) is not None or isinstance(getattr(type(c), "one", None), property)
+    return getattr(c, "one", None) is not None
 
 
 def has_plus(c) -> bool:
@@ -126,12 +126,21 @@ def mul_star(c, y, x):
 
 class Frozen:
     """Base of the library's immutable values.  A subclass lists its fields
-    in ``__slots__`` and sets them in ``__init__`` with ``object.__setattr__``;
-    after that a field can be neither assigned nor deleted.  ``copy``,
-    ``deepcopy`` and ``pickle`` restore a value's fields through
-    ``__setstate__``."""
+    in ``__slots__``, and its constructor takes one value per field, in slot
+    order, and stores them; a subclass which checks its input checks it and
+    then stores through ``super().__init__``.  After that a field can be
+    neither assigned nor deleted.  ``copy``, ``deepcopy`` and ``pickle``
+    restore a value's fields through ``__setstate__``."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        names = type(self).__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} values, "
+                            f"got {len(values)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -151,12 +160,6 @@ class LawFailure(Frozen):
     inputs and the two shown sides.  Immutable."""
 
     __slots__ = ("law", "inputs", "lhs", "rhs")
-
-    def __init__(self, law: str, inputs: tuple[str, ...], lhs: str, rhs: str):
-        object.__setattr__(self, "law", law)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
 
 
 class LawReport:

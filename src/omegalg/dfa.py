@@ -180,10 +180,6 @@ def _subset_step(d: Dfa):
 def union(a: Dfa, b: Dfa) -> Dfa:
     """Product on pairs of states; None is the dead state of either side."""
     _same_alphabet(a, b)
-    if a == b or not b.accept:           # minimal DFAs of equal languages are equal
-        return a
-    if not a.accept:
-        return b
     da, db = a.delta, b.delta
 
     def step(key, ch):

@@ -26,10 +26,6 @@ class FormalSum(Frozen):
 
     __slots__ = ("scalar", "ideal")
 
-    def __init__(self, scalar, ideal):
-        object.__setattr__(self, "scalar", scalar)
-        object.__setattr__(self, "ideal", ideal)
-
 
 class BiAction(Frozen):
     """Left and right action of a semiring on a hemiring.  Immutable."""

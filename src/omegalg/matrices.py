@@ -54,10 +54,6 @@ def zeros(c, rows, cols) -> Matrix:
     return mat([[c.zero] * cols for _ in range(rows)])
 
 
-def identity(c, n) -> Matrix:
-    return mat([[c.one if i == j else c.zero for j in range(n)] for i in range(n)])
-
-
 def mat_add(c, a: Matrix, b: Matrix) -> Matrix:
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError("dimension mismatch in add")
@@ -287,7 +283,7 @@ class PermutationMatrix(Frozen):
     def __init__(self, perm: tuple):
         if sorted(perm) != list(range(len(perm))):
             raise ValueError("not a permutation")
-        object.__setattr__(self, "perm", perm)
+        super().__init__(perm)
 
     @property
     def n(self):
@@ -336,20 +332,19 @@ class GroupTable(Frozen):
     __slots__ = ("name", "table")
 
     def __init__(self, name: str, table: tuple):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "table", table)
-        n = self.order
+        n = len(table)
         for i in range(n):
-            if self.table[0][i] != i or self.table[i][0] != i:
-                raise ValueError(f"{self.name}: element 0 is not a unit")
+            if table[0][i] != i or table[i][0] != i:
+                raise ValueError(f"{name}: element 0 is not a unit")
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    if self.table[self.table[i][j]][k] != self.table[i][self.table[j][k]]:
-                        raise ValueError(f"{self.name}: product is not associative")
+                    if table[table[i][j]][k] != table[i][table[j][k]]:
+                        raise ValueError(f"{name}: product is not associative")
         for i in range(n):
-            if not any(self.table[i][j] == 0 for j in range(n)):
-                raise ValueError(f"{self.name}: element {i} has no inverse")
+            if not any(table[i][j] == 0 for j in range(n)):
+                raise ValueError(f"{name}: element {i} has no inverse")
+        super().__init__(name, table)
 
     @property
     def order(self):

@@ -44,67 +44,39 @@ def check_alphabet(letters) -> tuple:
 
 # An expression node is immutable, and equal only to itself (structural
 # equality is :func:`expr_equal`).  Each node class lists its fields in
-# ``__slots__``, in the order its constructor takes them.
+# ``__slots__``; ``core.Frozen``'s constructor takes one value per field, in
+# that order, and stores it.
 
 class Letter(Frozen):
     __slots__ = ("ch",)
-
-    def __init__(self, ch: str):
-        object.__setattr__(self, "ch", ch)
 
 
 class Scalar(Frozen):
     __slots__ = ("coef", "arg")
 
-    def __init__(self, coef: int, arg):
-        object.__setattr__(self, "coef", coef)
-        object.__setattr__(self, "arg", arg)
-
 
 class Sum(Frozen):
     __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
 
 class Prod(Frozen):
     __slots__ = ("left", "right")
 
-    def __init__(self, left, right):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
 
 class Plus(Frozen):
     __slots__ = ("arg",)
-
-    def __init__(self, arg):
-        object.__setattr__(self, "arg", arg)
 
 
 class OmegaPow(Frozen):
     __slots__ = ("arg",)
 
-    def __init__(self, arg):
-        object.__setattr__(self, "arg", arg)
-
 
 class ActProd(Frozen):
-    __slots__ = ("head", "tail")
-
-    def __init__(self, head, tail):
-        object.__setattr__(self, "head", head)   # finitary
-        object.__setattr__(self, "tail", tail)   # omega
+    __slots__ = ("head", "tail")   # finitary head, omega tail
 
 
 class OmegaSum(Frozen):
     __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
 
 OMEGA_NODES = (OmegaPow, ActProd, OmegaSum)

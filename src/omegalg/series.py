@@ -103,6 +103,10 @@ class OmegaWord(Frozen):
             _WORDS[u, v] = w
         return w
 
+    def __init__(self, prefix, period):
+        """Nothing to store: ``__new__`` returned the canonical word, whose
+        fields are set once, when it is made."""
+
     def __reduce__(self):
         return OmegaWord, (self.prefix, self.period)
 
@@ -599,6 +603,11 @@ class LanguageCarrier(SeriesCarrier):
         return f if n else self.zero
 
     def add(self, f, g):
+        if not f.backing.accept:
+            f, g = g, f
+        if f is g or not g.backing.accept:     # the union is f: its DFA is minimal
+            self._mine(f, g)
+            return f
         if f.serial > g.serial:          # union commutes: one entry per pair
             f, g = g, f
         key = ("add", f.serial, g.serial)

@@ -36,8 +36,7 @@ class WeightedSeq(Frozen):
         for n, _ in prefix + block:
             if n < 1:
                 raise ValueError("lengths must be positive")
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "block", block)
+        super().__init__(prefix, block)
 
     def take(self, count: int) -> tuple:
         out = list(self.prefix)
@@ -83,9 +82,6 @@ class ValOmega(Frozen):
 
     __slots__ = ("value",)
 
-    def __init__(self, value):
-        object.__setattr__(self, "value", value)
-
 
 class OmegaValuation:
     """An omega-valuation multi-hemiring; doubles as a series weight domain."""
@@ -107,7 +103,7 @@ class OmegaValuation:
         self.eq = monoid.eq
         self.show = monoid.show
         self.sample = monoid.sample
-        self.read = getattr(monoid, "read", None)
+        self.read = monoid.read
 
     def is_zero(self, v) -> bool:
         return self.eq(v, self.zero)
@@ -300,10 +296,8 @@ class Instance(Frozen):
 
     def __init__(self, name: str, roles: dict, params: dict | None = None,
                  caps: dict | None = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "roles", roles)
-        object.__setattr__(self, "params", {} if params is None else params)
-        object.__setattr__(self, "caps", {} if caps is None else caps)
+        super().__init__(name, roles, {} if params is None else params,
+                         {} if caps is None else caps)
 
     def bind(self, options) -> dict:
         """The entry's params, each replaced by ``options``' value if it has one."""
@@ -470,18 +464,13 @@ def omega_valuation_laws(inst: OmegaValuation, trials=200, seed=DEFAULT_SEED) ->
 
 # --- the two counterexample harnesses --------------------------------------------------
 
-class RegroupAvgTrace:
-    """Doubling 0/1 blocks: direct limsup-average 2/3, regrouped 1/3."""
+class RegroupAvgTrace(Frozen):
+    """Doubling 0/1 blocks: direct limsup-average 2/3, regrouped 1/3.  The
+    regrouped estimate is None below 3 blocks, which have no group ends.
+    Immutable."""
 
     __slots__ = ("block_end_averages", "group_end_averages", "direct_estimate",
                  "regrouped_estimate")
-
-    def __init__(self, block_end_averages: list, group_end_averages: list,
-                 direct_estimate: float, regrouped_estimate: float | None):
-        self.block_end_averages = block_end_averages
-        self.group_end_averages = group_end_averages
-        self.direct_estimate = direct_estimate
-        self.regrouped_estimate = regrouped_estimate  # None below 3 blocks: no group ends
 
     def to_json(self):
         return {
@@ -532,17 +521,11 @@ def counterexample_regroup_avg(blocks: int = 24) -> RegroupAvgTrace:
     return RegroupAvgTrace(block_ends, group_ends, float(direct), regrouped)
 
 
-class ProductOmegaTrace:
-    """Witness that the product omega identity fails for limsup-average."""
+class ProductOmegaTrace(Frozen):
+    """Witness that the product omega identity fails for limsup-average.
+    Immutable."""
 
     __slots__ = ("lengths", "lhs_estimates", "rhs_estimates", "rhs_closed_form")
-
-    def __init__(self, lengths: list, lhs_estimates: list, rhs_estimates: list,
-                 rhs_closed_form: list):
-        self.lengths = lengths
-        self.lhs_estimates = lhs_estimates
-        self.rhs_estimates = rhs_estimates
-        self.rhs_closed_form = rhs_closed_form
 
     def to_json(self):
         return {

@@ -463,60 +463,38 @@ def determinize(nfa: Nfa):
 
 
 def moore_minimize(dfa):
-    """Moore partition refinement; the dead state stays implicit.  Minimal
-    when every state reaches acceptance (so no live state is dead), which
-    holds for every DFA the NFA route determinises."""
+    """Moore partition refinement.  The states that cannot reach acceptance
+    join the implicit dead state before refining, so the result is minimal."""
     from omegalg.dfa import Dfa
 
     n = dfa.n
-    # class -1 is the implicit dead state; never merged with live states
-    cls = [1 if s in dfa.accept else 0 for s in range(n)]
+    live = set(dfa.accept)
+    grew = True
+    while grew:
+        grew = False
+        for s in range(n):
+            if s not in live and any(t in live for t in dfa.delta[s].values()):
+                live.add(s)
+                grew = True
+    if dfa.start not in live:
+        return Dfa(dfa.alphabet, 1, 0, frozenset(), [dict()])
+    # class -1 is the dead state; an edge into it counts as no edge
+    cls = [(1 if s in dfa.accept else 0) if s in live else -1 for s in range(n)]
     while True:
         sig = {}
-        new = [0] * n
-        for s in range(n):
-            key = (cls[s], tuple(sorted(
-                (ch, cls[t] if t is not None else -1)
-                for ch, t in dfa.delta[s].items())))
-            if key not in sig:
-                sig[key] = len(sig)
-            new[s] = sig[key]
+        new = [-1] * n
+        for s in live:
+            key = (cls[s], tuple(sorted((ch, cls[t]) for ch, t in dfa.delta[s].items()
+                                        if cls[t] >= 0)))
+            new[s] = sig.setdefault(key, len(sig))
         if new == cls:
             break
         cls = new
-    nclasses = max(cls) + 1 if n else 0
-    delta = [dict() for _ in range(nclasses)]
-    accept = set()
-    for s in range(n):
-        c = cls[s]
-        if s in dfa.accept:
-            accept.add(c)
-        for ch, t in dfa.delta[s].items():
-            delta[c][ch] = cls[t]
-    # drop states that cannot reach an accepting state
-    live = set(accept)
-    changed = True
-    while changed:
-        changed = False
-        for s in range(nclasses):
-            if s in live:
-                continue
-            if any(t in live for t in delta[s].values()):
-                live.add(s)
-                changed = True
-    if cls and cls[dfa.start] not in live:
-        return Dfa(dfa.alphabet, 1, 0, frozenset(), [dict()])
-    remap = {}
-    for s in range(nclasses):
-        if s in live:
-            remap[s] = len(remap)
-    delta2 = [dict() for _ in remap]
-    for s, i in remap.items():
-        for ch, t in delta[s].items():
-            if t in live:
-                delta2[i][ch] = remap[t]
-    accept2 = frozenset(remap[s] for s in accept)
-    return Dfa(dfa.alphabet, len(remap), remap[cls[dfa.start]], accept2, delta2)
+    delta = [dict() for _ in sig]
+    for s in live:
+        delta[cls[s]] = {ch: cls[t] for ch, t in dfa.delta[s].items() if cls[t] >= 0}
+    return Dfa(dfa.alphabet, len(sig), cls[dfa.start],
+               frozenset(cls[s] for s in dfa.accept), delta)
 
 
 NFA_OPS = {"add": nfa_union, "mul": nfa_concat, "plus": nfa_plus}

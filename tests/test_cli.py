@@ -275,12 +275,17 @@ def test_behavior_rejects_bad_shapes_and_weights(tmp_path, runner):
            dict(good, transitions=[dict(good["transitions"][0], letter="b")]),
            dict(good, transitions=[dict(good["transitions"][0], weight="x")]),
            dict(good, transitions=[{"from": 0}]), [good],
-           dict(good, alpha=[1.5]), dict(good, alpha=[True]), dict(good, alpha=[1e300])]
-    bad += [dict(good, transitions=[dict(good["transitions"][0], weight=nan)])
-            for nan in ("nan", float("nan"))]  # the string and the JSON literal NaN
+           dict(good, alpha=[1.5]), dict(good, alpha=[True]), dict(good, alpha=[1e300]),
+           dict(good, n=-1), dict(good, alpha=["x"]), dict(good, transitions={})]
+    bad += [dict(good, transitions=[dict(good["transitions"][0], weight=weight)])
+            for weight in ("nan", float("nan"), None)]  # NaN as a string and as a literal; null
+
+    def weighted(weight):
+        return dict(good, beta=["1"], transitions=[dict(good["transitions"][0], weight=weight)])
     bad = [("limsup", "a^w", data) for data in bad]
-    bad += [("minplus", "a", dict(good, beta=["1"], transitions=[  # a weight above the cap
-        dict(good["transitions"][0], weight="5000000000")]))]
+    bad += [(instance, "a", weighted(weight)) for instance, weight in (
+        ("minplus", "5000000000"), ("minplus", "-1"),  # above the cap, below zero
+        ("bool", "maybe"), ("nat", "-1"), ("lattice", "a"), ("lattice", "{z}"))]
     for instance, word, data in bad:
         path = _aut_file(tmp_path, json.dumps(data))
         assert_bad_input(run(runner, "behavior", "--aut", path, "--instance", instance,
@@ -288,6 +293,10 @@ def test_behavior_rejects_bad_shapes_and_weights(tmp_path, runner):
     res = run(runner, "behavior", "--aut", _aut_file(tmp_path, json.dumps(good)),
               "--instance", "limsup", "--word", "a^w")
     assert res.exit_code == 0 and float(res.stdout) == 2.0
+    for weight in ("0", "false"):   # the boolean zero, spelled two ways
+        res = run(runner, "behavior", "--aut", _aut_file(tmp_path, json.dumps(weighted(weight))),
+                  "--instance", "bool", "--word", "a")
+        assert res.exit_code == 0 and res.stdout == "0\n"
 
 
 @pytest.mark.parametrize("alphabet, problem", [
@@ -389,9 +398,20 @@ def test_group_check_rejects_samples_below_one(runner):
     (("laws", "--instance", "nat", "--suite", "hemimodule"), "instance 'nat' has no pair"),
     (("group-check", "--group", "S3", "--instance", "sup"), "instance 'sup' has no carrier"),
     (("manifest", "--instance", "lang"), "instance 'lang' has no weights"),
-    (("compile", "--instance", "nosuch", "--expr", "a"), "unknown instance 'nosuch'")])
+    (("compile", "--instance", "nosuch", "--expr", "a"), "unknown instance 'nosuch'"),
+    (("laws", "--instance", "nat", "--suite", "conway-semiring"), "nat has no star operation")])
 def test_instance_without_the_role_rejected(runner, args, message):
     res = run(runner, *args)
+    assert_bad_input(res)
+    assert res.stderr == f"Error: {message}\n"
+
+
+@pytest.mark.parametrize("args,message", [
+    (("--expr", "a", "--word", "a(b"), "not a word: 'a(b'"),
+    (("--expr", "a^w", "--word", "(ab)^w^w"), "not an omega word: '(ab)^w^w'"),
+    (("--expr", "a)", "--word", "a"), "bad expression: trailing input ')' (at position 1)")])
+def test_unreadable_words_and_expressions_rejected(runner, args, message):
+    res = run(runner, "coeff", "--instance", "bool", *args)
     assert_bad_input(res)
     assert res.stderr == f"Error: {message}\n"
 

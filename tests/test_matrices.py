@@ -141,6 +141,9 @@ def test_omega_k_boundary_cases(minplus):
     m = rand_mat(minplus, 3, rng)
     assert M.mat_omega_k(pair, m, 0) == (INF, INF, INF)
     assert M.mat_omega_k(pair, m, 3) == M.mat_omega(pair, m)
+    for k in (-1, 4):
+        with pytest.raises(ValueError, match="^need 0 <= k <= n$"):
+            M.mat_omega_k(pair, m, k)
 
 
 def test_omega_scalar_and_zero(minplus):
@@ -222,6 +225,8 @@ def test_group_matrix_layout(minplus):
     assert m3.entries[1] == ("x3", "x1", "x2")
     trivial = M.builtin_groups()["Z1"]
     assert M.group_matrix(trivial, [7]).entries == ((7,),)
+    with pytest.raises(ValueError, match="^Z2 needs 2 elements, got 3$"):
+        M.group_matrix(z2, [3, 5, 7])
 
 
 def test_group_matrix_rows_are_permutations():
@@ -255,6 +260,10 @@ def test_matrix_rectangular_validation():
             M.mat(rows)
     with pytest.raises(ValueError):
         M.mat_star(None, M.mat([[1, 2]]))
+    row, col = M.mat([[1, 2]]), M.mat([[1], [2]])
+    for op, a, b in (("add", row, col), ("mul", row, row), ("mul", col, col)):
+        with pytest.raises(ValueError, match=f"^dimension mismatch in {op}$"):
+            getattr(M, f"mat_{op}")(None, a, b)
 
 
 def test_buchi_two_state_omega_k(lang6, lang_pair6):

@@ -1,10 +1,12 @@
 """Series coefficients: Cauchy products, the plus DP against brute force,
 bounded equality, omega words, and the language instance."""
 
+import ast
 import copy
 import gc
 import importlib
 import math
+import pathlib
 import pickle
 import pkgutil
 import random
@@ -156,6 +158,7 @@ def _values(boolean) -> list:
         extension.FormalSum(1, 2), extension.biaction_bool(boolean),
         matrices.mat([[1]]), matrices.PermutationMatrix((0,)), matrices.cyclic_group(2),
         automata.MatrixAutomaton(valuation.from_carrier(boolean), ("a",), 1, 1, (1,), (1,), ()),
+        valuation.counterexample_regroup_avg(4), valuation.counterexample_product_omega(4),
     ]
 
 
@@ -225,7 +228,9 @@ def test_values_copy_deepcopy_and_pickle(boolean):
 
 def test_the_immutability_rule_lives_in_one_class(boolean):
     """No class of the library but ``core.Frozen`` defines ``__setattr__``
-    or ``__delattr__``, and every value class inherits it."""
+    or ``__delattr__``, and every value class inherits it.  Fields are stored
+    with ``object.__setattr__`` only by ``Frozen`` and by the three classes
+    that keep their own constructor."""
     import omegalg
     defined = []
     for info in pkgutil.iter_modules(omegalg.__path__):
@@ -237,6 +242,42 @@ def test_the_immutability_rule_lives_in_one_class(boolean):
     assert defined == ["core.Frozen.__setattr__", "core.Frozen.__delattr__"]
     for cls in {type(value) for value in _values(boolean)} | {OmegaWord}:
         assert issubclass(cls, core.Frozen), cls.__name__
+    stores = set()
+    for path in sorted(pathlib.Path(omegalg.__path__[0]).glob("*.py")):
+        for cls in ast.parse(path.read_text()).body:
+            for fn in getattr(cls, "body", ()):
+                if any(ast.unparse(node) == "object.__setattr__" for node in ast.walk(fn)):
+                    stores.add(f"{path.stem}.{cls.name}.{fn.name}")
+    assert stores == {"core.Frozen.__init__", "core.Frozen.__setstate__",
+                      "matrices.Matrix.__init__", "series.OmegaWord.__new__",
+                      "extension.BiAction.__init__"}
+
+
+def test_a_value_is_made_from_its_fields_in_slot_order(boolean):
+    """Every value is rebuilt by its class from its public fields in slot
+    order (an automaton makes its private memo afresh), and a wrong count of
+    values raises TypeError naming the class.  Classes that only store
+    their fields take exactly one value per slot; a matrix, an omega word
+    and a bi-action keep constructors of their own."""
+    from omegalg import automata
+    own = ("Matrix", "OmegaWord", "BiAction")
+    for value in _values(boolean) + [OmegaWord("ab", "ba")]:
+        cls, name = type(value), type(value).__name__
+        names = [n for n in cls.__slots__ if not n.startswith("_")]
+        fields = [getattr(value, n) for n in names]
+        rebuilt = cls(*fields)
+        assert all(getattr(rebuilt, n) is f for n, f in zip(names, fields)), name
+        if isinstance(value, automata.MatrixAutomaton):
+            assert rebuilt._memo == {} and rebuilt._memo is not value._memo
+        if name in own:
+            continue
+        with pytest.raises(TypeError, match=name):
+            cls(*fields, None)
+        if "__init__" not in vars(cls):
+            with pytest.raises(TypeError, match=f"^{name} takes {len(names)} values, got 0$"):
+                cls()
+    w = OmegaWord("", "ab")
+    assert OmegaWord("abab", "ab") is w and (w.prefix, w.period) == ("", "ab")
 
 
 def test_omega_word_text_and_letters_are_unchanged():

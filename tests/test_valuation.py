@@ -177,12 +177,18 @@ def test_regroup_shapes(insts):
     assert sup.val_omega(seq).value == sup.val_omega(g).value == 4.0
 
 
-def test_weighted_seq_validation():
+def test_weighted_seq_validation(insts):
     with pytest.raises(ValueError, match="^repeated block must be nonempty$"):
         WeightedSeq(((1, 1.0),), ())
     for prefix, block in ((((0, 1.0),), ((1, 1.0),)), ((), ((1, 1.0), (-1, 1.0)))):
         with pytest.raises(ValueError, match="^lengths must be positive$"):
             WeightedSeq(prefix, block)
+    sup = insts["sup"]
+    with pytest.raises(ValueError, match="^group size must be positive$"):
+        WeightedSeq((), ((1, 1.0),)).regroup(0, sup)
+    for val in (sup.val, sup.val_weighted):
+        with pytest.raises(ValueError, match="^valuation of an empty sequence$"):
+            val([])
 
 
 def test_from_carrier_valuations(boolean, minplus, lattice):
