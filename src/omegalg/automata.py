@@ -27,6 +27,7 @@ import itertools
 import json
 import math
 
+from . import series
 from .core import CommutativeMonoid, Frozen, HemimodulePair, Hemiring
 from .ratexpr import (ActProd, Letter, OmegaPow, OmegaSum, Plus, Prod, Scalar,
                       Sum, check_alphabet, fold, to_text)
@@ -40,7 +41,7 @@ class MatrixAutomaton(Frozen):
     """A weighted automaton on states 0..n-1, of which the first ``k``
     repeat; immutable."""
 
-    __slots__ = ("instance", "alphabet", "n", "k", "alpha", "beta", "edges", "_memo")
+    __slots__ = ("instance", "alphabet", "n", "k", "alpha", "beta", "edges", "_memo", "_letters")
 
     def __init__(self, instance, alphabet: tuple, n: int, k: int, alpha: tuple, beta: tuple,
                  edges: tuple):
@@ -50,8 +51,10 @@ class MatrixAutomaton(Frozen):
         # dynamic program of this automaton (its out-edges per letter and
         # source) and its lasso kernel, each resolved once: the kernel's kept
         # edge sets, each one object a query reads, with node values per
-        # rotation class and entry values per period
-        super().__init__(instance, alphabet, n, k, alpha, beta, edges, {})
+        # rotation class and entry values per period; ``_letters`` is the
+        # alphabet's letter string, which a query's letter test strips
+        super().__init__(instance, alphabet, n, k, alpha, beta, edges, {},
+                         series._letter_string(tuple(alphabet)))
 
 
 def _out_edges(edges) -> dict:
@@ -111,7 +114,8 @@ def finitary_coeff(aut, word: str):
     for pos, ch in enumerate(word):
         vec = run.step(vec, pos, ch)
         if not vec:  # no run reads on: a letter outside the alphabet has no edge
-            _check_word(word, aut.alphabet)
+            if word.strip(aut._letters):
+                series._check_letters(word, aut.alphabet)
             break
     return run.finish(vec)
 
@@ -153,7 +157,12 @@ def finitary_series(aut) -> Series:
 # built on the least rotation of v and explored from every node that has a
 # predecessor; a query enters it one letter into v, at such a node.  Each
 # strategy reduces it to one value per live node, once per set of kept edges
-# and rotation class, kept in the automaton's memo.  Each kept edge set is one
+# and rotation class, kept in the automaton's memo.  A cycle of a good
+# component projects to a closed walk inside one strongly connected component
+# of the kept edges that passes a repeated state and reads every letter of v,
+# so a class whose letters fit in no such component of the kept edges has no
+# live node: it gets no product and no analysis, and its periods the entry
+# values {}.  (A class that fits may still have none.)  Each kept edge set is one
 # object, made once per automaton with the one strategy that analyses it, and
 # holds all a query reads (the edges, the strategy's node values and stem
 # step, the initial states, the entry values per period), so a query starts
@@ -400,13 +409,24 @@ _STRATEGIES = {
 
 class _Kept:
     """One kept edge set of an automaton and all a query reads on it: the
-    edges, letter -> source -> [(target, weight)]; the node-value function
-    and stem step (or None) of the one strategy it is analysed under; the
-    initial states; node values per least rotation, and entry values per
-    lasso period."""
+    edges, letter -> source -> [(target, weight)]; the letter sets of the
+    strongly connected components of the kept edges that have an edge and a
+    repeated state, within one of which a period's letters must fit for its
+    class to have a live node; the node-value function and stem step (or
+    None) of the one strategy it is analysed under; the initial states; node
+    values per least rotation analysed, and entry values per lasso period."""
 
     def __init__(self, aut, kept, strategy, initial):
         self.out = _out_edges(kept)
+        succ = [[] for _ in range(aut.n)]
+        for i, ch, j, _ in kept:
+            succ[i].append((j, ch))
+        self.cycle_letters = []
+        for comp in _sccs(succ, range(aut.n)):
+            inside = set(comp)
+            letters = {ch for v in comp for t, ch in succ[v] if t in inside}
+            if letters and min(comp) < aut.k:
+                self.cycle_letters.append(letters)
         self.nodes, step = _STRATEGIES[strategy]
         self.step = step(aut) if step else None
         self.initial = initial
@@ -418,7 +438,11 @@ def _entry_values(aut, kept, period) -> dict:
     """Live entry state (its node having a predecessor) -> value on the
     product of ``kept`` with the lasso period ``period``, kept per period: the
     node values of its least rotation, read one letter into the period,
-    where the lasso enters the product."""
+    where the lasso enters the product; {} without a product when the
+    period's letters fit in none of ``kept.cycle_letters``."""
+    if not any(set(period) <= letters for letters in kept.cycle_letters):
+        values = kept.entries[period] = {}
+        return values
     m, start = len(period), _least_rotation(period)
     least = period[start:] + period[:start]
     nodes = kept.analyses.get(least)
@@ -504,9 +528,11 @@ def infinitary_coeff(aut, w: OmegaWord):
     some successful run uses only weights >= x; thresholds that keep the
     same edges accept the same lassos, so each such group is joined once per
     automaton and tested once per query.  A letter outside the automaton's
-    alphabet raises ValueError."""
+    alphabet raises ValueError: the word's own letter string is stripped of
+    the alphabet's, and only a leftover runs the loop that names it."""
     one, groups = aut._memo.get("kernel") or _kernel(aut)
-    _check_word(w.prefix + w.period, aut.alphabet)
+    if w._letters.strip(aut._letters):
+        series._check_letters(w.prefix + w.period, aut.alphabet)
     if one is not None:
         best = _best(aut, one, w)
         return aut.instance.zero if best is None else best

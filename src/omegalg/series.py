@@ -79,10 +79,12 @@ class OmegaWord(Frozen):
     shortened by rotating its last letter into the period.  Equality of
     canonical forms is equality of the infinite words, and each canonical
     form has one live object (hash-consing, kept in a weak table), so
-    ``==`` and ``hash`` are object identity.  A word is immutable.
+    ``==`` and ``hash`` are object identity.  A word is immutable.  It
+    keeps its distinct letters in one string, ``_letters``, so a query tests
+    them against an alphabet without joining stem and period.
     """
 
-    __slots__ = ("prefix", "period", "__weakref__")
+    __slots__ = ("prefix", "period", "_letters", "__weakref__")
 
     def __new__(cls, prefix: str, period: str):
         w = _WORDS.get((prefix, period))      # only canonical forms are keys
@@ -100,6 +102,7 @@ class OmegaWord(Frozen):
             w = object.__new__(cls)
             object.__setattr__(w, "prefix", u)
             object.__setattr__(w, "period", v)
+            object.__setattr__(w, "_letters", "".join(sorted(set(u + v))))
             _WORDS[u, v] = w
         return w
 
@@ -115,6 +118,7 @@ class OmegaWord(Frozen):
 
     def letters(self, count: int) -> str:
         """The first ``count`` letters of the infinite word."""
+        _check_position("count", count)
         u, v = self.prefix, self.period
         if count <= len(u):
             return u[:count]
@@ -123,12 +127,15 @@ class OmegaWord(Frozen):
         return u + (v * reps)[:rest]
 
     def letter_at(self, index: int) -> str:
+        """The letter at position ``index``, counted from 0."""
+        _check_position("index", index)
         if index < len(self.prefix):
             return self.prefix[index]
         return self.period[(index - len(self.prefix)) % len(self.period)]
 
     def suffix(self, drop: int) -> "OmegaWord":
         """The omega word with the first ``drop`` letters removed."""
+        _check_position("drop", drop)
         u, v = self.prefix, self.period
         if drop <= len(u):
             return OmegaWord(u[drop:], v)
@@ -137,6 +144,12 @@ class OmegaWord(Frozen):
 
     def __str__(self):
         return f"{self.prefix}({self.period})^w"
+
+
+def _check_position(name: str, value: int):
+    """A count of letters or a position in a word is never negative."""
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 _LETTER = f"[{LETTERS}]"

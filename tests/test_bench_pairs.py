@@ -130,3 +130,25 @@ def test_lang_group_checks_time_each_case_once_per_tree(monkeypatch):
         if (side, case) != ("parent", "Z4 6"):
             got = out[side][case]
             assert not got["timed_out"] and got["exit"] == 0 and got["wall_s"] < 1, (side, case)
+
+
+def test_lasso_products_count_each_trees_own_kernel(monkeypatch, tmp_path):
+    """One subprocess per tree runs that tree's ``lasso`` job list with that
+    tree's ``src`` first on the path: a tree of links to this checkout's
+    ``src`` and ``perfbench`` counts the ``automata`` under its own path,
+    and the same products as this checkout, some of them live."""
+    (tmp_path / "src").symlink_to(ROOT / "src")
+    (tmp_path / "perfbench").symlink_to(ROOT / "perfbench")
+    calls, run = [], bench_pairs.subprocess.run
+
+    def counted(argv, cwd, **kwargs):
+        calls.append(cwd)
+        return run(argv, cwd=cwd, **kwargs)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", counted)
+    out = bench_pairs.lasso_products({"parent": tmp_path, "change": ROOT})
+    assert calls == [tmp_path, ROOT]
+    assert out["parent"] == out["change"]
+    got = out["change"]
+    assert got["source"] == "src/omegalg/automata.py"
+    assert got["nodes"] > got["products"] >= got["live"] > 0, got

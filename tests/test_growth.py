@@ -105,6 +105,41 @@ def test_lasso_products_grow_linearly_in_period_length(monkeypatch):
         assert nodes[2 * m] <= 2.2 * nodes[m], nodes
 
 
+def test_lasso_stem_walks_grow_linearly_in_stem_length(monkeypatch):
+    """One ``limsup-avg`` and one ``disc`` query on ``(a + b)^+ (ab + b)^w``
+    at seeded random stems of 1,000, 2,000 and 4,000 letters: each doubling
+    of the stem multiplies the states the stem walk of ``_best`` expands
+    (forward and, with a step, folding back), summed over letters, by at
+    most 2.2 (linear: 2), and the count at 1,000 letters is pinned exactly."""
+    expanded = [0]
+
+    class Edges(dict):
+        def get(self, source, default=None):
+            expanded[0] += 1
+            return super().get(source, default)
+
+    class Counted(A._Kept):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.out = {ch: Edges(by_source) for ch, by_source in self.out.items()}
+
+    monkeypatch.setattr(A, "_Kept", Counted)
+    rng = random.Random(5)
+    stems = {m: "".join(rng.choice("ab") for _ in range(m)) for m in (1000, 2000, 4000)}
+    expr = rx.parse("(a + b)^+ (ab + b)^w")
+    states = {}
+    for m, stem in stems.items():
+        expanded[0] = 0
+        for inst in (V.make_valuation_instance("limsup-avg"),
+                     V.make_valuation_instance("disc", lam=0.5)):
+            aut = A.compile(expr, inst, ("a", "b"))
+            assert A.infinitary_coeff(aut, OmegaWord(stem, "ab")) != inst.zero
+        states[m] = expanded[0]
+    assert states[1000] == 8250, states
+    for m in (1000, 2000):
+        assert states[2 * m] <= 2.2 * states[m], states
+
+
 def _long_period_query(m):
     """The ``limsup-avg`` query of ``test_limsup_avg_policy_iteration_ends_on_a_long_period``
     (tests/test_cli.py) at ``random.Random(3)``: three states, a seeded

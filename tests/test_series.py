@@ -53,6 +53,19 @@ def test_omega_word_letters_and_suffix():
     assert w.suffix(drop + 1) == OmegaWord("", w.period[1:] + w.period[:1])
 
 
+def test_omega_word_positions_are_never_negative():
+    """``letters``, ``letter_at`` and ``suffix`` refuse a negative argument
+    with a ValueError naming it, on a word with a stem and on one without,
+    where they once answered for a position that does not exist (or raised
+    IndexError)."""
+    for w in (OmegaWord("ab", "c"), OmegaWord("", "ab")):
+        for method, name in ((w.letters, "count"), (w.letter_at, "index"), (w.suffix, "drop")):
+            for bad in (-1, -3):
+                with pytest.raises(ValueError, match=f"^{name} must be >= 0, got {bad}$"):
+                    method(bad)
+        assert w.letters(0) == "" and w.suffix(0) is w
+
+
 def test_parse_word_forms():
     assert parse_word("abab") == "abab"
     assert parse_word("") == ""

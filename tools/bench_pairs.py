@@ -26,7 +26,14 @@ machine's speed moves between runs, so every run is kept with the median
 of each figure.  ``counts_moved`` lists, per traced workload, every
 per-layer metric whose ``BENCHMARK.json`` unit is ``count`` and whose
 parent and change medians differ, with both medians; it is ``{}`` when no
-count moved.  Then ``tier1``: the tier-1 suite, ``PYTHONPATH=<tree>/src
+count moved.  Then ``lasso_products``: per tree, one subprocess runs that
+tree's ``perfbench/lasso.py`` job list at seed 7 (the timed list of a
+20-second run: compile, then ``infinitary_coeff`` on each of the job's
+lassos) with that tree's ``src`` first on the path, and counts the
+``automata._Period`` products its lasso kernel builds (``products``), their
+nodes, states times period length (``nodes``), and the products with a live
+node (``live``), with the file ``automata`` came from, relative to the tree
+(``source``).  Then ``tier1``: the tier-1 suite, ``PYTHONPATH=<tree>/src
 python -m pytest -q -s --continue-on-collection-errors``, TIER1_RUNS times
 in each tree, alternating which tree goes first; per run its wall time in seconds,
 pytest's summary line, and each ``ACCEPTANCE n: PASS (t / budget)`` line
@@ -74,6 +81,30 @@ TIER1_RUNS = 2
 COLD_REPEATS = 9
 ACCEPTANCE = re.compile(r"ACCEPTANCE (\S+): PASS \(([0-9.]+)s / budget ([0-9.]+)s\)")
 IMPORT_TIME = re.compile(r"import time:\s+(\d+) \|\s+\d+ \| +(\S+)$")
+LASSO_PRODUCTS_SEED = 7
+# Run in a tree with ``sys.executable -c``: the lasso products of the job list.
+LASSO_PRODUCTS = """\
+import json, os, sys
+sys.path[:0] = [os.path.abspath("src"), os.path.abspath("perfbench")]
+import run
+from lasso import AB, Lasso
+from omegalg import automata as A
+built = []
+class Counted(A._Period):
+    def __init__(self, aut, out, period):
+        super().__init__(aut, out, period)
+        built.append((len(self.succ), any(self.live)))
+A._Period = Counted
+seed, seconds = map(int, sys.argv[1:])
+wl = Lasso(seed, run.rounds(Lasso, seconds))
+for expr, name in wl.jobs:
+    aut = A.compile(expr, wl.plain[name], AB)
+    for w in wl.lassos[name]:
+        A.infinitary_coeff(aut, w)
+print(json.dumps({"products": len(built), "nodes": sum(n for n, _ in built),
+                  "live": sum(live for _, live in built),
+                  "source": os.path.relpath(A.__file__)}))
+"""
 # Language group checks whose subset constructions used to blow up (ROADMAP item 2).
 LANG_GROUP_CHECKS = (("V4", 8), ("Z4", 6), ("S3", 8))
 LANG_TIMEOUT_S = 30
@@ -151,6 +182,18 @@ def counts_moved(out: dict) -> dict:
         if diff:
             moved[workload] = diff
     return moved
+
+
+def lasso_products(trees: dict) -> dict:
+    """Per tree, the products, product nodes and live products its lasso
+    kernel builds over the ``lasso`` job list at LASSO_PRODUCTS_SEED, and
+    the source of the ``automata`` it counted, from one subprocess."""
+    out = {}
+    for side, tree in trees.items():
+        proc = subprocess.run([sys.executable, "-c", LASSO_PRODUCTS, str(LASSO_PRODUCTS_SEED),
+                               SECONDS], cwd=tree, capture_output=True, text=True, check=True)
+        out[side] = json.loads(proc.stdout)
+    return out
 
 
 def src_lines(tree: Path) -> dict:
@@ -291,7 +334,7 @@ def main(argv=None):
                                 *(f"--seed {w}={s}" for w, s in args.seed)]),
            "pairs": {}, "summary": {}, "speed_factors": [], "traced_kleene_seed_7": {},
            "traced_lasso_seed_7": {}, "traced_algebra_seed_7": {}, "traced_cli_seed_7": {},
-           "counts_moved": {}, "tier1": {},
+           "counts_moved": {}, "lasso_products": {}, "tier1": {},
            "cold_start_s": {}, "lang_group_checks": {},
            "src_lines": {side: src_lines(tree) for side, tree in trees.items()}}
     for workload, seed in args.seeds.items():
@@ -320,6 +363,7 @@ def main(argv=None):
             side: {"runs": rs, "median": {name: statistics.median(r[name] for r in rs)
                                           for name in rs[0]}} for side, rs in runs.items()}
     out["counts_moved"] = counts_moved(out)
+    out["lasso_products"] = lasso_products(trees)
     out["tier1"] = tier1(trees)
     out["cold_start_s"] = cold_start(trees)
     out["lang_group_checks"] = lang_group_checks(trees)
