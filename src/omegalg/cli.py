@@ -228,7 +228,8 @@ def counterexample(name, depth):
         regrouped = inst.val_omega(seq.regroup(2, inst)).value
         print(json.dumps({"direct": direct, "regrouped": regrouped}))
         print(f"liminf: direct {direct} vs regrouped {regrouped}", file=sys.stderr)
-        return 1 if direct != regrouped else 0
+        return 0 if inst.eq(direct, regrouped) else 1
+    eq = valuation.make_valuation_instance("limsup-avg").eq
     if name == "avg-regroup":
         trace = _trace(valuation.counterexample_regroup_avg, depth)
         if trace.regrouped_estimate is None:
@@ -236,12 +237,12 @@ def counterexample(name, depth):
         print(json.dumps(trace.to_json(), indent=2))
         print(f"limsup-avg: direct ≈ {trace.direct_estimate:.4f}, "
               f"regrouped ≈ {trace.regrouped_estimate:.4f}", file=sys.stderr)
-        return 1 if abs(trace.direct_estimate - trace.regrouped_estimate) > 1e-6 else 0
+        return 0 if eq(trace.direct_estimate, trace.regrouped_estimate) else 1
     trace = _trace(valuation.counterexample_product_omega, depth)
     print(json.dumps(trace.to_json(), indent=2))
     lhs, rhs = float(trace.lhs_estimates[-1]), float(trace.rhs_estimates[-1])
     print(f"product omega: lhs {lhs} vs rhs {rhs:.4f} (climbing to 1)", file=sys.stderr)
-    return 1 if abs(lhs - rhs) > 1e-6 else 0
+    return 0 if eq(lhs, rhs) else 1
 
 
 def manifest(name, lam, bound, depth, seed):

@@ -13,7 +13,8 @@ data in a :class:`LawReport` rather than raising.  Counterexample
 reproduction is a feature, so a failing law is a report entry, not an
 exception.  :func:`check_laws` is the one loop that fills law reports, here
 and in the valuation, extension, matrix and series checks: it counts the
-trials, records the failures and applies the failure cap.
+trials, records the failures and applies the failure cap.  The matrix group
+identity report is the one exception; its docstring says why.
 """
 
 from __future__ import annotations

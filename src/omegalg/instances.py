@@ -1,8 +1,10 @@
 """Concrete carriers: booleans, naturals, min-plus, extended reals, lattices.
 
-Equality is carrier-supplied: exact for the discrete carriers, |x-y| <= 1e-9
-with infinities compared exactly for the real-valued one.  Samplers are
-seeded by the caller and draw from a small, law-revealing slice of each
+Equality is carrier-supplied: exact for the discrete carriers.  The
+real-valued one has the one rule for whether two real weights agree:
+|x - y| <= REAL_TOL * max(1, |x|, |y|), absolute below magnitude 1 and
+relative above it, with the infinities and nan compared exactly.  Samplers
+are seeded by the caller and draw from a small, law-revealing slice of each
 domain.
 """
 
@@ -14,7 +16,7 @@ import sys
 
 from .core import CommutativeMonoid, Semiring
 
-REAL_TOL = 1e-9
+REAL_TOL = 1e-9     # ExtRealCarrier.eq: absolute below magnitude 1, relative above
 MINPLUS_CAP = 2**31 - 1
 
 INF = math.inf
@@ -168,8 +170,10 @@ class ExtRealCarrier(CommutativeMonoid):
         return max(a, b)
 
     def eq(self, a, b):
-        # exact at the infinities: inf - inf is nan, inf - finite is inf
-        return a == b or abs(a - b) <= REAL_TOL
+        # exact at the infinities: inf - inf is nan, and d < INF keeps every
+        # finite value apart from them; tested before max, it also keeps the
+        # comparisons with the zero -inf that every indexed product makes cheap
+        return a == b or (d := abs(a - b)) < INF and d <= REAL_TOL * max(1.0, abs(a), abs(b))
 
     def show(self, a):
         if a == INF:

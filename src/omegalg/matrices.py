@@ -399,6 +399,11 @@ def group_identity_check(g: GroupTable, c, sampler=None, trials=30, seed=DEFAULT
     The plus form requires every row and column of M_G^+ to sum to
     plus(x_1 + ... + x_n); the omega form requires every entry of M_G^omega
     to equal omega(x_1 + ... + x_n).
+
+    This report keeps its own loop rather than
+    :func:`~omegalg.core.check_laws`, which counts one trial per (law,
+    argument tuple): here a trial is one drawn tuple, and each failing row,
+    column and omega entry is its own failure.
     """
     rng = random.Random(seed)
     sampler = sampler or c.sample

@@ -206,19 +206,20 @@ class Series:
     and neither it nor the bound ever changes.  ``at(word, memo)`` gives the
     coefficient of a longer word, or ``_MISS``, from the operands read
     through :func:`_at` or from the machine.  No ``at`` refers to its own
-    series, so a series is freed by reference counting.
+    series, so a series is freed by reference counting.  The table holds
+    the empty word exactly when its coefficient is non-zero, so a series is
+    proper when its table lacks it.
     """
 
-    __slots__ = ("weights", "alphabet", "letters", "bound", "table", "at", "proper", "backing")
+    __slots__ = ("weights", "alphabet", "letters", "bound", "table", "at", "backing")
 
-    def __init__(self, weights, alphabet, bound, table, at, proper=True, backing=None):
+    def __init__(self, weights, alphabet, bound, table, at, backing=None):
         self.weights = weights
         self.alphabet = tuple(alphabet)
         self.letters = _letter_string(self.alphabet)
         self.bound = bound
         self.table = table
         self.at = at
-        self.proper = proper
         self.backing = backing
 
     def coeff(self, word: str):
@@ -289,8 +290,7 @@ def polynomial(weights, alphabet, table: dict, bound=DEFAULT_BOUND) -> Series:
         _check_word(word, alphabet)
     table = dict(table)
     kept = _drop_zeros(weights, {u: x for u, x in table.items() if len(u) <= bound})
-    return Series(weights, alphabet, bound, kept, lambda word, memo: table.get(word, _MISS),
-                  proper="" not in table)
+    return Series(weights, alphabet, bound, kept, lambda word, memo: table.get(word, _MISS))
 
 
 def _same_weights(f, g, op):
@@ -327,7 +327,7 @@ def series_add(f, g) -> Series:
         x, y = _at(f, word, memo), _at(g, word, memo)
         return y if x is _MISS else x if y is _MISS else w.add(x, y)
 
-    return Series(w, f.alphabet, L, out, at, proper=f.proper and g.proper)
+    return Series(w, f.alphabet, L, out, at)
 
 
 def cauchy_mul(f, g) -> Series:
@@ -361,7 +361,7 @@ def cauchy_mul(f, g) -> Series:
                 acc = p if acc is _MISS else w.add(acc, p)
         return acc
 
-    return Series(w, f.alphabet, L, out, at, proper=f.proper or g.proper)
+    return Series(w, f.alphabet, L, out, at)
 
 
 def series_plus(f) -> Series:
@@ -372,7 +372,7 @@ def series_plus(f) -> Series:
     products matches the induced valuation by the split law.  A longer word
     runs the recurrence over its own prefixes.
     """
-    if not f.proper:
+    if "" in f.table:
         raise ValueError("plus is defined on proper series only")
     w = f.weights
     token = object()    # keys this plus's prefix values in a query's memo
@@ -418,8 +418,7 @@ def scale_nat(n: int, f) -> Series:
         return x if x is _MISS else w.nat_act(n, x)
 
     return Series(w, f.alphabet, f.bound,
-                  _drop_zeros(w, {u: w.nat_act(n, x) for u, x in f.table.items()}), at,
-                  proper=f.proper)
+                  _drop_zeros(w, {u: w.nat_act(n, x) for u, x in f.table.items()}), at)
 
 
 def _differing(f, g, bound):

@@ -20,7 +20,7 @@ import itertools
 import math
 import random
 
-from .core import DEFAULT_SEED, Frozen, LawFailure, LawReport, check_laws, has_omega, self_pair
+from .core import DEFAULT_SEED, Frozen, LawReport, check_laws, has_omega, self_pair
 from .instances import (INF, NEG_INF, BooleanCarrier, ExtRealCarrier, LatticeCarrier,
                         MinPlusCarrier, NatCarrier)
 
@@ -576,23 +576,22 @@ def counterexample_product_omega(depth: int = 8) -> ProductOmegaTrace:
 
 
 def product_omega_witness_report() -> LawReport:
-    """The series-pair product omega identity with the explicit witness.
+    """The series-pair product omega identity on its explicit witness.
 
-    Formats the counterexample as a law failure so the suite runner and CLI
-    can report it like any other violated identity.
+    One law on one argument tuple, the depth-8 trace, run by
+    :func:`~omegalg.core.check_laws`: its sides are the last estimates of
+    (r·s)^w and r·(s·r)^w on the block word, each shown with its name, and
+    the ``limsup-avg`` weights' ``eq`` compares them.  So the counterexample
+    is one trial, reported like any other violated identity.
     """
-    trace = counterexample_product_omega(depth=8)
-    report = LawReport("hemimodule:limsup-avg-series", len(trace.lhs_estimates))
-    lhs = float(trace.lhs_estimates[-1])
-    rhs = float(trace.rhs_estimates[-1])
-    if abs(lhs - rhs) > 1e-9:
-        report.failures.append(LawFailure(
-            "product_omega",
-            ("r = 1 on a-blocks, s = 0 on b-blocks, w = interleaved blocks",),
-            f"{lhs} ((r·s)^w, w)",
-            f"{rhs} (r·(s·r)^w, w), climbing to 1",
-        ))
-    return report
+    eq = make_valuation_instance("limsup-avg").eq
+    law = ("product_omega",
+           lambda t: ((float(t.lhs_estimates[-1]), "((r·s)^w, w)"),
+                      (float(t.rhs_estimates[-1]), "(r·(s·r)^w, w), climbing to 1")),
+           lambda t: ("r = 1 on a-blocks, s = 0 on b-blocks, w = interleaved blocks",))
+    return check_laws(LawReport("hemimodule:limsup-avg-series", 0), [law],
+                      [(counterexample_product_omega(depth=8),)],
+                      lambda x, y: eq(x[0], y[0]), lambda x: f"{x[0]} {x[1]}")
 
 
 # --- series over a valuation instance ----------------------------------------------------

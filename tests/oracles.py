@@ -15,8 +15,9 @@ letter-by-letter left action of a language on lassos and the omega power of
 a language through the weighted lasso kernel, and the per-lasso product at
 the end, with its Bellman value iteration and a truncated discounted sum:
 the textbook approximations, with error bounds, of the exact discounted
-values the library computes; and the first forms of extended-real equality,
-of the zero-guarded indexed products and of the min-plus add and mul.
+values the library computes; the branching form of extended-real equality;
+and the first forms of the zero-guarded indexed products and of the min-plus
+add and mul.
 """
 
 from __future__ import annotations
@@ -73,11 +74,12 @@ def cauchy_coeff_brute(fcoeff, gcoeff, word, add, prod, zero):
 # --- weight forms ------------------------------------------------------------------------
 
 def extreal_eq_isinf(a, b, tol):
-    """Equality of extended reals as first written: exact if either side is
-    infinite, within ``tol`` otherwise."""
+    """Equality of extended reals in branching form: exact if either side is
+    infinite, otherwise within ``tol`` below magnitude 1 and within ``tol``
+    relative to the larger magnitude above it."""
     if math.isinf(a) or math.isinf(b):
         return a == b
-    return abs(a - b) <= tol
+    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
 def zero_guarded_prod(inst, m, n, a, b):
@@ -302,15 +304,6 @@ def max_cycle_mean_brute(n_nodes, weighted_succ):
         mean = sum(weight[h] for h in hops) / len(hops)
         best = max(best, mean)
     return best
-
-
-def geometric(lam, weight):
-    """Discounted sum of a constant weight stream."""
-    return weight / (1.0 - lam)
-
-
-def language_of_words(words):
-    return set(words)
 
 
 def concat_languages(a, b, max_len):

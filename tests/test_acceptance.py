@@ -1,8 +1,9 @@
 """Acceptance criteria, one test per criterion, each printing a pass line.
 
 Tolerances and runtime budgets are pinned here and nowhere else: exact
-equality for the discrete carriers, 1e-9 for real-valued ones, 0.02 for the
-averaged counterexample estimates, 1e-6 for the discounted evaluation.
+equality for the discrete carriers, 1e-9 for real-valued ones (relative
+above magnitude 1), 0.02 for the averaged counterexample estimates, 1e-6 for
+the discounted evaluation.
 """
 
 import random

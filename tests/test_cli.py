@@ -497,6 +497,8 @@ _SWEEP = {
                        "--samples", "20000"), 3.0, 0),
     "lambda-to-1": (("coeff", "--instance", "disc", "--expr", "(a+b)^+ (ab+b)^w",
                      "--word", "ab(abb)^w", "--lambda", "0.999999999"), 1.0, 0),
+    **{f"laws-disc-{lam}": (("laws", "--instance", "disc", "--suite", "omega-valuation",
+                             "--lambda", lam), 1.0, 0) for lam in ("0.9999", "0.9999999999")},
     "word-20000": (("coeff", "--instance", "nat", "--expr", "(a+b)^+ (ab+b)^+",
                     "--word", "ab" * 10000), 3.0, 0),
     "lasso-8000": (("coeff", "--instance", "disc", "--expr", "(a+b)^+ (ab+b)^w",

@@ -178,6 +178,38 @@ def test_howard_passes_do_not_grow_with_period_length(monkeypatch):
         assert count[2 * m] <= 1.25 * count[m], count
 
 
+def _discounted_query(lam):
+    """One ``disc`` query at discount ``lam``: five states, seeded random
+    edges and a seeded random period of 300 letters."""
+    rng = random.Random(2)
+    edges = tuple((i, ch, t, float(rng.randrange(9)))
+                  for i in range(5) for ch in "ab" for t in range(5) if rng.random() < 0.5)
+    period = "".join(rng.choice("ab") for _ in range(300))
+    aut = A.MatrixAutomaton(V.make_valuation_instance("disc", lam=lam), ("a", "b"), 5, 2,
+                            (1, 0, 0, 0, 0), (0,) * 5, edges)
+    return A.infinitary_coeff(aut, OmegaWord("a", period))
+
+
+def test_howard_passes_do_not_grow_as_the_discount_tends_to_one(monkeypatch):
+    """Values grow as 1/(1 - λ) as λ tends to 1, but the ``_switch`` passes
+    of one discounted query stay flat: pinned for each λ, and none more
+    than at λ = 0.9."""
+    switch, passes = A._switch, [0]
+
+    def counted(*args):
+        passes[0] += 1
+        return switch(*args)
+
+    monkeypatch.setattr(A, "_switch", counted)
+    count = []
+    for lam in (0.5, 0.9, 0.99, 0.9999, 0.999999, 1 - 1e-9):
+        passes[0] = 0
+        _discounted_query(lam)
+        count.append(passes[0])
+    assert count == [3, 5, 5, 5, 5, 5], count
+    assert max(count) <= count[1], count
+
+
 def test_finitary_runs_grow_linearly_in_word_length(monkeypatch):
     """A run on the chain automaton of a product reads only the out-edges of
     its live states: each doubling of the word multiplies the edges it reads

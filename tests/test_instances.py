@@ -159,15 +159,19 @@ def test_extreal_monoid():
 
 
 def test_extreal_eq_matches_its_isinf_form():
-    """``a == b or abs(a - b) <= REAL_TOL`` is the branching form on the
-    infinities, nan, signed zeros, values half and twice the tolerance
-    apart, and random quarters."""
+    """The one-line relative rule is the branching form on the infinities,
+    nan, signed zeros, values half and twice the tolerance apart (absolute
+    below magnitude 1, relative at 1e6 and 1e12), a pair of discounted
+    values 2e-11 apart in relative terms, and random quarters."""
     e = make_instance("extreal")
     tol = REAL_TOL
     rng = random.Random(19)
     grid = [INF, NEG_INF, math.nan, 0.0, -0.0, 1.0, 3.25, 1e300]
     grid += [x + k * tol for x in (0.0, 1.0, -2.0) for k in (-2, -0.5, 0.5, 2)]
+    grid += [x * (1 + k * tol) for x in (1e6, 1e12) for k in (-2, -0.5, 0, 0.5, 2)]
+    grid += [750000.7499903475, 750000.749975079]
     grid += [rng.randrange(-40, 41) / 4 for _ in range(24)]
+    assert e.eq(750000.7499903475, 750000.749975079)
     for a in grid:
         for b in grid:
             want = oracles.extreal_eq_isinf(a, b, tol)

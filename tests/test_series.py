@@ -358,9 +358,12 @@ def test_plus_unique_factorization(natsc):
 
 
 def test_plus_requires_proper(natsc):
+    """Properness is read off the table: a zero coefficient on the empty
+    word is no obstacle."""
     f = natsc.poly({"": 1, "a": 1})
     with pytest.raises(ValueError):
         series_plus(f)
+    assert series_plus(natsc.poly({"": 0, "a": 1})).coeff("aaa") == 1
 
 
 def test_plus_dp_matches_brute_force(natsc):

@@ -271,9 +271,14 @@ def test_product_omega_requires_depth():
 
 
 def test_product_omega_witness_report():
+    """One law on one argument tuple, the witness trace."""
     report = V.product_omega_witness_report()
-    assert not report.ok
-    assert report.failures[0].law == "product_omega"
+    assert not report.ok and report.trials == 1
+    (f,) = report.failures
+    assert f.law == "product_omega"
+    assert f.inputs == ("r = 1 on a-blocks, s = 0 on b-blocks, w = interleaved blocks",)
+    assert f.lhs == "0.5 ((r·s)^w, w)"
+    assert f.rhs == "0.9999999999417923 (r·(s·r)^w, w), climbing to 1"
 
 
 def test_trace_json_serializable():
