@@ -544,12 +544,6 @@ def infinitary_coeff(aut, w: OmegaWord):
     return best
 
 
-def batch_infinitary(aut, lassos) -> list:
-    """Coefficients at each of ``lassos``, in order; lassos whose periods
-    share a rotation class share its analysis."""
-    return [infinitary_coeff(aut, w) for w in lassos]
-
-
 def infinitary_series(aut) -> OmegaSeries:
     return OmegaSeries(aut.instance, aut.alphabet,
                        lambda w: infinitary_coeff(aut, w), backing=aut)
@@ -561,78 +555,70 @@ _STATES = itertools.count()  # a state's number, taken when it is made (atomic i
 
 
 class _Frag:
-    """An automaton under construction: its states in the order they were
-    made, the repeated states in the order they will lead, sparse initial and
-    final coefficients (state -> non-zero natural), its edges and its first
-    steps (the edges out of its initial states, in edge order).  No builder
-    renumbers or changes a fragment, so fragments share their lists and maps;
-    ``read`` marks one a parent has read, which a second reader copies."""
+    """An automaton under construction, less its initial state: its states in
+    the order they were made, the repeated states in the order they will
+    lead, sparse final coefficients (state -> non-zero natural), its edges,
+    and its first steps (coefficient, letter, target, weight), the edges the
+    initial state will take.  No builder renumbers or changes a fragment, so
+    fragments share their lists and maps; ``read`` marks one a parent has
+    read, which a second reader copies."""
 
-    __slots__ = ("states", "repeated", "alpha", "beta", "edges", "first", "read")
+    __slots__ = ("states", "repeated", "beta", "edges", "first", "read")
 
-    def __init__(self, states: list, repeated: list, alpha: dict, beta: dict, edges: list,
-                 first: list, read: bool = False):
+    def __init__(self, states: list, repeated: list, beta: dict, edges: list, first: list,
+                 read: bool = False):
         self.states = states
         self.repeated = repeated
-        self.alpha = alpha
         self.beta = beta
         self.edges = edges
         self.first = first
         self.read = read
 
 
-def _frag_letter(inst, ch) -> _Frag:
-    i, j = next(_STATES), next(_STATES)
-    edges = [(i, ch, j, inst.unit)]
-    return _Frag([i, j], [], {i: 1}, {j: 1}, edges, edges)
-
-
 def _frag_scale(coef, a: _Frag) -> _Frag:
-    return _Frag(a.states, a.repeated, {q: coef * x for q, x in a.alpha.items()} if coef else {},
-                 a.beta, a.edges, a.first if coef else [])
+    return _Frag(a.states, a.repeated, a.beta, a.edges,
+                 [(coef * y, ch, j, w) for y, ch, j, w in a.first] if coef else [])
 
 
 def _frag_sum(a: _Frag, b: _Frag) -> _Frag:
-    return _Frag(a.states + b.states, a.repeated + b.repeated, {**a.alpha, **b.alpha},
-                 {**a.beta, **b.beta}, a.edges + b.edges, a.first + b.first)
+    return _Frag(a.states + b.states, a.repeated + b.repeated, {**a.beta, **b.beta},
+                 a.edges + b.edges, a.first + b.first)
 
 
-def _links(inst, a: _Frag, b: _Frag) -> list:
-    """Edges by which every final state of ``a`` also takes ``b``'s first steps."""
-    return [(p, ch, j, inst.nat_act(x * b.alpha[q], w))
-            for p, x in a.beta.items() for q, ch, j, w in b.first]
+def _links(inst, finals: dict, first: list) -> list:
+    """Edges by which every final state takes every first step."""
+    return [(p, ch, j, inst.nat_act(x * y, w)) for p, x in finals.items()
+            for y, ch, j, w in first]
 
 
 def _frag_prod(inst, a: _Frag, b: _Frag, omega=False) -> _Frag:
     """Concatenation.  The repeated states are those of the tail; an omega
     tail leaves no final state."""
-    links = _links(inst, a, b)
-    return _Frag(a.states + b.states, b.repeated, a.alpha, {} if omega else b.beta,
-                 [*a.edges, *b.edges, *links], a.first + [e for e in links if e[0] in a.alpha])
+    return _Frag(a.states + b.states, b.repeated, {} if omega else b.beta,
+                 [*a.edges, *b.edges, *_links(inst, a.beta, b.first)], a.first)
 
 
 def _frag_plus(inst, a: _Frag) -> _Frag:
-    links = _links(inst, a, a)
-    return _Frag(a.states, a.repeated, a.alpha, a.beta, a.edges + links,
-                 a.first + [e for e in links if e[0] in a.alpha])
+    return _Frag(a.states, a.repeated, a.beta, a.edges + _links(inst, a.beta, a.first), a.first)
 
 
 def _frag_omega(inst, a: _Frag) -> _Frag:
     """Omega power: feedback through fresh boundary copies of the first
-    steps' targets, which become the repeated states; no state is final."""
+    steps' targets, which become the repeated states (repeated final states
+    would accept a·b^omega in (a + ab^+)^omega); no state is final."""
     copy = {t: next(_STATES) for t in sorted({j for _, _, j, _ in a.first})}
     steps = sorted((e for e in a.edges if e[0] in copy), key=lambda e: copy[e[0]])
-    sources = list(a.beta.items()) + [(c, a.beta[t]) for t, c in copy.items() if t in a.beta]
-    back = [(p, ch, copy[j], inst.nat_act(x * a.alpha[q], w))
-            for p, x in sources for q, ch, j, w in a.first]
-    return _Frag(a.states + list(copy.values()), list(copy.values()), a.alpha, {},
-                 [*a.edges, *((copy[i], ch, j, w) for i, ch, j, w in steps), *back],
-                 a.first + [e for e in back if e[0] in a.alpha])
+    finals = {**a.beta, **{c: a.beta[t] for t, c in copy.items() if t in a.beta}}
+    back = [(p, ch, copy[j], w) for p, ch, j, w in _links(inst, finals, a.first)]
+    return _Frag(a.states + list(copy.values()), list(copy.values()), {},
+                 [*a.edges, *((copy[i], ch, j, w) for i, ch, j, w in steps), *back], a.first)
 
 
 def compile(expr, instance, alphabet) -> MatrixAutomaton:
     """Structural compilation of a (finitary or omega) expression in the order
-    of its text; each reader of a shared subterm after the first copies it."""
+    of its text, to its position automaton: one state per letter occurrence
+    (and per boundary copy of an omega power) and one initial state; each
+    reader of a shared subterm after the first copies it."""
     alphabet = tuple(alphabet)
 
     def fresh(a: _Frag) -> _Frag:
@@ -642,7 +628,8 @@ def compile(expr, instance, alphabet) -> MatrixAutomaton:
 
     def letter(node) -> _Frag:
         _check_word(node.ch, alphabet)
-        return _frag_letter(instance, node.ch)
+        q = next(_STATES)
+        return _Frag([q], [], {q: 1}, [], [(1, node.ch, q, instance.unit)])
 
     frag = fold(expr, {
         Letter: letter,
@@ -657,23 +644,32 @@ def compile(expr, instance, alphabet) -> MatrixAutomaton:
 
 
 def _frag_of(aut: MatrixAutomaton) -> _Frag:
-    new = list(itertools.islice(_STATES, aut.n))
-    alpha = {new[q]: x for q, x in enumerate(aut.alpha) if x}
-    edges = [(new[i], ch, new[j], w) for i, ch, j, w in aut.edges]
-    return _Frag(new, new[:aut.k], alpha, {new[q]: x for q, x in enumerate(aut.beta) if x},
-                 edges, [e for e in edges if e[0] in alpha])
+    """The fragment of an automaton: the out-edges of its initial states
+    become first steps, weighted by their initial coefficients, and an
+    initial state that no edge enters, neither final nor repeated, is dropped."""
+    entered = {j for _, _, j, _ in aut.edges}
+    dropped = {q for q in range(aut.k, aut.n)
+               if aut.alpha[q] and not aut.beta[q] and q not in entered}
+    new = {q: next(_STATES) for q in range(aut.n) if q not in dropped}
+    return _Frag(list(new.values()), [new[q] for q in range(aut.k)],
+                 {new[q]: x for q, x in enumerate(aut.beta) if x},
+                 [(new[i], ch, new[j], w) for i, ch, j, w in aut.edges if i not in dropped],
+                 [(aut.alpha[i], ch, new[j], w) for i, ch, j, w in aut.edges if aut.alpha[i]])
 
 
 def _aut_of(frag: _Frag, instance, alphabet) -> MatrixAutomaton:
     """The automaton of a fragment, numbered once: the repeated states first,
-    in order, then the rest in the order they were made."""
-    lead = set(frag.repeated)
-    order = frag.repeated + [q for q in frag.states if q not in lead]
+    in order, then the initial state, whose out-edges are the first steps,
+    then the rest in the order they were made."""
+    lead, start = set(frag.repeated), next(_STATES)
+    order = frag.repeated + [start] + [q for q in frag.states if q not in lead]
     pos = {old: new for new, old in enumerate(order)}
-    return MatrixAutomaton(instance, alphabet, len(order), len(frag.repeated),
-                           tuple(frag.alpha.get(q, 0) for q in order),
-                           tuple(frag.beta.get(q, 0) for q in order),
-                           tuple((pos[i], ch, pos[j], w) for i, ch, j, w in frag.edges))
+    k = len(frag.repeated)
+    edges = [(pos[i], ch, pos[j], w) for i, ch, j, w in frag.edges]
+    edges += [(k, ch, pos[j], instance.nat_act(y, w)) for y, ch, j, w in frag.first]
+    return MatrixAutomaton(instance, alphabet, len(order), k,
+                           tuple(int(q == start) for q in order),
+                           tuple(frag.beta.get(q, 0) for q in order), tuple(edges))
 
 
 def _backing_of(x) -> MatrixAutomaton:

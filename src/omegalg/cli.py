@@ -222,6 +222,8 @@ _COUNTEREXAMPLES = ("liminf-regroup", "avg-regroup", "avg-product-omega")
 def counterexample(name, depth):
     """Reproduce one of the quantitative counterexamples (exit 1: it holds)."""
     if name == "liminf-regroup":
+        if depth is not None:
+            raise BadInput(f"--depth {depth}: liminf-regroup is exact and has no depth")
         inst = valuation.make_valuation_instance("liminf")
         seq = valuation.WeightedSeq((), ((1, 0.0), (1, 1.0)))
         direct = inst.val_omega(seq).value

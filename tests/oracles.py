@@ -570,8 +570,8 @@ def omega_language_kernel(lang, monoid) -> frozenset:
         tuple(1 if s == d.start else 0 for s in range(d.n)),
         tuple(1 if s in d.accept else 0 for s in range(d.n)),
         tuple((s, ch, t, True) for s, trans in enumerate(d.delta) for ch, t in trans.items()))
-    accepted = automata.batch_infinitary(automata.omega_automaton(fin), monoid.lassos)
-    return frozenset(w for w, ok in zip(monoid.lassos, accepted) if ok)
+    aut = automata.omega_automaton(fin)
+    return frozenset(w for w in monoid.lassos if automata.infinitary_coeff(aut, w))
 
 
 # --- infinitary coefficients, one lasso product per query ---------------------------------

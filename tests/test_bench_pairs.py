@@ -136,7 +136,8 @@ def test_lasso_products_count_each_trees_own_kernel(monkeypatch, tmp_path):
     """One subprocess per tree runs that tree's ``lasso`` job list with that
     tree's ``src`` first on the path: a tree of links to this checkout's
     ``src`` and ``perfbench`` counts the ``automata`` under its own path,
-    and the same products as this checkout, some of them live."""
+    and the same products and compiled states as this checkout, some of the
+    products live."""
     (tmp_path / "src").symlink_to(ROOT / "src")
     (tmp_path / "perfbench").symlink_to(ROOT / "perfbench")
     calls, run = [], bench_pairs.subprocess.run
@@ -152,3 +153,4 @@ def test_lasso_products_count_each_trees_own_kernel(monkeypatch, tmp_path):
     got = out["change"]
     assert got["source"] == "src/omegalg/automata.py"
     assert got["nodes"] > got["products"] >= got["live"] > 0, got
+    assert got["states"] > 0, got

@@ -487,6 +487,8 @@ _LASSO_8000 = "a" * 4000 + "(" + "ab" * 1999 + "b)^w"
 # about five times the time measured in-process on a shared 2-core machine
 # (at least 1 s); (args, budget in s, exit code).
 _SWEEP = {
+    "depth-liminf-regroup": (("counterexample", "--name", "liminf-regroup", "--depth", "24"),
+                             1.0, 2),
     "depth-avg-regroup": (("counterexample", "--name", "avg-regroup",
                            "--depth", str(V.MAX_REGROUP_BLOCKS)), 1.0, 1),
     "depth-avg-product-omega": (("counterexample", "--name", "avg-product-omega",

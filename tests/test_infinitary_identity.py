@@ -24,7 +24,7 @@ from omegalg import automata as A, omegalang, ratexpr as rx, valuation as V
 from omegalg.instances import NEG_INF, make_instance
 
 AB = ("a", "b")
-DIGEST = "a8a223ac234cbfdd4303df4ca817d78fdc3e50325120c9353919ef8d00d72983"
+DIGEST = "12b76c2f5589127492648145fba75c94e9ecb04b3a92779d9eaa3695a44fa8f6"
 
 
 def _instances():

@@ -31,9 +31,10 @@ tree's ``perfbench/lasso.py`` job list at seed 7 (the timed list of a
 20-second run: compile, then ``infinitary_coeff`` on each of the job's
 lassos) with that tree's ``src`` first on the path, and counts the
 ``automata._Period`` products its lasso kernel builds (``products``), their
-nodes, states times period length (``nodes``), and the products with a live
-node (``live``), with the file ``automata`` came from, relative to the tree
-(``source``).  Then ``tier1``: the tier-1 suite, ``PYTHONPATH=<tree>/src
+nodes, states times period length (``nodes``), the products with a live
+node (``live``) and the states of the compiled automata (``states``), with
+the file ``automata`` came from, relative to the tree (``source``).  Then
+``tier1``: the tier-1 suite, ``PYTHONPATH=<tree>/src
 python -m pytest -q -s --continue-on-collection-errors``, TIER1_RUNS times
 in each tree, alternating which tree goes first; per run its wall time in seconds,
 pytest's summary line, and each ``ACCEPTANCE n: PASS (t / budget)`` line
@@ -97,12 +98,14 @@ class Counted(A._Period):
 A._Period = Counted
 seed, seconds = map(int, sys.argv[1:])
 wl = Lasso(seed, run.rounds(Lasso, seconds))
+states = 0
 for expr, name in wl.jobs:
     aut = A.compile(expr, wl.plain[name], AB)
+    states += aut.n
     for w in wl.lassos[name]:
         A.infinitary_coeff(aut, w)
 print(json.dumps({"products": len(built), "nodes": sum(n for n, _ in built),
-                  "live": sum(live for _, live in built),
+                  "live": sum(live for _, live in built), "states": states,
                   "source": os.path.relpath(A.__file__)}))
 """
 # Language group checks whose subset constructions used to blow up (ROADMAP item 2).
@@ -186,8 +189,9 @@ def counts_moved(out: dict) -> dict:
 
 def lasso_products(trees: dict) -> dict:
     """Per tree, the products, product nodes and live products its lasso
-    kernel builds over the ``lasso`` job list at LASSO_PRODUCTS_SEED, and
-    the source of the ``automata`` it counted, from one subprocess."""
+    kernel builds over the ``lasso`` job list at LASSO_PRODUCTS_SEED, the
+    states of the automata compiled for those jobs, and the source of the
+    ``automata`` it counted, from one subprocess."""
     out = {}
     for side, tree in trees.items():
         proc = subprocess.run([sys.executable, "-c", LASSO_PRODUCTS, str(LASSO_PRODUCTS_SEED),
